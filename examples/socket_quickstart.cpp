@@ -110,7 +110,8 @@ int main() {
   std::printf("\nadmin surface:\n");
   Show("/healthz", Fetch(fd, "/healthz", 0));
   net::WireResponse ring = Fetch(fd, "/ringz", 0);
-  std::printf("  /ringz body: %s", ring.body.c_str());
+  std::printf("  /ringz body: %.*s", static_cast<int>(ring.body.size()),
+              ring.body.data());
   net::WireResponse metrics = Fetch(fd, "/metricsz", 0);
   std::printf("  /metricsz is %zu bytes of JSON (net.*, proxy, cdn, origin)\n",
               metrics.body.size());

@@ -61,6 +61,9 @@ class ByteReader {
 
   bool ok() const { return ok_; }
   bool AtEnd() const { return pos_ == data_.size(); }
+  // Marks the blob corrupt on a check the byte layer cannot see (a field
+  // that decodes but refers to nothing).
+  void Fail() { ok_ = false; }
 
  private:
   template <typename T>

@@ -193,11 +193,14 @@ void HttpCache::Clear() {
 
 namespace {
 constexpr uint32_t kFreezeMagic = 0x534b4643;  // "SKFC": SpeedKit FreezeCache
+// The same layout with body indexes in place of body bytes: a handle blob
+// can never be mistaken for a self-contained one.
+constexpr uint32_t kFreezeHandlesMagic = 0x534b4648;  // "SKFH"
 }  // namespace
 
-std::string HttpCache::Freeze() const {
+std::string HttpCache::Freeze(std::vector<http::Body>* bodies) const {
   ByteWriter w;
-  w.U32(kFreezeMagic);
+  w.U32(bodies != nullptr ? kFreezeHandlesMagic : kFreezeMagic);
   w.U8(shared_ ? 1 : 0);
   w.U64(entries_.capacity_bytes());
   w.U64(stats_.fresh_hits);
@@ -242,10 +245,11 @@ std::string HttpCache::Freeze() const {
     }
   }
   w.U32(static_cast<uint32_t>(entries_.size()));
+  if (bodies != nullptr) bodies->reserve(bodies->size() + entries_.size());
   // Least- to most-recently-used: replaying Put in this order rebuilds the
   // exact recency chain, so post-thaw eviction order is unchanged.
-  entries_.ForEachLruToMru([&w](const std::string& key,
-                                const CacheEntry& e) {
+  entries_.ForEachLruToMru([&w, bodies](const std::string& key,
+                                        const CacheEntry& e) {
     w.Str(key);
     w.I64(e.stored_at.micros());
     w.I64(e.ttl.micros());
@@ -256,7 +260,12 @@ std::string HttpCache::Freeze() const {
     w.U64(r.object_version);
     w.I64(r.generated_at.micros());
     w.I64(r.server_time.micros());
-    w.Str(r.body);
+    if (bodies != nullptr) {
+      w.U32(static_cast<uint32_t>(bodies->size()));
+      bodies->push_back(r.body);
+    } else {
+      w.Str(r.body);
+    }
     w.U32(static_cast<uint32_t>(r.headers.size()));
     for (const auto& [name, value] : r.headers) {
       w.Str(name);
@@ -266,10 +275,12 @@ std::string HttpCache::Freeze() const {
   return w.Take();
 }
 
-bool HttpCache::Thaw(std::string_view blob) {
+bool HttpCache::Thaw(std::string_view blob,
+                     const std::vector<http::Body>* bodies) {
   Clear();
   ByteReader r(blob);
-  if (r.U32() != kFreezeMagic || r.U8() != (shared_ ? 1 : 0) ||
+  if (r.U32() != (bodies != nullptr ? kFreezeHandlesMagic : kFreezeMagic) ||
+      r.U8() != (shared_ ? 1 : 0) ||
       r.U64() != entries_.capacity_bytes()) {
     return false;
   }
@@ -306,7 +317,16 @@ bool HttpCache::Thaw(std::string_view blob) {
     e.response.object_version = r.U64();
     e.response.generated_at = SimTime::FromMicros(r.I64());
     e.response.server_time = Duration::Micros(r.I64());
-    e.response.body = std::string(r.Str());
+    if (bodies != nullptr) {
+      uint32_t index = r.U32();
+      if (index < bodies->size()) {
+        e.response.body = (*bodies)[index];
+      } else {
+        r.Fail();
+      }
+    } else {
+      e.response.body = std::string(r.Str());
+    }
     uint32_t header_count = r.U32();
     for (uint32_t j = 0; j < header_count && r.ok(); ++j) {
       std::string_view name = r.Str();

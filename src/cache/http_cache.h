@@ -107,8 +107,15 @@ class HttpCache {
   // on which clients went cold. Thaw replaces this cache's contents; it
   // returns false (leaving the cache cleared) on a corrupt or truncated
   // blob.
-  std::string Freeze() const;
-  bool Thaw(std::string_view blob);
+  //
+  // Without `bodies` the blob is self-contained: it carries every body's
+  // bytes. With `bodies`, Freeze appends each entry's body to *bodies and
+  // writes its index instead, so a spilled cache keeps sharing the buffers
+  // live caches hold; that blob thaws only against the same list, and an
+  // index outside it fails the thaw.
+  std::string Freeze(std::vector<http::Body>* bodies = nullptr) const;
+  bool Thaw(std::string_view blob,
+            const std::vector<http::Body>* bodies = nullptr);
 
   bool shared() const { return shared_; }
   size_t size() const { return entries_.size(); }

@@ -161,18 +161,26 @@ class PurgeMailboxGrid {
         ++n;
       }
       if (l.diverted.load(std::memory_order_acquire)) {
+        std::vector<PurgeNote> ring_tail;
         std::vector<PurgeNote> spilled;
         {
           std::lock_guard<std::mutex> lock(l.overflow_mu);
+          // The producer may have refilled the ring after the loop above
+          // and only then diverted, so the ring can still hold notes older
+          // than the whole spill. While the flag is set and this mutex is
+          // held the producer cannot reach the ring: empty it first.
+          while (l.ring.TryPop(&note)) ring_tail.push_back(std::move(note));
           spilled.swap(l.overflow);
           // Clearing under the mutex orders the flag after the swap: a
           // producer that sees diverted==false afterwards starts a fresh
           // ring epoch strictly younger than everything just spilled.
           l.diverted.store(false, std::memory_order_release);
         }
-        for (PurgeNote& s : spilled) {
-          apply(s);
-          ++n;
+        for (std::vector<PurgeNote>* batch : {&ring_tail, &spilled}) {
+          for (PurgeNote& s : *batch) {
+            apply(s);
+            ++n;
+          }
         }
       }
     }

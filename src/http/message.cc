@@ -1,6 +1,18 @@
 #include "http/message.h"
 
+#include <ostream>
+
 namespace speedkit::http {
+
+Body::Body(std::string bytes) {
+  if (bytes.empty()) return;
+  bytes.shrink_to_fit();
+  buf_ = std::make_shared<const std::string>(std::move(bytes));
+}
+
+std::ostream& operator<<(std::ostream& os, const Body& body) {
+  return os << body.view();
+}
 
 std::string_view MethodName(Method m) {
   switch (m) {
@@ -46,7 +58,7 @@ size_t HttpResponse::WireSize() const {
   return 17 /* status line */ + headers.WireSize() + body.size();
 }
 
-HttpResponse MakeOkResponse(std::string body, const CacheControl& cc,
+HttpResponse MakeOkResponse(Body body, const CacheControl& cc,
                             uint64_t object_version, SimTime generated_at) {
   HttpResponse resp;
   resp.status_code = 200;
@@ -69,16 +81,18 @@ HttpResponse MakeNotModified(std::string_view etag, const CacheControl& cc,
 }
 
 HttpResponse MakeNotFound() {
+  static const Body kBody("not found");
   HttpResponse resp;
   resp.status_code = 404;
-  resp.body = "not found";
+  resp.body = kBody;
   return resp;
 }
 
 HttpResponse MakeServiceUnavailable() {
+  static const Body kBody("service unavailable");
   HttpResponse resp;
   resp.status_code = 503;
-  resp.body = "service unavailable";
+  resp.body = kBody;
   return resp;
 }
 

@@ -9,15 +9,70 @@
 #ifndef SPEEDKIT_HTTP_MESSAGE_H_
 #define SPEEDKIT_HTTP_MESSAGE_H_
 
+#include <concepts>
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "http/cache_control.h"
 #include "http/headers.h"
 #include "http/url.h"
 
 namespace speedkit::http {
+
+// An immutable, reference-counted response payload. Copying a Body shares
+// its buffer instead of duplicating the bytes, so one rendered version can
+// sit in the origin's render cache, an edge, every browser cache and every
+// spilled cache's handle list as a single allocation (the serialize-once
+// store of Voras & Žagar's cache daemon). Nothing can modify the bytes once
+// built, and a buffer built from a string is trimmed to exactly its size,
+// so long-lived cache entries never pin growth slack. An empty Body holds
+// no allocation.
+class Body {
+ public:
+  Body() = default;
+  Body(std::string bytes);  // NOLINT(google-explicit-constructor)
+  Body(const char* bytes)   // NOLINT(google-explicit-constructor)
+      : Body(std::string(bytes)) {}
+  // Adopts an already-shared immutable buffer (the memoized sketch
+  // snapshot) without copying it.
+  explicit Body(std::shared_ptr<const std::string> shared)
+      : buf_(std::move(shared)) {}
+
+  std::string_view view() const {
+    return buf_ != nullptr ? std::string_view(*buf_) : std::string_view();
+  }
+  operator std::string_view() const { return view(); }  // NOLINT
+  const char* data() const { return view().data(); }
+  size_t size() const { return buf_ != nullptr ? buf_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  size_t find(std::string_view needle, size_t pos = 0) const {
+    return view().find(needle, pos);
+  }
+  // Bytes the buffer reserves: size() for anything past std::string's
+  // inline capacity.
+  size_t capacity() const { return buf_ != nullptr ? buf_->capacity() : 0; }
+  // Whether both bodies are the same buffer, not merely equal bytes.
+  bool SharesBufferWith(const Body& other) const {
+    return buf_ != nullptr && buf_ == other.buf_;
+  }
+
+  friend bool operator==(const Body& a, const Body& b) {
+    return a.view() == b.view();
+  }
+  template <typename T>
+    requires std::convertible_to<const T&, std::string_view>
+  friend bool operator==(const Body& a, const T& b) {
+    return a.view() == std::string_view(b);
+  }
+  friend std::ostream& operator<<(std::ostream& os, const Body& body);
+
+ private:
+  std::shared_ptr<const std::string> buf_;
+};
 
 enum class Method { kGet, kHead, kPost, kPut, kPatch, kDelete };
 
@@ -43,7 +98,7 @@ struct HttpRequest {
 struct HttpResponse {
   int status_code = 200;
   HeaderMap headers;
-  std::string body;
+  Body body;
 
   // --- simulation instrumentation (not wire data) ---
   // Logical version of the record this response was rendered from.
@@ -70,7 +125,7 @@ struct HttpResponse {
 };
 
 // Builds a 200 response with the given body and caching policy.
-HttpResponse MakeOkResponse(std::string body, const CacheControl& cc,
+HttpResponse MakeOkResponse(Body body, const CacheControl& cc,
                             uint64_t object_version, SimTime generated_at);
 
 // Builds a 304 Not Modified carrying only the validator; freshness headers

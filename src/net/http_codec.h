@@ -40,7 +40,7 @@ struct WireRequest {
 struct WireResponse {
   int status_code = 0;
   http::HeaderMap headers;
-  std::string body;
+  http::Body body;  // a proxied response shares its cache entry's buffer
   bool keep_alive = true;
 };
 

@@ -152,38 +152,23 @@ http::HttpResponse OriginServer::Handle(const http::HttpRequest& request) {
   const std::string& path = request.url.path();
   if (StartsWith(path, "/api/records/")) {
     stats_.record_requests++;
-    http::HttpResponse resp =
-        ServeRecord(request, std::string_view(path).substr(13));
-    ChargeServerTime(request, config_.record_render_time, &resp);
-    return resp;
+    return ServeRecord(request, std::string_view(path).substr(13));
   }
   if (StartsWith(path, "/api/queries/")) {
     stats_.query_requests++;
-    http::HttpResponse resp =
-        ServeQuery(request, std::string_view(path).substr(13));
-    ChargeServerTime(request, config_.query_render_time, &resp);
-    return resp;
+    return ServeQuery(request, std::string_view(path).substr(13));
   }
   if (StartsWith(path, "/api/fragments/")) {
     stats_.fragment_requests++;
-    http::HttpResponse resp =
-        ServeFragment(request, std::string_view(path).substr(15));
-    ChargeServerTime(request, config_.fragment_render_time, &resp);
-    return resp;
+    return ServeFragment(request, std::string_view(path).substr(15));
   }
   if (StartsWith(path, "/assets/")) {
     stats_.asset_requests++;
-    http::HttpResponse resp =
-        ServeAsset(request, std::string_view(path).substr(8));
-    ChargeServerTime(request, config_.asset_render_time, &resp);
-    return resp;
+    return ServeAsset(request, std::string_view(path).substr(8));
   }
   if (StartsWith(path, "/pages/")) {
     stats_.asset_requests++;
-    http::HttpResponse resp =
-        ServeShell(request, std::string_view(path).substr(7));
-    ChargeServerTime(request, config_.shell_render_time, &resp);
-    return resp;
+    return ServeShell(request, std::string_view(path).substr(7));
   }
   if (path == "/sketch") {
     stats_.sketch_requests++;
@@ -192,162 +177,42 @@ http::HttpResponse OriginServer::Handle(const http::HttpRequest& request) {
   return http::MakeNotFound();
 }
 
-void OriginServer::ChargeServerTime(const http::HttpRequest& request,
-                                    Duration render_time,
-                                    http::HttpResponse* resp) {
-  if (!resp->ok() && !resp->IsNotModified()) return;
-  if (resp->IsNotModified()) {
-    // Validation needs the current version, not a render.
-    resp->server_time = config_.render_cache_hit_time;
-    return;
-  }
+template <typename RenderFn>
+http::Body OriginServer::CachedRender(const std::string& key,
+                                      uint64_t version, Duration render_time,
+                                      bool no_store, RenderFn&& render,
+                                      Duration* server_time) {
   if (config_.render_cache_entries == 0) {
-    resp->server_time = render_time;
     stats_.render_cache_misses++;
     stats_.render_time_us += render_time.micros();
-    return;
+    *server_time = render_time;
+    return http::Body(render());
   }
-  std::string key = request.url.CacheKey();
-  uint64_t* cached_version = render_cache_.Get(key);
-  if (cached_version != nullptr && *cached_version == resp->object_version) {
+  RenderedBody* cached = render_cache_.Get(key);
+  if (cached != nullptr && cached->version == version) {
     stats_.render_cache_hits++;
     stats_.render_time_saved_us +=
         (render_time - config_.render_cache_hit_time).micros();
-    resp->server_time = config_.render_cache_hit_time;
-    return;
+    *server_time = config_.render_cache_hit_time;
+    return no_store ? http::Body(render()) : cached->body;
   }
   stats_.render_cache_misses++;
   stats_.render_time_us += render_time.micros();
-  render_cache_.Put(key, resp->object_version);
-  resp->server_time = render_time;
+  *server_time = render_time;
+  http::Body body(render());
+  render_cache_.Put(key, RenderedBody{version, no_store ? http::Body() : body});
+  return body;
 }
 
-http::HttpResponse OriginServer::ServeRecord(const http::HttpRequest& request,
-                                             std::string_view id) {
-  const storage::Record* record = store_->Peek(id);
-  if (record == nullptr) return http::MakeNotFound();
-  Duration ttl = ttl_policy_->TtlFor(request.url.CacheKey(), clock_->Now());
-  return Finish(request, record->Render(), record->version, ttl,
-                /*shared_cacheable=*/true);
-}
-
-http::HttpResponse OriginServer::ServeQuery(const http::HttpRequest& request,
-                                            std::string_view query_id) {
-  auto it = queries_.find(std::string(query_id));
-  if (it == queries_.end()) return http::MakeNotFound();
-  const MaterializedQuery& mq = it->second;
-  std::string body = "{\"query\":\"" + mq.query.id + "\",\"results\":[";
-  bool first = true;
-  for (const std::string& member : mq.visible) {
-    if (!first) body += ",";
-    first = false;
-    const storage::Record* record = store_->Peek(member);
-    if (record != nullptr) body += record->Render();
-  }
-  body += "]}";
-  Duration ttl = ttl_policy_->TtlFor(request.url.CacheKey(), clock_->Now());
-  return Finish(request, std::move(body), mq.result_version, ttl,
-                /*shared_cacheable=*/true);
-}
-
-http::HttpResponse OriginServer::ServeFragment(const http::HttpRequest& request,
-                                               std::string_view block_id) {
-  const std::string& query = request.url.query();
-  std::string_view user = QueryParam(query, "user");
-  if (!user.empty()) {
-    // Legacy personalization: rendered per user, carries identity, never
-    // cacheable anywhere. This is the baseline GDPR mode replaces.
-    std::string body = FillBody(
-        StrFormat("<div class=\"%s\">Hello user %s! Recommendations: ...",
-                  std::string(block_id).c_str(), std::string(user).c_str()),
-        config_.fragment_bytes);
-    http::HttpResponse resp;
-    resp.status_code = 200;
-    resp.body = std::move(body);
-    http::CacheControl cc;
-    cc.is_private = true;
-    cc.no_store = true;
-    resp.SetCacheControl(cc);
-    resp.object_version = 1;
-    resp.generated_at = clock_->Now();
-    return resp;
-  }
-
-  std::string prefix;
-  if (QueryParam(query, "tpl") == "1") {
-    // Anonymous template of a user-scoped block: placeholders only, fully
-    // cacheable. The client proxy joins it with vault data on-device.
-    prefix = StrFormat(
-        "<div class=\"%s\">Hello {{name}}! Your cart: {{cart}}. "
-        "Recommendations for {{segment}}: ...",
-        std::string(block_id).c_str());
-  } else {
-    std::string_view seg = QueryParam(query, "seg");
-    prefix = StrFormat("<div class=\"%s\" data-segment=\"%s\">...",
-                       std::string(block_id).c_str(),
-                       std::string(seg).c_str());
-  }
-  Duration ttl = ttl_policy_->TtlFor(request.url.CacheKey(), clock_->Now());
-  return Finish(request, FillBody(std::move(prefix), config_.fragment_bytes),
-                /*body_version=*/1, ttl, /*shared_cacheable=*/true);
-}
-
-http::HttpResponse OriginServer::ServeAsset(const http::HttpRequest& request,
-                                            std::string_view name) {
-  // skopt=1 requests the optimized variant (transcoded/minified by the
-  // acceleration service): same content, fewer bytes.
-  size_t bytes = config_.asset_bytes;
-  std::string prefix = "asset:" + std::string(name) + ";";
-  if (QueryParam(request.url.query(), "skopt") == "1") {
-    bytes = static_cast<size_t>(static_cast<double>(bytes) *
-                                config_.optimized_asset_factor);
-    prefix = "asset-optimized:" + std::string(name) + ";";
-  }
-  return Finish(request, FillBody(std::move(prefix), bytes),
-                /*body_version=*/1, config_.asset_ttl,
-                /*shared_cacheable=*/true);
-}
-
-http::HttpResponse OriginServer::ServeShell(const http::HttpRequest& request,
-                                            std::string_view name) {
-  std::string body =
-      FillBody("<html><!-- shell:" + std::string(name) + " -->",
-               config_.shell_bytes);
-  // HTML is dynamic content: its cacheability is exactly what the TTL
-  // policy (and with it the deployed system variant) decides. A site
-  // without coherence ships no-cache HTML; Speed Kit's estimator makes the
-  // shell cacheable because the sketch bounds its staleness. The
-  // configured shell_ttl caps the policy's answer.
-  Duration ttl = std::min(
-      ttl_policy_->TtlFor(request.url.CacheKey(), clock_->Now()),
-      config_.shell_ttl);
-  return Finish(request, std::move(body), /*body_version=*/1, ttl,
-                /*shared_cacheable=*/true);
-}
-
-http::HttpResponse OriginServer::ServeSketch() {
-  http::HttpResponse resp;
-  resp.status_code = 200;
-  // Sketchless origins still serve the route: a publication over a null
-  // sketch yields the constant empty filter's bytes.
-  static coherence::SketchPublication empty_publication(nullptr);
-  coherence::SketchPublication* pub =
-      publication_ != nullptr ? publication_ : &empty_publication;
-  resp.body = *pub->Serialized(clock_->Now());
-  http::CacheControl cc;
-  cc.no_store = true;  // snapshots must never be cached
-  resp.SetCacheControl(cc);
-  resp.generated_at = clock_->Now();
-  return resp;
-}
-
+template <typename RenderFn>
 http::HttpResponse OriginServer::Finish(const http::HttpRequest& request,
-                                        std::string body,
+                                        const std::string& key,
                                         uint64_t body_version, Duration ttl,
-                                        bool shared_cacheable) {
+                                        Duration render_time,
+                                        RenderFn&& render) {
   SimTime now = clock_->Now();
   http::CacheControl cc;
-  cc.is_public = shared_cacheable;
+  cc.is_public = true;
   Duration swr = Duration::Zero();
   if (ttl > Duration::Zero()) {
     cc.max_age = ttl;
@@ -364,18 +229,167 @@ http::HttpResponse OriginServer::Finish(const http::HttpRequest& request,
   if (ttl > Duration::Zero()) {
     // The stale horizon must cover the SWR window too: a client may
     // legitimately re-serve this copy that long.
-    expiry_book_.RecordServed(request.url.CacheKey(), now + ttl + swr);
+    expiry_book_.RecordServed(key, now + ttl + swr);
   }
 
   if (auto inm = request.headers.Get("If-None-Match");
       inm.has_value() && *inm == etag) {
+    // Validation needs the current version, not a render.
     stats_.not_modified++;
-    return http::MakeNotModified(etag, cc, body_version, now);
+    http::HttpResponse resp =
+        http::MakeNotModified(etag, cc, body_version, now);
+    resp.server_time = config_.render_cache_hit_time;
+    return resp;
   }
 
+  Duration server_time = Duration::Zero();
+  http::Body body = CachedRender(key, body_version, render_time,
+                                 /*no_store=*/false,
+                                 std::forward<RenderFn>(render), &server_time);
   http::HttpResponse resp =
       http::MakeOkResponse(std::move(body), cc, body_version, now);
   resp.SetETag(etag);
+  resp.server_time = server_time;
+  return resp;
+}
+
+http::HttpResponse OriginServer::ServeRecord(const http::HttpRequest& request,
+                                             std::string_view id) {
+  const storage::Record* record = store_->Peek(id);
+  if (record == nullptr) return http::MakeNotFound();
+  std::string key = request.url.CacheKey();
+  Duration ttl = ttl_policy_->TtlFor(key, clock_->Now());
+  return Finish(request, key, record->version, ttl,
+                config_.record_render_time,
+                [record] { return record->Render(); });
+}
+
+http::HttpResponse OriginServer::ServeQuery(const http::HttpRequest& request,
+                                            std::string_view query_id) {
+  auto it = queries_.find(std::string(query_id));
+  if (it == queries_.end()) return http::MakeNotFound();
+  const MaterializedQuery& mq = it->second;
+  std::string key = request.url.CacheKey();
+  Duration ttl = ttl_policy_->TtlFor(key, clock_->Now());
+  return Finish(request, key, mq.result_version, ttl,
+                config_.query_render_time, [this, &mq] {
+                  std::string body =
+                      "{\"query\":\"" + mq.query.id + "\",\"results\":[";
+                  bool first = true;
+                  for (const std::string& member : mq.visible) {
+                    if (!first) body += ",";
+                    first = false;
+                    const storage::Record* record = store_->Peek(member);
+                    if (record != nullptr) body += record->Render();
+                  }
+                  body += "]}";
+                  return body;
+                });
+}
+
+http::HttpResponse OriginServer::ServeFragment(const http::HttpRequest& request,
+                                               std::string_view block_id) {
+  const std::string& query = request.url.query();
+  std::string key = request.url.CacheKey();
+  std::string_view user = QueryParam(query, "user");
+  if (!user.empty()) {
+    // Legacy personalization: rendered per user, carries identity, never
+    // cacheable anywhere — including the render cache, which keeps only
+    // the version of a no-store body, never the PII-bearing bytes.
+    http::HttpResponse resp;
+    resp.status_code = 200;
+    resp.body = CachedRender(
+        key, /*version=*/1, config_.fragment_render_time, /*no_store=*/true,
+        [&] {
+          return FillBody(
+              StrFormat("<div class=\"%s\">Hello user %s! Recommendations: ...",
+                        std::string(block_id).c_str(),
+                        std::string(user).c_str()),
+              config_.fragment_bytes);
+        },
+        &resp.server_time);
+    http::CacheControl cc;
+    cc.is_private = true;
+    cc.no_store = true;
+    resp.SetCacheControl(cc);
+    resp.object_version = 1;
+    resp.generated_at = clock_->Now();
+    return resp;
+  }
+
+  Duration ttl = ttl_policy_->TtlFor(key, clock_->Now());
+  return Finish(request, key, /*body_version=*/1, ttl,
+                config_.fragment_render_time, [&] {
+                  std::string prefix;
+                  if (QueryParam(query, "tpl") == "1") {
+                    // Anonymous template of a user-scoped block:
+                    // placeholders only, fully cacheable. The client proxy
+                    // joins it with vault data on-device.
+                    prefix = StrFormat(
+                        "<div class=\"%s\">Hello {{name}}! Your cart: "
+                        "{{cart}}. Recommendations for {{segment}}: ...",
+                        std::string(block_id).c_str());
+                  } else {
+                    std::string_view seg = QueryParam(query, "seg");
+                    prefix = StrFormat(
+                        "<div class=\"%s\" data-segment=\"%s\">...",
+                        std::string(block_id).c_str(),
+                        std::string(seg).c_str());
+                  }
+                  return FillBody(std::move(prefix), config_.fragment_bytes);
+                });
+}
+
+http::HttpResponse OriginServer::ServeAsset(const http::HttpRequest& request,
+                                            std::string_view name) {
+  return Finish(
+      request, request.url.CacheKey(), /*body_version=*/1, config_.asset_ttl,
+      config_.asset_render_time, [&] {
+        // skopt=1 requests the optimized variant (transcoded/minified by
+        // the acceleration service): same content, fewer bytes.
+        if (QueryParam(request.url.query(), "skopt") == "1") {
+          return FillBody("asset-optimized:" + std::string(name) + ";",
+                          static_cast<size_t>(
+                              static_cast<double>(config_.asset_bytes) *
+                              config_.optimized_asset_factor));
+        }
+        return FillBody("asset:" + std::string(name) + ";",
+                        config_.asset_bytes);
+      });
+}
+
+http::HttpResponse OriginServer::ServeShell(const http::HttpRequest& request,
+                                            std::string_view name) {
+  // HTML is dynamic content: its cacheability is exactly what the TTL
+  // policy (and with it the deployed system variant) decides. A site
+  // without coherence ships no-cache HTML; Speed Kit's estimator makes the
+  // shell cacheable because the sketch bounds its staleness. The
+  // configured shell_ttl caps the policy's answer.
+  std::string key = request.url.CacheKey();
+  Duration ttl =
+      std::min(ttl_policy_->TtlFor(key, clock_->Now()), config_.shell_ttl);
+  return Finish(request, key, /*body_version=*/1, ttl,
+                config_.shell_render_time, [&] {
+                  return FillBody(
+                      "<html><!-- shell:" + std::string(name) + " -->",
+                      config_.shell_bytes);
+                });
+}
+
+http::HttpResponse OriginServer::ServeSketch() {
+  http::HttpResponse resp;
+  resp.status_code = 200;
+  // Sketchless origins still serve the route: a publication over a null
+  // sketch yields the constant empty filter's bytes. The response shares
+  // the publication's memoized buffer.
+  static coherence::SketchPublication empty_publication(nullptr);
+  coherence::SketchPublication* pub =
+      publication_ != nullptr ? publication_ : &empty_publication;
+  resp.body = http::Body(pub->Serialized(clock_->Now()));
+  http::CacheControl cc;
+  cc.no_store = true;  // snapshots must never be cached
+  resp.SetCacheControl(cc);
+  resp.generated_at = clock_->Now();
   return resp;
 }
 

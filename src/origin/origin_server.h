@@ -160,16 +160,26 @@ class OriginServer {
   http::HttpResponse ServeSketch();
 
   // Applies TTL policy + ETag + expiry-book accounting, honouring
-  // If-None-Match. `body_version` feeds both the ETag and staleness checks.
+  // If-None-Match: a matching validator gets its 304 (charged the
+  // validation cost) before anything is rendered. Otherwise the body comes
+  // from CachedRender. `body_version` feeds the ETag, the staleness checks
+  // and the render cache.
+  template <typename RenderFn>
   http::HttpResponse Finish(const http::HttpRequest& request,
-                            std::string body, uint64_t body_version,
-                            Duration ttl, bool shared_cacheable);
+                            const std::string& key, uint64_t body_version,
+                            Duration ttl, Duration render_time,
+                            RenderFn&& render);
 
-  // Charges server processing time onto the response: full render cost on
-  // a render-cache miss, the cache-hit cost when this (key, version) was
-  // rendered before, validation cost for 304s.
-  void ChargeServerTime(const http::HttpRequest& request,
-                        Duration render_time, http::HttpResponse* resp);
+  // The body of `key` at `version`, with its server time in
+  // *server_time: the render cache's stored body (cache-hit cost) when
+  // `key` was last rendered at `version`, else render() (full render cost).
+  // A `no_store` body is rendered on every request and never kept; its
+  // entry holds only the version, so hit/miss accounting and every charged
+  // server time match a cache that stores versions alone.
+  template <typename RenderFn>
+  http::Body CachedRender(const std::string& key, uint64_t version,
+                          Duration render_time, bool no_store,
+                          RenderFn&& render, Duration* server_time);
 
   OriginConfig config_;
   sim::SimClock* clock_;
@@ -181,9 +191,14 @@ class OriginServer {
   std::unordered_map<std::string, MaterializedQuery> queries_;
   invalidation::ExpiryBook expiry_book_;
   QueryVersionListener query_version_listener_;
-  // Render cache: cache key -> last rendered content version. Version-
-  // keyed, so it can never serve a stale render.
-  cache::LruCache<uint64_t> render_cache_;
+  // Render cache: cache key -> last rendered content version and its body
+  // (empty for no-store responses). Version-keyed, so it can never serve a
+  // stale render; one entry per key, evicted by entry count.
+  struct RenderedBody {
+    uint64_t version = 0;
+    http::Body body;
+  };
+  cache::LruCache<RenderedBody> render_cache_;
   OriginStats stats_;
 };
 

@@ -346,17 +346,24 @@ class ClientProxy {
   const ProxyConfig& config() const { return config_; }
 
   // Cold-client spill: serializes the browser cache into a compact blob
-  // and releases the live structure (entries, LRU list, hash table). The
-  // next request — or any browser_cache() access — rehydrates it
-  // losslessly (contents, recency order, stats). A no-op when already
-  // frozen or the cache is empty (an empty live cache is cheaper than a
-  // blob). Safe at any quiescent point: the proxy touches the cache only
-  // synchronously inside Fetch/FetchBlock, never from scheduled events.
+  // plus a list of body handles, and releases the live structure (entries,
+  // LRU list, hash table). The bodies stay shared with every other cache
+  // holding them; the blob records indexes into the handle list. The next
+  // request — or any browser_cache() access — rehydrates it losslessly
+  // (contents, recency order, stats, the very same body buffers). A no-op
+  // when already frozen or the cache is empty (an empty live cache is
+  // cheaper than a blob). Safe at any quiescent point: the proxy touches
+  // the cache only synchronously inside Fetch/FetchBlock, never from
+  // scheduled events.
   void FreezeBrowserCache();
   bool browser_cache_frozen() const { return browser_cache_frozen_; }
-  // Size of the frozen blob (0 while live) — what a spilled client keeps
-  // resident instead of the full cache structure.
-  size_t frozen_bytes() const { return frozen_browser_cache_.size(); }
+  // Blob plus handle-list bytes (0 while live) — what a spilled client
+  // keeps resident instead of the full cache structure. The shared body
+  // buffers are not charged here.
+  size_t frozen_bytes() const {
+    return frozen_browser_cache_.size() +
+           frozen_bodies_.size() * sizeof(http::Body);
+  }
   // Simulated time of this client's last foreground activity; idle-spill
   // sweeps compare against it.
   SimTime last_active() const { return last_active_; }
@@ -478,6 +485,7 @@ class ClientProxy {
 
   // Cold-client spill state (see FreezeBrowserCache).
   std::string frozen_browser_cache_;
+  std::vector<http::Body> frozen_bodies_;
   bool browser_cache_frozen_ = false;
   SimTime last_active_;
   uint64_t freezes_ = 0;

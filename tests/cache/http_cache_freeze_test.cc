@@ -5,6 +5,7 @@
 // behavior-neutral (fig_memscale gates it end-to-end; these tests pin
 // the codec directly).
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -223,6 +224,52 @@ TEST(HttpCacheFreezeTest, CorruptBlobFailsClosedToEmpty) {
   EXPECT_FALSE(victim.Thaw(bad_magic));
   EXPECT_TRUE(victim.Thaw(blob));  // the pristine blob still works
   EXPECT_EQ(victim.size(), 1u);
+}
+
+// With a handle list, the blob carries body indexes instead of bytes: the
+// thawed cache holds the very buffers the frozen one held.
+TEST(HttpCacheFreezeTest, HandleBlobKeepsBodiesShared) {
+  HttpCache cache(false, 0);
+  cache.Store("a", Response("max-age=60", 0, 1, std::string(500, 'a')), At(0));
+  cache.Store("b", Response("max-age=60", 0, 2, std::string(500, 'b')), At(0));
+  cache.Lookup("a", At(1));
+  const http::Body held_a = cache.Lookup("a", At(1)).entry->response.body;
+
+  std::vector<http::Body> bodies;
+  std::string blob = cache.Freeze(&bodies);
+  EXPECT_EQ(bodies.size(), 2u);
+  // Same layout, minus the body bytes: each index takes the place of a
+  // length prefix.
+  EXPECT_EQ(cache.Freeze().size(), blob.size() + 2 * 500);
+
+  HttpCache thawed(false, 0);
+  ASSERT_TRUE(thawed.Thaw(blob, &bodies));
+  EXPECT_EQ(thawed.used_bytes(), cache.used_bytes());
+  EXPECT_EQ(thawed.stats().fresh_hits, cache.stats().fresh_hits);
+  LookupResult a = thawed.Lookup("a", At(2));
+  ASSERT_EQ(a.outcome, LookupOutcome::kFreshHit);
+  EXPECT_TRUE(a.entry->response.body.SharesBufferWith(held_a));
+  EXPECT_EQ(thawed.Lookup("b", At(2)).entry->response.body,
+            std::string(500, 'b'));
+
+  // The two forms never stand in for each other.
+  EXPECT_FALSE(thawed.Thaw(blob));
+  EXPECT_FALSE(thawed.Thaw(cache.Freeze(), &bodies));
+}
+
+TEST(HttpCacheFreezeTest, OutOfRangeBodyIndexFailsClosedToEmpty) {
+  HttpCache cache(false, 0);
+  cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
+  cache.Store("b", Response("max-age=60", 0, 2, "body-b"), At(0));
+  std::vector<http::Body> bodies;
+  std::string blob = cache.Freeze(&bodies);
+  bodies.pop_back();  // the blob's last index now points past the list
+
+  HttpCache victim(false, 0);
+  victim.Store("keep", Response("max-age=60"), At(0));
+  EXPECT_FALSE(victim.Thaw(blob, &bodies));
+  EXPECT_EQ(victim.size(), 0u);
+  EXPECT_EQ(victim.Lookup("a", At(1)).outcome, LookupOutcome::kMiss);
 }
 
 TEST(HttpCacheFreezeTest, SharedFlagAndCapacityMismatchRejected) {

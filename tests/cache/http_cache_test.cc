@@ -127,7 +127,7 @@ TEST(HttpCacheTest, ErrorAndEmptyResponsesNotStored) {
   err.status_code = 404;
   EXPECT_FALSE(cache.Store("k", err, At(0)));
   http::HttpResponse empty = Response("max-age=60");
-  empty.body.clear();
+  empty.body = http::Body();
   EXPECT_FALSE(cache.Store("k", empty, At(0)));
 }
 

@@ -131,5 +131,28 @@ TEST(PurgeMailboxGridTest, ConcurrentSpscProducerConsumer) {
   for (int i = 0; i < kNotes; ++i) EXPECT_EQ(seen[i], std::to_string(i));
 }
 
+TEST(PurgeMailboxGridTest, RingRefilledDuringDrainStaysAheadOfSpill) {
+  // A two-slot ring makes the race window wide: the producer refills the
+  // ring after a drain has emptied it and spills before that drain looks
+  // at the diversion flag. The refilled ring notes are older than the
+  // spill and must be applied first.
+  PurgeMailboxGrid grid(2, /*ring_capacity=*/2);
+  constexpr int kNotes = 20000;
+  std::thread producer([&] {
+    for (int i = 0; i < kNotes; ++i) grid.Post(0, 1, Note(1, std::to_string(i)));
+  });
+  int next = 0;
+  bool in_order = true;
+  while (next < kNotes) {
+    grid.Drain(1, [&](const PurgeNote& note) {
+      in_order = in_order && note.key == std::to_string(next);
+      ++next;
+    });
+  }
+  producer.join();
+  EXPECT_EQ(next, kNotes);
+  EXPECT_TRUE(in_order);
+}
+
 }  // namespace
 }  // namespace speedkit::cache

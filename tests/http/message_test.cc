@@ -74,6 +74,29 @@ TEST(MessageTest, ErrorFactories) {
   EXPECT_FALSE(MakeServiceUnavailable().ok());
 }
 
+// Cached bodies live as long as their cache entries: growth slack left by
+// the renderer must not ride along.
+TEST(MessageTest, BodyDropsSpareCapacity) {
+  std::string bytes;
+  bytes.reserve(4096);
+  bytes.append(100, 'x');
+  ASSERT_GT(bytes.capacity(), bytes.size());
+  Body body(std::move(bytes));
+  EXPECT_EQ(body.size(), 100u);
+  EXPECT_EQ(body.capacity(), body.size());
+}
+
+TEST(MessageTest, BodyCopiesShareOneBuffer) {
+  Body a(std::string(64, 'y'));
+  Body b = a;
+  EXPECT_TRUE(a.SharesBufferWith(b));
+  Body twin(std::string(64, 'y'));
+  EXPECT_EQ(a, twin);  // equal bytes ...
+  EXPECT_FALSE(a.SharesBufferWith(twin));  // ... in a different buffer
+  EXPECT_TRUE(Body().empty());
+  EXPECT_FALSE(Body().SharesBufferWith(Body()));
+}
+
 TEST(MessageTest, MissingCacheControlParsesAsEmpty) {
   HttpResponse resp;
   CacheControl cc = resp.GetCacheControl();

@@ -1,0 +1,243 @@
+// Differential check of the origin's render cache, which holds rendered
+// bodies keyed by content version. One seeded sequence of writes and GETs
+// runs against an origin with the cache on and one with it off: every
+// response must match byte for byte, and the cached origin's hit/miss
+// accounting and charged server times must equal those of a cache that
+// stored versions alone (pinned below from that implementation).
+#include <cstdint>
+#include <map>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/hash.h"
+#include "common/random.h"
+#include "origin/origin_server.h"
+
+namespace speedkit::origin {
+namespace {
+
+constexpr char kBase[] = "https://shop.example.com";
+constexpr int kProducts = 40;
+constexpr int kCategories = 4;
+constexpr int kSteps = 4000;
+
+// One origin over its own clock, store and TTL policy.
+struct World {
+  explicit World(size_t render_cache_entries)
+      : ttl_policy(Duration::Seconds(30)),
+        server(Config(render_cache_entries), &clock, &store, &ttl_policy,
+               nullptr) {}
+
+  static OriginConfig Config(size_t render_cache_entries) {
+    OriginConfig config;
+    config.render_cache_entries = render_cache_entries;
+    return config;
+  }
+
+  sim::SimClock clock;
+  storage::ObjectStore store;
+  ttl::FixedTtlPolicy ttl_policy;
+  OriginServer server;
+};
+
+std::string ProductId(uint32_t i) { return "p" + std::to_string(i); }
+
+std::map<std::string, storage::FieldValue> Fields(int64_t category,
+                                                  double price) {
+  return {{"category", category}, {"price", price}};
+}
+
+// Ordered and limited slices (where a write can land inside or outside
+// the visible part) plus one unordered, unlimited listing per category.
+std::vector<invalidation::Query> Queries() {
+  std::vector<invalidation::Query> out;
+  for (int64_t c = 0; c < kCategories; ++c) {
+    const invalidation::Condition in_category{"category",
+                                              invalidation::Op::kEq, c};
+    invalidation::Query cheapest;
+    cheapest.id = "cheapest3-" + std::to_string(c);
+    cheapest.conditions.push_back(in_category);
+    cheapest.order_by = "price";
+    cheapest.limit = 3;
+    out.push_back(cheapest);
+
+    invalidation::Query priciest = cheapest;
+    priciest.id = "priciest2-" + std::to_string(c);
+    priciest.descending = true;
+    priciest.limit = 2;
+    out.push_back(priciest);
+
+    invalidation::Query all;
+    all.id = "all-" + std::to_string(c);
+    all.conditions.push_back(in_category);
+    out.push_back(all);
+  }
+  return out;
+}
+
+// The URL of one seeded GET: records (deleted ones included), queries (an
+// unknown one included), segment/template/legacy-user fragments, plain
+// and optimized assets, and the shell.
+std::string DrawUrl(Pcg32& rng, const std::vector<invalidation::Query>& qs) {
+  switch (rng.NextBounded(7)) {
+    case 0:
+    case 1:
+      return std::string(kBase) + "/api/records/" +
+             ProductId(rng.NextBounded(kProducts + 2));
+    case 2:
+    case 3: {
+      uint32_t q = rng.NextBounded(static_cast<uint32_t>(qs.size()) + 1);
+      return std::string(kBase) + "/api/queries/" +
+             (q < qs.size() ? qs[q].id : "unknown");
+    }
+    case 4: {
+      std::string url = std::string(kBase) + "/api/fragments/recs?page=" +
+                        std::to_string(rng.NextBounded(3));
+      switch (rng.NextBounded(3)) {
+        case 0: return url + "&seg=s" + std::to_string(rng.NextBounded(3));
+        case 1: return url + "&tpl=1";
+        default: return url + "&user=" + std::to_string(rng.NextBounded(5));
+      }
+    }
+    case 5:
+      return std::string(kBase) + "/assets/a" +
+             std::to_string(rng.NextBounded(4)) + ".css" +
+             (rng.OneIn(2) ? "?skopt=1" : "");
+    default:
+      return std::string(kBase) + "/pages/home";
+  }
+}
+
+// Applies one seeded write to `store`: a price change (moving a record
+// across the visible slice of the ordered queries), a category move, a
+// delete, or a re-put (resurrecting deleted records).
+void ApplyWrite(uint32_t kind, const std::string& id, int64_t category,
+                double price, storage::ObjectStore* store, SimTime now) {
+  switch (kind) {
+    case 0:
+    case 1:
+    case 2:
+      store->Update(id, {{"price", price}}, now);
+      break;
+    case 3:
+      store->Update(id, {{"category", category}}, now);
+      break;
+    case 4:
+      (void)store->Delete(id, now);
+      break;
+    default:
+      store->Put(id, Fields(category, price), now);
+      break;
+  }
+}
+
+uint64_t Fingerprint(uint64_t h, const http::HttpResponse& resp) {
+  for (uint64_t v : {static_cast<uint64_t>(resp.status_code),
+                     Fnv1a_64(resp.ETag()), Fnv1a_64(resp.body),
+                     resp.object_version,
+                     static_cast<uint64_t>(resp.server_time.micros())}) {
+    h = Mix64(h ^ v);
+  }
+  return h;
+}
+
+TEST(RenderCacheDifferentialTest, CachedOriginMatchesUncachedByteForByte) {
+  World cached(100000);
+  World uncached(0);
+  const std::vector<invalidation::Query> queries = Queries();
+  for (World* w : {&cached, &uncached}) {
+    for (uint32_t i = 0; i < kProducts; ++i) {
+      w->store.Put(ProductId(i),
+                   Fields(i % kCategories, 10.0 + static_cast<double>(i)),
+                   w->clock.Now());
+    }
+    for (const invalidation::Query& q : queries) {
+      ASSERT_TRUE(w->server.RegisterQuery(q).ok());
+    }
+  }
+
+  Pcg32 rng(0x5eed, 7);
+  std::map<std::string, std::string> last_etag;  // per URL, cached world
+  uint64_t fingerprint = 0;
+  uint64_t conditional = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    Duration dt = Duration::Millis(rng.NextBounded(2000));
+    cached.clock.Advance(dt);
+    uncached.clock.Advance(dt);
+
+    if (rng.OneIn(4)) {
+      uint32_t kind = rng.NextBounded(6);
+      std::string id = ProductId(rng.NextBounded(kProducts));
+      int64_t category = rng.NextBounded(kCategories);
+      double price = rng.Uniform(1.0, 60.0);
+      for (World* w : {&cached, &uncached}) {
+        ApplyWrite(kind, id, category, price, &w->store, w->clock.Now());
+      }
+      continue;
+    }
+
+    std::string url = DrawUrl(rng, queries);
+    http::HttpRequest request =
+        http::HttpRequest::Get(*http::Url::Parse(url));
+    if (rng.OneIn(3)) {
+      // Revalidate with the last validator seen for this URL, which may
+      // be current (304) or outdated (200 with the new version), or with
+      // one that never matches.
+      auto it = last_etag.find(url);
+      bool known = it != last_etag.end() && !rng.OneIn(4);
+      request.headers.Set("If-None-Match",
+                          known ? it->second : std::string("\"v999\""));
+      conditional++;
+    }
+    http::HttpResponse a = cached.server.Handle(request);
+    http::HttpResponse b = uncached.server.Handle(request);
+    ASSERT_EQ(a.status_code, b.status_code) << "step " << step << " " << url;
+    ASSERT_EQ(a.ETag(), b.ETag()) << "step " << step << " " << url;
+    ASSERT_EQ(a.body, b.body) << "step " << step << " " << url;
+    ASSERT_EQ(a.object_version, b.object_version) << "step " << step;
+    if (!a.ETag().empty()) last_etag[url] = a.ETag();
+    fingerprint = Fingerprint(fingerprint, a);
+  }
+
+  const OriginStats& s = cached.server.stats();
+  EXPECT_GT(conditional, 0u);
+  EXPECT_GT(s.not_modified, 0u);
+  EXPECT_EQ(s.not_modified, uncached.server.stats().not_modified);
+  EXPECT_EQ(uncached.server.stats().render_cache_hits, 0u);
+  // Pinned from the version-only render cache on this exact sequence:
+  // the same Get/Put sequence gives the same hits, misses and charged
+  // server time for every response.
+  EXPECT_EQ(s.render_cache_hits, 1345u);
+  EXPECT_EQ(s.render_cache_misses, 779u);
+  EXPECT_EQ(s.render_time_us, 14483000);
+  EXPECT_EQ(s.render_time_saved_us, 13197500);
+  EXPECT_EQ(fingerprint, 0x41a3fe5847fc0ba3u);
+}
+
+// The legacy ?user= fragment is no-store and carries PII: the render cache
+// keeps its version (so accounting is unchanged) but never its bytes, so
+// every fetch renders a fresh buffer. A cacheable fragment, by contrast, is
+// handed out as the one stored buffer.
+TEST(RenderCacheDifferentialTest, NoStoreBodiesAreNeverKept) {
+  World w(100000);
+  auto get = [&](const std::string& path) {
+    return w.server.Handle(
+        http::HttpRequest::Get(*http::Url::Parse(kBase + path)));
+  };
+  const std::string user = "/api/fragments/recs?page=1&user=42";
+  http::HttpResponse first = get(user);
+  http::HttpResponse second = get(user);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.body, second.body);
+  EXPECT_FALSE(first.body.SharesBufferWith(second.body));
+  EXPECT_EQ(second.server_time, OriginConfig{}.render_cache_hit_time);
+  EXPECT_EQ(w.server.stats().render_cache_hits, 1u);
+
+  const std::string seg = "/api/fragments/recs?page=1&seg=s1";
+  EXPECT_TRUE(get(seg).body.SharesBufferWith(get(seg).body));
+}
+
+}  // namespace
+}  // namespace speedkit::origin

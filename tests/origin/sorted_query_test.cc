@@ -37,12 +37,13 @@ class SortedQueryTest : public ::testing::Test {
   std::vector<std::string> ResultIds() {
     http::HttpResponse resp =
         server_.Handle(Get("https://shop.example.com/api/queries/cheapest3"));
+    const std::string_view body = resp.body;
     std::vector<std::string> ids;
     size_t pos = 0;
-    while ((pos = resp.body.find("\"id\":\"", pos)) != std::string::npos) {
+    while ((pos = body.find("\"id\":\"", pos)) != std::string::npos) {
       pos += 6;
-      size_t end = resp.body.find('"', pos);
-      ids.push_back(resp.body.substr(pos, end - pos));
+      size_t end = body.find('"', pos);
+      ids.emplace_back(body.substr(pos, end - pos));
     }
     return ids;
   }

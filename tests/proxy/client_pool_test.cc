@@ -130,7 +130,7 @@ TEST(ClientPoolTest, SpillIsBehaviorNeutralAgainstTwinWorld) {
     auto record = [&](const FetchResult& r) {
       outcomes.push_back(std::string(ServedFromName(r.source)) + "/" +
                          std::to_string(r.response.status_code) + "/" +
-                         r.response.body);
+                         std::string(r.response.body));
     };
     record(client->Fetch(kRecordUrl));   // origin fetch, warms the cache
     w.Advance(Duration::Seconds(5));
