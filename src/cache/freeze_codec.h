@@ -2,7 +2,7 @@
 //
 // Cold clients in million-client fleets spill their browser caches to one
 // flat byte string (see HttpCache::Freeze) instead of holding a live
-// LruCache heap graph — hash map, recency list, header vectors — per idle
+// LruCache heap graph — hash map, recency list, entry nodes — per idle
 // client. The encoding is a plain little-endian struct dump: no varints,
 // no compression, because freeze/thaw sits on the simulation's client
 // wake-up path and predictable O(bytes) memcpy speed matters more than

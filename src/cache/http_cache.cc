@@ -193,14 +193,15 @@ void HttpCache::Clear() {
 
 namespace {
 constexpr uint32_t kFreezeMagic = 0x534b4643;  // "SKFC": SpeedKit FreezeCache
-// The same layout with body indexes in place of body bytes: a handle blob
-// can never be mistaken for a self-contained one.
+// The same layout with body and header-block indexes in place of body
+// bytes and header fields: a handle blob can never be mistaken for a
+// self-contained one.
 constexpr uint32_t kFreezeHandlesMagic = 0x534b4648;  // "SKFH"
 }  // namespace
 
-std::string HttpCache::Freeze(std::vector<http::Body>* bodies) const {
+std::string HttpCache::Freeze(FrozenHandles* handles) const {
   ByteWriter w;
-  w.U32(bodies != nullptr ? kFreezeHandlesMagic : kFreezeMagic);
+  w.U32(handles != nullptr ? kFreezeHandlesMagic : kFreezeMagic);
   w.U8(shared_ ? 1 : 0);
   w.U64(entries_.capacity_bytes());
   w.U64(stats_.fresh_hits);
@@ -245,11 +246,14 @@ std::string HttpCache::Freeze(std::vector<http::Body>* bodies) const {
     }
   }
   w.U32(static_cast<uint32_t>(entries_.size()));
-  if (bodies != nullptr) bodies->reserve(bodies->size() + entries_.size());
+  if (handles != nullptr) {
+    handles->bodies.reserve(handles->bodies.size() + entries_.size());
+    handles->headers.reserve(handles->headers.size() + entries_.size());
+  }
   // Least- to most-recently-used: replaying Put in this order rebuilds the
   // exact recency chain, so post-thaw eviction order is unchanged.
-  entries_.ForEachLruToMru([&w, bodies](const std::string& key,
-                                        const CacheEntry& e) {
+  entries_.ForEachLruToMru([&w, handles](const std::string& key,
+                                         const CacheEntry& e) {
     w.Str(key);
     w.I64(e.stored_at.micros());
     w.I64(e.ttl.micros());
@@ -260,26 +264,32 @@ std::string HttpCache::Freeze(std::vector<http::Body>* bodies) const {
     w.U64(r.object_version);
     w.I64(r.generated_at.micros());
     w.I64(r.server_time.micros());
-    if (bodies != nullptr) {
-      w.U32(static_cast<uint32_t>(bodies->size()));
-      bodies->push_back(r.body);
-    } else {
-      w.Str(r.body);
+    if (handles != nullptr) {
+      w.U32(static_cast<uint32_t>(handles->bodies.size()));
+      handles->bodies.push_back(r.body);
+      w.U32(static_cast<uint32_t>(handles->headers.size()));
+      handles->headers.push_back(r.headers);
+      return;
     }
+    w.Str(r.body);
     w.U32(static_cast<uint32_t>(r.headers.size()));
     for (const auto& [name, value] : r.headers) {
       w.Str(name);
       w.Str(value);
     }
   });
-  return w.Take();
+  std::string blob = w.Take();
+  // A handle blob is what a spilled client holds while it idles, so it
+  // must not pin the slack appending left behind. A self-contained blob
+  // is a transient copy; trimming it would copy every body once more.
+  if (handles != nullptr) blob.shrink_to_fit();
+  return blob;
 }
 
-bool HttpCache::Thaw(std::string_view blob,
-                     const std::vector<http::Body>* bodies) {
+bool HttpCache::Thaw(std::string_view blob, const FrozenHandles* handles) {
   Clear();
   ByteReader r(blob);
-  if (r.U32() != (bodies != nullptr ? kFreezeHandlesMagic : kFreezeMagic) ||
+  if (r.U32() != (handles != nullptr ? kFreezeHandlesMagic : kFreezeMagic) ||
       r.U8() != (shared_ ? 1 : 0) ||
       r.U64() != entries_.capacity_bytes()) {
     return false;
@@ -317,21 +327,24 @@ bool HttpCache::Thaw(std::string_view blob,
     e.response.object_version = r.U64();
     e.response.generated_at = SimTime::FromMicros(r.I64());
     e.response.server_time = Duration::Micros(r.I64());
-    if (bodies != nullptr) {
-      uint32_t index = r.U32();
-      if (index < bodies->size()) {
-        e.response.body = (*bodies)[index];
+    if (handles != nullptr) {
+      uint32_t body_index = r.U32();
+      uint32_t headers_index = r.U32();
+      if (body_index < handles->bodies.size() &&
+          headers_index < handles->headers.size()) {
+        e.response.body = handles->bodies[body_index];
+        e.response.headers = handles->headers[headers_index];
       } else {
         r.Fail();
       }
     } else {
       e.response.body = std::string(r.Str());
-    }
-    uint32_t header_count = r.U32();
-    for (uint32_t j = 0; j < header_count && r.ok(); ++j) {
-      std::string_view name = r.Str();
-      std::string_view value = r.Str();
-      e.response.headers.Add(name, value);
+      uint32_t header_count = r.U32();
+      for (uint32_t j = 0; j < header_count && r.ok(); ++j) {
+        std::string_view name = r.Str();
+        std::string_view value = r.Str();
+        e.response.headers.Add(name, value);
+      }
     }
     if (r.ok()) entries_.Put(key, std::move(e));
   }

@@ -42,6 +42,21 @@ struct CacheEntry {
   }
 };
 
+// The shared payloads a handle-form freeze blob refers to by index: one
+// body and one header block per entry. A spilled cache keeps this next to
+// its blob, so its entries stay the very buffers and blocks that live
+// caches hold.
+struct FrozenHandles {
+  std::vector<http::Body> bodies;
+  std::vector<http::HeaderMap> headers;
+
+  // Bytes the two lists reserve; the shared payloads are not counted.
+  size_t capacity_bytes() const {
+    return bodies.capacity() * sizeof(http::Body) +
+           headers.capacity() * sizeof(http::HeaderMap);
+  }
+};
+
 enum class LookupOutcome {
   kFreshHit,   // entry returned, safe to serve under expiration rules
   kStaleHit,   // entry present but expired; candidate for revalidation
@@ -108,14 +123,15 @@ class HttpCache {
   // returns false (leaving the cache cleared) on a corrupt or truncated
   // blob.
   //
-  // Without `bodies` the blob is self-contained: it carries every body's
-  // bytes. With `bodies`, Freeze appends each entry's body to *bodies and
-  // writes its index instead, so a spilled cache keeps sharing the buffers
-  // live caches hold; that blob thaws only against the same list, and an
-  // index outside it fails the thaw.
-  std::string Freeze(std::vector<http::Body>* bodies = nullptr) const;
-  bool Thaw(std::string_view blob,
-            const std::vector<http::Body>* bodies = nullptr);
+  // Without `handles` the blob is self-contained: it carries every body's
+  // bytes and every header name and value. With `handles`, Freeze appends
+  // each entry's body and header block to *handles and writes their
+  // indexes instead, so a spilled cache keeps sharing the buffers and
+  // blocks live caches hold; that blob thaws only against the same lists,
+  // and an index outside them fails the thaw. A handle blob's capacity is
+  // exactly its size.
+  std::string Freeze(FrozenHandles* handles = nullptr) const;
+  bool Thaw(std::string_view blob, const FrozenHandles* handles = nullptr);
 
   bool shared() const { return shared_; }
   size_t size() const { return entries_.size(); }

@@ -4,7 +4,8 @@
 // caller-supplied size function over resident values (so an HTTP cache can
 // charge body bytes while a fragment cache charges rendered-fragment
 // bytes). Recency is a doubly-linked list threaded through the hash map —
-// O(1) touch, insert, evict.
+// O(1) touch, insert, evict. Each key is stored once, in its list node;
+// the hash index holds a view of it.
 #ifndef SPEEDKIT_CACHE_LRU_CACHE_H_
 #define SPEEDKIT_CACHE_LRU_CACHE_H_
 
@@ -40,9 +41,9 @@ class LruCache {
 
   LruCache(const LruCache&) = delete;
   LruCache& operator=(const LruCache&) = delete;
-  // Movable (list iterators survive a list move, so index_ stays valid) —
-  // lets owners swap in a fresh cache to actually release bucket/node
-  // memory, which Clear() does not.
+  // Movable (list nodes survive a list move, so index_'s iterators and key
+  // views stay valid) — lets owners swap in a fresh cache to actually
+  // release bucket/node memory, which Clear() does not.
   LruCache(LruCache&&) = default;
   LruCache& operator=(LruCache&&) = default;
 
@@ -81,7 +82,7 @@ class LruCache {
       order_.splice(order_.begin(), order_, it->second);
     } else {
       order_.push_front(Node{std::string(key), std::move(value)});
-      index_[order_.front().key] = order_.begin();
+      index_.emplace(std::string_view(order_.front().key), order_.begin());
       used_bytes_ += value_bytes;
     }
     EvictToBudget();
@@ -92,14 +93,15 @@ class LruCache {
     auto it = index_.find(key);
     if (it == index_.end()) return false;
     used_bytes_ -= size_fn_(it->second->value);
-    order_.erase(it->second);
+    auto node = it->second;
     index_.erase(it);
+    order_.erase(node);
     return true;
   }
 
   void Clear() {
-    order_.clear();
     index_.clear();
+    order_.clear();
     used_bytes_ = 0;
   }
 
@@ -162,7 +164,10 @@ class LruCache {
   size_t capacity_bytes_;
   SizeFn size_fn_;
   std::list<Node> order_;  // front = most recent
-  std::unordered_map<std::string, typename std::list<Node>::iterator,
+  // Keyed by views of the nodes' own keys. A view stays valid until its
+  // node is erased (nodes never move, even inline short-string keys), and
+  // every erase drops the index entry before the node.
+  std::unordered_map<std::string_view, typename std::list<Node>::iterator,
                      StringHash, std::equal_to<>>
       index_;
   size_t used_bytes_ = 0;

@@ -4,13 +4,25 @@
 
 namespace speedkit::coherence {
 
+void StalenessTracker::KeyHistory::Push(DatedWrite write, size_t capacity) {
+  if (ring.size() < capacity) {
+    // Grow by doubling, but never reserve past the ring's capacity.
+    if (ring.size() == ring.capacity()) {
+      ring.reserve(std::min(capacity, std::max<size_t>(1, 2 * ring.size())));
+    }
+    ring.push_back(write);
+  } else if (capacity != 0) {
+    ring[oldest] = write;
+    oldest = (oldest + 1) % ring.size();
+  }
+}
+
 void StalenessTracker::RecordWrite(std::string_view key, uint64_t version,
                                    SimTime now) {
   KeyHistory& history = keys_[std::string(key)];
   if (version <= history.head_version) return;  // out-of-order: ignore
   history.head_version = version;
-  history.writes.emplace_back(version, now);
-  while (history.writes.size() > ring_capacity_) history.writes.pop_front();
+  history.Push({version, now}, ring_capacity_);
 }
 
 Duration StalenessTracker::RecordRead(std::string_view key, uint64_t version,
@@ -24,22 +36,21 @@ Duration StalenessTracker::RecordRead(std::string_view key, uint64_t version,
   report_.stale_reads++;
   // The read value died when version+1 was written: find the first dated
   // write with version > served version.
-  auto overwrite = std::find_if(
-      history.writes.begin(), history.writes.end(),
-      [version](const auto& w) { return w.first > version; });
+  size_t overwrite = history.FindFirst(
+      [version](const DatedWrite& w) { return w.first > version; });
   Duration staleness;
-  if (overwrite != history.writes.end()) {
-    staleness = now - overwrite->second;
-    if (overwrite == history.writes.begin() &&
-        history.writes.front().first > version + 1) {
+  if (overwrite != history.size()) {
+    staleness = now - history.at(overwrite).second;
+    if (overwrite == 0 && history.at(0).first > version + 1) {
       // The true overwrite rotated out; this is a lower bound.
       report_.clamped++;
     }
   } else {
     // All dated writes are <= version yet head > version: the overwrite
     // rotated out entirely. Clamp to the newest known write.
-    staleness = history.writes.empty() ? Duration::Zero()
-                                       : now - history.writes.back().second;
+    staleness = history.size() == 0
+                    ? Duration::Zero()
+                    : now - history.at(history.size() - 1).second;
     report_.clamped++;
   }
   if (staleness > report_.max_staleness) report_.max_staleness = staleness;
@@ -73,11 +84,11 @@ SnapshotCheck StalenessTracker::CheckSnapshot(
 
     // Birth: when the read version was written. Version 0 predates all
     // tracked writes (served before the first write) — open from -inf.
-    auto born = std::find_if(
-        history.writes.begin(), history.writes.end(),
-        [&read](const auto& w) { return w.first == read.version; });
-    if (born != history.writes.end()) {
-      if (!have_birth || born->second > max_birth) max_birth = born->second;
+    size_t born = history.FindFirst(
+        [&read](const DatedWrite& w) { return w.first == read.version; });
+    if (born != history.size()) {
+      SimTime birth = history.at(born).second;
+      if (!have_birth || birth > max_birth) max_birth = birth;
       have_birth = true;
     } else if (read.version > 0) {
       out.clamped = true;  // write time rotated out: treat as -inf
@@ -85,20 +96,17 @@ SnapshotCheck StalenessTracker::CheckSnapshot(
 
     // Death: when the next version was written; a head read never dies.
     if (read.version >= history.head_version) continue;
-    auto overwrite = std::find_if(
-        history.writes.begin(), history.writes.end(),
-        [&read](const auto& w) { return w.first > read.version; });
-    if (overwrite == history.writes.end()) {
+    size_t overwrite = history.FindFirst(
+        [&read](const DatedWrite& w) { return w.first > read.version; });
+    if (overwrite == history.size()) {
       out.clamped = true;  // overwrite rotated out entirely: treat as +inf
       continue;
     }
-    if (overwrite == history.writes.begin() &&
-        overwrite->first > read.version + 1) {
+    const DatedWrite& death = history.at(overwrite);
+    if (overwrite == 0 && death.first > read.version + 1) {
       out.clamped = true;  // true overwrite may have rotated out
     }
-    if (!have_death || overwrite->second < min_death) {
-      min_death = overwrite->second;
-    }
+    if (!have_death || death.second < min_death) min_death = death.second;
     have_death = true;
   }
   // Intervals are [birth, death): a common instant exists iff the latest

@@ -22,11 +22,11 @@
 #define SPEEDKIT_COHERENCE_STALENESS_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
@@ -130,10 +130,29 @@ class StalenessTracker {
   const Histogram& staleness_us() const { return staleness_us_; }
 
  private:
+  using DatedWrite = std::pair<uint64_t, SimTime>;  // (version, written_at)
+
+  // The most recent dated writes of one key: a ring that grows to
+  // ring_capacity and then overwrites its oldest slot. Index i counts from
+  // the oldest write, so scans see ascending versions.
   struct KeyHistory {
     uint64_t head_version = 0;
-    // (version, written_at) of recent writes, ascending version.
-    std::deque<std::pair<uint64_t, SimTime>> writes;
+    std::vector<DatedWrite> ring;
+    size_t oldest = 0;  // slot of the oldest write once the ring is full
+
+    size_t size() const { return ring.size(); }
+    const DatedWrite& at(size_t i) const {
+      return ring[(oldest + i) % ring.size()];
+    }
+    void Push(DatedWrite write, size_t capacity);
+    // Index of the oldest write satisfying `pred`; size() when none does.
+    template <typename Pred>
+    size_t FindFirst(Pred pred) const {
+      for (size_t i = 0; i < size(); ++i) {
+        if (pred(at(i))) return i;
+      }
+      return size();
+    }
   };
 
   size_t ring_capacity_;

@@ -181,7 +181,8 @@ template <typename RenderFn>
 http::Body OriginServer::CachedRender(const std::string& key,
                                       uint64_t version, Duration render_time,
                                       bool no_store, RenderFn&& render,
-                                      Duration* server_time) {
+                                      Duration* server_time,
+                                      http::HeaderMap* headers) {
   if (config_.render_cache_entries == 0) {
     stats_.render_cache_misses++;
     stats_.render_time_us += render_time.micros();
@@ -194,13 +195,20 @@ http::Body OriginServer::CachedRender(const std::string& key,
     stats_.render_time_saved_us +=
         (render_time - config_.render_cache_hit_time).micros();
     *server_time = config_.render_cache_hit_time;
-    return no_store ? http::Body(render()) : cached->body;
+    if (no_store) return http::Body(render());
+    if (cached->headers == *headers) {
+      *headers = cached->headers;
+    } else {
+      cached->headers = *headers;  // the TTL moved: the fresh block wins
+    }
+    return cached->body;
   }
   stats_.render_cache_misses++;
   stats_.render_time_us += render_time.micros();
   *server_time = render_time;
   http::Body body(render());
-  render_cache_.Put(key, RenderedBody{version, no_store ? http::Body() : body});
+  render_cache_.Put(key, no_store ? RenderedBody{version, {}, {}}
+                                  : RenderedBody{version, body, *headers});
   return body;
 }
 
@@ -242,14 +250,11 @@ http::HttpResponse OriginServer::Finish(const http::HttpRequest& request,
     return resp;
   }
 
-  Duration server_time = Duration::Zero();
-  http::Body body = CachedRender(key, body_version, render_time,
-                                 /*no_store=*/false,
-                                 std::forward<RenderFn>(render), &server_time);
-  http::HttpResponse resp =
-      http::MakeOkResponse(std::move(body), cc, body_version, now);
+  http::HttpResponse resp = http::MakeOkResponse({}, cc, body_version, now);
   resp.SetETag(etag);
-  resp.server_time = server_time;
+  resp.body = CachedRender(key, body_version, render_time, /*no_store=*/false,
+                           std::forward<RenderFn>(render), &resp.server_time,
+                           &resp.headers);
   return resp;
 }
 
@@ -307,7 +312,7 @@ http::HttpResponse OriginServer::ServeFragment(const http::HttpRequest& request,
                         std::string(user).c_str()),
               config_.fragment_bytes);
         },
-        &resp.server_time);
+        &resp.server_time, &resp.headers);
     http::CacheControl cc;
     cc.is_private = true;
     cc.no_store = true;

@@ -161,9 +161,9 @@ class OriginServer {
 
   // Applies TTL policy + ETag + expiry-book accounting, honouring
   // If-None-Match: a matching validator gets its 304 (charged the
-  // validation cost) before anything is rendered. Otherwise the body comes
-  // from CachedRender. `body_version` feeds the ETag, the staleness checks
-  // and the render cache.
+  // validation cost) before anything is rendered. Otherwise the body and
+  // header block come from CachedRender. `body_version` feeds the ETag,
+  // the staleness checks and the render cache.
   template <typename RenderFn>
   http::HttpResponse Finish(const http::HttpRequest& request,
                             const std::string& key, uint64_t body_version,
@@ -173,13 +173,18 @@ class OriginServer {
   // The body of `key` at `version`, with its server time in
   // *server_time: the render cache's stored body (cache-hit cost) when
   // `key` was last rendered at `version`, else render() (full render cost).
-  // A `no_store` body is rendered on every request and never kept; its
-  // entry holds only the version, so hit/miss accounting and every charged
-  // server time match a cache that stores versions alone.
+  // `headers` holds the response's freshly built header block; the cache
+  // keeps it next to the body, and a hit whose stored block has the same
+  // entries swaps the stored block in, so every 200 of one version and
+  // TTL shares one block. A `no_store` response is rendered on every
+  // request and nothing of it is kept; its entry holds only the version,
+  // so hit/miss accounting and every charged server time match a cache
+  // that stores versions alone.
   template <typename RenderFn>
   http::Body CachedRender(const std::string& key, uint64_t version,
                           Duration render_time, bool no_store,
-                          RenderFn&& render, Duration* server_time);
+                          RenderFn&& render, Duration* server_time,
+                          http::HeaderMap* headers);
 
   OriginConfig config_;
   sim::SimClock* clock_;
@@ -191,12 +196,14 @@ class OriginServer {
   std::unordered_map<std::string, MaterializedQuery> queries_;
   invalidation::ExpiryBook expiry_book_;
   QueryVersionListener query_version_listener_;
-  // Render cache: cache key -> last rendered content version and its body
-  // (empty for no-store responses). Version-keyed, so it can never serve a
-  // stale render; one entry per key, evicted by entry count.
+  // Render cache: cache key -> last rendered content version, its body
+  // and the header block of the 200 last served with it (both empty for
+  // no-store responses). Version-keyed, so it can never serve a stale
+  // render; one entry per key, evicted by entry count.
   struct RenderedBody {
     uint64_t version = 0;
     http::Body body;
+    http::HeaderMap headers;
   };
   cache::LruCache<RenderedBody> render_cache_;
   OriginStats stats_;

@@ -57,7 +57,7 @@ struct ClientPoolSpillStats {
   uint64_t freezes = 0;       // cumulative cache freezes
   uint64_t thaws = 0;         // cumulative rehydrations
   size_t frozen_clients = 0;  // currently spilled
-  size_t frozen_bytes = 0;    // resident blob bytes of spilled clients
+  size_t frozen_bytes = 0;    // blob + handle-list bytes spilled clients hold
 };
 
 class ClientPool {

@@ -805,9 +805,9 @@ void ClientProxy::EnsureThawed() {
   // Thaw rebuilds contents, recency order and stats exactly; a corrupt
   // blob (impossible barring memory corruption — we wrote it) degrades to
   // an empty cache rather than crashing the fleet.
-  browser_cache_.Thaw(frozen_browser_cache_, &frozen_bodies_);
+  browser_cache_.Thaw(frozen_browser_cache_, &frozen_handles_);
   std::string().swap(frozen_browser_cache_);
-  std::vector<http::Body>().swap(frozen_bodies_);
+  frozen_handles_ = cache::FrozenHandles();
   browser_cache_frozen_ = false;
   ++thaws_;
 }
@@ -823,7 +823,7 @@ void ClientProxy::FreezeBrowserCache() {
       s.store_rejects == 0 && s.purges == 0) {
     return;
   }
-  frozen_browser_cache_ = browser_cache_.Freeze(&frozen_bodies_);
+  frozen_browser_cache_ = browser_cache_.Freeze(&frozen_handles_);
   // Replace (not Clear) the live structure so its hash-bucket arrays and
   // list nodes are actually returned to the allocator.
   browser_cache_ = cache::HttpCache(/*shared=*/false,

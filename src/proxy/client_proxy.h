@@ -346,24 +346,27 @@ class ClientProxy {
   const ProxyConfig& config() const { return config_; }
 
   // Cold-client spill: serializes the browser cache into a compact blob
-  // plus a list of body handles, and releases the live structure (entries,
-  // LRU list, hash table). The bodies stay shared with every other cache
-  // holding them; the blob records indexes into the handle list. The next
-  // request — or any browser_cache() access — rehydrates it losslessly
-  // (contents, recency order, stats, the very same body buffers). A no-op
+  // plus lists of body and header-block handles, and releases the live
+  // structure (entries, LRU list, hash table). The bodies and header
+  // blocks stay shared with every other cache holding them; the blob
+  // records indexes into the handle lists. The next request — or any
+  // browser_cache() access — rehydrates it losslessly (contents, recency
+  // order, stats, the very same buffers and blocks). A no-op
   // when already frozen or the cache is empty (an empty live cache is
   // cheaper than a blob). Safe at any quiescent point: the proxy touches
   // the cache only synchronously inside Fetch/FetchBlock, never from
   // scheduled events.
   void FreezeBrowserCache();
   bool browser_cache_frozen() const { return browser_cache_frozen_; }
-  // Blob plus handle-list bytes (0 while live) — what a spilled client
-  // keeps resident instead of the full cache structure. The shared body
-  // buffers are not charged here.
+  // Blob plus handle-list capacity (0 while live) — what a spilled
+  // client keeps resident instead of the full cache structure. The shared
+  // bodies and header blocks are not charged here.
   size_t frozen_bytes() const {
-    return frozen_browser_cache_.size() +
-           frozen_bodies_.size() * sizeof(http::Body);
+    if (!browser_cache_frozen_) return 0;
+    return frozen_browser_cache_.capacity() + frozen_handles_.capacity_bytes();
   }
+  // The spilled blob (empty while live).
+  const std::string& frozen_blob() const { return frozen_browser_cache_; }
   // Simulated time of this client's last foreground activity; idle-spill
   // sweeps compare against it.
   SimTime last_active() const { return last_active_; }
@@ -485,7 +488,7 @@ class ClientProxy {
 
   // Cold-client spill state (see FreezeBrowserCache).
   std::string frozen_browser_cache_;
-  std::vector<http::Body> frozen_bodies_;
+  cache::FrozenHandles frozen_handles_;
   bool browser_cache_frozen_ = false;
   SimTime last_active_;
   uint64_t freezes_ = 0;

@@ -226,48 +226,74 @@ TEST(HttpCacheFreezeTest, CorruptBlobFailsClosedToEmpty) {
   EXPECT_EQ(victim.size(), 1u);
 }
 
-// With a handle list, the blob carries body indexes instead of bytes: the
-// thawed cache holds the very buffers the frozen one held.
+// With handle lists, the blob carries body and header-block indexes
+// instead of bytes: the thawed cache holds the very buffers and blocks the
+// frozen one held.
 TEST(HttpCacheFreezeTest, HandleBlobKeepsBodiesShared) {
   HttpCache cache(false, 0);
   cache.Store("a", Response("max-age=60", 0, 1, std::string(500, 'a')), At(0));
   cache.Store("b", Response("max-age=60", 0, 2, std::string(500, 'b')), At(0));
   cache.Lookup("a", At(1));
-  const http::Body held_a = cache.Lookup("a", At(1)).entry->response.body;
+  const http::HttpResponse held_a = cache.Lookup("a", At(1)).entry->response;
 
-  std::vector<http::Body> bodies;
-  std::string blob = cache.Freeze(&bodies);
-  EXPECT_EQ(bodies.size(), 2u);
-  // Same layout, minus the body bytes: each index takes the place of a
-  // length prefix.
-  EXPECT_EQ(cache.Freeze().size(), blob.size() + 2 * 500);
+  FrozenHandles handles;
+  std::string blob = cache.Freeze(&handles);
+  EXPECT_EQ(handles.bodies.size(), 2u);
+  EXPECT_EQ(handles.headers.size(), 2u);
+  // Same layout, minus the payloads: each entry's two indexes take the
+  // place of its length-prefixed body and its header count and fields.
+  size_t payload = 0;
+  for (size_t i = 0; i < 2; ++i) {
+    payload += handles.bodies[i].size();
+    for (const auto& [name, value] : handles.headers[i]) {
+      payload += 8 + name.size() + value.size();
+    }
+  }
+  EXPECT_EQ(cache.Freeze().size(), blob.size() + payload);
 
   HttpCache thawed(false, 0);
-  ASSERT_TRUE(thawed.Thaw(blob, &bodies));
+  ASSERT_TRUE(thawed.Thaw(blob, &handles));
   EXPECT_EQ(thawed.used_bytes(), cache.used_bytes());
   EXPECT_EQ(thawed.stats().fresh_hits, cache.stats().fresh_hits);
   LookupResult a = thawed.Lookup("a", At(2));
   ASSERT_EQ(a.outcome, LookupOutcome::kFreshHit);
-  EXPECT_TRUE(a.entry->response.body.SharesBufferWith(held_a));
+  EXPECT_TRUE(a.entry->response.body.SharesBufferWith(held_a.body));
+  EXPECT_TRUE(a.entry->response.headers.SharesStorageWith(held_a.headers));
   EXPECT_EQ(thawed.Lookup("b", At(2)).entry->response.body,
             std::string(500, 'b'));
+  EXPECT_EQ(thawed.Lookup("b", At(2)).entry->response.ETag(), "\"v2\"");
 
   // The two forms never stand in for each other.
   EXPECT_FALSE(thawed.Thaw(blob));
-  EXPECT_FALSE(thawed.Thaw(cache.Freeze(), &bodies));
+  EXPECT_FALSE(thawed.Thaw(cache.Freeze(), &handles));
 }
 
 TEST(HttpCacheFreezeTest, OutOfRangeBodyIndexFailsClosedToEmpty) {
   HttpCache cache(false, 0);
   cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
   cache.Store("b", Response("max-age=60", 0, 2, "body-b"), At(0));
-  std::vector<http::Body> bodies;
-  std::string blob = cache.Freeze(&bodies);
-  bodies.pop_back();  // the blob's last index now points past the list
+  FrozenHandles handles;
+  std::string blob = cache.Freeze(&handles);
+  handles.bodies.pop_back();  // the blob's last index now points past it
 
   HttpCache victim(false, 0);
   victim.Store("keep", Response("max-age=60"), At(0));
-  EXPECT_FALSE(victim.Thaw(blob, &bodies));
+  EXPECT_FALSE(victim.Thaw(blob, &handles));
+  EXPECT_EQ(victim.size(), 0u);
+  EXPECT_EQ(victim.Lookup("a", At(1)).outcome, LookupOutcome::kMiss);
+}
+
+TEST(HttpCacheFreezeTest, OutOfRangeHeaderIndexFailsClosedToEmpty) {
+  HttpCache cache(false, 0);
+  cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
+  cache.Store("b", Response("max-age=60", 0, 2, "body-b"), At(0));
+  FrozenHandles handles;
+  std::string blob = cache.Freeze(&handles);
+  handles.headers.pop_back();  // the last header index now points past it
+
+  HttpCache victim(false, 0);
+  victim.Store("keep", Response("max-age=60"), At(0));
+  EXPECT_FALSE(victim.Thaw(blob, &handles));
   EXPECT_EQ(victim.size(), 0u);
   EXPECT_EQ(victim.Lookup("a", At(1)).outcome, LookupOutcome::kMiss);
 }

@@ -137,5 +137,64 @@ TEST(LruCacheTest, EvictionCascadeForLargeInsert) {
   EXPECT_EQ(cache.evictions(), 3u);
 }
 
+// The index holds views of the keys stored in the list nodes. Short keys
+// live inline in the node (small-string storage) and long ones on the
+// heap; both must stay reachable after the cache is moved, or ASan flags
+// the dangling view.
+LruCache<std::string> FilledCache() {
+  LruCache<std::string> cache(40, BySize());
+  cache.Put("short", "12345");  // inline key
+  cache.Put("https://shop.example.com/api/records/p1", "12345");  // heap key
+  cache.Put("s2", "12345");
+  cache.Put("https://shop.example.com/api/records/p2", "12345");
+  return cache;
+}
+
+void ExpectWorkingCache(LruCache<std::string>& cache) {
+  ASSERT_EQ(cache.size(), 4u);
+  EXPECT_NE(cache.Get("short"), nullptr);
+  EXPECT_NE(cache.Get("https://shop.example.com/api/records/p1"), nullptr);
+  EXPECT_NE(cache.Peek("s2"), nullptr);
+  // Replace in place, then erase one short and one long key.
+  cache.Put("short", "1234567");
+  EXPECT_EQ(*cache.Get("short"), "1234567");
+  EXPECT_TRUE(cache.Erase("s2"));
+  EXPECT_TRUE(cache.Erase("https://shop.example.com/api/records/p2"));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.EraseIf([](const std::string& k, const std::string&) {
+              return k.size() > 15;
+            }),
+            1u);
+  EXPECT_EQ(cache.Get("https://shop.example.com/api/records/p1"), nullptr);
+  // Fill past the 40-byte budget: "short" (7 B) is the LRU victim.
+  cache.Put("https://shop.example.com/api/records/p3", std::string(20, 'x'));
+  cache.Put("tiny", std::string(15, 'y'));
+  EXPECT_EQ(cache.Get("short"), nullptr);
+  EXPECT_EQ(cache.evictions(), 1u);
+  EXPECT_NE(cache.Get("tiny"), nullptr);
+  EXPECT_NE(cache.Get("https://shop.example.com/api/records/p3"), nullptr);
+  EXPECT_EQ(cache.used_bytes(), 35u);
+}
+
+TEST(LruCacheTest, MoveConstructedCacheKeepsItsKeys) {
+  LruCache<std::string> source = FilledCache();
+  LruCache<std::string> moved(std::move(source));
+  ExpectWorkingCache(moved);
+}
+
+TEST(LruCacheTest, MoveAssignedCacheKeepsItsKeys) {
+  LruCache<std::string> target(40, BySize());
+  target.Put("old-short", "1");
+  target.Put("https://shop.example.com/api/records/old", "1");
+  LruCache<std::string> source = FilledCache();
+  target = std::move(source);
+  EXPECT_EQ(target.Get("old-short"), nullptr);
+  ExpectWorkingCache(target);
+  // The moved-from cache is reusable.
+  source = LruCache<std::string>(40, BySize());
+  source.Put("again", "1");
+  EXPECT_NE(source.Get("again"), nullptr);
+}
+
 }  // namespace
 }  // namespace speedkit::cache

@@ -69,6 +69,27 @@ TEST(StalenessTrackerTest, RingOverflowClampsAndCounts) {
   EXPECT_GT(tracker.report().max_staleness, Duration::Zero());
 }
 
+// Ten writes into four slots wrap the ring: it holds v7..v10, the oldest
+// no longer in slot 0. Scans must still run oldest first.
+TEST(StalenessTrackerTest, WrappedRingStillScansOldestFirst) {
+  StalenessTracker tracker(/*ring_capacity=*/4);
+  for (uint64_t v = 1; v <= 10; ++v) {
+    tracker.RecordWrite("k", v, At(static_cast<double>(v)));
+  }
+  // v7 died when v8 was written, at t=8.
+  EXPECT_EQ(tracker.RecordRead("k", 7, At(20)), Duration::Seconds(12));
+  EXPECT_EQ(tracker.report().clamped, 0u);
+  // v1 rotated out: clamped to the oldest dated write, v7 at t=7.
+  EXPECT_EQ(tracker.RecordRead("k", 1, At(20)), Duration::Seconds(13));
+  EXPECT_EQ(tracker.report().clamped, 1u);
+  // k@7 is valid over [7, 8) and j@1 over [8.5, inf): no common instant.
+  tracker.RecordWrite("j", 1, At(8.5));
+  coherence::SnapshotCheck check = tracker.CheckSnapshot({{"k", 7}, {"j", 1}});
+  EXPECT_FALSE(check.consistent);
+  EXPECT_FALSE(check.clamped);
+  EXPECT_TRUE(tracker.CheckSnapshot({{"k", 8}, {"j", 1}}).consistent);
+}
+
 TEST(StalenessTrackerTest, HistogramCollectsStaleReadsOnly) {
   StalenessTracker tracker;
   tracker.RecordWrite("k", 1, At(0));

@@ -1,8 +1,9 @@
 // One buffer per response version: a body rendered once at the origin is
 // the same allocation in the render cache, the edge entry, every browser
 // cache behind that edge, every FetchResult, and a spilled browser cache's
-// handle list.
+// handle list. The response's header block is shared the same way.
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,18 @@ namespace speedkit::proxy {
 namespace {
 
 constexpr char kRecordUrl[] = "https://shop.example.com/api/records/p1";
+
+http::HttpRequest Get(const char* url) {
+  return http::HttpRequest::Get(*http::Url::Parse(url));
+}
+
+// A TTL the test can move between requests.
+class SettableTtlPolicy : public ttl::TtlPolicy {
+ public:
+  Duration TtlFor(std::string_view, SimTime) override { return ttl; }
+  void ObserveWrite(std::string_view, SimTime) override {}
+  Duration ttl = Duration::Seconds(60);
+};
 
 coherence::CoherenceConfig SketchCoherenceConfig() {
   coherence::CoherenceConfig config;
@@ -50,10 +63,8 @@ struct World {
     return deps;
   }
 
-  const http::Body& BrowserBody(ClientProxy* client) {
-    return client->browser_cache()
-        .Lookup(key, clock.Now())
-        .entry->response.body;
+  const http::HttpResponse& BrowserResponse(ClientProxy* client) {
+    return client->browser_cache().Lookup(key, clock.Now()).entry->response;
   }
 
   sim::SimClock clock;
@@ -89,13 +100,18 @@ TEST(BodySharingTest, ClientsBehindOneEdgeShareTheRenderedBuffer) {
       w.cdn.edge(0).Lookup(w.key, w.clock.Now()).entry;
   ASSERT_NE(edge_entry, nullptr);
   const http::Body& shared = edge_entry->response.body;
-  // A render-cache hit hands out the stored body itself.
-  EXPECT_TRUE(w.origin.Handle(http::HttpRequest::Get(
-                                  *http::Url::Parse(kRecordUrl)))
-                  .body.SharesBufferWith(shared));
+  const http::HeaderMap& shared_head = edge_entry->response.headers;
+  ASSERT_FALSE(shared_head.empty());
+  // A render-cache hit hands out the stored body and header block.
+  http::HttpResponse again = w.origin.Handle(Get(kRecordUrl));
+  EXPECT_TRUE(again.body.SharesBufferWith(shared));
+  EXPECT_TRUE(again.headers.SharesStorageWith(shared_head));
   for (size_t i = 0; i < clients.size(); ++i) {
     EXPECT_TRUE(results[i].response.body.SharesBufferWith(shared));
-    EXPECT_TRUE(w.BrowserBody(clients[i]).SharesBufferWith(shared));
+    EXPECT_TRUE(results[i].response.headers.SharesStorageWith(shared_head));
+    const http::HttpResponse& stored = w.BrowserResponse(clients[i]);
+    EXPECT_TRUE(stored.body.SharesBufferWith(shared));
+    EXPECT_TRUE(stored.headers.SharesStorageWith(shared_head));
   }
 }
 
@@ -103,7 +119,9 @@ TEST(BodySharingTest, SpilledCacheThawsOntoTheSameBuffer) {
   World w;
   ClientProxy client(SpeedKitConfig(), 1, w.Deps());
   ASSERT_TRUE(client.Fetch(kRecordUrl).response.ok());
-  const http::Body held = w.BrowserBody(&client);
+  const http::HttpResponse held = w.BrowserResponse(&client);
+  ASSERT_TRUE(held.headers.SharesStorageWith(
+      w.cdn.edge(0).Lookup(w.key, w.clock.Now()).entry->response.headers));
 
   client.FreezeBrowserCache();
   ASSERT_TRUE(client.browser_cache_frozen());
@@ -111,8 +129,74 @@ TEST(BodySharingTest, SpilledCacheThawsOntoTheSameBuffer) {
   w.clock.Advance(Duration::Seconds(1));
   FetchResult r = client.Fetch(kRecordUrl);
   EXPECT_EQ(r.source, ServedFrom::kBrowserCache);
-  EXPECT_TRUE(r.response.body.SharesBufferWith(held));
-  EXPECT_TRUE(w.BrowserBody(&client).SharesBufferWith(held));
+  EXPECT_TRUE(r.response.body.SharesBufferWith(held.body));
+  EXPECT_TRUE(r.response.headers.SharesStorageWith(held.headers));
+  const http::HttpResponse& thawed = w.BrowserResponse(&client);
+  EXPECT_TRUE(thawed.body.SharesBufferWith(held.body));
+  EXPECT_TRUE(thawed.headers.SharesStorageWith(held.headers));
+}
+
+// What a spilled client holds is exactly what frozen_bytes() reports: an
+// exact-size blob plus its two handle lists.
+TEST(BodySharingTest, FrozenBlobHoldsNoSlack) {
+  World w;
+  for (int i = 2; i <= 13; ++i) {
+    w.store.Put("p" + std::to_string(i), {{"price", 10.0}}, w.clock.Now());
+  }
+  ClientProxy client(SpeedKitConfig(), 1, w.Deps());
+  for (int i = 1; i <= 13; ++i) {
+    std::string url =
+        "https://shop.example.com/api/records/p" + std::to_string(i);
+    ASSERT_TRUE(client.Fetch(url).response.ok());
+  }
+  EXPECT_EQ(client.frozen_bytes(), 0u);
+  client.FreezeBrowserCache();
+  ASSERT_TRUE(client.browser_cache_frozen());
+  const std::string& blob = client.frozen_blob();
+  EXPECT_EQ(blob.capacity(), blob.size());
+  EXPECT_EQ(client.frozen_bytes(),
+            blob.size() + 13 * (sizeof(http::Body) + sizeof(http::HeaderMap)));
+}
+
+// Every 200 the origin serves for one version under one TTL carries the
+// block its render cache stored; a TTL change makes a new block, which
+// the next 200 shares in turn.
+TEST(BodySharingTest, OriginTwoHundredsShareTheirHeaderBlockUntilTtlMoves) {
+  sim::SimClock clock;
+  storage::ObjectStore store;
+  store.Put("p1", {{"price", 10.0}}, clock.Now());
+  SettableTtlPolicy ttl_policy;
+  origin::OriginServer origin(origin::OriginConfig{}, &clock, &store,
+                              &ttl_policy, nullptr);
+  http::HttpResponse first = origin.Handle(Get(kRecordUrl));
+  clock.Advance(Duration::Seconds(1));
+  http::HttpResponse second = origin.Handle(Get(kRecordUrl));
+  ASSERT_EQ(first.status_code, 200);
+  EXPECT_TRUE(second.headers.SharesStorageWith(first.headers));
+
+  ttl_policy.ttl = Duration::Seconds(30);
+  http::HttpResponse third = origin.Handle(Get(kRecordUrl));
+  EXPECT_FALSE(third.headers.SharesStorageWith(first.headers));
+  EXPECT_TRUE(third.GetCacheControl().max_age == Duration::Seconds(30));
+  http::HttpResponse fourth = origin.Handle(Get(kRecordUrl));
+  EXPECT_TRUE(fourth.headers.SharesStorageWith(third.headers));
+  EXPECT_EQ(origin.stats().render_cache_hits, 3u);
+  EXPECT_EQ(origin.stats().render_cache_misses, 1u);
+}
+
+// The legacy per-user fragment is no-store and carries PII: the render
+// cache keeps nothing of it, so no two of its responses share a block.
+TEST(BodySharingTest, PerUserResponsesNeverShareAHeaderBlock) {
+  World w;
+  constexpr char kUserUrl[] =
+      "https://shop.example.com/api/fragments/recs?user=u1";
+  http::HttpResponse a = w.origin.Handle(Get(kUserUrl));
+  http::HttpResponse b = w.origin.Handle(Get(kUserUrl));
+  ASSERT_EQ(a.status_code, 200);
+  EXPECT_TRUE(a.GetCacheControl().no_store);
+  EXPECT_EQ(a.headers, b.headers);
+  EXPECT_FALSE(a.headers.SharesStorageWith(b.headers));
+  EXPECT_FALSE(a.body.SharesBufferWith(b.body));
 }
 
 }  // namespace
