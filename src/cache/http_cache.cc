@@ -25,11 +25,14 @@ HttpCache::HttpCache(bool shared, size_t capacity_bytes)
         return e.response.WireSize() + 64;  // entry bookkeeping overhead
       }) {}
 
-std::string HttpCache::StorageKey(
-    std::string_view key, const http::HeaderMap& request_headers) const {
-  auto it = vary_names_.find(key);
-  if (it == vary_names_.end()) return std::string(key);
-  std::string storage_key(key);
+std::string_view HttpCache::StorageKey(
+    std::string_view key, const http::HeaderMap& request_headers,
+    std::string* buffer) const {
+  if (vary_names_ == nullptr) return key;
+  auto it = vary_names_->find(key);
+  if (it == vary_names_->end()) return key;
+  std::string& storage_key = *buffer;
+  storage_key.assign(key);
   storage_key += kVariantSep;
   for (const std::string& name : it->second) {
     storage_key += name;
@@ -39,6 +42,23 @@ std::string HttpCache::StorageKey(
     storage_key += kFieldSep;
   }
   return storage_key;
+}
+
+size_t HttpCache::EraseVariants(std::string_view key) {
+  return entries_.EraseIf([key](std::string_view k, const CacheEntry&) {
+    return k.size() > key.size() && k[key.size()] == kVariantSep &&
+           StartsWith(k, key);
+  });
+}
+
+size_t HttpCache::RetireVariants(std::string_view key) {
+  if (vary_names_ == nullptr) return 0;
+  auto it = vary_names_->find(key);
+  if (it == vary_names_->end()) return 0;
+  size_t erased = EraseVariants(key);
+  vary_names_->erase(it);
+  if (vary_names_->empty()) vary_names_.reset();
+  return erased;
 }
 
 LookupResult HttpCache::LookupStored(std::string_view storage_key,
@@ -57,8 +77,8 @@ LookupResult HttpCache::LookupStored(std::string_view storage_key,
 }
 
 LookupResult HttpCache::Lookup(std::string_view key, SimTime now) {
-  // Headerless fast path: skip the variant map only in spirit — a varying
-  // resource looked up without headers resolves to the all-absent variant.
+  // A varying resource looked up without headers resolves to the
+  // all-absent variant.
   static const http::HeaderMap kNoHeaders;
   return Lookup(key, kNoHeaders, now);
 }
@@ -66,7 +86,8 @@ LookupResult HttpCache::Lookup(std::string_view key, SimTime now) {
 LookupResult HttpCache::Lookup(std::string_view key,
                                const http::HeaderMap& request_headers,
                                SimTime now) {
-  return LookupStored(StorageKey(key, request_headers), now);
+  std::string variant_key;
+  return LookupStored(StorageKey(key, request_headers, &variant_key), now);
 }
 
 bool HttpCache::Store(std::string_view key, const http::HttpResponse& response,
@@ -85,7 +106,8 @@ bool HttpCache::Store(std::string_view key,
     return false;
   }
 
-  std::string storage_key(key);
+  std::string_view storage_key = key;
+  std::string variant_key;
   auto vary_value = response.headers.Get("Vary");
   if (vary_value.has_value()) {
     std::vector<std::string> names = http::ParseVaryNames(*vary_value);
@@ -95,31 +117,25 @@ bool HttpCache::Store(std::string_view key,
       return false;
     }
     if (!names.empty()) {
+      if (vary_names_ == nullptr) vary_names_ = std::make_unique<VaryMap>();
       // First varying store for this key displaces any plain entry (it
       // predates the resource starting to vary).
-      auto it = vary_names_.find(key);
-      if (it == vary_names_.end()) {
+      auto it = vary_names_->find(key);
+      if (it == vary_names_->end()) {
         entries_.Erase(key);
-        vary_names_.emplace(std::string(key), names);
+        vary_names_->emplace(std::string(key), std::move(names));
       } else if (it->second != names) {
         // The Vary set itself changed: old variant keys are unreachable
         // under the new set, drop them before they rot in the budget.
-        std::string prefix = std::string(key) + kVariantSep;
-        entries_.EraseIf([&prefix](const std::string& k, const CacheEntry&) {
-          return StartsWith(k, prefix);
-        });
-        it->second = names;
+        EraseVariants(key);
+        it->second = std::move(names);
       }
-      storage_key = StorageKey(key, request_headers);
+      storage_key = StorageKey(key, request_headers, &variant_key);
     }
-  } else if (vary_names_.find(key) != vary_names_.end()) {
-    // The resource stopped varying: retire the variant entries and the
-    // mapping, then store plainly.
-    std::string prefix = std::string(key) + kVariantSep;
-    entries_.EraseIf([&prefix](const std::string& k, const CacheEntry&) {
-      return StartsWith(k, prefix);
-    });
-    vary_names_.erase(vary_names_.find(key));
+  } else {
+    // The resource stopped varying (if it ever did): retire the variant
+    // entries and the mapping, then store plainly.
+    RetireVariants(key);
   }
 
   CacheEntry entry;
@@ -151,7 +167,9 @@ void HttpCache::Refresh(std::string_view key,
 void HttpCache::Refresh(std::string_view key,
                         const http::HeaderMap& request_headers,
                         const http::HttpResponse& not_modified, SimTime now) {
-  CacheEntry* entry = entries_.Get(StorageKey(key, request_headers));
+  std::string variant_key;
+  CacheEntry* entry =
+      entries_.Get(StorageKey(key, request_headers, &variant_key));
   if (entry == nullptr) return;
   http::CacheControl cc = not_modified.GetCacheControl();
   auto freshness =
@@ -172,23 +190,15 @@ void HttpCache::Refresh(std::string_view key,
 
 bool HttpCache::Purge(std::string_view key) {
   bool removed = entries_.Erase(key);
-  auto it = vary_names_.find(key);
-  if (it != vary_names_.end()) {
-    // A purge hits the resource, i.e. every variant of it.
-    std::string prefix = std::string(key) + kVariantSep;
-    removed |= entries_.EraseIf([&prefix](const std::string& k,
-                                          const CacheEntry&) {
-                 return StartsWith(k, prefix);
-               }) > 0;
-    vary_names_.erase(it);
-  }
+  // A purge hits the resource, i.e. every variant of it.
+  removed |= RetireVariants(key) > 0;
   if (removed) stats_.purges++;
   return removed;
 }
 
 void HttpCache::Clear() {
   entries_.Clear();
-  vary_names_.clear();
+  vary_names_.reset();
 }
 
 namespace {
@@ -220,19 +230,20 @@ std::string HttpCache::Freeze(FrozenHandles* handles) const {
   // are dropped the same way — a no-longer-varying client spills the one
   // presence byte, not its Vary history. Live mappings are written in
   // sorted key order so equal cache contents freeze to identical bytes.
-  std::unordered_set<std::string_view> live_primaries;
-  entries_.ForEachLruToMru(
-      [&live_primaries](const std::string& key, const CacheEntry&) {
-        size_t sep = key.find(kVariantSep);
-        if (sep != std::string::npos) {
-          live_primaries.insert(std::string_view(key).substr(0, sep));
-        }
-      });
-  std::vector<const std::pair<const std::string,
-                              std::vector<std::string>>*> live;
-  live.reserve(vary_names_.size());
-  for (const auto& mapping : vary_names_) {
-    if (live_primaries.count(mapping.first) != 0) live.push_back(&mapping);
+  std::vector<const VaryMap::value_type*> live;
+  if (vary_names_ != nullptr) {
+    std::unordered_set<std::string_view> live_primaries;
+    entries_.ForEachLruToMru(
+        [&live_primaries](std::string_view key, const CacheEntry&) {
+          size_t sep = key.find(kVariantSep);
+          if (sep != std::string_view::npos) {
+            live_primaries.insert(key.substr(0, sep));
+          }
+        });
+    live.reserve(vary_names_->size());
+    for (const auto& mapping : *vary_names_) {
+      if (live_primaries.count(mapping.first) != 0) live.push_back(&mapping);
+    }
   }
   std::sort(live.begin(), live.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
@@ -252,7 +263,7 @@ std::string HttpCache::Freeze(FrozenHandles* handles) const {
   }
   // Least- to most-recently-used: replaying Put in this order rebuilds the
   // exact recency chain, so post-thaw eviction order is unchanged.
-  entries_.ForEachLruToMru([&w, handles](const std::string& key,
+  entries_.ForEachLruToMru([&w, handles](std::string_view key,
                                          const CacheEntry& e) {
     w.Str(key);
     w.I64(e.stored_at.micros());
@@ -305,19 +316,21 @@ bool HttpCache::Thaw(std::string_view blob, const FrozenHandles* handles) {
   uint64_t evictions = r.U64();
   uint64_t oversized = r.U64();
   uint32_t vary_count = r.U8() != 0 ? r.U32() : 0;
+  if (vary_count != 0) vary_names_ = std::make_unique<VaryMap>();
   for (uint32_t i = 0; i < vary_count && r.ok(); ++i) {
     std::string key(r.Str());
+    // The name count comes from the blob: no reserve ahead of the reads,
+    // which stop at the blob's end.
     uint32_t name_count = r.U32();
     std::vector<std::string> names;
-    names.reserve(name_count);
     for (uint32_t j = 0; j < name_count && r.ok(); ++j) {
       names.emplace_back(r.Str());
     }
-    vary_names_.emplace(std::move(key), std::move(names));
+    vary_names_->emplace(std::move(key), std::move(names));
   }
   uint32_t entry_count = r.U32();
   for (uint32_t i = 0; i < entry_count && r.ok(); ++i) {
-    std::string key(r.Str());
+    std::string_view key = r.Str();
     CacheEntry e;
     e.stored_at = SimTime::FromMicros(r.I64());
     e.ttl = Duration::Micros(r.I64());

@@ -10,6 +10,7 @@
 #define SPEEDKIT_CACHE_HTTP_CACHE_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -140,18 +141,29 @@ class HttpCache {
   const HttpCacheStats& stats() const { return stats_; }
 
  private:
-  // The internal storage key: the primary key, plus a discriminator built
-  // from the Vary'd request-header values when the resource varies.
-  std::string StorageKey(std::string_view key,
-                         const http::HeaderMap& request_headers) const;
+  // Primary key -> normalized Vary header names of the stored response(s).
+  using VaryMap = std::unordered_map<std::string, std::vector<std::string>,
+                                     StringHash, std::equal_to<>>;
+
+  // The internal storage key: `key` itself while the resource does not
+  // vary; otherwise `key` plus a discriminator built from the Vary'd
+  // request-header values, written into *buffer. The view is of `key` or
+  // of *buffer.
+  std::string_view StorageKey(std::string_view key,
+                              const http::HeaderMap& request_headers,
+                              std::string* buffer) const;
   LookupResult LookupStored(std::string_view storage_key, SimTime now);
+  // Erases every variant entry of `key`; returns how many there were.
+  size_t EraseVariants(std::string_view key);
+  // Erases `key`'s variant entries and its Vary mapping, if it has one,
+  // and frees the map once no mapping is left; returns the entries erased.
+  size_t RetireVariants(std::string_view key);
 
   bool shared_;
   LruCache<CacheEntry> entries_;
-  // Primary key -> normalized Vary header names of the stored response(s).
-  std::unordered_map<std::string, std::vector<std::string>, StringHash,
-                     std::equal_to<>>
-      vary_names_;
+  // Null until the first varying store (or a thaw carrying mappings): most
+  // caches never see Vary, and a non-varying lookup then skips it.
+  std::unique_ptr<VaryMap> vary_names_;
   HttpCacheStats stats_;
 };
 

@@ -52,7 +52,9 @@ ClientProxy::ClientProxy(const ProxyConfig& config, uint64_t client_id,
       own_stats_(deps.stats_sink ? nullptr : new ProxyStats()),
       stats_(deps.stats_sink ? deps.stats_sink : own_stats_.get()),
       last_active_(deps.clock->Now()),
-      tracer_(deps.tracer) {}
+      tracer_(deps.tracer),
+      trace_(deps.tracer != nullptr ? std::make_unique<obs::TraceBuilder>()
+                                    : nullptr) {}
 
 FetchResult ClientProxy::Fetch(std::string_view url_text) {
   auto url = http::Url::Parse(url_text);
@@ -64,7 +66,7 @@ FetchResult ClientProxy::Fetch(std::string_view url_text) {
     stats_->requests++;
     stats_->errors++;
     if (!background_fetch_) {
-      trace_.Begin(tracer_, obs::kTraceKindRequest, url_text, clock_->Now());
+      BeginTrace(url_text);
       request_degraded_ = false;
     }
     FetchResult result;
@@ -93,8 +95,8 @@ FetchResult ClientProxy::Fetch(const http::Url& url) {
 FetchResult ClientProxy::FetchResolved(const http::Url& url) {
   Touch();
   if (!background_fetch_) {
-    trace_.Begin(tracer_, obs::kTraceKindRequest, url.CacheKey(),
-                 clock_->Now());
+    // Only a trace needs the key here; FetchDecide builds its own.
+    if (trace_ != nullptr) BeginTrace(url.CacheKey());
     request_degraded_ = false;
   }
   FetchResult result = FetchDecide(url);
@@ -108,8 +110,10 @@ void ClientProxy::RecordRequestOutcome(const FetchResult& result) {
   stats_->LatencyFor(result.source)->Add(us);
   (request_degraded_ ? stats_->latency_degraded_us : stats_->latency_ok_us)
       .Add(us);
-  trace_.Finish(ServedFromName(result.source), result.response.status_code,
-                request_degraded_, result.latency);
+  if (trace_ != nullptr) {
+    trace_->Finish(ServedFromName(result.source), result.response.status_code,
+                   request_degraded_, result.latency);
+  }
 }
 
 FetchResult ClientProxy::FetchDecide(const http::Url& url) {
@@ -327,7 +331,7 @@ FetchResult ClientProxy::TxnRefetch(const http::Url& url,
   // RecordRequestOutcome like any other, so the serve buckets (and the
   // trace count) keep reconciling with `requests`.
   if (!background_fetch_) {
-    trace_.Begin(tracer_, obs::kTraceKindRequest, key, clock_->Now());
+    BeginTrace(key);
     request_degraded_ = false;
   }
   stats_->requests++;
@@ -824,8 +828,8 @@ void ClientProxy::FreezeBrowserCache() {
     return;
   }
   frozen_browser_cache_ = browser_cache_.Freeze(&frozen_handles_);
-  // Replace (not Clear) the live structure so its hash-bucket arrays and
-  // list nodes are actually returned to the allocator.
+  // Replace (not Clear) the live cache so its stats and eviction counters
+  // go too: the blob carries them.
   browser_cache_ = cache::HttpCache(/*shared=*/false,
                                     config_.browser_cache_bytes);
   browser_cache_frozen_ = true;

@@ -321,12 +321,6 @@ class ClientProxy {
   // Attaches the device's PII vault (required for user-scoped blocks).
   void AttachVault(const personalization::PiiVault* vault) { vault_ = vault; }
 
-  // Attaches the stack's tracer (not owned; may be null = tracing off).
-  // Emits one RequestTrace per foreground request — span count therefore
-  // equals ServedTotal(). Tracing records only durations the proxy already
-  // computed, so it cannot change behavior (enforced by tests/obs).
-  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
-
   // Thaws a spilled cache on access: callers always see a live HttpCache.
   cache::HttpCache& browser_cache() {
     EnsureThawed();
@@ -382,12 +376,21 @@ class ClientProxy {
   // The decision flow proper, after any URL rewriting.
   FetchResult FetchDecide(const http::Url& url);
 
+  // Starts a foreground request's trace; no-op while tracing is off.
+  void BeginTrace(std::string_view url) {
+    if (trace_ != nullptr) {
+      trace_->Begin(tracer_, obs::kTraceKindRequest, url, clock_->Now());
+    }
+  }
+
   // Adds a span to the current request's trace; no-op while tracing is
   // off or a background revalidation is in flight (its legs must not
   // pollute the foreground request's tree).
   void TraceSpan(std::string_view name, std::string_view tier,
                  Duration duration) {
-    if (!background_fetch_) trace_.AddSpan(name, tier, duration);
+    if (trace_ != nullptr && !background_fetch_) {
+      trace_->AddSpan(name, tier, duration);
+    }
   }
 
   // Marks the current foreground request as degraded (a fault-handling
@@ -498,9 +501,14 @@ class ClientProxy {
   // serve buckets.
   bool background_fetch_ = false;
 
-  // Observability (null tracer = off; span calls are then one branch).
+  // Observability: ProxyDeps::tracer, not owned. With a tracer the client
+  // emits one RequestTrace per foreground request, so the trace count
+  // equals ServedTotal(); tracing records only durations the proxy already
+  // computed, so it cannot change behavior (enforced by tests/obs). The
+  // builder exists only while tracing: null = off, and every trace call is
+  // then one branch that builds nothing.
   obs::Tracer* tracer_ = nullptr;
-  obs::TraceBuilder trace_;
+  std::unique_ptr<obs::TraceBuilder> trace_;
   // A fault-handling path fired during the current foreground request.
   bool request_degraded_ = false;
 };

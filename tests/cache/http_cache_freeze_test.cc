@@ -4,6 +4,8 @@
 // its never-frozen twin forever after. The fleet depends on this being
 // behavior-neutral (fig_memscale gates it end-to-end; these tests pin
 // the codec directly).
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -224,6 +226,34 @@ TEST(HttpCacheFreezeTest, CorruptBlobFailsClosedToEmpty) {
   EXPECT_FALSE(victim.Thaw(bad_magic));
   EXPECT_TRUE(victim.Thaw(blob));  // the pristine blob still works
   EXPECT_EQ(victim.size(), 1u);
+}
+
+// The Vary-name count is read from the blob. A corrupt count must fail the
+// thaw closed, not size an allocation (it used to throw std::bad_alloc).
+TEST(HttpCacheFreezeTest, CorruptVaryNameCountFailsClosedToEmpty) {
+  http::HttpResponse varied = Response("max-age=60", 0, 1, "segment-a");
+  varied.headers.Set("Vary", "X-Segment");
+  http::HeaderMap req;
+  req.Set("X-Segment", "a");
+  HttpCache cache(false, 0);
+  ASSERT_TRUE(cache.Store("k", req, varied, At(0)));
+  std::string blob = cache.Freeze();
+
+  // magic(4) + shared(1) + capacity and 9 counters (80) + Vary presence(1)
+  // + mapping count(4) + the key "k" (4 + 1), then its name count.
+  const size_t name_count_at = 4 + 1 + 80 + 1 + 4 + 4 + 1;
+  ASSERT_GT(blob.size(), name_count_at + 4);
+  uint32_t name_count = 0;
+  std::memcpy(&name_count, blob.data() + name_count_at, sizeof(name_count));
+  ASSERT_EQ(name_count, 1u);
+  name_count = 0xFFFFFFFFu;
+  std::memcpy(blob.data() + name_count_at, &name_count, sizeof(name_count));
+
+  HttpCache victim(false, 0);
+  victim.Store("keep", Response("max-age=60"), At(0));
+  EXPECT_FALSE(victim.Thaw(blob));
+  EXPECT_EQ(victim.size(), 0u);
+  EXPECT_EQ(victim.Lookup("k", req, At(1)).outcome, LookupOutcome::kMiss);
 }
 
 // With handle lists, the blob carries body and header-block indexes

@@ -1,8 +1,14 @@
 #include "cache/lru_cache.h"
 
+#include <sys/mman.h>
+
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace speedkit::cache {
 namespace {
@@ -94,7 +100,7 @@ TEST(LruCacheTest, EraseIfRemovesMatching) {
   LruCache<int> cache(0);
   for (int i = 0; i < 10; ++i) cache.Put("k" + std::to_string(i), i);
   size_t removed = cache.EraseIf(
-      [](const std::string&, const int& v) { return v % 2 == 0; });
+      [](std::string_view, const int& v) { return v % 2 == 0; });
   EXPECT_EQ(removed, 5u);
   EXPECT_EQ(cache.size(), 5u);
   EXPECT_EQ(cache.Get("k0"), nullptr);
@@ -126,6 +132,23 @@ TEST(LruCacheTest, HeterogeneousLookupNeedsNoKeyCopy) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// Key lengths are stored in 32 bits, so a longer key is refused before
+// any of its bytes are read. Its address range is reserved, never touched.
+TEST(LruCacheTest, RejectsKeysLongerThanUint32Max) {
+  const size_t length = size_t{std::numeric_limits<uint32_t>::max()} + 1;
+  void* range = mmap(nullptr, length, PROT_NONE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(range, MAP_FAILED);
+  LruCache<int> cache(0);
+  cache.Put("kept", 1);
+  EXPECT_THROW(
+      cache.Put(std::string_view(static_cast<const char*>(range), length), 2),
+      std::length_error);
+  munmap(range, length);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_NE(cache.Get("kept"), nullptr);
+}
+
 TEST(LruCacheTest, EvictionCascadeForLargeInsert) {
   LruCache<std::string> cache(10, BySize());
   cache.Put("a", "123");
@@ -137,14 +160,13 @@ TEST(LruCacheTest, EvictionCascadeForLargeInsert) {
   EXPECT_EQ(cache.evictions(), 3u);
 }
 
-// The index holds views of the keys stored in the list nodes. Short keys
-// live inline in the node (small-string storage) and long ones on the
-// heap; both must stay reachable after the cache is moved, or ASan flags
-// the dangling view.
+// Each entry block carries its key's bytes, and the bucket array chains
+// the blocks. A moved cache takes both over; short and long keys must stay
+// reachable and erasable through it, or ASan flags the dangling block.
 LruCache<std::string> FilledCache() {
   LruCache<std::string> cache(40, BySize());
-  cache.Put("short", "12345");  // inline key
-  cache.Put("https://shop.example.com/api/records/p1", "12345");  // heap key
+  cache.Put("short", "12345");
+  cache.Put("https://shop.example.com/api/records/p1", "12345");
   cache.Put("s2", "12345");
   cache.Put("https://shop.example.com/api/records/p2", "12345");
   return cache;
@@ -161,7 +183,7 @@ void ExpectWorkingCache(LruCache<std::string>& cache) {
   EXPECT_TRUE(cache.Erase("s2"));
   EXPECT_TRUE(cache.Erase("https://shop.example.com/api/records/p2"));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.EraseIf([](const std::string& k, const std::string&) {
+  EXPECT_EQ(cache.EraseIf([](std::string_view k, const std::string&) {
               return k.size() > 15;
             }),
             1u);
