@@ -129,8 +129,9 @@ void AblationCountingFilter(bench::JsonValue* rows) {
                              {"materialize_us", materialize_us},
                              {"rebuild_us", rebuild_us},
                              {"speedup", rebuild_us / materialize_us}}));
-  bench::Note("the CBF also supports incremental expiry; rebuilding would "
-              "additionally require keeping all keys hot in memory");
+  bench::Note("the server already keeps every tracked key in its exact "
+              "expiry map, which publication rebuilds from once per key-set "
+              "change; a CBF would be a second copy of that set");
 }
 
 void AblationSegmentCaching(bench::JsonValue* rows) {

@@ -34,7 +34,7 @@ struct E18Params {
 
 struct ModeOutcome {
   core::CartTrafficResult cart;
-  core::StalenessReport staleness;
+  coherence::StalenessReport staleness;
 };
 
 ModeOutcome RunMode(coherence::CoherenceMode mode, const E18Params& params) {
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   for (int m = 0; m < 3; ++m) {
     outcomes[m] = RunMode(modes[m], params);
     const core::CartTrafficResult& c = outcomes[m].cart;
-    const core::StalenessReport& s = outcomes[m].staleness;
+    const coherence::StalenessReport& s = outcomes[m].staleness;
     double retries_per_txn =
         c.txns_attempted == 0
             ? 0.0

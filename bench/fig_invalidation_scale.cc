@@ -112,10 +112,7 @@ void PurgePropagation(bench::JsonValue* rows) {
     sim::SimClock clock;
     sim::EventQueue events(&clock);
     cache::Cdn cdn(edges, 0);
-    coherence::CoherenceConfig cc;
-    cc.sketch_capacity = 10000;
-    cc.sketch_fpr = 0.05;
-    coherence::DeltaAtomicProtocol protocol(cc);
+    coherence::DeltaAtomicProtocol protocol{coherence::CoherenceConfig()};
     invalidation::PipelineConfig config;  // 80ms median, lognormal 0.4
     invalidation::InvalidationPipeline pipeline(config, &clock, &events, &cdn,
                                                 &protocol, Pcg32(3));

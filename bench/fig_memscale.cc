@@ -101,8 +101,10 @@ MemPoint Measure(const bench::RunSpec& spec) {
   out.origin_requests = stack.origin().stats().requests;
   if (stack.sketch() != nullptr) {
     out.sketch_entries = stack.sketch()->entries();
-    out.sketch_snapshot_bytes =
-        stack.sketch()->SerializedSnapshot(stack.clock().Now()).size();
+    out.sketch_snapshot_bytes = stack.coherence_protocol()
+                                    .publication()
+                                    .Serialized(stack.clock().Now())
+                                    ->size();
   }
   if (stack.pipeline() != nullptr) out.pipeline = stack.pipeline()->stats();
   out.edge_faults = stack.cdn().TotalFaultStats();

@@ -10,12 +10,12 @@
 #include <vector>
 
 #include "cache/lru_cache.h"
+#include "coherence/sketch_publication.h"
 #include "common/flat_map.h"
 #include "common/hash.h"
 #include "http/cache_control.h"
 #include "http/url.h"
 #include "invalidation/query_matcher.h"
-#include "sketch/blocked_bloom.h"
 #include "sketch/bloom_filter.h"
 #include "sketch/cache_sketch.h"
 #include "sketch/client_sketch.h"
@@ -57,13 +57,14 @@ BENCHMARK(BM_BloomQuery)->Arg(4)->Arg(7)->Arg(12);
 
 void BM_ClientSketchCheck(benchmark::State& state) {
   // The per-request on-device cost: one membership check.
-  sketch::CacheSketch server(10000, 0.05);
+  sketch::CacheSketch server;
+  coherence::SketchPublication publication(&server);
   SimTime now;
   for (size_t i = 0; i < 5000; ++i) {
     server.ReportInvalidation(Key(i), now + Duration::Seconds(60), now);
   }
   sketch::ClientSketch client(Duration::Seconds(30));
-  (void)client.Update(server.SerializedSnapshot(now), now);
+  publication.InstallInto(&client, now);
   size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(client.MightBeStale(Key(i++ % 10000)));
@@ -82,17 +83,33 @@ void BM_CountingBloomAddRemove(benchmark::State& state) {
 }
 BENCHMARK(BM_CountingBloomAddRemove);
 
+// Server-side publication cost with about Arg live keys in a sliding
+// window: each key stays Arg ms, and every iteration advances 1 ms and
+// reports one fresh key, so one key expires, one enters, and Serialized
+// rebuilds and re-encodes the snapshot instead of returning its memo. The
+// report itself is one hash-map insert, noise beside the rebuild.
 void BM_SketchSnapshot(benchmark::State& state) {
-  sketch::CacheSketch sketch(static_cast<size_t>(state.range(0)), 0.05);
+  const int64_t live = state.range(0);
+  sketch::CacheSketch sketch;
+  coherence::SketchPublication publication(&sketch);
+  int64_t reported = 0;
+  auto report_next = [&] {
+    SimTime at = SimTime::FromMicros(reported * 1000);
+    sketch.ReportInvalidation(Key(static_cast<size_t>(reported)),
+                              at + Duration::Millis(live), at);
+    ++reported;
+    return at;
+  };
   SimTime now;
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    sketch.ReportInvalidation(Key(static_cast<size_t>(i)),
-                              now + Duration::Seconds(3600), now);
-  }
+  while (reported < live) now = report_next();
+  size_t published_bytes = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sketch.SerializedSnapshot(now));
+    now = report_next();
+    std::shared_ptr<const std::string> bytes = publication.Serialized(now);
+    published_bytes = bytes->size();
+    benchmark::DoNotOptimize(bytes);
   }
-  state.SetLabel(std::to_string(sketch.FilterSizeBytes()) + "B filter");
+  state.SetLabel(std::to_string(published_bytes) + "B published");
 }
 BENCHMARK(BM_SketchSnapshot)->Arg(1000)->Arg(10000)->Arg(100000);
 
@@ -148,43 +165,6 @@ void BM_CacheControlParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheControlParse);
-
-// Scalar probe of the cache-line blocked filter: one memory access per
-// probe vs k random lines for the plain BloomFilter above (same sizing as
-// BM_BloomQuery for a direct comparison).
-void BM_BlockedBloomProbeScalar(benchmark::State& state) {
-  sketch::BlockedBloomFilter filter(1 << 20, static_cast<int>(state.range(0)));
-  for (size_t i = 0; i < 100000; ++i) filter.Add(Key(i));
-  std::vector<std::string> keys;
-  keys.reserve(4096);
-  for (size_t i = 0; i < 4096; ++i) keys.push_back(Key(i * 37));
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(filter.MightContain(keys[i++ % keys.size()]));
-  }
-}
-BENCHMARK(BM_BlockedBloomProbeScalar)->Arg(4)->Arg(7)->Arg(12);
-
-// Batched probe: hash+prefetch pass then probe pass. items_processed makes
-// the per-key rate comparable with the scalar probe's per-iteration time.
-void BM_BlockedBloomProbeBatch(benchmark::State& state) {
-  sketch::BlockedBloomFilter filter(1 << 20, 7);
-  for (size_t i = 0; i < 100000; ++i) filter.Add(Key(i));
-  const size_t batch = static_cast<size_t>(state.range(0));
-  std::vector<std::string> keys;
-  std::vector<std::string_view> views;
-  keys.reserve(batch);
-  for (size_t i = 0; i < batch; ++i) keys.push_back(Key(i * 37));
-  views.assign(keys.begin(), keys.end());
-  std::unique_ptr<bool[]> out(new bool[batch]);
-  for (auto _ : state) {
-    filter.MightContainBatch(views.data(), batch, out.get());
-    benchmark::DoNotOptimize(out.get());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_BlockedBloomProbeBatch)->Arg(32)->Arg(256)->Arg(1024);
 
 // The expiry-book container race: open-addressing FlatStringMap vs the
 // node-based std::unordered_map it replaced. Upsert = the write path

@@ -45,7 +45,7 @@ struct RunSpec {
 
 struct RunOutput {
   core::TrafficResult traffic;
-  core::StalenessReport staleness;
+  coherence::StalenessReport staleness;
   Histogram staleness_us;
   uint64_t origin_requests = 0;
   size_t sketch_entries = 0;
@@ -139,8 +139,10 @@ inline RunOutput RunOneStack(core::SpeedKitStack& stack,
   out.origin_requests = stack.origin().stats().requests;
   if (stack.sketch() != nullptr) {
     out.sketch_entries = stack.sketch()->entries();
-    out.sketch_snapshot_bytes =
-        stack.sketch()->SerializedSnapshot(stack.clock().Now()).size();
+    out.sketch_snapshot_bytes = stack.coherence_protocol()
+                                    .publication()
+                                    .Serialized(stack.clock().Now())
+                                    ->size();
   }
   if (stack.pipeline() != nullptr) {
     out.pipeline = stack.pipeline()->stats();

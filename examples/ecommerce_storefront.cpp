@@ -68,7 +68,7 @@ int main() {
               p.bytes_from_browser_cache / 1e6, p.bytes_over_network / 1e6);
 
   std::printf("\n-- coherence --\n");
-  const core::StalenessReport& s = stack.staleness().report();
+  const coherence::StalenessReport& s = stack.staleness().report();
   std::printf("writes applied        %llu\n",
               static_cast<unsigned long long>(result.writes_applied));
   std::printf("tracked reads         %llu\n",
@@ -80,7 +80,10 @@ int main() {
               s.max_staleness.seconds(), config.coherence.delta.seconds());
   std::printf("sketch entries        %zu (snapshot %zu bytes)\n",
               stack.sketch()->entries(),
-              stack.sketch()->SerializedSnapshot(stack.clock().Now()).size());
+              stack.coherence_protocol()
+                  .publication()
+                  .Serialized(stack.clock().Now())
+                  ->size());
   std::printf("sketch refreshes      %llu (%.1f KB total)\n",
               static_cast<unsigned long long>(p.sketch_refreshes),
               p.sketch_bytes / 1e3);

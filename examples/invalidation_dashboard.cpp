@@ -15,7 +15,10 @@ namespace {
 void SketchStatus(core::SpeedKitStack& stack, const char* when) {
   std::printf("[%8.3fs] sketch: %zu tracked key(s), snapshot %zu bytes %s\n",
               stack.clock().Now().seconds(), stack.sketch()->entries(),
-              stack.sketch()->SerializedSnapshot(stack.clock().Now()).size(),
+              stack.coherence_protocol()
+                  .publication()
+                  .Serialized(stack.clock().Now())
+                  ->size(),
               when);
 }
 

@@ -48,8 +48,8 @@
 namespace speedkit::cache {
 
 // How the edge tier treats concurrent misses for the same key while an
-// origin fetch is already in flight (the sim-side adoption of
-// net/single_flight.h — one concept, two execution substrates).
+// origin fetch is already in flight. The simulator and speedkit-edged
+// both run this one model.
 //
 //   kInstant   Legacy model: an origin response is visible at the edge at
 //              fetch-START sim time, so a concurrent miss never exists and

@@ -32,15 +32,7 @@ Status ParseCoherenceMode(std::string_view text, CoherenceMode* out) {
       "fixed_ttl)");
 }
 
-Status CoherenceConfig::Validate(bool sketch_variant) const {
-  if (!(sketch_fpr > 0.0) || sketch_fpr > 0.5) {
-    return Status::InvalidArgument("sketch_fpr must be in (0, 0.5]");
-  }
-  if (sketch_variant && mode == CoherenceMode::kDeltaAtomic &&
-      sketch_capacity == 0) {
-    return Status::InvalidArgument(
-        "sketch_capacity must be > 0 for sketch-coherent variants");
-  }
+Status CoherenceConfig::Validate() const {
   if (delta <= Duration::Zero()) {
     return Status::InvalidArgument("delta (sketch refresh interval) must be "
                                    "positive");

@@ -1,13 +1,11 @@
 // Typed configuration for the pluggable coherence tier.
 //
-// One struct collects every knob that used to live loose on StackConfig
-// (sketch capacity/FPR, Δ) plus the mode selector and the serializable
-// mode's retry budget. Validation returns real errors — a bad value is a
-// bug at the call site, never something to silently clamp.
+// One struct collects the mode selector, Δ and the serializable mode's
+// retry budget. Validation returns real errors — a bad value is a bug at
+// the call site, never something to silently clamp.
 #ifndef SPEEDKIT_COHERENCE_COHERENCE_CONFIG_H_
 #define SPEEDKIT_COHERENCE_COHERENCE_CONFIG_H_
 
-#include <cstddef>
 #include <string_view>
 
 #include "common/sim_time.h"
@@ -45,10 +43,6 @@ Status ParseCoherenceMode(std::string_view text, CoherenceMode* out);
 struct CoherenceConfig {
   CoherenceMode mode = CoherenceMode::kDeltaAtomic;
 
-  // Cache Sketch sizing (Δ-atomic mode on sketch-coherent variants only).
-  size_t sketch_capacity = 100000;
-  double sketch_fpr = 0.05;
-
   // The coherence boundary interval: client sketch refresh cadence in
   // Δ-atomic mode, and the cross-shard purge-mailbox drain cadence in
   // every mode.
@@ -58,12 +52,8 @@ struct CoherenceConfig {
   // keys before the transaction aborts.
   int max_txn_retries = 2;
 
-  // Structural sanity. `sketch_variant` is true when the enclosing system
-  // variant actually runs sketch coherence (SpeedKit) — baselines don't
-  // need a sketch capacity. Checks: sketch_fpr in (0, 0.5],
-  // sketch_capacity > 0 (Δ-atomic on sketch variants), delta > 0,
-  // max_txn_retries >= 0.
-  Status Validate(bool sketch_variant) const;
+  // Structural sanity: delta > 0, max_txn_retries >= 0.
+  Status Validate() const;
 };
 
 }  // namespace speedkit::coherence

@@ -3,9 +3,7 @@
 namespace speedkit::coherence {
 
 DeltaAtomicProtocol::DeltaAtomicProtocol(const CoherenceConfig& config)
-    : CoherenceProtocol(config,
-                        std::make_unique<sketch::CacheSketch>(
-                            config.sketch_capacity, config.sketch_fpr)) {}
+    : CoherenceProtocol(config, std::make_unique<sketch::CacheSketch>()) {}
 
 void DeltaAtomicProtocol::OnInvalidation(std::string_view key,
                                          SimTime stale_until, SimTime now) {

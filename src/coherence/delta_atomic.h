@@ -1,12 +1,11 @@
 // The paper-faithful default: Cache Sketch Δ-atomicity.
 //
-// Server side, the protocol owns the counting-Bloom CacheSketch; the
-// invalidation pipeline reports every invalidated key with its stale
-// horizon, and the publication memo hands every client one shared
-// immutable snapshot per Δ window. Client side, a snapshot older than Δ
-// is re-fetched before the next cache read, and flagged keys bypass every
-// shared cache on the way to the origin — bounding read staleness to
-// Δ + purge propagation.
+// Server side, the protocol owns the CacheSketch; the invalidation
+// pipeline reports every invalidated key with its stale horizon, and the
+// publication memo hands every client one shared immutable snapshot per Δ
+// window. Client side, a snapshot older than Δ is re-fetched before the
+// next cache read, and flagged keys bypass every shared cache on the way
+// to the origin — bounding read staleness to Δ + purge propagation.
 #ifndef SPEEDKIT_COHERENCE_DELTA_ATOMIC_H_
 #define SPEEDKIT_COHERENCE_DELTA_ATOMIC_H_
 

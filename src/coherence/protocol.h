@@ -13,8 +13,6 @@
 //                   invalidation pipeline's sketch report point (gated on
 //                   WantsInvalidations so non-sketch modes skip the
 //                   horizon computation entirely)
-//   OnBoundary      every Δ coherence boundary, right after the sharded
-//                   purge-mailbox drain — stack.cc's recurring drain event
 //   NewClient       one ClientCoherence per client proxy: the per-device
 //                   half (snapshot freshness, revalidation verdicts)
 //   StaleReadIndexes  serializable commit validation (version vector
@@ -100,11 +98,6 @@ class CoherenceProtocol {
   void OnVersion(std::string_view key, uint64_t version, SimTime now) {
     staleness_.RecordWrite(key, version, now);
   }
-
-  // Δ coherence boundary callback, fired right after the sharded
-  // purge-mailbox drain. No current protocol keeps per-boundary state;
-  // the hook exists so one can.
-  virtual void OnBoundary(SimTime /*now*/) {}
 
   // The boundary cadence (drives the purge-mailbox drain events).
   Duration BoundaryInterval() const { return config_.delta; }

@@ -4,38 +4,32 @@ namespace speedkit::coherence {
 
 namespace {
 
-// Null-sketch fallbacks, built once per process: a 64-bit empty filter is
-// always representable, so Serialize cannot fail.
-const std::shared_ptr<const std::string>& EmptySerialized() {
-  static const std::shared_ptr<const std::string> kEmpty =
-      std::make_shared<const std::string>(
-          sketch::BloomFilter(64, 1).Serialize().value());
-  return kEmpty;
-}
-
+// The null-sketch publication, built once per process: a 64-bit empty
+// filter is always representable, so Serialize cannot fail.
 const sketch::CacheSketch::Publication& EmptyPublication() {
-  static const sketch::CacheSketch::Publication kEmpty = [] {
-    sketch::BloomFilter empty(64, 1);
-    size_t wire = empty.Serialize().value().size();
-    return sketch::CacheSketch::Publication{
-        std::make_shared<const sketch::BloomFilter>(std::move(empty)), wire};
-  }();
+  static const sketch::CacheSketch::Publication kEmpty{
+      std::make_shared<const std::string>(
+          sketch::BloomFilter(64, 1).Serialize().value()),
+      std::make_shared<const sketch::BloomFilter>(64, 1)};
   return kEmpty;
 }
 
 }  // namespace
 
+const sketch::CacheSketch::Publication& SketchPublication::Publish(
+    SimTime now) {
+  return sketch_ == nullptr ? EmptyPublication() : sketch_->Publish(now);
+}
+
 std::shared_ptr<const std::string> SketchPublication::Serialized(SimTime now) {
-  if (sketch_ == nullptr) return EmptySerialized();
-  return sketch_->PublishedSnapshot(now);
+  return Publish(now).bytes;
 }
 
 size_t SketchPublication::InstallInto(sketch::ClientSketch* client,
                                       SimTime now) {
-  sketch::CacheSketch::Publication pub =
-      sketch_ == nullptr ? EmptyPublication() : sketch_->PublishedFilter(now);
-  client->Install(pub.filter, pub.wire_bytes, now);
-  return pub.wire_bytes;
+  const sketch::CacheSketch::Publication& pub = Publish(now);
+  client->Install(pub.filter, pub.bytes->size(), now);
+  return pub.bytes->size();
 }
 
 }  // namespace speedkit::coherence

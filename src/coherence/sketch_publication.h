@@ -1,13 +1,9 @@
 // The one publication surface of the server-side Cache Sketch.
 //
-// Everything that used to leave the sketch through ad-hoc entry points —
-// `CacheSketch::PublishedSnapshot`/`PublishedFilter` for the memoized
-// snapshot views, `OriginServer::SketchSnapshot`/`SketchFilter` for the
-// null-sketch fallbacks, `ClientSketch::Install` for the fleet-shared
-// filter install — now flows through this handle, owned by the coherence
-// protocol object. The origin's /sketch route serializes through it and
-// clients refresh through it; the sketch's memoization (one re-encode per
-// key-set mutation, shared immutable views) is unchanged underneath.
+// Every snapshot leaves the sketch through this handle, owned by the
+// coherence protocol object: the origin's /sketch route serializes through
+// it and clients refresh through it. Both calls read the same memoized
+// publication (one rebuild per key-set mutation, shared immutable views).
 //
 // A handle over a null sketch publishes a constant empty filter — the
 // behavior baselines without sketch coherence always had.
@@ -35,14 +31,13 @@ class SketchPublication {
   std::shared_ptr<const std::string> Serialized(SimTime now);
 
   // Installs the fleet-shared published filter into `client` and returns
-  // the wire bytes the serialized form would have cost, so transfer
-  // accounting matches a byte-level refresh exactly. At a million clients
-  // this is the difference between one filter object and a million.
+  // the wire bytes the serialized form costs, so transfer accounting
+  // matches a byte-level refresh exactly.
   size_t InstallInto(sketch::ClientSketch* client, SimTime now);
 
-  sketch::CacheSketch* sketch() { return sketch_; }
-
  private:
+  const sketch::CacheSketch::Publication& Publish(SimTime now);
+
   sketch::CacheSketch* sketch_;
 };
 

@@ -37,9 +37,7 @@ Status StackConfig::Validate() const {
         "shards must divide cdn_edges (every shard owns the same number of "
         "edges)");
   }
-  if (Status s = coherence.Validate(
-          /*sketch_variant=*/variant == SystemVariant::kSpeedKit);
-      !s.ok()) {
+  if (Status s = coherence.Validate(); !s.ok()) {
     return s;
   }
   return Status::Ok();
@@ -194,7 +192,6 @@ void SpeedKitStack::ScheduleMailboxDrain() {
   // (seed, shards) purity survives with the events in place.
   events_.After(protocol_->BoundaryInterval(), [this] {
     cdn_->DrainRemotePurges(clock_.Now());
-    protocol_->OnBoundary(clock_.Now());
     ScheduleMailboxDrain();
   });
 }

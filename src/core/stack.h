@@ -24,7 +24,6 @@
 #include "coherence/protocol.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "core/staleness.h"
 #include "invalidation/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/obs_config.h"
@@ -81,9 +80,9 @@ struct StackConfig {
   cache::OriginFlightMode origin_flight = cache::OriginFlightMode::kInstant;
 
   // Coherence tier: which CoherenceProtocol runs (Δ-atomic sketch,
-  // serializable read-validation, or plain fixed-TTL) and its knobs —
-  // sketch sizing, Δ, transaction retry budget. Only consulted for the
-  // kSpeedKit variant; baselines always get the fixed-TTL protocol.
+  // serializable read-validation, or plain fixed-TTL) and its knobs — Δ
+  // and the transaction retry budget. Only consulted for the kSpeedKit
+  // variant; baselines always get the fixed-TTL protocol.
   coherence::CoherenceConfig coherence;
   invalidation::PipelineConfig pipeline;
 
@@ -106,8 +105,7 @@ struct StackConfig {
   // this and refuses to build on error — a bad value is a real error at
   // the call site, not something to silently clamp into range. Checks:
   // cdn_edges >= 1, shards >= 1, shards divides cdn_edges, plus
-  // CoherenceConfig::Validate (sketch_fpr in (0, 0.5], sketch_capacity > 0
-  // for sketch variants, delta > 0, max_txn_retries >= 0).
+  // CoherenceConfig::Validate (delta > 0, max_txn_retries >= 0).
   Status Validate() const;
 };
 
@@ -175,7 +173,7 @@ class SpeedKitStack {
   // Null for variants without an invalidation pipeline.
   invalidation::InvalidationPipeline* pipeline() { return pipeline_.get(); }
   ttl::TtlPolicy& ttl_policy() { return *ttl_policy_; }
-  StalenessTracker& staleness() { return protocol_->staleness(); }
+  coherence::StalenessTracker& staleness() { return protocol_->staleness(); }
   const sim::FaultSchedule& faults() { return faults_; }
 
   // Forks a deterministic child RNG for drivers.

@@ -123,7 +123,7 @@ void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies) {
   *reg->Counter(obs::kOriginRenderTimeSavedUs) =
       static_cast<uint64_t>(o.render_time_saved_us);
 
-  const StalenessReport& sr = protocol_->staleness().report();
+  const coherence::StalenessReport& sr = protocol_->staleness().report();
   *reg->Counter(obs::kStalenessReads) = sr.reads;
   *reg->Counter(obs::kStalenessStaleReads) = sr.stale_reads;
   *reg->Counter(obs::kStalenessClamped) = sr.clamped;
@@ -134,8 +134,8 @@ void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies) {
 
   if (sketch::CacheSketch* sk = protocol_->sketch(); sk != nullptr) {
     *reg->Gauge(obs::kSketchEntries) = static_cast<int64_t>(sk->entries());
-    *reg->Gauge(obs::kSketchSnapshotBytes) =
-        static_cast<int64_t>(sk->SerializedSnapshot(clock_.Now()).size());
+    *reg->Gauge(obs::kSketchSnapshotBytes) = static_cast<int64_t>(
+        protocol_->publication().Serialized(clock_.Now())->size());
   }
 
   if (trace_sink_ != nullptr) {

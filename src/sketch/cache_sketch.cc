@@ -4,20 +4,12 @@
 
 namespace speedkit::sketch {
 
-CacheSketch::CacheSketch(size_t expected_entries, double target_fpr)
-    : num_cells_(BloomFilter::OptimalBits(expected_entries, target_fpr)),
-      filter_(num_cells_,
-              BloomFilter::OptimalHashes(num_cells_, expected_entries)) {
-  num_cells_ = filter_.cells();  // after rounding
-}
-
 void CacheSketch::ReportInvalidation(std::string_view key, SimTime stale_until,
                                      SimTime now) {
   stats_.reports++;
   if (stale_until <= now) return;
   auto [it, inserted] = horizon_.emplace(std::string(key), stale_until);
   if (inserted) {
-    filter_.Add(key);
     published_dirty_ = true;
     stats_.inserts++;
     stats_.current_entries = horizon_.size();
@@ -38,7 +30,6 @@ void CacheSketch::ExpireUntil(SimTime now) {
     auto it = horizon_.find(item.key);
     if (it == horizon_.end()) continue;  // already expired via another entry
     if (it->second > now) continue;      // horizon was extended; later entry covers it
-    filter_.Remove(item.key);
     horizon_.erase(it);
     published_dirty_ = true;
     stats_.expirations++;
@@ -50,57 +41,27 @@ bool CacheSketch::Contains(std::string_view key) const {
   return horizon_.find(std::string(key)) != horizon_.end();
 }
 
-BloomFilter CacheSketch::Snapshot(SimTime now) {
+const CacheSketch::Publication& CacheSketch::Publish(SimTime now) {
   ExpireUntil(now);
   stats_.snapshots++;
-  return filter_.Materialize();
-}
-
-BloomFilter CacheSketch::CompactSnapshot(SimTime now, double target_fpr) {
-  ExpireUntil(now);
-  stats_.snapshots++;
-  BloomFilter compact =
-      BloomFilter::ForCapacity(std::max<size_t>(1, horizon_.size()),
-                               target_fpr);
-  for (const auto& [key, until] : horizon_) {
-    compact.Add(key);
+  if (published_dirty_) {
+    BloomFilter filter = BloomFilter::ForCapacity(
+        std::max<size_t>(1, horizon_.size()), kSnapshotFpr);
+    for (const auto& [key, until] : horizon_) {
+      filter.Add(key);
+    }
+    // A compact snapshot is always far under the 48-bit header limit, so
+    // Serialize cannot fail here.
+    published_.bytes =
+        std::make_shared<const std::string>(filter.Serialize().value());
+    // The filter handed to clients is the one the bytes describe: a client
+    // holding the shared object behaves bit-for-bit like one that
+    // deserialized the string itself.
+    published_.filter = std::make_shared<const BloomFilter>(std::move(filter));
+    published_dirty_ = false;
+    stats_.serializations++;
   }
-  return compact;
-}
-
-std::string CacheSketch::SerializedSnapshot(SimTime now) {
-  return *PublishedSnapshot(now);
-}
-
-std::shared_ptr<const std::string> CacheSketch::PublishedSnapshot(SimTime now) {
-  ExpireUntil(now);
-  stats_.snapshots++;
-  if (published_ == nullptr || published_dirty_) Republish();
   return published_;
-}
-
-CacheSketch::Publication CacheSketch::PublishedFilter(SimTime now) {
-  ExpireUntil(now);
-  stats_.snapshots++;
-  if (published_ == nullptr || published_dirty_) Republish();
-  return Publication{published_filter_, published_->size()};
-}
-
-void CacheSketch::Republish() {
-  BloomFilter compact =
-      BloomFilter::ForCapacity(std::max<size_t>(1, horizon_.size()), 0.02);
-  for (const auto& [key, until] : horizon_) {
-    compact.Add(key);
-  }
-  // A compact snapshot is always far under the 48-bit header limit, so
-  // Serialize cannot fail here.
-  published_ = std::make_shared<const std::string>(compact.Serialize().value());
-  // The filter handed to clients is the one the bytes describe: a client
-  // holding the shared object behaves bit-for-bit like one that
-  // deserialized the string itself.
-  published_filter_ = std::make_shared<const BloomFilter>(std::move(compact));
-  published_dirty_ = false;
-  stats_.serializations++;
 }
 
 }  // namespace speedkit::sketch

@@ -10,10 +10,10 @@
 // value staler than the snapshot age — this is what bounds staleness to Δ.
 //
 // Implementation: exact membership and expiry live in a hash map + lazy
-// min-heap; the counting Bloom filter mirrors membership so that a compact
-// `BloomFilter` snapshot can be materialized in O(m) without touching the
-// map. False positives only cause unnecessary revalidations, never stale
-// reads.
+// min-heap, and that key set is all the sketch keeps. Clients receive a
+// compact Bloom snapshot rebuilt from it, sized for the current number of
+// tracked keys, through coherence::SketchPublication. False positives only
+// cause unnecessary revalidations, never stale reads.
 #ifndef SPEEDKIT_SKETCH_CACHE_SKETCH_H_
 #define SPEEDKIT_SKETCH_CACHE_SKETCH_H_
 
@@ -27,7 +27,6 @@
 
 #include "common/sim_time.h"
 #include "sketch/bloom_filter.h"
-#include "sketch/counting_bloom.h"
 
 namespace speedkit::coherence {
 class SketchPublication;
@@ -47,9 +46,17 @@ struct CacheSketchStats {
 
 class CacheSketch {
  public:
-  // Sizes the counting filter for `expected_entries` simultaneously-tracked
-  // keys at the given snapshot false-positive rate.
-  CacheSketch(size_t expected_entries, double target_fpr);
+  // False-positive rate the published snapshot is sized for.
+  static constexpr double kSnapshotFpr = 0.02;
+
+  // One published snapshot: the immutable wire bytes and the filter they
+  // describe. Simulated clients install the shared filter directly instead
+  // of each deserializing a private copy — at a million clients that is
+  // the difference between one filter and a million.
+  struct Publication {
+    std::shared_ptr<const std::string> bytes;
+    std::shared_ptr<const BloomFilter> filter;
+  };
 
   // Records that `key` was invalidated while cached copies may live until
   // `stale_until`. Extends the horizon if the key is already tracked.
@@ -63,62 +70,23 @@ class CacheSketch {
   // True if the sketch currently tracks `key` exactly (not via the filter).
   bool Contains(std::string_view key) const;
 
-  // Expires, then materializes the client-facing Bloom snapshot from the
-  // counting filter (O(filter size), independent of entry count).
-  BloomFilter Snapshot(SimTime now);
-
-  // Expires, then builds a snapshot re-hashed from the exact key set and
-  // sized for the *current* number of tracked entries at `target_fpr` —
-  // the form that actually travels to clients, since its size scales with
-  // the stale set (typically a few hundred bytes) instead of the sketch's
-  // provisioned capacity. Costs O(entries x k) per snapshot; E12/A2
-  // quantifies the trade against Snapshot().
-  BloomFilter CompactSnapshot(SimTime now, double target_fpr = 0.02);
-
-  // Serialized compact snapshot (what actually travels to clients).
-  std::string SerializedSnapshot(SimTime now);
-
-  // A published snapshot as an immutable in-memory filter, plus the size
-  // the serialized form would occupy on the wire. Simulated clients
-  // install this shared filter directly instead of each deserializing a
-  // private BloomFilter copy from the published string — at a million
-  // clients that is the difference between one filter and a million.
-  struct Publication {
-    std::shared_ptr<const BloomFilter> filter;
-    size_t wire_bytes = 0;
-  };
-
   const CacheSketchStats& stats() const { return stats_; }
-  // The backing counting filter — exposed so tests can assert lifecycle
-  // invariants (e.g. the add/remove discipline never underflows a counter).
-  const CountingBloomFilter& filter() const { return filter_; }
   size_t entries() const { return horizon_.size(); }
-  size_t FilterSizeBytes() const { return num_cells_ / 8; }  // as bits
 
  private:
-  // The publication surface is owned by coherence::SketchPublication —
-  // the one handle through which snapshots leave the sketch (the origin's
-  // /sketch route and every client refresh go through it). Direct callers
-  // use SerializedSnapshot; the shared-view forms below are memoized and
-  // deliberately not public API.
+  // Snapshots leave the sketch only through coherence::SketchPublication
+  // (the origin's /sketch route and every client refresh).
   friend class speedkit::coherence::SketchPublication;
 
-  // The published form of the serialized compact snapshot: an immutable
-  // string behind a shared_ptr, re-encoded only when the tracked key set
-  // changed since the last publication (insert or expiry — horizon
-  // extensions don't alter the bit pattern, which is a pure function of
-  // the key set and its size). Every client refresh hits this, so the
-  // memo turns O(entries x k) per refresh into O(1) between mutations;
-  // the sharded engine additionally relies on the shared_ptr being
-  // immutable once handed out. Bytes are identical to re-serializing
-  // from scratch — CompactSnapshot's bit pattern is insertion-order
-  // insensitive — so published and fresh snapshots are interchangeable.
-  std::shared_ptr<const std::string> PublishedSnapshot(SimTime now);
-
-  // The same publication as the shared filter view; the filter's bit
-  // pattern is identical to Deserialize(PublishedSnapshot), and the memo
-  // invalidates with it.
-  Publication PublishedFilter(SimTime now);
+  // Expires, then returns the current publication. It is rebuilt from the
+  // key set only when that set changed since the last publication (insert
+  // or expiry — horizon extensions don't alter the bit pattern, which is a
+  // pure function of the key set and its size). Every client refresh hits
+  // this, so the memo turns O(entries x k) per refresh into O(1) between
+  // mutations; the sharded engine additionally relies on both views being
+  // immutable once handed out. The bit pattern is insertion-order
+  // insensitive, so a memoized publication equals a fresh rebuild.
+  const Publication& Publish(SimTime now);
 
   struct HeapItem {
     SimTime at;
@@ -130,17 +98,12 @@ class CacheSketch {
     }
   };
 
-  size_t num_cells_;
-  CountingBloomFilter filter_;
   std::unordered_map<std::string, SimTime> horizon_;  // key -> stale_until
   std::priority_queue<HeapItem, std::vector<HeapItem>, Later> expiry_;
   CacheSketchStats stats_;
-  void Republish();
 
-  // Publication memo: valid while the key set is unchanged. The string and
-  // filter forms are two views of the same snapshot and refresh together.
-  std::shared_ptr<const std::string> published_;
-  std::shared_ptr<const BloomFilter> published_filter_;
+  // Publication memo: valid while the key set is unchanged.
+  Publication published_;
   bool published_dirty_ = true;
 };
 

@@ -48,6 +48,8 @@ class ClientSketch {
   bool MightBeStale(std::string_view key);
 
   bool HasSnapshot() const { return has_snapshot_; }
+  // The installed snapshot filter (null before the first refresh).
+  const BloomFilter* filter() const { return filter_.get(); }
   SimTime fetched_at() const { return fetched_at_; }
   Duration refresh_interval() const { return refresh_interval_; }
   Duration Age(SimTime now) const {

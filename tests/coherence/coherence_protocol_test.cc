@@ -24,8 +24,6 @@ SimTime At(double seconds) {
 CoherenceConfig SmallConfig(CoherenceMode mode) {
   CoherenceConfig config;
   config.mode = mode;
-  config.sketch_capacity = 1000;
-  config.sketch_fpr = 0.01;
   config.delta = Duration::Seconds(10);
   return config;
 }
@@ -55,36 +53,17 @@ TEST(CoherenceConfigTest, DefaultsValidateForEveryModeAndVariantKind) {
         CoherenceMode::kFixedTtl}) {
     CoherenceConfig config;
     config.mode = mode;
-    EXPECT_TRUE(config.Validate(/*sketch_variant=*/true).ok());
-    EXPECT_TRUE(config.Validate(/*sketch_variant=*/false).ok());
+    EXPECT_TRUE(config.Validate().ok());
   }
 }
 
 TEST(CoherenceConfigTest, RejectsOutOfRangeKnobs) {
   CoherenceConfig config;
-  config.sketch_fpr = 0.0;
-  EXPECT_FALSE(config.Validate(true).ok());
-  config.sketch_fpr = 0.6;
-  EXPECT_FALSE(config.Validate(true).ok());
-  config = CoherenceConfig();
   config.delta = Duration::Zero();
-  EXPECT_FALSE(config.Validate(true).ok());
+  EXPECT_FALSE(config.Validate().ok());
   config = CoherenceConfig();
   config.max_txn_retries = -1;
-  EXPECT_FALSE(config.Validate(true).ok());
-}
-
-TEST(CoherenceConfigTest, SketchCapacityOnlyRequiredWhereASketchExists) {
-  CoherenceConfig config;
-  config.sketch_capacity = 0;
-  // Δ-atomic on a sketch variant actually builds the sketch: hard error.
-  EXPECT_FALSE(config.Validate(/*sketch_variant=*/true).ok());
-  // Baselines and sketchless modes never size one.
-  EXPECT_TRUE(config.Validate(/*sketch_variant=*/false).ok());
-  config.mode = CoherenceMode::kSerializable;
-  EXPECT_TRUE(config.Validate(/*sketch_variant=*/true).ok());
-  config.mode = CoherenceMode::kFixedTtl;
-  EXPECT_TRUE(config.Validate(/*sketch_variant=*/true).ok());
+  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(MakeCoherenceProtocolTest, DeltaAtomicOwnsSketchAndWantsInvalidations) {

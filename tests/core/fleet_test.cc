@@ -36,25 +36,6 @@ TEST(StackConfigValidateTest, RejectsShardsNotDividingEdges) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
-TEST(StackConfigValidateTest, RejectsSketchFprOutOfRange) {
-  StackConfig config;
-  config.coherence.sketch_fpr = 0.0;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.coherence.sketch_fpr = 0.6;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  config.coherence.sketch_fpr = 0.5;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
-TEST(StackConfigValidateTest, RejectsZeroSketchCapacityForSpeedKit) {
-  StackConfig config;
-  config.coherence.sketch_capacity = 0;
-  EXPECT_TRUE(config.Validate().IsInvalidArgument());
-  // Variants without a sketch don't need a capacity.
-  config.variant = SystemVariant::kFixedTtlCdn;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 TEST(StackConfigValidateTest, RejectsNonPositiveDelta) {
   StackConfig config;
   config.coherence.delta = Duration::Zero();

@@ -1,8 +1,8 @@
-#include "core/staleness.h"
+#include "coherence/staleness.h"
 
 #include <gtest/gtest.h>
 
-namespace speedkit::core {
+namespace speedkit::coherence {
 namespace {
 
 SimTime At(double seconds) {
@@ -84,7 +84,7 @@ TEST(StalenessTrackerTest, WrappedRingStillScansOldestFirst) {
   EXPECT_EQ(tracker.report().clamped, 1u);
   // k@7 is valid over [7, 8) and j@1 over [8.5, inf): no common instant.
   tracker.RecordWrite("j", 1, At(8.5));
-  coherence::SnapshotCheck check = tracker.CheckSnapshot({{"k", 7}, {"j", 1}});
+  SnapshotCheck check = tracker.CheckSnapshot({{"k", 7}, {"j", 1}});
   EXPECT_FALSE(check.consistent);
   EXPECT_FALSE(check.clamped);
   EXPECT_TRUE(tracker.CheckSnapshot({{"k", 8}, {"j", 1}}).consistent);
@@ -166,4 +166,4 @@ TEST(StalenessTrackerTest, ReportMergeSumsViolationAccounting) {
 }
 
 }  // namespace
-}  // namespace speedkit::core
+}  // namespace speedkit::coherence

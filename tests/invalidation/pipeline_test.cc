@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "coherence/delta_atomic.h"
+#include "sketch/client_sketch.h"
 
 namespace speedkit::invalidation {
 namespace {
@@ -21,7 +22,7 @@ class PipelineTest : public ::testing::Test {
   PipelineTest()
       : events_(&clock_),
         cdn_(3, 0),
-        protocol_(SketchConfig()),
+        protocol_(coherence::CoherenceConfig()),
         pipeline_(Config(), &clock_, &events_, &cdn_, &protocol_, Pcg32(7)) {
     pipeline_.AttachTo(&store_);
   }
@@ -33,11 +34,11 @@ class PipelineTest : public ::testing::Test {
     return config;
   }
 
-  static coherence::CoherenceConfig SketchConfig() {
-    coherence::CoherenceConfig config;
-    config.sketch_capacity = 1000;
-    config.sketch_fpr = 0.01;
-    return config;
+  // Whether a client refreshing at `at` is told `key` may be stale.
+  bool FlaggedAt(SimTime at, const std::string& key) {
+    sketch::ClientSketch client(Duration::Seconds(30));
+    protocol_.publication().InstallInto(&client, at);
+    return client.MightBeStale(key);
   }
 
   void WriteProduct(const std::string& id, int64_t category, double price) {
@@ -80,10 +81,9 @@ TEST_F(PipelineTest, WriteEntersSketchUntilStaleHorizon) {
   WriteProduct("p1", 1, 10.0);
   EXPECT_TRUE(sketch_.Contains(key));
   // Key must stay in snapshots until the horizon passes.
-  EXPECT_TRUE(sketch_.Snapshot(SimTime::Origin() + Duration::Seconds(199))
-                  .MightContain(key));
-  EXPECT_FALSE(sketch_.Snapshot(SimTime::Origin() + Duration::Seconds(201))
-                   .MightContain(key));
+  EXPECT_TRUE(FlaggedAt(SimTime::Origin() + Duration::Seconds(199), key));
+  // Past the horizon the sketch is empty, and so is its publication.
+  EXPECT_FALSE(FlaggedAt(SimTime::Origin() + Duration::Seconds(201), key));
 }
 
 TEST_F(PipelineTest, SketchHorizonCoversPurgePropagation) {
@@ -185,8 +185,7 @@ TEST_F(PipelineTest, TotalPurgeLossDropsDeliveriesButKeepsSketchCoverage) {
   // TTL, so sketch-checking clients revalidate regardless — this is why
   // Δ-atomicity survives ANY purge-loss rate.
   EXPECT_TRUE(sketch_.Contains(key));
-  EXPECT_TRUE(sketch_.Snapshot(SimTime::Origin() + Duration::Seconds(199))
-                  .MightContain(key));
+  EXPECT_TRUE(FlaggedAt(SimTime::Origin() + Duration::Seconds(199), key));
 }
 
 TEST_F(PipelineTest, DelayedPurgesLandOnTheSlowPath) {

@@ -16,7 +16,6 @@ class OriginServerTest : public ::testing::Test {
  protected:
   OriginServerTest()
       : ttl_policy_(Duration::Seconds(60)),
-        sketch_(1000, 0.01),
         publication_(&sketch_),
         server_(OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &publication_) {

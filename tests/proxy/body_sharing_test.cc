@@ -34,19 +34,12 @@ class SettableTtlPolicy : public ttl::TtlPolicy {
   Duration ttl = Duration::Seconds(60);
 };
 
-coherence::CoherenceConfig SketchCoherenceConfig() {
-  coherence::CoherenceConfig config;
-  config.sketch_capacity = 1000;
-  config.sketch_fpr = 0.001;
-  return config;
-}
-
 // One edge, so every client routes to it.
 struct World {
   World()
       : network(sim::NetworkConfig::Instant(), Pcg32(1)),
         cdn(1, 0),
-        protocol(SketchCoherenceConfig()),
+        protocol(coherence::CoherenceConfig()),
         ttl_policy(Duration::Seconds(60)),
         origin(origin::OriginConfig{}, &clock, &store, &ttl_policy,
                &protocol.publication()) {

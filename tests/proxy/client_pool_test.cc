@@ -24,13 +24,6 @@ namespace {
 
 constexpr char kRecordUrl[] = "https://shop.example.com/api/records/p1";
 
-coherence::CoherenceConfig SketchCoherenceConfig() {
-  coherence::CoherenceConfig config;
-  config.sketch_capacity = 1000;
-  config.sketch_fpr = 0.001;
-  return config;
-}
-
 // One isolated server side (clock, network, CDN, origin). Comparative
 // tests build two of these so the reference run and the run under test
 // never share cache or sketch state.
@@ -39,7 +32,7 @@ struct World {
       : network(sim::NetworkConfig::Instant(), Pcg32(1)),
         events(&clock),
         cdn(2, 0),
-        protocol(SketchCoherenceConfig()),
+        protocol(coherence::CoherenceConfig()),
         ttl_policy(Duration::Seconds(60)),
         origin(origin::OriginConfig{}, &clock, &store, &ttl_policy,
                &protocol.publication()) {

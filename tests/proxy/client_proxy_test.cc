@@ -18,7 +18,7 @@ class ClientProxyTest : public ::testing::Test {
       : network_(sim::NetworkConfig::Instant(), Pcg32(1)),
         events_(&clock_),
         cdn_(2, 0),
-        protocol_(SketchConfig()),
+        protocol_(coherence::CoherenceConfig()),
         ttl_policy_(Duration::Seconds(60)),
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),
@@ -38,13 +38,6 @@ class ClientProxyTest : public ::testing::Test {
     invalidation::PipelineConfig config;
     config.purge_median_delay = Duration::Millis(50);
     config.purge_log_sigma = 0.0;
-    return config;
-  }
-
-  static coherence::CoherenceConfig SketchConfig() {
-    coherence::CoherenceConfig config;
-    config.sketch_capacity = 1000;
-    config.sketch_fpr = 0.001;
     return config;
   }
 

@@ -16,14 +16,6 @@ namespace {
 
 constexpr char kRecordUrl[] = "https://shop.example.com/api/records/p1";
 
-coherence::CoherenceConfig SketchCoherenceConfig() {
-  coherence::CoherenceConfig config;
-  config.sketch_capacity = 1000;
-  config.sketch_fpr = 0.001;
-  return config;
-}
-
-
 // Same harness as client_proxy_test, plus a fault schedule the tests can
 // arm on the network. The harness settles 1s, so traffic starts at t=1s.
 class DegradedModeTest : public ::testing::Test {
@@ -32,7 +24,7 @@ class DegradedModeTest : public ::testing::Test {
       : network_(sim::NetworkConfig::Instant(), Pcg32(1)),
         events_(&clock_),
         cdn_(2, 0),
-        protocol_(SketchCoherenceConfig()),
+        protocol_(coherence::CoherenceConfig()),
         ttl_policy_(Duration::Seconds(60)),
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),

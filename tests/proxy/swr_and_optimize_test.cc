@@ -13,20 +13,13 @@ namespace {
 constexpr char kRecordUrl[] = "https://shop.example.com/api/records/p1";
 constexpr char kAssetUrl[] = "https://shop.example.com/assets/hero.jpg";
 
-coherence::CoherenceConfig SketchCoherenceConfig() {
-  coherence::CoherenceConfig config;
-  config.sketch_capacity = 1000;
-  config.sketch_fpr = 0.001;
-  return config;
-}
-
 class SwrTest : public ::testing::Test {
  protected:
   SwrTest()
       : network_(sim::NetworkConfig::Instant(), Pcg32(1)),
         events_(&clock_),
         cdn_(2, 0),
-        protocol_(SketchCoherenceConfig()),
+        protocol_(coherence::CoherenceConfig()),
         ttl_policy_(Duration::Seconds(60)),  // SWR window: +30s
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),

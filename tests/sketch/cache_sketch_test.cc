@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "coherence/sketch_publication.h"
+
 namespace speedkit::sketch {
 namespace {
 
@@ -11,26 +13,32 @@ SimTime At(double seconds) {
   return SimTime::Origin() + Duration::Seconds(seconds);
 }
 
+// The snapshot clients receive at `now`, decoded from the published bytes.
+BloomFilter Published(CacheSketch& sketch, SimTime now) {
+  coherence::SketchPublication publication(&sketch);
+  return BloomFilter::Deserialize(*publication.Serialized(now)).value();
+}
+
 TEST(CacheSketchTest, ReportedKeyAppearsInSnapshot) {
-  CacheSketch sketch(1000, 0.01);
+  CacheSketch sketch;
   sketch.ReportInvalidation("k1", At(60), At(0));
-  BloomFilter snap = sketch.Snapshot(At(1));
-  EXPECT_TRUE(snap.MightContain("k1"));
+  EXPECT_TRUE(Published(sketch, At(1)).MightContain("k1"));
   EXPECT_TRUE(sketch.Contains("k1"));
   EXPECT_EQ(sketch.entries(), 1u);
 }
 
 TEST(CacheSketchTest, KeyExpiresAtStaleHorizon) {
-  CacheSketch sketch(1000, 0.01);
+  CacheSketch sketch;
   sketch.ReportInvalidation("k1", At(60), At(0));
-  EXPECT_TRUE(sketch.Snapshot(At(59)).MightContain("k1"));
-  EXPECT_FALSE(sketch.Snapshot(At(60)).MightContain("k1"));
+  EXPECT_TRUE(Published(sketch, At(59)).MightContain("k1"));
+  // No key is left, so the published filter is empty.
+  EXPECT_FALSE(Published(sketch, At(60)).MightContain("k1"));
   EXPECT_EQ(sketch.entries(), 0u);
   EXPECT_EQ(sketch.stats().expirations, 1u);
 }
 
 TEST(CacheSketchTest, PastHorizonReportsDropped) {
-  CacheSketch sketch(1000, 0.01);
+  CacheSketch sketch;
   sketch.ReportInvalidation("k1", At(5), At(10));  // already expired
   EXPECT_FALSE(sketch.Contains("k1"));
   EXPECT_EQ(sketch.stats().inserts, 0u);
@@ -38,24 +46,24 @@ TEST(CacheSketchTest, PastHorizonReportsDropped) {
 }
 
 TEST(CacheSketchTest, ReReportExtendsHorizon) {
-  CacheSketch sketch(1000, 0.01);
+  CacheSketch sketch;
   sketch.ReportInvalidation("k1", At(30), At(0));
   sketch.ReportInvalidation("k1", At(90), At(10));  // extend
   EXPECT_EQ(sketch.stats().inserts, 1u);
   EXPECT_EQ(sketch.stats().extensions, 1u);
-  EXPECT_TRUE(sketch.Snapshot(At(60)).MightContain("k1"));
-  EXPECT_FALSE(sketch.Snapshot(At(90)).MightContain("k1"));
+  EXPECT_TRUE(Published(sketch, At(60)).MightContain("k1"));
+  EXPECT_FALSE(Published(sketch, At(90)).MightContain("k1"));
 }
 
 TEST(CacheSketchTest, ShorterReReportDoesNotShrinkHorizon) {
-  CacheSketch sketch(1000, 0.01);
+  CacheSketch sketch;
   sketch.ReportInvalidation("k1", At(90), At(0));
   sketch.ReportInvalidation("k1", At(30), At(1));  // must not shrink
-  EXPECT_TRUE(sketch.Snapshot(At(60)).MightContain("k1"));
+  EXPECT_TRUE(Published(sketch, At(60)).MightContain("k1"));
 }
 
 TEST(CacheSketchTest, ManyKeysExpireIndependently) {
-  CacheSketch sketch(10000, 0.01);
+  CacheSketch sketch;
   for (int i = 0; i < 100; ++i) {
     sketch.ReportInvalidation("k" + std::to_string(i), At(10 + i), At(0));
   }
@@ -68,83 +76,74 @@ TEST(CacheSketchTest, ManyKeysExpireIndependently) {
   EXPECT_EQ(sketch.entries(), 49u);
 }
 
-TEST(CacheSketchTest, SnapshotNeverMissesTrackedKey) {
-  // Protocol invariant: the snapshot must contain every tracked key — a
-  // miss would let a client serve a stale copy. Heavy load included.
-  CacheSketch sketch(500, 0.05);  // deliberately undersized vs. load below
-  for (int i = 0; i < 2000; ++i) {
-    sketch.ReportInvalidation("key" + std::to_string(i), At(100), At(0));
-  }
-  BloomFilter snap = sketch.Snapshot(At(1));
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_TRUE(snap.MightContain("key" + std::to_string(i))) << i;
-  }
-}
-
-TEST(CacheSketchTest, SerializedSnapshotDeserializes) {
-  CacheSketch sketch(1000, 0.01);
+TEST(CacheSketchTest, PublishedBytesDeserialize) {
+  CacheSketch sketch;
+  coherence::SketchPublication publication(&sketch);
   sketch.ReportInvalidation("k1", At(60), At(0));
-  auto filter = BloomFilter::Deserialize(sketch.SerializedSnapshot(At(1)));
+  auto filter = BloomFilter::Deserialize(*publication.Serialized(At(1)));
   ASSERT_TRUE(filter.ok());
   EXPECT_TRUE(filter->MightContain("k1"));
 }
 
 TEST(CacheSketchTest, ExpirationRemovesFromFilterToo) {
-  CacheSketch sketch(1000, 0.001);
+  CacheSketch sketch;
   sketch.ReportInvalidation("solo", At(10), At(0));
   sketch.ExpireUntil(At(10));
-  // With one key and a tight FPR the filter should be clean again.
-  EXPECT_FALSE(sketch.Snapshot(At(11)).MightContain("solo"));
-  EXPECT_EQ(sketch.Snapshot(At(11)).PopCount(), 0u);
+  // With the only key gone the published filter is clean again.
+  EXPECT_FALSE(Published(sketch, At(11)).MightContain("solo"));
+  EXPECT_EQ(Published(sketch, At(11)).PopCount(), 0u);
 }
 
-TEST(CacheSketchTest, CompactSnapshotContainsAllTrackedKeys) {
-  CacheSketch sketch(100000, 0.05);  // provisioned far above actual load
+TEST(CacheSketchTest, PublicationContainsAllTrackedKeys) {
+  CacheSketch sketch;
   for (int i = 0; i < 500; ++i) {
     sketch.ReportInvalidation("k" + std::to_string(i), At(100), At(0));
   }
-  BloomFilter compact = sketch.CompactSnapshot(At(1), 0.02);
+  BloomFilter published = Published(sketch, At(1));
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(compact.MightContain("k" + std::to_string(i))) << i;
+    ASSERT_TRUE(published.MightContain("k" + std::to_string(i))) << i;
   }
 }
 
-TEST(CacheSketchTest, CompactSnapshotSizeScalesWithEntriesNotCapacity) {
-  CacheSketch sketch(100000, 0.05);
+TEST(CacheSketchTest, PublicationSizeScalesWithEntries) {
+  CacheSketch sketch;
   for (int i = 0; i < 100; ++i) {
     sketch.ReportInvalidation("k" + std::to_string(i), At(100), At(0));
   }
-  BloomFilter compact = sketch.CompactSnapshot(At(1), 0.02);
-  BloomFilter provisioned = sketch.Snapshot(At(1));
-  EXPECT_LT(compact.SizeBytes() * 100, provisioned.SizeBytes());
+  BloomFilter small = Published(sketch, At(1));
+  for (int i = 100; i < 10000; ++i) {
+    sketch.ReportInvalidation("k" + std::to_string(i), At(100), At(0));
+  }
+  BloomFilter large = Published(sketch, At(1));
+  EXPECT_LT(small.SizeBytes() * 50, large.SizeBytes());
   // And it keeps the target FPR.
   int false_positives = 0;
   for (int i = 0; i < 20000; ++i) {
-    if (compact.MightContain("absent" + std::to_string(i))) ++false_positives;
+    if (small.MightContain("absent" + std::to_string(i))) ++false_positives;
   }
   EXPECT_LT(false_positives / 20000.0, 0.05);
 }
 
-TEST(CacheSketchTest, EmptyCompactSnapshotIsTiny) {
-  CacheSketch sketch(100000, 0.05);
-  BloomFilter compact = sketch.CompactSnapshot(At(0));
-  EXPECT_EQ(compact.PopCount(), 0u);
-  EXPECT_LE(compact.SizeBytes(), 64u);
+TEST(CacheSketchTest, EmptyPublicationIsTiny) {
+  CacheSketch sketch;
+  BloomFilter published = Published(sketch, At(0));
+  EXPECT_EQ(published.PopCount(), 0u);
+  EXPECT_LE(published.SizeBytes(), 64u);
 }
 
 TEST(CacheSketchTest, StatsTrackSnapshots) {
-  CacheSketch sketch(100, 0.01);
-  sketch.Snapshot(At(0));
-  sketch.Snapshot(At(1));
+  CacheSketch sketch;
+  coherence::SketchPublication publication(&sketch);
+  publication.Serialized(At(0));
+  publication.Serialized(At(1));
   EXPECT_EQ(sketch.stats().snapshots, 2u);
 }
 
 TEST(CacheSketchTest, FullLifecycleNeverUnderflowsTheFilter) {
-  // The add/remove discipline over the backing counting filter: inserts,
-  // horizon extensions (which must NOT double-add), and expirations must
-  // balance exactly — any underflow means a counter went wrong and a
-  // later snapshot could miss a tracked key.
-  CacheSketch sketch(1000, 0.01);
+  // Inserts, horizon extensions (which must NOT add a second entry), and
+  // expirations must balance exactly: once every horizon has passed, no
+  // key is tracked and the publication is empty.
+  CacheSketch sketch;
   for (int i = 0; i < 200; ++i) {
     sketch.ReportInvalidation("k" + std::to_string(i), At(10 + i % 50), At(0));
   }
@@ -157,8 +156,7 @@ TEST(CacheSketchTest, FullLifecycleNeverUnderflowsTheFilter) {
   sketch.ReportInvalidation("late", At(3), At(6));
   sketch.ExpireUntil(At(1000));
   EXPECT_EQ(sketch.entries(), 0u);
-  EXPECT_EQ(sketch.filter().underflows(), 0u);
-  EXPECT_EQ(sketch.Snapshot(At(1000)).PopCount(), 0u);
+  EXPECT_EQ(Published(sketch, At(1000)).PopCount(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coherence/sketch_publication.h"
 #include "sketch/cache_sketch.h"
 
 namespace speedkit::sketch {
@@ -70,14 +71,16 @@ TEST(ClientSketchTest, StatsCountChecksAndPositives) {
 }
 
 TEST(ClientSketchTest, EndToEndWithServerSketch) {
-  CacheSketch server(1000, 0.01);
+  CacheSketch server;
+  coherence::SketchPublication publication(&server);
   ClientSketch client(Duration::Seconds(10));
   server.ReportInvalidation("k1", At(120), At(0));
-  ASSERT_TRUE(client.Update(server.SerializedSnapshot(At(1)), At(1)).ok());
+  ASSERT_TRUE(client.Update(*publication.Serialized(At(1)), At(1)).ok());
   EXPECT_TRUE(client.MightBeStale("k1"));
   EXPECT_FALSE(client.MightBeStale("k2"));
   // After server-side expiry, the next refresh clears the flag.
-  ASSERT_TRUE(client.Update(server.SerializedSnapshot(At(121)), At(121)).ok());
+  ASSERT_TRUE(
+      client.Update(*publication.Serialized(At(121)), At(121)).ok());
   EXPECT_FALSE(client.MightBeStale("k1"));
 }
 

@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
               result.api_latency_us.P90() / 1e3,
               result.api_latency_us.P99() / 1e3);
 
-  const core::StalenessReport& s = stack.staleness().report();
+  const coherence::StalenessReport& s = stack.staleness().report();
   std::printf("coherence    writes=%llu stale_reads=%llu (%.3f%%) "
               "max_staleness=%.2fs\n",
               static_cast<unsigned long long>(result.writes_applied),
@@ -128,7 +128,10 @@ int main(int argc, char** argv) {
     std::printf("sketch       entries=%zu snapshot=%zuB refreshes=%llu "
                 "bypasses=%llu\n",
                 stack.sketch()->entries(),
-                stack.sketch()->SerializedSnapshot(stack.clock().Now()).size(),
+                stack.coherence_protocol()
+                    .publication()
+                    .Serialized(stack.clock().Now())
+                    ->size(),
                 static_cast<unsigned long long>(p.sketch_refreshes),
                 static_cast<unsigned long long>(p.sketch_bypasses));
   }
