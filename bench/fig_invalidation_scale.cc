@@ -1,11 +1,11 @@
 // E6 — Invalidation pipeline scalability: real-time query matching
-// throughput vs. subscription count, partitioning and indexing, plus purge
-// propagation latency.
+// throughput vs. subscription count, with and without the equality index,
+// plus purge propagation latency.
 //
 // Reproduces the InvaliDB-style scalability story the paper's pipeline
 // depends on: matching must stay fast as the number of watched query
-// results grows, which is what partitioned, equality-indexed matching
-// buys; the full-scan ablation shows the cliff it avoids.
+// results grows, which is what equality-indexed matching buys; the
+// full-scan ablation shows the cliff it avoids.
 #include <chrono>
 #include <string>
 
@@ -76,28 +76,24 @@ double MeasureWritesPerSec(invalidation::QueryMatcher* matcher, int writes,
 void ThroughputSweep(bench::JsonValue* rows) {
   bench::PrintSection(
       "matching throughput (writes/s) vs subscriptions; 200 categories");
-  bench::Row("%14s %14s %14s %14s", "subscriptions", "indexed_p4",
-             "indexed_p1", "fullscan_p4");
+  bench::Row("%14s %14s %14s", "subscriptions", "indexed", "fullscan");
   constexpr int64_t kCategories = 200;
   for (size_t subs : {1000u, 10000u, 100000u, 300000u}) {
     int writes = subs >= 100000 ? 2000 : 20000;
-    invalidation::QueryMatcher indexed4(4, true);
-    Populate(&indexed4, subs, kCategories);
-    invalidation::QueryMatcher indexed1(1, true);
-    Populate(&indexed1, subs, kCategories);
-    invalidation::QueryMatcher scan4(4, false);
-    Populate(&scan4, subs, kCategories);
+    invalidation::QueryMatcher indexed_matcher(/*use_index=*/true);
+    Populate(&indexed_matcher, subs, kCategories);
+    invalidation::QueryMatcher scan_matcher(/*use_index=*/false);
+    Populate(&scan_matcher, subs, kCategories);
     int scan_writes = subs >= 100000 ? 50 : 500;
-    double indexed_p4 = MeasureWritesPerSec(&indexed4, writes, kCategories);
-    double indexed_p1 = MeasureWritesPerSec(&indexed1, writes, kCategories);
-    double fullscan_p4 = MeasureWritesPerSec(&scan4, scan_writes, kCategories);
-    bench::Row("%14zu %14.0f %14.0f %14.0f", subs, indexed_p4, indexed_p1,
-               fullscan_p4);
+    double indexed =
+        MeasureWritesPerSec(&indexed_matcher, writes, kCategories);
+    double fullscan =
+        MeasureWritesPerSec(&scan_matcher, scan_writes, kCategories);
+    bench::Row("%14zu %14.0f %14.0f", subs, indexed, fullscan);
     rows->Push(bench::JsonRow({{"section", "matching_throughput"},
                                {"subscriptions", static_cast<uint64_t>(subs)},
-                               {"indexed_p4_writes_per_s", indexed_p4},
-                               {"indexed_p1_writes_per_s", indexed_p1},
-                               {"fullscan_p4_writes_per_s", fullscan_p4}}));
+                               {"indexed_writes_per_s", indexed},
+                               {"fullscan_writes_per_s", fullscan}}));
   }
   bench::Note("the index prunes equality subscriptions to ~n/200 probes; "
               "the residual cost is the un-indexable range subscriptions "

@@ -239,7 +239,7 @@ void BM_UnorderedMapFind(benchmark::State& state) {
 BENCHMARK(BM_UnorderedMapFind);
 
 void BM_MatcherWrite(benchmark::State& state) {
-  invalidation::QueryMatcher matcher(4, /*use_index=*/state.range(1) != 0);
+  invalidation::QueryMatcher matcher(/*use_index=*/state.range(1) != 0);
   for (int64_t i = 0; i < state.range(0); ++i) {
     invalidation::Query q;
     q.id = "q" + std::to_string(i);

@@ -23,11 +23,7 @@ InvalidationPipeline::InvalidationPipeline(const PipelineConfig& config,
       events_(events),
       cdn_(cdn),
       coherence_(coherence),
-      rng_(rng),
-      record_key_mapper_([](const storage::Record& r) {
-        return std::vector<std::string>{RecordCacheKey(r.id)};
-      }),
-      matcher_(config.matcher_partitions, config.matcher_use_index) {}
+      rng_(rng) {}
 
 void InvalidationPipeline::AttachTo(storage::ObjectStore* store) {
   store->AddWriteListener(
@@ -44,16 +40,10 @@ Status InvalidationPipeline::WatchQuery(Query query, std::string cache_key) {
   return Status::Ok();
 }
 
-Status InvalidationPipeline::UnwatchQuery(std::string_view query_id) {
-  Status s = matcher_.Unsubscribe(query_id);
-  if (s.ok()) query_cache_keys_.erase(std::string(query_id));
-  return s;
-}
-
 void InvalidationPipeline::OnWrite(const storage::Record* before,
                                    const storage::Record& after) {
   stats_.writes_seen++;
-  std::vector<std::string> keys = record_key_mapper_(after);
+  std::vector<std::string> keys{RecordCacheKey(after.id)};
   for (const std::string& query_id : matcher_.MatchWrite(before, after)) {
     auto it = query_cache_keys_.find(query_id);
     if (it != query_cache_keys_.end()) keys.push_back(it->second);

@@ -2,8 +2,8 @@
 // architecture.
 //
 // Subscribed to the origin store's write feed, a write triggers, for every
-// affected cache key (the record's own URLs plus every cached query result
-// whose result set the write changes):
+// affected cache key (the record's own URL plus every cached query result
+// whose result set the write changes, as its QueryMatcher reports):
 //
 //   1. CDN purge fan-out: one purge per edge, each landing after a sampled
 //      propagation delay (real purge APIs are asynchronous and jittery);
@@ -17,7 +17,6 @@
 #define SPEEDKIT_INVALIDATION_PIPELINE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,8 +39,6 @@ struct PipelineConfig {
   // Median one-way purge propagation to an edge; jitter is lognormal.
   Duration purge_median_delay = Duration::Millis(80);
   double purge_log_sigma = 0.4;
-  int matcher_partitions = 4;
-  bool matcher_use_index = true;
 };
 
 struct PipelineStats {
@@ -63,11 +60,6 @@ struct PipelineStats {
   }
 };
 
-// Maps a written record to the cache keys that render it (detail page,
-// API resource, ...). Defaults to a single "/api/records/<id>" style key.
-using RecordKeyMapper =
-    std::function<std::vector<std::string>(const storage::Record&)>;
-
 class InvalidationPipeline {
  public:
   InvalidationPipeline(const PipelineConfig& config, sim::SimClock* clock,
@@ -77,13 +69,8 @@ class InvalidationPipeline {
   // Registers this pipeline on the store's write feed. Call once.
   void AttachTo(storage::ObjectStore* store);
 
-  void SetRecordKeyMapper(RecordKeyMapper mapper) {
-    record_key_mapper_ = std::move(mapper);
-  }
-
   // Watches a query whose cached result lives under `cache_key`.
   Status WatchQuery(Query query, std::string cache_key);
-  Status UnwatchQuery(std::string_view query_id);
 
   // Direct entry point (also used by tests without a store).
   void OnWrite(const storage::Record* before, const storage::Record& after);
@@ -109,7 +96,6 @@ class InvalidationPipeline {
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   ExpiryBook& expiry_book() { return *expiry_book_; }
-  QueryMatcher& matcher() { return matcher_; }
   const PipelineStats& stats() const { return stats_; }
   const Histogram& propagation_latency_us() const {
     return propagation_latency_us_;
@@ -127,7 +113,6 @@ class InvalidationPipeline {
   const sim::FaultSchedule* faults_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 
-  RecordKeyMapper record_key_mapper_;
   QueryMatcher matcher_;
   std::unordered_map<std::string, std::string> query_cache_keys_;
   ExpiryBook own_expiry_book_;

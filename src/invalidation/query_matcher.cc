@@ -1,90 +1,53 @@
 #include "invalidation/query_matcher.h"
 
 #include <algorithm>
-
-#include "common/hash.h"
-#include "common/strings.h"
+#include <charconv>
+#include <cmath>
+#include <iterator>
 
 namespace speedkit::invalidation {
 
-namespace {
-
-// Index key for an equality condition: "field\0stringified-value".
-std::string EqIndexKey(std::string_view field, const storage::FieldValue& v) {
-  std::string key(field);
-  key.push_back('\0');
-  key += storage::FieldValueToString(v);
-  return key;
-}
-
-// The first equality condition usable for indexing, or nullptr.
-const Condition* IndexableCondition(const Query& q) {
-  for (const Condition& c : q.conditions) {
-    if (c.op == Op::kEq) return &c;
+// Numbers are keyed by the double CompareFields compares: integral ones
+// (below 2^63 in magnitude) as integer text, the rest as "%.6g". Equal
+// numbers thus share a key whatever their type or sign of zero; unequal
+// ones may too, which only adds a candidate the predicate then rejects.
+void QueryMatcher::BuildKey(std::string_view field,
+                            const storage::FieldValue& value) {
+  key_.assign(field);
+  key_.push_back('\0');
+  if (!std::holds_alternative<int64_t>(value) &&
+      !std::holds_alternative<double>(value)) {
+    key_ += storage::FieldValueToString(value);
+    return;
   }
-  return nullptr;
-}
-
-}  // namespace
-
-QueryMatcher::QueryMatcher(int partitions, bool use_index)
-    : use_index_(use_index),
-      partitions_(static_cast<size_t>(std::max(1, partitions))) {}
-
-QueryMatcher::Partition& QueryMatcher::PartitionFor(std::string_view query_id) {
-  return partitions_[Fnv1a_64(query_id) % partitions_.size()];
+  double d = std::holds_alternative<int64_t>(value)
+                 ? static_cast<double>(std::get<int64_t>(value))
+                 : std::get<double>(value);
+  char buf[32];
+  char* end =
+      std::trunc(d) == d && std::fabs(d) < 0x1p63
+          ? std::to_chars(buf, std::end(buf), static_cast<int64_t>(d)).ptr
+          : std::to_chars(buf, std::end(buf), d, std::chars_format::general,
+                          6)
+                .ptr;
+  key_.append(buf, end);
 }
 
 Status QueryMatcher::Subscribe(Query query) {
-  Partition& p = PartitionFor(query.id);
-  if (p.by_id.count(query.id) != 0) {
-    return Status::AlreadyExists("subscription exists: " + query.id);
+  auto [it, inserted] = queries_.try_emplace(query.id, std::move(query));
+  if (!inserted) {
+    return Status::AlreadyExists("subscription exists: " + it->first);
   }
-  size_t slot;
-  if (!p.free_slots.empty()) {
-    slot = *p.free_slots.begin();
-    p.free_slots.erase(p.free_slots.begin());
-    p.queries[slot] = query;
+  const Query& q = it->second;
+  // Filed under its first equality condition, if it has one.
+  auto eq = std::find_if(q.conditions.begin(), q.conditions.end(),
+                         [](const Condition& c) { return c.op == Op::kEq; });
+  if (!use_index_ || eq == q.conditions.end()) {
+    scan_list_.push_back(&q);
   } else {
-    slot = p.queries.size();
-    p.queries.push_back(query);
+    BuildKey(eq->field, eq->value);
+    eq_index_[key_].push_back(&q);
   }
-  p.by_id[query.id] = slot;
-  const Condition* eq = use_index_ ? IndexableCondition(query) : nullptr;
-  if (eq != nullptr) {
-    p.eq_index[EqIndexKey(eq->field, eq->value)].push_back(slot);
-  } else {
-    p.scan_list.push_back(slot);
-  }
-  ++count_;
-  return Status::Ok();
-}
-
-Status QueryMatcher::Unsubscribe(std::string_view query_id) {
-  Partition& p = PartitionFor(query_id);
-  auto it = p.by_id.find(std::string(query_id));
-  if (it == p.by_id.end()) {
-    return Status::NotFound("no subscription: " + std::string(query_id));
-  }
-  size_t slot = it->second;
-  const Query& q = p.queries[slot];
-  auto erase_slot = [slot](std::vector<size_t>& v) {
-    v.erase(std::remove(v.begin(), v.end(), slot), v.end());
-  };
-  const Condition* eq = use_index_ ? IndexableCondition(q) : nullptr;
-  if (eq != nullptr) {
-    auto bucket = p.eq_index.find(EqIndexKey(eq->field, eq->value));
-    if (bucket != p.eq_index.end()) {
-      erase_slot(bucket->second);
-      if (bucket->second.empty()) p.eq_index.erase(bucket);
-    }
-  } else {
-    erase_slot(p.scan_list);
-  }
-  p.by_id.erase(it);
-  p.free_slots.insert(slot);
-  p.queries[slot] = Query{};
-  --count_;
   return Status::Ok();
 }
 
@@ -92,48 +55,34 @@ std::vector<std::string> QueryMatcher::MatchWrite(
     const storage::Record* before, const storage::Record& after) {
   stats_.writes_matched++;
   std::vector<std::string> affected;
-  for (Partition& p : partitions_) {
-    MatchInPartition(p, before, after, &affected);
+  auto probe = [&](const Bucket& candidates) {
+    for (const Query* q : candidates) {
+      stats_.candidates_probed++;
+      if (q->AffectedBy(before, after)) affected.push_back(q->id);
+    }
+  };
+  // A subscription can only be affected if its equality condition holds
+  // for the before- or the after-image, so its bucket is keyed by one of
+  // their (field, value) pairs. A field both images share keys the same
+  // bucket twice; it is probed once.
+  probed_.clear();
+  for (const storage::Record* image : {before, &after}) {
+    if (image == nullptr || eq_index_.empty()) continue;
+    for (const auto& [field, value] : image->fields) {
+      BuildKey(field, value);
+      auto bucket = eq_index_.find(key_);
+      if (bucket == eq_index_.end() ||
+          std::find(probed_.begin(), probed_.end(), &bucket->second) !=
+              probed_.end()) {
+        continue;
+      }
+      probed_.push_back(&bucket->second);
+      probe(bucket->second);
+    }
   }
+  probe(scan_list_);
   stats_.hits += affected.size();
   return affected;
-}
-
-void QueryMatcher::MatchInPartition(Partition& p,
-                                    const storage::Record* before,
-                                    const storage::Record& after,
-                                    std::vector<std::string>* out) {
-  std::unordered_set<size_t> seen;
-  if (use_index_ && !p.eq_index.empty()) {
-    // Probe buckets keyed by every (field, value) the record exposes in
-    // either image — a subscription can only newly (mis)match if one of its
-    // equality conditions agrees with a before- or after-image value.
-    auto probe_record = [&](const storage::Record& r) {
-      for (const auto& [field, value] : r.fields) {
-        auto bucket = p.eq_index.find(EqIndexKey(field, value));
-        if (bucket != p.eq_index.end()) {
-          ProbeCandidates(p, bucket->second, before, after, &seen, out);
-        }
-      }
-    };
-    if (before != nullptr) probe_record(*before);
-    probe_record(after);
-  }
-  ProbeCandidates(p, p.scan_list, before, after, &seen, out);
-}
-
-void QueryMatcher::ProbeCandidates(Partition& p,
-                                   const std::vector<size_t>& candidates,
-                                   const storage::Record* before,
-                                   const storage::Record& after,
-                                   std::unordered_set<size_t>* seen,
-                                   std::vector<std::string>* out) {
-  for (size_t slot : candidates) {
-    if (!seen->insert(slot).second) continue;
-    stats_.candidates_probed++;
-    const Query& q = p.queries[slot];
-    if (q.AffectedBy(before, after)) out->push_back(q.id);
-  }
 }
 
 }  // namespace speedkit::invalidation

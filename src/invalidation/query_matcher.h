@@ -1,17 +1,18 @@
 // Real-time query matcher — the in-process stand-in for InvaliDB.
 //
-// Subscriptions (cached query results that must be invalidated when their
-// result set changes) are spread over `partitions` buckets by query-id
-// hash, mirroring InvaliDB's cluster sharding; per-write work is the sum of
-// partition costs, and the simulated matching latency is the max (they run
-// in parallel in the real system).
+// Decides which subscriptions (cached query results that must be
+// invalidated when their result set changes) a write affects; the origin
+// (result versions) and the invalidation pipeline (purges, sketch reports)
+// each own one and ask nothing else. Subscriptions whose predicate
+// contains an equality condition on a field are indexed under (field,
+// value): a write only probes the buckets for its before/after field
+// values, each bucket at most once, plus the residual scan list. For
+// e-commerce predicates (category == X) this removes ~all non-candidates —
+// the effect E6 measures, and disabling it is the full-scan ablation.
 //
-// Within a partition, subscriptions whose predicate contains an equality
-// condition on a field are indexed under (field, value): a write only
-// probes the buckets for its before/after field values plus the residual
-// scan list. For e-commerce predicates (category == X) this removes ~all
-// non-candidates — the effect E6 measures, and disabling it is the
-// full-scan ablation.
+// Numbers are indexed by the double CompareFields compares, so values the
+// predicate calls equal (5 and 5.0, 0 and -0.0) share a bucket and the
+// index returns exactly what the full scan returns.
 #ifndef SPEEDKIT_INVALIDATION_QUERY_MATCHER_H_
 #define SPEEDKIT_INVALIDATION_QUERY_MATCHER_H_
 
@@ -19,7 +20,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -35,43 +35,34 @@ struct MatcherStats {
 
 class QueryMatcher {
  public:
-  explicit QueryMatcher(int partitions = 1, bool use_index = true);
+  explicit QueryMatcher(bool use_index = true) : use_index_(use_index) {}
 
   // Registers a cached query result to watch. Fails on duplicate id.
   Status Subscribe(Query query);
-  Status Unsubscribe(std::string_view query_id);
-  size_t subscription_count() const { return count_; }
+  size_t subscription_count() const { return queries_.size(); }
 
-  // Returns the ids of all subscriptions affected by the write.
+  // Returns the ids of all subscriptions affected by the write, i.e. those
+  // whose Query::AffectedBy(before, after) holds.
   std::vector<std::string> MatchWrite(const storage::Record* before,
                                       const storage::Record& after);
 
   const MatcherStats& stats() const { return stats_; }
-  int partitions() const { return static_cast<int>(partitions_.size()); }
 
  private:
-  struct Partition {
-    // (field\0value) -> subscription indices with that equality condition.
-    std::unordered_map<std::string, std::vector<size_t>> eq_index;
-    std::vector<size_t> scan_list;  // subscriptions without usable equality
-    std::vector<Query> queries;     // slot-stable storage
-    std::unordered_map<std::string, size_t> by_id;
-    std::unordered_set<size_t> free_slots;
-  };
+  using Bucket = std::vector<const Query*>;
 
-  Partition& PartitionFor(std::string_view query_id);
-  void MatchInPartition(Partition& p, const storage::Record* before,
-                        const storage::Record& after,
-                        std::vector<std::string>* out);
-  void ProbeCandidates(Partition& p, const std::vector<size_t>& candidates,
-                       const storage::Record* before,
-                       const storage::Record& after,
-                       std::unordered_set<size_t>* seen,
-                       std::vector<std::string>* out);
+  // Sets key_ to the index key of (field, value).
+  void BuildKey(std::string_view field, const storage::FieldValue& value);
 
   bool use_index_;
-  std::vector<Partition> partitions_;
-  size_t count_ = 0;
+  // id -> query; nodes are stable, so buckets point into it.
+  std::unordered_map<std::string, Query> queries_;
+  // (field\0value) -> subscriptions whose first equality condition it is.
+  std::unordered_map<std::string, Bucket> eq_index_;
+  Bucket scan_list_;  // subscriptions without usable equality
+  // Per-write scratch, reused so matching allocates no keys.
+  std::string key_;
+  std::vector<const Bucket*> probed_;
   MatcherStats stats_;
 };
 

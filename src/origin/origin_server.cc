@@ -1,6 +1,7 @@
 #include "origin/origin_server.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "common/strings.h"
@@ -61,52 +62,39 @@ storage::FieldValue OriginServer::MaterializedQuery::SortValueOf(
   return *value;
 }
 
-void OriginServer::MaterializedQuery::Insert(const storage::Record& record) {
-  std::pair<storage::FieldValue, std::string> entry{SortValueOf(record),
-                                                    record.id};
+size_t OriginServer::MaterializedQuery::PositionOf(
+    const storage::Record& image) const {
+  std::pair<storage::FieldValue, std::string> entry{SortValueOf(image),
+                                                    image.id};
   auto less = [](const auto& a, const auto& b) {
     if (invalidation::TotalOrderLess(a.first, b.first)) return true;
     if (invalidation::TotalOrderLess(b.first, a.first)) return false;
     return a.second < b.second;
   };
-  members.insert(std::lower_bound(members.begin(), members.end(), entry, less),
-                 std::move(entry));
+  return std::lower_bound(members.begin(), members.end(), entry, less) -
+         members.begin();
 }
 
-bool OriginServer::MaterializedQuery::EraseById(const std::string& id) {
-  for (auto it = members.begin(); it != members.end(); ++it) {
-    if (it->second == id) {
-      members.erase(it);
-      return true;
-    }
-  }
-  return false;
+size_t OriginServer::MaterializedQuery::Insert(const storage::Record& record) {
+  size_t at = PositionOf(record);
+  members.emplace(members.begin() + at, SortValueOf(record), record.id);
+  return at;
 }
 
-std::vector<std::string> OriginServer::MaterializedQuery::ComputeVisible()
-    const {
-  std::vector<std::string> out;
-  size_t n = members.size();
-  size_t take = query.limit == 0 ? n : std::min(query.limit, n);
-  out.reserve(take);
-  if (query.descending) {
-    for (size_t i = 0; i < take; ++i) out.push_back(members[n - 1 - i].second);
-  } else {
-    for (size_t i = 0; i < take; ++i) out.push_back(members[i].second);
-  }
-  return out;
+bool OriginServer::MaterializedQuery::IsVisible(size_t position) const {
+  if (query.limit == 0) return true;
+  return query.descending ? position + query.limit >= members.size()
+                          : position < query.limit;
 }
 
 Status OriginServer::RegisterQuery(invalidation::Query query) {
-  if (queries_.count(query.id) != 0) {
-    return Status::AlreadyExists("query registered: " + query.id);
-  }
+  Status s = matcher_.Subscribe(query);
+  if (!s.ok()) return s;
   MaterializedQuery mq;
   mq.query = query;
   store_->Scan([&mq](const storage::Record& record) {
     if (mq.query.Matches(record)) mq.Insert(record);
   });
-  mq.visible = mq.ComputeVisible();
   queries_.emplace(query.id, std::move(mq));
   return Status::Ok();
 }
@@ -115,23 +103,20 @@ void OriginServer::OnWrite(const storage::Record* before,
                            const storage::Record& after) {
   SimTime now = clock_->Now();
   ttl_policy_->ObserveWrite(invalidation::RecordCacheKey(after.id), now);
-  for (auto& [id, mq] : queries_) {
-    bool was_member = mq.EraseById(after.id);
-    bool is_member = mq.query.Matches(after);
-    if (!was_member && !is_member) continue;
-    if (is_member) mq.Insert(after);
-
-    // The rendered result changed iff the visible slice changed, or the
-    // written record sits inside the (old or new) slice — an in-place
-    // field change of a visible member changes the body even when the
-    // slice's id sequence is identical.
-    std::vector<std::string> new_visible = mq.ComputeVisible();
-    auto contains = [&](const std::vector<std::string>& ids) {
-      return std::find(ids.begin(), ids.end(), after.id) != ids.end();
-    };
-    bool changed = new_visible != mq.visible || contains(mq.visible) ||
-                   contains(new_visible);
-    mq.visible = std::move(new_visible);
+  for (const std::string& id : matcher_.MatchWrite(before, after)) {
+    MaterializedQuery& mq = queries_.find(id)->second;
+    // The rendered result changed iff the written record sits inside the
+    // old or the new visible slice. Outside both, the slice holds the same
+    // records in the same order.
+    bool changed = false;
+    if (before != nullptr && mq.query.Matches(*before)) {
+      // Its entry was built from its latest image, which is `before`.
+      size_t at = mq.PositionOf(*before);
+      assert(at < mq.members.size() && mq.members[at].second == before->id);
+      changed = mq.IsVisible(at);
+      mq.members.erase(mq.members.begin() + at);
+    }
+    if (mq.query.Matches(after)) changed |= mq.IsVisible(mq.Insert(after));
     if (!changed) continue;
 
     mq.result_version++;
@@ -280,11 +265,14 @@ http::HttpResponse OriginServer::ServeQuery(const http::HttpRequest& request,
                 config_.query_render_time, [this, &mq] {
                   std::string body =
                       "{\"query\":\"" + mq.query.id + "\",\"results\":[";
-                  bool first = true;
-                  for (const std::string& member : mq.visible) {
-                    if (!first) body += ",";
-                    first = false;
-                    const storage::Record* record = store_->Peek(member);
+                  size_t n = mq.members.size();
+                  size_t take =
+                      mq.query.limit == 0 ? n : std::min(mq.query.limit, n);
+                  for (size_t i = 0; i < take; ++i) {
+                    if (i > 0) body += ",";
+                    const storage::Record* record = store_->Peek(
+                        mq.members[mq.query.descending ? n - 1 - i : i]
+                            .second);
                     if (record != nullptr) body += record->Render();
                   }
                   body += "]}";

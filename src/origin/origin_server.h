@@ -17,9 +17,10 @@
 //
 // Query results are materialized incrementally from the store's write feed
 // (before/after membership deltas), so listing requests are O(result), not
-// O(catalog). Every cacheable response is recorded in the ExpiryBook — the
-// sketch's source of stale horizons. Conditional requests (If-None-Match)
-// yield 304 with refreshed freshness.
+// O(catalog). The origin's own QueryMatcher picks the queries a write
+// touches; no other query is looked at. Every cacheable response is
+// recorded in the ExpiryBook — the sketch's source of stale horizons.
+// Conditional requests (If-None-Match) yield 304 with refreshed freshness.
 #ifndef SPEEDKIT_ORIGIN_ORIGIN_SERVER_H_
 #define SPEEDKIT_ORIGIN_ORIGIN_SERVER_H_
 
@@ -38,7 +39,7 @@
 #include "common/sim_time.h"
 #include "http/message.h"
 #include "invalidation/expiry_book.h"
-#include "invalidation/predicate.h"
+#include "invalidation/query_matcher.h"
 #include "sim/clock.h"
 #include "storage/object_store.h"
 #include "ttl/ttl_policy.h"
@@ -134,15 +135,19 @@ class OriginServer {
     invalidation::Query query;
     // All predicate-matching records, ascending by (sort value, id); for
     // unordered queries the sort value is a constant and id order rules.
+    // Each entry is built from the record's latest image.
     std::vector<std::pair<storage::FieldValue, std::string>> members;
-    // The currently visible slice (ordering direction + limit applied).
-    std::vector<std::string> visible;
     uint64_t result_version = 1;
 
     storage::FieldValue SortValueOf(const storage::Record& record) const;
-    void Insert(const storage::Record& record);
-    bool EraseById(const std::string& id);
-    std::vector<std::string> ComputeVisible() const;
+    // Where the entry built from `image` is, or belongs, in members.
+    size_t PositionOf(const storage::Record& image) const;
+    // Inserts the entry of `record`; returns its position.
+    size_t Insert(const storage::Record& record);
+    // The visible slice (ordering direction + limit applied) holds the
+    // first `limit` members, or the last `limit` read backwards when
+    // descending; all of them when `limit` is 0.
+    bool IsVisible(size_t position) const;
   };
 
   void OnWrite(const storage::Record* before, const storage::Record& after);
@@ -193,6 +198,7 @@ class OriginServer {
   coherence::SketchPublication* publication_;
   bool available_ = true;
 
+  invalidation::QueryMatcher matcher_;
   std::unordered_map<std::string, MaterializedQuery> queries_;
   invalidation::ExpiryBook expiry_book_;
   QueryVersionListener query_version_listener_;

@@ -1,36 +1,45 @@
-// Randomized differential test: the indexed, partitioned QueryMatcher
-// against a brute-force evaluation of every subscription, across random
-// predicates and write streams. Any pruning bug in the equality index
-// shows up as a mismatch here.
+// Randomized differential test: the indexed QueryMatcher against a
+// brute-force evaluation of every subscription, across random predicates
+// and write streams. Any pruning bug in the equality index shows up as a
+// mismatch here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
-#include <tuple>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "invalidation/query_matcher.h"
 
 namespace speedkit::invalidation {
 namespace {
 
 storage::FieldValue RandomValue(Pcg32& rng) {
-  switch (rng.NextBounded(4)) {
+  switch (rng.NextBounded(6)) {
     case 0:
       return static_cast<int64_t>(rng.NextBounded(8));
     case 1:
       return rng.Uniform(0, 100.0);
     case 2:
-      return std::string("s") + std::to_string(rng.NextBounded(5));
-    default:
+      return StrFormat("s%u", rng.NextBounded(5));
+    case 3:
       return rng.WithProbability(0.5);
+    case 4: {
+      // Numerically equal across types, and too long for "%.6g" to print
+      // exactly.
+      int64_t n = 1000000 + rng.NextBounded(3);
+      if (rng.OneIn(2)) return n;
+      return static_cast<double>(n);
+    }
+    default:
+      // Equal to each other and to the int 0 of case 0.
+      return rng.OneIn(2) ? 0.0 : -0.0;
   }
 }
 
 storage::Record RandomRecord(Pcg32& rng, uint64_t version) {
   static const char* kFields[] = {"category", "price", "brand", "flag"};
   storage::Record r;
-  r.id = "p" + std::to_string(rng.NextBounded(10));
+  r.id = StrFormat("p%u", rng.NextBounded(10));
   r.version = version;
   for (const char* field : kFields) {
     if (rng.WithProbability(0.8)) {
@@ -45,7 +54,7 @@ Query RandomQuery(Pcg32& rng, int id) {
   static const Op kOps[] = {Op::kEq,  Op::kNe, Op::kLt, Op::kLe,
                             Op::kGt, Op::kGe, Op::kContains};
   Query q;
-  q.id = "q" + std::to_string(id);
+  q.id = StrFormat("q%d", id);
   uint32_t conditions = 1 + rng.NextBounded(3);
   for (uint32_t i = 0; i < conditions; ++i) {
     Condition c;
@@ -57,15 +66,14 @@ Query RandomQuery(Pcg32& rng, int id) {
   return q;
 }
 
-class MatcherFuzz
-    : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
+class MatcherFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MatcherFuzz, IndexedMatchEqualsBruteForce) {
-  auto [partitions, seed] = GetParam();
+  uint64_t seed = GetParam();
   Pcg32 rng(seed);
 
   std::vector<Query> queries;
-  QueryMatcher matcher(partitions, /*use_index=*/true);
+  QueryMatcher matcher(/*use_index=*/true);
   for (int i = 0; i < 200; ++i) {
     queries.push_back(RandomQuery(rng, i));
     ASSERT_TRUE(matcher.Subscribe(queries.back()).ok());
@@ -93,38 +101,8 @@ TEST_P(MatcherFuzz, IndexedMatchEqualsBruteForce) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PartitionsAndSeeds, MatcherFuzz,
-    ::testing::Combine(::testing::Values(1, 4, 16),
-                       ::testing::Values(11u, 22u, 33u)));
-
-TEST(MatcherFuzzTest, SubscribeUnsubscribeChurnStaysConsistent) {
-  Pcg32 rng(77);
-  QueryMatcher matcher(4, true);
-  std::map<std::string, Query> live;
-  for (int round = 0; round < 300; ++round) {
-    if (live.empty() || rng.WithProbability(0.6)) {
-      Query q = RandomQuery(rng, round);
-      if (matcher.Subscribe(q).ok()) live[q.id] = q;
-    } else {
-      auto it = live.begin();
-      std::advance(it, rng.NextBounded(static_cast<uint32_t>(live.size())));
-      ASSERT_TRUE(matcher.Unsubscribe(it->first).ok());
-      live.erase(it);
-    }
-    ASSERT_EQ(matcher.subscription_count(), live.size());
-
-    storage::Record after = RandomRecord(rng, 2);
-    std::vector<std::string> got = matcher.MatchWrite(nullptr, after);
-    std::sort(got.begin(), got.end());
-    std::vector<std::string> expected;
-    for (const auto& [id, q] : live) {
-      if (q.AffectedBy(nullptr, after)) expected.push_back(id);
-    }
-    std::sort(expected.begin(), expected.end());
-    ASSERT_EQ(got, expected) << "round " << round;
-  }
-}
+INSTANTIATE_TEST_SUITE_P(Seeds, MatcherFuzz,
+                         ::testing::Values(11u, 22u, 33u));
 
 }  // namespace
 }  // namespace speedkit::invalidation

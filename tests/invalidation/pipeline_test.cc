@@ -126,27 +126,6 @@ TEST_F(PipelineTest, UnrelatedQueryNotInvalidated) {
   EXPECT_EQ(pipeline_.stats().keys_invalidated, 1u);
 }
 
-TEST_F(PipelineTest, UnwatchStopsInvalidation) {
-  Query q;
-  q.id = "cat1";
-  q.conditions.push_back({"category", Op::kEq, static_cast<int64_t>(1)});
-  ASSERT_TRUE(pipeline_.WatchQuery(q, QueryCacheKey("cat1")).ok());
-  ASSERT_TRUE(pipeline_.UnwatchQuery("cat1").ok());
-  WriteProduct("p1", 1, 10.0);
-  EXPECT_FALSE(sketch_.Contains(QueryCacheKey("cat1")));
-}
-
-TEST_F(PipelineTest, CustomRecordKeyMapper) {
-  pipeline_.SetRecordKeyMapper([](const storage::Record& r) {
-    return std::vector<std::string>{"custom://" + r.id,
-                                    "custom://" + r.id + "/alt"};
-  });
-  WriteProduct("p1", 1, 10.0);
-  EXPECT_TRUE(sketch_.Contains("custom://p1"));
-  EXPECT_TRUE(sketch_.Contains("custom://p1/alt"));
-  EXPECT_EQ(pipeline_.stats().keys_invalidated, 2u);
-}
-
 TEST_F(PipelineTest, PropagationLatencyRecorded) {
   WriteProduct("p1", 1, 10.0);
   EXPECT_EQ(pipeline_.propagation_latency_us().count(), 1u);

@@ -30,12 +30,10 @@ Query PriceQuery(std::string id, double below) {
   return q;
 }
 
-class QueryMatcherParam : public ::testing::TestWithParam<std::tuple<int, bool>> {
+// Parameterized on use_index: the equality index and the full scan.
+class QueryMatcherParam : public ::testing::TestWithParam<bool> {
  protected:
-  QueryMatcher MakeMatcher() {
-    auto [partitions, use_index] = GetParam();
-    return QueryMatcher(partitions, use_index);
-  }
+  QueryMatcher MakeMatcher() { return QueryMatcher(GetParam()); }
 };
 
 TEST_P(QueryMatcherParam, MatchesAffectedSubscriptionsExactly) {
@@ -71,48 +69,21 @@ TEST_P(QueryMatcherParam, UnrelatedWriteMatchesNothing) {
   EXPECT_TRUE(matcher.MatchWrite(nullptr, r).empty());
 }
 
-TEST_P(QueryMatcherParam, UnsubscribeStopsMatching) {
-  QueryMatcher matcher = MakeMatcher();
-  ASSERT_TRUE(matcher.Subscribe(CategoryQuery("cat1", 1)).ok());
-  ASSERT_TRUE(matcher.Unsubscribe("cat1").ok());
-  EXPECT_EQ(matcher.subscription_count(), 0u);
-  storage::Record r = Product("p1", 1, 20);
-  EXPECT_TRUE(matcher.MatchWrite(nullptr, r).empty());
-}
-
-TEST_P(QueryMatcherParam, ResubscribeAfterUnsubscribeReusesSlot) {
-  QueryMatcher matcher = MakeMatcher();
-  ASSERT_TRUE(matcher.Subscribe(CategoryQuery("a", 1)).ok());
-  ASSERT_TRUE(matcher.Unsubscribe("a").ok());
-  ASSERT_TRUE(matcher.Subscribe(CategoryQuery("a", 2)).ok());
-  storage::Record r = Product("p1", 2, 20);
-  auto hits = matcher.MatchWrite(nullptr, r);
-  EXPECT_EQ(hits, std::vector<std::string>{"a"});
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Configs, QueryMatcherParam,
-    ::testing::Combine(::testing::Values(1, 4, 16),
-                       ::testing::Values(false, true)));
+INSTANTIATE_TEST_SUITE_P(Configs, QueryMatcherParam, ::testing::Bool());
 
 TEST(QueryMatcherTest, DuplicateSubscribeFails) {
-  QueryMatcher matcher(4, true);
+  QueryMatcher matcher;
   ASSERT_TRUE(matcher.Subscribe(CategoryQuery("q", 1)).ok());
   EXPECT_EQ(matcher.Subscribe(CategoryQuery("q", 2)).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(matcher.subscription_count(), 1u);
 }
 
-TEST(QueryMatcherTest, UnsubscribeMissingFails) {
-  QueryMatcher matcher(4, true);
-  EXPECT_TRUE(matcher.Unsubscribe("ghost").IsNotFound());
-}
-
 TEST(QueryMatcherTest, IndexPrunesCandidateProbes) {
   // 1000 equality subscriptions on distinct categories: the index should
   // probe ~1 candidate per write instead of all 1000.
-  QueryMatcher indexed(1, /*use_index=*/true);
-  QueryMatcher scanning(1, /*use_index=*/false);
+  QueryMatcher indexed(/*use_index=*/true);
+  QueryMatcher scanning(/*use_index=*/false);
   for (int i = 0; i < 1000; ++i) {
     std::string id = "cat" + std::to_string(i);
     ASSERT_TRUE(indexed.Subscribe(CategoryQuery(id, i)).ok());
@@ -128,8 +99,8 @@ TEST(QueryMatcherTest, IndexPrunesCandidateProbes) {
 }
 
 TEST(QueryMatcherTest, IndexAndScanAgreeOnMixedPredicates) {
-  QueryMatcher indexed(4, true);
-  QueryMatcher scanning(4, false);
+  QueryMatcher indexed(/*use_index=*/true);
+  QueryMatcher scanning(/*use_index=*/false);
   for (int i = 0; i < 50; ++i) {
     Query eq = CategoryQuery("eq" + std::to_string(i), i % 10);
     Query lt = PriceQuery("lt" + std::to_string(i), 10.0 * i);
@@ -148,8 +119,41 @@ TEST(QueryMatcherTest, IndexAndScanAgreeOnMixedPredicates) {
   EXPECT_FALSE(a.empty());
 }
 
+// Values the predicate calls equal must share an index bucket: an int
+// condition against an integral double (large enough that "%.6g" would
+// round it), the reverse, and 0 against -0.0.
+TEST(QueryMatcherTest, IndexAgreesWithScanOnNumericEquality) {
+  struct Case {
+    storage::FieldValue condition;
+    storage::FieldValue record;
+  };
+  const Case cases[] = {
+      {static_cast<int64_t>(1234567), 1234567.0},
+      {1234567.0, static_cast<int64_t>(1234567)},
+      {static_cast<int64_t>(0), -0.0},
+      {-0.0, static_cast<int64_t>(0)},
+      {0.0, -0.0},
+  };
+  for (const Case& c : cases) {
+    QueryMatcher indexed(/*use_index=*/true);
+    QueryMatcher scanning(/*use_index=*/false);
+    Query q;
+    q.id = "sku";
+    q.conditions.push_back({"sku", Op::kEq, c.condition});
+    ASSERT_TRUE(indexed.Subscribe(q).ok());
+    ASSERT_TRUE(scanning.Subscribe(q).ok());
+    storage::Record r;
+    r.id = "p1";
+    r.fields["sku"] = c.record;
+    ASSERT_TRUE(q.Matches(r));
+    EXPECT_EQ(indexed.MatchWrite(nullptr, r), std::vector<std::string>{"sku"})
+        << q.ToString();
+    EXPECT_EQ(scanning.MatchWrite(nullptr, r), std::vector<std::string>{"sku"});
+  }
+}
+
 TEST(QueryMatcherTest, StatsCountHits) {
-  QueryMatcher matcher(2, true);
+  QueryMatcher matcher;
   ASSERT_TRUE(matcher.Subscribe(CategoryQuery("c", 1)).ok());
   storage::Record r = Product("p1", 1, 5);
   matcher.MatchWrite(nullptr, r);

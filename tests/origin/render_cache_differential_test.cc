@@ -4,9 +4,11 @@
 // response must match byte for byte, and the cached origin's hit/miss
 // accounting and charged server times must equal those of a cache that
 // stored versions alone (pinned below from that implementation).
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -214,6 +216,133 @@ TEST(RenderCacheDifferentialTest, CachedOriginMatchesUncachedByteForByte) {
   EXPECT_EQ(s.render_time_us, 14483000);
   EXPECT_EQ(s.render_time_saved_us, 13197500);
   EXPECT_EQ(fingerprint, 0x41a3fe5847fc0ba3u);
+}
+
+// The visible slice of `q` by brute force over the store: the matching
+// records sorted by sort value (records missing it first), then by id,
+// with the direction and the limit applied.
+std::vector<std::string> ExpectedSlice(const invalidation::Query& q,
+                                       const storage::ObjectStore& store) {
+  std::vector<const storage::Record*> rows;
+  store.Scan([&](const storage::Record& r) {
+    if (q.Matches(r)) rows.push_back(&r);
+  });
+  auto sort_value = [&](const storage::Record* r) {
+    return q.IsOrdered() ? r->GetField(q.order_by) : nullptr;
+  };
+  std::sort(rows.begin(), rows.end(),
+            [&](const storage::Record* a, const storage::Record* b) {
+              const storage::FieldValue* va = sort_value(a);
+              const storage::FieldValue* vb = sort_value(b);
+              if (va == nullptr || vb == nullptr) {
+                if (va != vb) return va == nullptr;
+              } else if (invalidation::TotalOrderLess(*va, *vb)) {
+                return true;
+              } else if (invalidation::TotalOrderLess(*vb, *va)) {
+                return false;
+              }
+              return a->id < b->id;
+            });
+  if (q.descending) std::reverse(rows.begin(), rows.end());
+  if (q.limit != 0 && rows.size() > q.limit) rows.resize(q.limit);
+  std::vector<std::string> ids;
+  for (const storage::Record* r : rows) ids.push_back(r->id);
+  return ids;
+}
+
+// The record ids of a query response body, in order.
+std::vector<std::string> ServedIds(std::string_view body) {
+  constexpr std::string_view kMarker = "{\"id\":\"";
+  std::vector<std::string> ids;
+  for (size_t at = body.find(kMarker); at != std::string_view::npos;
+       at = body.find(kMarker, at)) {
+    at += kMarker.size();
+    size_t end = body.find('"', at);
+    ids.emplace_back(body.substr(at, end - at));
+  }
+  return ids;
+}
+
+bool Contains(const std::vector<std::string>& ids, const std::string& id) {
+  return std::find(ids.begin(), ids.end(), id) != ids.end();
+}
+
+// The origin's materialized results against a brute-force rebuild from
+// the store after every write: the served slice must equal the expected
+// one, and a result's version must rise iff the written record is in its
+// old or its new expected slice. Writes enter, leave, change in place,
+// move the sort key, delete and re-put; they also drop the sort field (a
+// Put without price sorts first) and write integer prices that tie with
+// other records' double prices (a cross-type tie broken by id).
+TEST(RenderCacheDifferentialTest, MaterializedResultsMatchBruteForce) {
+  const std::vector<invalidation::Query> queries = Queries();
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    World w(100000);
+    for (uint32_t i = 0; i < kProducts; ++i) {
+      w.store.Put(ProductId(i), Fields(i % kCategories, 10.0 + i % 8),
+                  w.clock.Now());
+    }
+    for (const invalidation::Query& q : queries) {
+      ASSERT_TRUE(w.server.RegisterQuery(q).ok());
+    }
+    auto get = [&](const invalidation::Query& q) {
+      return w.server.Handle(http::HttpRequest::Get(*http::Url::Parse(
+          std::string(kBase) + "/api/queries/" + q.id)));
+    };
+    std::vector<std::vector<std::string>> slices;
+    std::vector<uint64_t> versions;
+    for (const invalidation::Query& q : queries) {
+      http::HttpResponse resp = get(q);
+      slices.push_back(ExpectedSlice(q, w.store));
+      versions.push_back(resp.object_version);
+      ASSERT_EQ(ServedIds(resp.body), slices.back()) << q.id;
+    }
+
+    Pcg32 rng(seed, 11);
+    for (int step = 0; step < 1500; ++step) {
+      w.clock.Advance(Duration::Millis(1 + rng.NextBounded(1000)));
+      std::string id = ProductId(rng.NextBounded(kProducts));
+      int64_t category = rng.NextBounded(kCategories);
+      // Integral prices often, so int and double prices tie.
+      int64_t whole = 1 + rng.NextBounded(12);
+      double price = rng.OneIn(2) ? static_cast<double>(whole)
+                                  : rng.Uniform(1.0, 13.0);
+      switch (rng.NextBounded(8)) {
+        case 0:
+        case 1:
+          w.store.Update(id, {{"price", price}}, w.clock.Now());
+          break;
+        case 2:
+          w.store.Update(id, {{"price", whole}}, w.clock.Now());
+          break;
+        case 3:
+          w.store.Update(id, {{"category", category}}, w.clock.Now());
+          break;
+        case 4:
+          (void)w.store.Delete(id, w.clock.Now());
+          break;
+        case 5:
+          w.store.Put(id, {{"category", category}}, w.clock.Now());
+          break;
+        default:
+          w.store.Put(id, Fields(category, price), w.clock.Now());
+          break;
+      }
+
+      for (size_t i = 0; i < queries.size(); ++i) {
+        std::vector<std::string> slice = ExpectedSlice(queries[i], w.store);
+        http::HttpResponse resp = get(queries[i]);
+        ASSERT_EQ(ServedIds(resp.body), slice)
+            << "step " << step << " " << queries[i].id;
+        bool touched = Contains(slices[i], id) || Contains(slice, id);
+        ASSERT_EQ(resp.object_version, versions[i] + (touched ? 1 : 0))
+            << "step " << step << " " << queries[i].id << " wrote " << id;
+        slices[i] = std::move(slice);
+        versions[i] = resp.object_version;
+      }
+    }
+  }
 }
 
 // The legacy ?user= fragment is no-store and carries PII: the render cache
