@@ -55,30 +55,6 @@ bool Cdn::OwnsClient(uint64_t client_id) const {
   return physical % shards_ == shard_;
 }
 
-int Cdn::PurgeAll(std::string_view key) {
-  int purged = 0;
-  for (int i = 0; i < num_edges(); ++i) {
-    if (slot(i).cache.Purge(key)) ++purged;
-  }
-  return purged;
-}
-
-void Cdn::PostRemotePurge(int physical, std::string key, SimTime now) {
-  assert(physical >= 0 && physical < map_->num_edges());
-  faults_->posted++;
-  map_->mailboxes().Post(shard_, map_->OwnerOf(physical),
-                         PurgeNote{physical, now, std::move(key)});
-}
-
-size_t Cdn::DrainRemotePurges(SimTime /*now*/) {
-  return map_->mailboxes().Drain(shard_, [this](const PurgeNote& note) {
-    int local = LocalIndexOf(note.edge);
-    assert(local >= 0 && "mailbox delivered a note for an unowned edge");
-    faults_->drained++;
-    if (PurgeEdge(local, note.key)) faults_->effective++;
-  });
-}
-
 void Cdn::BeginFlight(int i, const std::string& key, SimTime now,
                       SimTime ready_at) {
   if (flights_.empty()) flights_.resize(owned_.size());

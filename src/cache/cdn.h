@@ -24,10 +24,8 @@
 // (ShardedEdgeMap::owned_slot). Per-edge fault counters/histograms live in
 // a cache-line-aligned accumulator inside this view (one per shard), never
 // in the shared map, and are merged only after the shard threads join.
-// Purges aimed at edges another shard owns go through the SPSC mailbox
-// grid (PostRemotePurge) and take effect when the owner drains at its next
-// coherence boundary (DrainRemotePurges) — cross-shard coordination is
-// batched at consistency boundaries, never taken per operation.
+// No purge crosses shards: a shard's pipeline purges only the edges this
+// view owns, and those edges cache only that shard's origin replica.
 #ifndef SPEEDKIT_CACHE_CDN_H_
 #define SPEEDKIT_CACHE_CDN_H_
 
@@ -40,7 +38,6 @@
 #include <vector>
 
 #include "cache/http_cache.h"
-#include "cache/purge_mailbox.h"
 #include "cache/sharded_edge_map.h"
 #include "common/hash.h"
 #include "common/sim_time.h"
@@ -98,10 +95,6 @@ class Cdn {
     if (physical < 0 || physical >= map_->num_edges()) return -1;
     return physical % shards_ == shard_ ? physical / shards_ : -1;
   }
-  // Physical index of an owned local edge.
-  int PhysicalIndexOf(int local) const {
-    return owned_[static_cast<size_t>(local)];
-  }
 
   // Lock-free owned access: only the owning shard's thread may touch an
   // edge, which debug builds assert per access.
@@ -143,28 +136,6 @@ class Cdn {
     return s.cache.Purge(key);
   }
 
-  // Immediate purge on every OWNED edge (used by baselines without a
-  // propagation model). Returns how many held the key.
-  int PurgeAll(std::string_view key);
-
-  // -- cross-shard purges (the mailbox path) ---------------------------
-  // Posts a purge for ANY physical edge: the note lands in the owning
-  // shard's SPSC mailbox and takes effect when that shard drains at its
-  // next coherence boundary. Callable for owned edges too (self lane) —
-  // useful for drivers that don't want to resolve ownership.
-  void PostRemotePurge(int physical, std::string key, SimTime now);
-
-  // Drains every purge note addressed to this shard, applying each to its
-  // owned slot (a down edge loses the purge, counted as dropped). Called
-  // by the stack at each Δ coherence boundary; deterministic order —
-  // ascending producer shard, FIFO within one. Returns notes applied.
-  size_t DrainRemotePurges(SimTime now);
-
-  // Mailbox-path accounting (shard-local, like the fault stats).
-  uint64_t remote_purges_posted() const { return faults_->posted; }
-  uint64_t remote_purges_drained() const { return faults_->drained; }
-  uint64_t remote_purges_effective() const { return faults_->effective; }
-
   // -- origin flight windows (single-flight coalescing) -----------------
   // Registers an origin fetch for `key` at owned edge `i`, completing at
   // `ready_at`. No-op while an unexpired flight for the key is already
@@ -197,14 +168,11 @@ class Cdn {
   EdgeFaultStats TotalFaultStats() const;
 
  private:
-  // This shard's fault/mailbox counters, on their own cache lines: the
+  // This shard's fault and flight counters, on their own cache lines: the
   // struct head is 64-aligned via aligned new, so two shards' accumulators
   // never share a line the way slot-resident counters used to.
   struct alignas(kCacheLineBytes) ShardLocalStats {
     std::vector<EdgeFaultStats> per_edge;  // local index
-    uint64_t posted = 0;
-    uint64_t drained = 0;
-    uint64_t effective = 0;
     // Origin flight-window accounting (modes kHerd/kCoalesce only).
     uint64_t flights_started = 0;
     uint64_t flight_joins = 0;

@@ -11,23 +11,25 @@
 // which belong to DIFFERENT shards under the e % shards interleaving —
 // never false-share a line.
 //
-// The one real cross-shard flow, purges aimed at another shard's edges,
-// rides the SPSC mailbox grid (cache/purge_mailbox.h) and is drained in
-// batches at coherence boundaries instead of locking remote slots inline.
+// No purge crosses shards: each shard's invalidation pipeline purges
+// exactly the edges it owns, and those edges cache only that shard's own
+// origin replica.
 #ifndef SPEEDKIT_CACHE_SHARDED_EDGE_MAP_H_
 #define SPEEDKIT_CACHE_SHARDED_EDGE_MAP_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "cache/http_cache.h"
-#include "cache/purge_mailbox.h"
 #include "common/histogram.h"
 #include "common/sim_time.h"
 
 namespace speedkit::cache {
+
+inline constexpr size_t kCacheLineBytes = 64;
 
 // Per-edge degraded-operation accounting (fault injection, E14). Lives in
 // the owning shard's Cdn view (cache-line-aligned, shard-local — never in
@@ -53,9 +55,8 @@ struct EdgeFaultStats {
 class ShardedEdgeMap {
  public:
   // Cache-line aligned so a slot never straddles a line with its neighbor
-  // (owned by a different shard). No mutex: owned access is lock-free; the
-  // ownership discipline is asserted in debug builds, and cross-shard
-  // purge traffic goes through the mailbox grid instead of this slot.
+  // (owned by a different shard). No mutex: owned access is lock-free and
+  // the ownership discipline is asserted in debug builds.
   struct alignas(kCacheLineBytes) EdgeSlot {
     explicit EdgeSlot(size_t capacity_bytes)
         : cache(/*shared=*/true, capacity_bytes) {}
@@ -84,20 +85,16 @@ class ShardedEdgeMap {
     return *slots_[static_cast<size_t>(physical)];
   }
 
-  // Declares the ownership partition (edge e belongs to shard e % shards)
-  // and sizes the mailbox grid. Idempotent; every view of one map must
-  // declare the same partition. Called by Cdn construction before any
-  // shard thread starts, so the plain int needs no synchronization.
+  // Declares the ownership partition (edge e belongs to shard e % shards).
+  // Idempotent; every view of one map must declare the same partition.
+  // Called by Cdn construction before any shard thread starts, so the
+  // plain int needs no synchronization.
   void BindOwnership(int shards) {
     assert(shards >= 1);
     assert((owner_shards_ == 1 || owner_shards_ == shards) &&
            "conflicting ownership partitions over one edge map");
     owner_shards_ = shards;
-    if (mail_ == nullptr || mail_->shards() != shards) {
-      mail_ = std::make_unique<PurgeMailboxGrid>(shards);
-    }
   }
-  int ownership_shards() const { return owner_shards_; }
   int OwnerOf(int physical) const { return physical % owner_shards_; }
 
   // Owned access: the lock-free request path. In debug builds, aborts when
@@ -116,19 +113,11 @@ class ShardedEdgeMap {
     return *slots_[static_cast<size_t>(physical)];
   }
 
-  // The cross-shard purge mailboxes (created by BindOwnership; a fresh map
-  // starts with the trivial single-owner grid).
-  PurgeMailboxGrid& mailboxes() {
-    if (mail_ == nullptr) mail_ = std::make_unique<PurgeMailboxGrid>(1);
-    return *mail_;
-  }
-
  private:
   // unique_ptr slots: slot addresses must stay stable while shards hold
   // references, and aligned new gives each alignas(64) slot its own lines.
   std::vector<std::unique_ptr<EdgeSlot>> slots_;
   int owner_shards_ = 1;
-  std::unique_ptr<PurgeMailboxGrid> mail_;
 };
 
 }  // namespace speedkit::cache

@@ -43,9 +43,8 @@ Status ParseCoherenceMode(std::string_view text, CoherenceMode* out);
 struct CoherenceConfig {
   CoherenceMode mode = CoherenceMode::kDeltaAtomic;
 
-  // The coherence boundary interval: client sketch refresh cadence in
-  // Δ-atomic mode, and the cross-shard purge-mailbox drain cadence in
-  // every mode.
+  // The coherence boundary interval Δ: the client sketch refresh cadence
+  // in Δ-atomic mode.
   Duration delta = Duration::Seconds(30);
 
   // Serializable mode: validation rounds that may re-fetch mismatched

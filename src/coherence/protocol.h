@@ -99,9 +99,6 @@ class CoherenceProtocol {
     staleness_.RecordWrite(key, version, now);
   }
 
-  // The boundary cadence (drives the purge-mailbox drain events).
-  Duration BoundaryInterval() const { return config_.delta; }
-
   // One per client proxy. `refresh_interval` is the proxy's configured Δ
   // (normally config().delta; proxy tests override it).
   virtual std::unique_ptr<ClientCoherence> NewClient(Duration refresh_interval);

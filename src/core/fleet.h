@@ -10,12 +10,12 @@
 //
 // The invariant that makes this an *engine* and not just a partition:
 // because shards share nothing mutable (edge slots are ownership-disjoint,
-// striped locks fence the discipline for TSan) and every shard's RNG
-// stream is derived from (seed, shard) alone, the merged result of a run
-// is a pure function of (seed, shards) — bit-identical whether the shards
-// execute on 1 thread or 16, in any interleaving. Thread count buys
-// wall-clock speed, never different numbers; bench/fig_throughput.cc gates
-// this with a fingerprint self-check.
+// which debug builds assert in ShardedEdgeMap::owned_slot) and every
+// shard's RNG stream is derived from (seed, shard) alone, the merged
+// result of a run is a pure function of (seed, shards) — bit-identical
+// whether the shards execute on 1 thread or 16, in any interleaving.
+// Thread count buys wall-clock speed, never different numbers;
+// bench/fig_throughput.cc gates this with a fingerprint self-check.
 //
 // What sharding changes (and shards=1 does not): cross-shard coupling is
 // cut — each shard has its own origin/store replica and write stream, so

@@ -161,16 +161,6 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config,
     }
   }
 
-  // Cross-shard purge mailboxes drain at every Δ coherence boundary — the
-  // same interval that bounds client staleness bounds how long a purge
-  // posted by another shard can sit unapplied, so batching remote purges
-  // at the boundary adds no new staleness class. Single-domain stacks
-  // (shards == 1) have no cross-shard traffic and skip the drain events
-  // entirely, keeping the legacy event stream byte-identical.
-  if (config_.shards > 1) {
-    ScheduleMailboxDrain();
-  }
-
   // Version instrumentation: date every record version and every
   // materialized-query result version. The protocol's staleness tracker is
   // both the anomaly-measurement ledger and (for serializable mode) the
@@ -186,20 +176,9 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config,
       });
 }
 
-void SpeedKitStack::ScheduleMailboxDrain() {
-  // A drain with an empty mailbox is a strict no-op on results, so the
-  // recurring event never perturbs runs that post nothing — the engine's
-  // (seed, shards) purity survives with the events in place.
-  events_.After(protocol_->BoundaryInterval(), [this] {
-    cdn_->DrainRemotePurges(clock_.Now());
-    ScheduleMailboxDrain();
-  });
-}
-
 proxy::ProxyConfig SpeedKitStack::DefaultProxyConfig() const {
   proxy::ProxyConfig pc;
   pc.sketch_refresh_interval = config_.coherence.delta;
-  pc.txn_max_retries = config_.coherence.max_txn_retries;
   pc.origin_flight = config_.origin_flight;
   switch (config_.variant) {
     case SystemVariant::kSpeedKit:

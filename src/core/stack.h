@@ -198,10 +198,6 @@ class SpeedKitStack {
   void CollectMetrics(const proxy::ProxyStats* merged_proxies);
 
  private:
-  // Self-rescheduling Δ-boundary event applying cross-shard purge notes
-  // (sharded stacks only; see stack.cc).
-  void ScheduleMailboxDrain();
-
   bool UsesPipeline() const {
     return config_.variant == SystemVariant::kSpeedKit ||
            config_.variant == SystemVariant::kPureInvalidation;

@@ -58,35 +58,6 @@ bench::JsonValue MetricsToJson(const MetricsRegistry& registry) {
   return out;
 }
 
-bench::JsonValue TracesToJson(const std::vector<RequestTrace>& traces) {
-  bench::JsonValue out = bench::JsonValue::Array();
-  for (const RequestTrace& t : traces) {
-    bench::JsonValue spans = bench::JsonValue::Array();
-    for (const Span& s : t.spans) {
-      spans.Push(bench::JsonRow({
-          {"parent", s.parent},
-          {"name", s.name},
-          {"tier", s.tier},
-          {"start_us", s.start_us},
-          {"duration_us", s.duration_us},
-      }));
-    }
-    bench::JsonValue row = bench::JsonRow({
-        {"id", t.id},
-        {"kind", t.kind},
-        {"url", t.url},
-        {"tier", t.tier},
-        {"status", t.status},
-        {"degraded", t.degraded},
-        {"start_us", t.start_us},
-        {"latency_us", t.latency_us},
-    });
-    row.Set("spans", std::move(spans));
-    out.Push(std::move(row));
-  }
-  return out;
-}
-
 bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
                       const MetaList& meta) {
   bench::JsonValue root = bench::JsonValue::Object();

@@ -1,6 +1,6 @@
-// Exporters: MetricsRegistry and trace collections -> the same ordered
-// JSON used by every bench binary (bench/json_writer.h), plus a flat CSV
-// trace format that tools/trace_report consumes.
+// Exporters: MetricsRegistry -> the same ordered JSON used by every bench
+// binary (bench/json_writer.h) or a flat CSV, and trace collections -> a
+// flat CSV trace format that tools/trace_report consumes.
 //
 // Trace CSV layout (one file per run):
 //   - `# key=value` metadata header lines (run name, seed, served_total —
@@ -27,9 +27,6 @@ using MetaList = std::vector<std::pair<std::string, std::string>>;
 // One JSON object per metric, in registration order. Counters/gauges carry
 // `value`; histograms carry {count, min, max, mean, p50, p95, p99}.
 bench::JsonValue MetricsToJson(const MetricsRegistry& registry);
-
-// Full trace tree as JSON (id/kind/url/tier/status/degraded/latency/spans).
-bench::JsonValue TracesToJson(const std::vector<RequestTrace>& traces);
 
 // Writes `{meta..., metrics: [...]}` to `path`. Returns false on IO error.
 bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,

@@ -11,6 +11,18 @@ namespace speedkit::proxy {
 namespace {
 // Approximate wire size of a 304 (status line + validator headers).
 constexpr size_t kNotModifiedWireBytes = 256;
+// On-device template-join cost for a user-scoped block.
+constexpr Duration kRenderOverhead = Duration::Millis(1);
+// Degraded-mode handling (the paper's "reroute or fall back" rule). A
+// request attempt that the network does not deliver costs a timeout, then
+// up to kMaxRetries retries with exponential backoff + jitter; when the
+// accelerated edge path stays unreachable the proxy falls back to
+// pass-through against the original site, and when the origin itself is
+// unreachable, to the offline cache.
+constexpr Duration kRequestTimeout = Duration::Seconds(2);
+constexpr int kMaxRetries = 2;
+constexpr Duration kRetryBackoff = Duration::Millis(200);  // doubles per retry
+constexpr double kRetryJitter = 0.5;  // uniform extra fraction of the backoff
 // Serializable-mode validation RTT: a version-vector check is a small
 // request (fixed envelope + one key/version pair per read).
 constexpr size_t kTxnValidateBaseBytes = 128;
@@ -214,8 +226,8 @@ Duration ClientProxy::MaybeRefreshSketchLatency(bool txn_begin) {
     // re-attempted by the very next request anyway.
     stats_->timeouts++;
     NoteFaultOnRequest();
-    TraceSpan("timeout.wait", obs::kTierNetwork, config_.request_timeout);
-    return config_.request_timeout;
+    TraceSpan("timeout.wait", obs::kTierNetwork, kRequestTimeout);
+    return kRequestTimeout;
   }
   // The published filter is shared across every client of the fleet; the
   // wire-byte count still reflects the serialized form so transfer
@@ -303,7 +315,7 @@ bool ClientProxy::ValidateTxn(const std::vector<std::string>& urls,
 
     std::vector<size_t> stale = coherence_->StaleReadIndexes(reads);
     if (stale.empty()) return true;
-    if (round >= config_.txn_max_retries) return false;
+    if (round >= coherence_->config().max_txn_retries) return false;
     stats_->txn_retries++;
     txn->retries++;
 
@@ -348,24 +360,21 @@ bool ClientProxy::DeliverWithRetries(sim::Link link, Duration* latency) {
   if (network_->Delivered(link, now)) return true;
   stats_->timeouts++;
   NoteFaultOnRequest();
-  TraceSpan("timeout.wait", obs::kTierNetwork, config_.request_timeout);
-  *latency += config_.request_timeout;
-  for (int attempt = 0; attempt < config_.max_retries; ++attempt) {
+  TraceSpan("timeout.wait", obs::kTierNetwork, kRequestTimeout);
+  *latency += kRequestTimeout;
+  for (int attempt = 0; attempt < kMaxRetries; ++attempt) {
     stats_->retries++;
     // Exponential backoff with jitter; the jitter draw comes from the
     // proxy's own RNG stream and only happens on this (fault-only) path,
     // so faultless runs keep their exact draw sequences.
-    Duration backoff =
-        config_.retry_backoff * static_cast<double>(1 << attempt);
-    if (config_.retry_jitter > 0) {
-      backoff = backoff * (1.0 + config_.retry_jitter * rng_.NextDouble());
-    }
+    Duration backoff = kRetryBackoff * static_cast<double>(1 << attempt) *
+                       (1.0 + kRetryJitter * rng_.NextDouble());
     TraceSpan("retry.backoff", obs::kTierProxy, backoff);
     *latency += backoff;
     if (network_->Delivered(link, now)) return true;
     stats_->timeouts++;
-    TraceSpan("timeout.wait", obs::kTierNetwork, config_.request_timeout);
-    *latency += config_.request_timeout;
+    TraceSpan("timeout.wait", obs::kTierNetwork, kRequestTimeout);
+    *latency += kRequestTimeout;
   }
   return false;
 }
@@ -779,7 +788,7 @@ BlockResult ClientProxy::FetchBlock(
         out.content = vault_ != nullptr
                           ? vault_->RenderLocally(r.response.body)
                           : std::string(r.response.body);
-        out.latency = r.latency + config_.render_overhead;
+        out.latency = r.latency + kRenderOverhead;
         out.source = r.source;
         out.rendered_on_device = true;
         return out;

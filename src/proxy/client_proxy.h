@@ -105,25 +105,9 @@ struct ProxyConfig {
   // bytes per asset via the acceleration service's transcoding.
   bool optimize_assets = true;
   Duration sketch_refresh_interval = Duration::Seconds(30);  // Δ
-  // Serializable mode: validation rounds a transaction may retry before
-  // aborting (0 = validate once, never re-fetch).
-  int txn_max_retries = 2;
   size_t browser_cache_bytes = 50u * 1024 * 1024;
   // Service-worker interception cost per request on the device.
   Duration device_overhead = Duration::Micros(300);
-  // On-device template-join cost for a user-scoped block.
-  Duration render_overhead = Duration::Millis(1);
-
-  // Degraded-mode handling (the paper's "reroute or fall back" rule).
-  // A request attempt that the network does not deliver costs a timeout,
-  // then up to `max_retries` retries with exponential backoff + jitter;
-  // when the accelerated edge path stays unreachable the proxy falls back
-  // to pass-through against the original site, and when the origin itself
-  // is unreachable, to the offline cache.
-  Duration request_timeout = Duration::Seconds(2);
-  int max_retries = 2;
-  Duration retry_backoff = Duration::Millis(200);  // doubles per retry
-  double retry_jitter = 0.5;  // uniform extra fraction of the backoff
 
   // How concurrent misses behave while an origin fetch for the same key is
   // already in flight at the client's edge (see cache::OriginFlightMode).
@@ -309,7 +293,8 @@ class ClientProxy {
   // Δ-atomic refreshes the sketch snapshot first (reads then cut one
   // consistent Δ-boundary picture), serializable validates read versions
   // against the origin and re-fetches mismatches (bypassing shared caches)
-  // up to txn_max_retries rounds before aborting, fixed-TTL just reads.
+  // up to CoherenceConfig::max_txn_retries rounds before aborting,
+  // fixed-TTL just reads.
   // Each member read counts as a normal request in ProxyStats.
   TxnResult FetchTxn(const std::vector<std::string>& urls);
 
@@ -421,7 +406,7 @@ class ClientProxy {
                           const std::string& key, Duration burned);
 
   // Tries to get one request across `link`: a timeout costs
-  // request_timeout, each retry adds exponential backoff with jitter.
+  // kRequestTimeout, each retry adds exponential backoff with jitter.
   // Failed-attempt time accumulates into `latency`; the successful
   // attempt's own RTT is charged by the caller as usual. Returns false
   // when all attempts fail.

@@ -91,6 +91,7 @@ TEST(CdnTest, ShardFaultAccountingStaysLocal) {
   auto map = std::make_shared<ShardedEdgeMap>(2, 0);
   Cdn shard0(map, 0, 2);
   Cdn shard1(map, 1, 2);
+  shard0.edge(0).Store("k", CacheableResponse(), At(0));
   shard0.SetEdgeDown(0, true);
   EXPECT_FALSE(shard0.EdgeAvailable(0));
   EXPECT_TRUE(shard1.EdgeAvailable(0));  // shard1's edge 0 = physical 1
@@ -100,6 +101,28 @@ TEST(CdnTest, ShardFaultAccountingStaysLocal) {
   EXPECT_EQ(shard0.TotalFaultStats().purges_dropped, 1u);
   EXPECT_EQ(shard1.TotalFaultStats().down_rejects, 0u);
   EXPECT_EQ(shard1.TotalFaultStats().purges_dropped, 0u);
+  shard0.SetEdgeDown(0, false);
+  EXPECT_EQ(shard0.edge(0).Lookup("k", At(1)).outcome,
+            LookupOutcome::kFreshHit);  // contents survived the outage
+}
+
+TEST(CdnTest, RemotePurgeToDownEdgeIsCountedDropped) {
+  // A purge delivered to a down POP is lost and counted at the shard that
+  // owns the edge; once the edge is back, the next purge applies.
+  auto map = std::make_shared<ShardedEdgeMap>(2, 0);
+  Cdn shard0(map, 0, 2);
+  Cdn shard1(map, 1, 2);
+  shard1.edge(0).Store("k", CacheableResponse(), At(0));  // physical 1
+  shard1.SetEdgeDown(0, true);
+  EXPECT_FALSE(shard1.PurgeEdge(0, "k"));
+  EXPECT_EQ(shard1.TotalFaultStats().purges_dropped, 1u);
+  EXPECT_EQ(shard0.TotalFaultStats().purges_dropped, 0u);
+  shard1.SetEdgeDown(0, false);
+  EXPECT_EQ(shard1.edge(0).Lookup("k", At(1)).outcome,
+            LookupOutcome::kFreshHit);  // contents survived the outage
+  EXPECT_TRUE(shard1.PurgeEdge(0, "k"));
+  EXPECT_EQ(shard1.edge(0).Lookup("k", At(2)).outcome, LookupOutcome::kMiss);
+  EXPECT_EQ(shard1.TotalFaultStats().purges_dropped, 1u);
 }
 
 TEST(CdnTest, EdgesAreIndependentCaches) {
@@ -107,16 +130,6 @@ TEST(CdnTest, EdgesAreIndependentCaches) {
   cdn.edge(0).Store("k", CacheableResponse(), At(0));
   EXPECT_EQ(cdn.edge(0).Lookup("k", At(1)).outcome, LookupOutcome::kFreshHit);
   EXPECT_EQ(cdn.edge(1).Lookup("k", At(1)).outcome, LookupOutcome::kMiss);
-}
-
-TEST(CdnTest, PurgeAllReachesEveryEdge) {
-  Cdn cdn(3, 0);
-  for (int i = 0; i < 3; ++i) cdn.edge(i).Store("k", CacheableResponse(), At(0));
-  EXPECT_EQ(cdn.PurgeAll("k"), 3);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(cdn.edge(i).Lookup("k", At(1)).outcome, LookupOutcome::kMiss);
-  }
-  EXPECT_EQ(cdn.PurgeAll("k"), 0);
 }
 
 TEST(CdnTest, PurgeEdgeIsLocal) {
@@ -155,64 +168,6 @@ TEST(CdnTest, EdgeSlotsAreCacheLineAligned) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(reinterpret_cast<uintptr_t>(&map.slot(i)) % kCacheLineBytes, 0u);
   }
-}
-
-TEST(CdnTest, RemotePurgeTakesEffectAtDrainNotAtPost) {
-  auto map = std::make_shared<ShardedEdgeMap>(4, 0);
-  Cdn shard0(map, 0, 2);  // owns physical 0, 2
-  Cdn shard1(map, 1, 2);  // owns physical 1, 3
-
-  // Owner stores the key on physical edge 1 (shard1's local 0).
-  shard1.edge(0).Store("k", CacheableResponse(), At(0));
-
-  // A non-owner purges it via the mailbox: nothing happens until the
-  // OWNER drains at its coherence boundary.
-  shard0.PostRemotePurge(/*physical=*/1, "k", At(1));
-  EXPECT_EQ(shard0.remote_purges_posted(), 1u);
-  EXPECT_EQ(shard1.edge(0).Lookup("k", At(2)).outcome,
-            LookupOutcome::kFreshHit);
-
-  // The sender draining its OWN mailbox is a no-op for this note.
-  EXPECT_EQ(shard0.DrainRemotePurges(At(3)), 0u);
-  EXPECT_EQ(shard1.edge(0).Lookup("k", At(3)).outcome,
-            LookupOutcome::kFreshHit);
-
-  // The owner's drain applies it.
-  EXPECT_EQ(shard1.DrainRemotePurges(At(4)), 1u);
-  EXPECT_EQ(shard1.remote_purges_drained(), 1u);
-  EXPECT_EQ(shard1.remote_purges_effective(), 1u);
-  EXPECT_EQ(shard1.edge(0).Lookup("k", At(5)).outcome, LookupOutcome::kMiss);
-}
-
-TEST(CdnTest, RemotePurgeToDownEdgeIsCountedDropped) {
-  auto map = std::make_shared<ShardedEdgeMap>(2, 0);
-  Cdn shard0(map, 0, 2);
-  Cdn shard1(map, 1, 2);
-  shard1.edge(0).Store("k", CacheableResponse(), At(0));  // physical 1
-  shard1.SetEdgeDown(0, true);
-  shard0.PostRemotePurge(1, "k", At(1));
-  // The note is drained (it left the mailbox) but the down edge loses the
-  // purge — same accounting as a local purge against a down edge.
-  EXPECT_EQ(shard1.DrainRemotePurges(At(2)), 1u);
-  EXPECT_EQ(shard1.remote_purges_drained(), 1u);
-  EXPECT_EQ(shard1.remote_purges_effective(), 0u);
-  EXPECT_EQ(shard1.TotalFaultStats().purges_dropped, 1u);
-  shard1.SetEdgeDown(0, false);
-  EXPECT_EQ(shard1.edge(0).Lookup("k", At(3)).outcome,
-            LookupOutcome::kFreshHit);  // contents survived the outage
-}
-
-TEST(CdnTest, SelfLaneRemotePurgeWorks) {
-  // PostRemotePurge resolves ownership itself: a shard may post a purge
-  // for an edge it owns and pick it up at its own next drain.
-  auto map = std::make_shared<ShardedEdgeMap>(2, 0);
-  Cdn shard0(map, 0, 2);
-  Cdn shard1(map, 1, 2);
-  (void)shard1;
-  shard0.edge(0).Store("k", CacheableResponse(), At(0));  // physical 0
-  shard0.PostRemotePurge(0, "k", At(1));
-  EXPECT_EQ(shard0.DrainRemotePurges(At(2)), 1u);
-  EXPECT_EQ(shard0.edge(0).Lookup("k", At(3)).outcome, LookupOutcome::kMiss);
 }
 
 uint64_t FaultStatsFingerprint(const EdgeFaultStats& s) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/stack.h"
+#include "invalidation/pipeline.h"
 
 namespace speedkit::core {
 namespace {
@@ -75,39 +78,35 @@ http::HttpResponse CacheableResponse() {
   return resp;
 }
 
-TEST(ShardedFleetTest, RemotePurgeAppliesAtOwnersNextCoherenceBoundary) {
+TEST(ShardedFleetTest, EveryShardPurgesTheEdgesItOwns) {
+  // No purge crosses shards: a write reaches only its own shard's store
+  // replica, whose pipeline purges every edge that shard owns. Once the
+  // purges land, no event is left pending on any shard.
   StackConfig config;
   config.cdn_edges = 4;
   config.shards = 2;
-  config.coherence.delta = Duration::Seconds(30);
   ShardedFleet fleet(config);
-  SpeedKitStack& s0 = fleet.shard(0);
-  SpeedKitStack& s1 = fleet.shard(1);
+  const std::string key = invalidation::RecordCacheKey("p1");
+  for (int s = 0; s < fleet.shards(); ++s) {
+    SpeedKitStack& shard = fleet.shard(s);
+    for (int i = 0; i < shard.cdn().num_edges(); ++i) {
+      shard.cdn().edge(i).Store(key, CacheableResponse(), shard.clock().Now());
+    }
+    shard.store().Put("p1", {}, shard.clock().Now());
+    shard.Advance(Duration::Seconds(5));
+  }
 
-  // The owner (shard 1) caches a key on physical edge 1 (its local 0).
-  s1.cdn().edge(0).Store("k", CacheableResponse(), s1.clock().Now());
-
-  // A non-owner posts the purge through the mailbox grid.
-  s0.cdn().PostRemotePurge(/*physical=*/1, "k", s0.clock().Now());
-  EXPECT_EQ(s0.cdn().remote_purges_posted(), 1u);
-
-  // The SENDER crossing its own boundaries never applies the note...
-  s0.Advance(Duration::Seconds(90));
-  EXPECT_EQ(s1.cdn().edge(0).Lookup("k", s1.clock().Now()).outcome,
-            cache::LookupOutcome::kFreshHit);
-
-  // ...and neither does the owner BEFORE its boundary...
-  s1.Advance(Duration::Seconds(10));
-  EXPECT_EQ(s1.cdn().edge(0).Lookup("k", s1.clock().Now()).outcome,
-            cache::LookupOutcome::kFreshHit);
-  EXPECT_EQ(s1.cdn().remote_purges_drained(), 0u);
-
-  // ...but the owner's first Δ boundary (t = 30s) drains the batch.
-  s1.Advance(Duration::Seconds(25));
-  EXPECT_EQ(s1.cdn().remote_purges_drained(), 1u);
-  EXPECT_EQ(s1.cdn().remote_purges_effective(), 1u);
-  EXPECT_EQ(s1.cdn().edge(0).Lookup("k", s1.clock().Now()).outcome,
-            cache::LookupOutcome::kMiss);
+  const SimTime now = SimTime::Origin() + Duration::Seconds(5);
+  for (int e = 0; e < fleet.edge_map()->num_edges(); ++e) {
+    EXPECT_EQ(fleet.edge_map()->slot(e).cache.Lookup(key, now).outcome,
+              cache::LookupOutcome::kMiss)
+        << "physical edge " << e;
+  }
+  for (int s = 0; s < fleet.shards(); ++s) {
+    SpeedKitStack& shard = fleet.shard(s);
+    EXPECT_EQ(shard.pipeline()->stats().purges_effective, 2u) << "shard " << s;
+    EXPECT_EQ(shard.events().pending(), 0u) << "shard " << s;
+  }
 }
 
 TEST(ShardedFleetTest, ShardsShareOnePhysicalEdgeTier) {

@@ -102,7 +102,7 @@ TEST_F(DegradedModeTest, ClientEdgeLinkDownFallsBackToPassThrough) {
   EXPECT_EQ(r.source, ServedFrom::kOrigin);
   const ProxyStats& s = proxy.stats();
   EXPECT_EQ(s.fallback_serves, 1u);
-  EXPECT_EQ(s.timeouts, 3u);  // initial attempt + max_retries (2)
+  EXPECT_EQ(s.timeouts, 3u);  // initial attempt + kMaxRetries (2)
   EXPECT_EQ(s.retries, 2u);
   EXPECT_EQ(s.origin_fetches, 1u);
   EXPECT_EQ(s.ServedTotal(), s.requests);
