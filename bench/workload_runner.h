@@ -158,7 +158,7 @@ inline RunOutput RunOneStack(core::SpeedKitStack& stack,
 
 // Folds shard outputs (fixed, ascending shard order — determinism depends
 // on it). Counters sum, histograms merge, gauges take the max; edge_faults
-// sum correctly because shard views cover disjoint edge sets.
+// sum correctly because shards own disjoint edge sets.
 inline RunOutput MergeShardOutputs(std::vector<RunOutput> parts) {
   RunOutput merged = std::move(parts.front());
   for (size_t s = 1; s < parts.size(); ++s) {
@@ -181,23 +181,16 @@ inline RunOutput MergeShardOutputs(std::vector<RunOutput> parts) {
 }
 
 // One sharded run: shards execute concurrently on up to spec.run_threads
-// workers, results land in a shard-indexed grid and merge in shard order.
+// workers. Each stores its result once, at the end of its run, so adjacent
+// elements of `parts` need no padding; the merge runs in shard order after
+// the workers join.
 inline RunOutput RunShardedWorkload(const RunSpec& spec) {
   workload::Catalog catalog(spec.catalog, Pcg32(spec.catalog_seed));
   core::ShardedFleet fleet(spec.stack);
-  // Each shard writes its result into a cache-line-aligned slot of the
-  // grid, so concurrent end-of-run stores never share a line; the merge
-  // itself happens on the calling thread after the workers join.
-  struct alignas(cache::kCacheLineBytes) ShardResult {
-    RunOutput out;
-  };
-  std::vector<ShardResult> grid(static_cast<size_t>(fleet.shards()));
+  std::vector<RunOutput> parts(static_cast<size_t>(fleet.shards()));
   core::ForEachShard(fleet.shards(), spec.run_threads, [&](int s) {
-    grid[static_cast<size_t>(s)].out = RunOneStack(fleet.shard(s), catalog, spec);
+    parts[static_cast<size_t>(s)] = RunOneStack(fleet.shard(s), catalog, spec);
   });
-  std::vector<RunOutput> parts;
-  parts.reserve(grid.size());
-  for (ShardResult& slot : grid) parts.push_back(std::move(slot.out));
   return MergeShardOutputs(std::move(parts));
 }
 

@@ -1,5 +1,4 @@
-// Multi-edge CDN substrate — a (possibly partial) view over the physical
-// edge tier.
+// Multi-edge CDN substrate: the edge POPs one coherence domain owns.
 //
 // N shared HTTP caches ("edges"); each client is pinned to one edge by a
 // stable hash of its client id, mirroring anycast routing to the nearest
@@ -7,30 +6,26 @@
 // the fan-out with per-edge propagation delays, so the CDN itself exposes
 // synchronous per-edge purge.
 //
-// Two construction modes:
-//  * `Cdn(num_edges, capacity)` builds a private ShardedEdgeMap and views
-//    all of it — the classic single-domain stack.
-//  * `Cdn(map, shard, shards)` views only the edges owned by `shard`
-//    (physical edge e belongs to shard e % shards) of a map shared with
-//    the other shards of a fleet. Edge indices exposed by this class are
-//    LOCAL (dense 0..num_edges()-1 over owned edges); the translation to
-//    physical slots is internal, and LocalIndexOf() converts a physical
-//    index from shard-agnostic config (fault schedules) into the local
-//    space.
+// A sharded fleet (core/fleet.h) splits the physical tier across its
+// shards: physical edge e belongs to shard e % shards, and each shard's
+// Cdn builds and holds only the edges it owns. Edge indices exposed by
+// this class are LOCAL (dense 0..num_edges()-1, local index e / shards);
+// LocalIndexOf() converts a physical index from shard-agnostic config
+// (fault schedules) into the local space. With the default one shard, a
+// Cdn holds the whole tier and local and physical indices coincide.
 //
-// Concurrency model: edge ownership is shard-private, so every owned-edge
-// accessor here is LOCK-FREE — the only thread that may call it is the
-// owning shard's, a discipline debug builds assert on each access
-// (ShardedEdgeMap::owned_slot). Per-edge fault counters/histograms live in
-// a cache-line-aligned accumulator inside this view (one per shard), never
-// in the shared map, and are merged only after the shard threads join.
-// No purge crosses shards: a shard's pipeline purges only the edges this
-// view owns, and those edges cache only that shard's origin replica.
+// Concurrency model: a shard's Cdn holds no other shard's edge, so
+// nothing here is shared, locked or asserted. Each edge — its cache,
+// outage flag, fault counters and flight table — is cache-line aligned,
+// so no line holds two shards' edges; per-edge counters are merged only
+// after the shard threads join. No purge crosses shards: a shard's
+// pipeline purges only the edges its Cdn holds, and those edges cache
+// only that shard's origin replica.
 #ifndef SPEEDKIT_CACHE_CDN_H_
 #define SPEEDKIT_CACHE_CDN_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -38,11 +33,34 @@
 #include <vector>
 
 #include "cache/http_cache.h"
-#include "cache/sharded_edge_map.h"
 #include "common/hash.h"
+#include "common/histogram.h"
 #include "common/sim_time.h"
 
 namespace speedkit::cache {
+
+inline constexpr size_t kCacheLineBytes = 64;
+
+// Per-edge degraded-operation accounting (fault injection, E14). Kept
+// with the edge in its owning shard's Cdn, merged across shards only
+// after the shard threads join.
+struct EdgeFaultStats {
+  uint64_t down_rejects = 0;    // requests that found the edge down
+  uint64_t purges_dropped = 0;  // purge deliveries lost (edge down / faulted)
+  uint64_t purges_delayed = 0;  // purge deliveries on the slow path
+  // Propagation delay (us) of every purge delivery scheduled to this edge
+  // — slow-path deliveries included, in-flight losses not (they never get
+  // a delay). Feeds the `edge.purge_delay_us` metric.
+  Histogram purge_delay_us;
+
+  EdgeFaultStats& operator+=(const EdgeFaultStats& other) {
+    down_rejects += other.down_rejects;
+    purges_dropped += other.purges_dropped;
+    purges_delayed += other.purges_delayed;
+    purge_delay_us.Merge(other.purge_delay_us);
+    return *this;
+  }
+};
 
 // How the edge tier treats concurrent misses for the same key while an
 // origin fetch is already in flight. The simulator and speedkit-edged
@@ -66,81 +84,73 @@ std::string_view OriginFlightModeName(OriginFlightMode mode);
 
 class Cdn {
  public:
-  // Full view over a private map. `num_edges` must be >= 1 (the stack
-  // validates its config before constructing one); `edge_capacity_bytes`
-  // 0 = unbounded per edge.
-  Cdn(int num_edges, size_t edge_capacity_bytes);
-
-  // Shard view: edges owned by `shard` out of `shards` coherence domains
-  // over a shared physical map. Requires 0 <= shard < shards and
-  // map->num_edges() divisible by shards (so every shard views the same
-  // number of edges).
-  Cdn(std::shared_ptr<ShardedEdgeMap> map, int shard, int shards);
+  // The edges `shard` owns out of `shards` coherence domains over a tier
+  // of `physical_edges` POPs; the defaults hold the whole tier as one
+  // domain. Requires physical_edges >= 1 (the stack validates its config
+  // before constructing one), 0 <= shard < shards, and physical_edges
+  // divisible by shards (so every shard owns the same number of edges).
+  // `edge_capacity_bytes` 0 = unbounded per edge.
+  Cdn(int physical_edges, size_t edge_capacity_bytes, int shard = 0,
+      int shards = 1);
 
   // Owned (local) edge count.
-  int num_edges() const { return static_cast<int>(owned_.size()); }
-  // Size of the whole physical tier (== num_edges() for a full view).
-  int physical_edges() const { return map_->num_edges(); }
+  int num_edges() const { return static_cast<int>(edges_.size()); }
 
   // The LOCAL index of the edge serving `client_id` (stable hash routing
   // over the PHYSICAL tier). Only meaningful when OwnsClient(client_id).
   int RouteFor(uint64_t client_id) const;
 
-  // Whether this view's shard owns the edge `client_id` routes to — the
+  // Whether this Cdn's shard owns the edge `client_id` routes to — the
   // client-to-shard partition function of the fleet engine.
   bool OwnsClient(uint64_t client_id) const;
 
   // Local index for a physical edge index, or -1 if another shard owns it.
   int LocalIndexOf(int physical) const {
-    if (physical < 0 || physical >= map_->num_edges()) return -1;
+    if (physical < 0 || physical >= physical_edges_) return -1;
     return physical % shards_ == shard_ ? physical / shards_ : -1;
   }
 
-  // Lock-free owned access: only the owning shard's thread may touch an
-  // edge, which debug builds assert per access.
-  HttpCache& edge(int i) { return slot(i).cache; }
-  const HttpCache& edge(int i) const { return slot(i).cache; }
+  HttpCache& edge(int i) { return at(i).cache; }
+  const HttpCache& edge(int i) const { return at(i).cache; }
 
   // Edge-node outage toggles, driven by the stack's fault schedule (each
-  // shard mirrors only its own edges' windows into its own event queue, so
-  // the flag is owner-written and owner-read). A down edge serves nothing
-  // and loses purges delivered to it; its cache contents survive the
-  // outage (a POP reboot, not a wipe).
-  void SetEdgeDown(int i, bool down) { slot(i).down = down; }
-  bool EdgeAvailable(int i) const { return !slot(i).down; }
+  // shard mirrors only its own edges' windows into its own event queue).
+  // A down edge serves nothing and loses purges delivered to it; its cache
+  // contents survive the outage (a POP reboot, not a wipe).
+  void SetEdgeDown(int i, bool down) { at(i).down = down; }
+  bool EdgeAvailable(int i) const { return !at(i).down; }
 
-  // Fault accounting: increments go to this view's shard-local aligned
-  // accumulator, never into the shared map — no cross-shard cache-line
-  // traffic; aggregation happens after the shard threads join.
+  // Fault accounting, per owned edge; aggregation across shards happens
+  // after the shard threads join.
   //
   // Called by the proxy when a request found its edge down.
-  void NoteEdgeReject(int i) { fault_acc(i).down_rejects++; }
+  void NoteEdgeReject(int i) { at(i).faults.down_rejects++; }
   // Called by the invalidation pipeline when a purge is faulted.
-  void NotePurgeDropped(int i) { fault_acc(i).purges_dropped++; }
-  void NotePurgeDelayed(int i) { fault_acc(i).purges_delayed++; }
+  void NotePurgeDropped(int i) { at(i).faults.purges_dropped++; }
+  void NotePurgeDelayed(int i) { at(i).faults.purges_delayed++; }
   // Called by the pipeline for every purge delivery it schedules, with the
   // delivery's final propagation delay (slow-path stretch included).
   void NotePurgeScheduled(int i, Duration delay) {
-    fault_acc(i).purge_delay_us.Add(delay.micros());
+    at(i).faults.purge_delay_us.Add(delay.micros());
   }
 
   // Purges `key` from one OWNED edge; returns true if the edge held it. A
   // purge arriving while the edge is down is lost — the real CDN API would
   // retry; we count it instead so E14 can report delivery loss.
   bool PurgeEdge(int i, std::string_view key) {
-    ShardedEdgeMap::EdgeSlot& s = slot(i);
-    if (s.down) {
-      fault_acc(i).purges_dropped++;
+    Edge& e = at(i);
+    if (e.down) {
+      e.faults.purges_dropped++;
       return false;
     }
-    return s.cache.Purge(key);
+    return e.cache.Purge(key);
   }
 
   // -- origin flight windows (single-flight coalescing) -----------------
   // Registers an origin fetch for `key` at owned edge `i`, completing at
   // `ready_at`. No-op while an unexpired flight for the key is already
   // open (herd fetches inside the window never extend it; after expiry the
-  // next miss leads a fresh flight). Shard-local like the edge itself.
+  // next miss leads a fresh flight).
   void BeginFlight(int i, const std::string& key, SimTime now,
                    SimTime ready_at);
 
@@ -153,55 +163,49 @@ class Cdn {
   // Called by the proxy for each arrival inside an open window: a join
   // (kCoalesce — served the leader's response) or a herd fetch (kHerd —
   // went to the origin anyway).
-  void NoteFlightJoin() { faults_->flight_joins++; }
-  void NoteHerdFetch() { faults_->herd_fetches++; }
+  void NoteFlightJoin() { flight_joins_++; }
+  void NoteHerdFetch() { herd_fetches_++; }
 
-  uint64_t flights_started() const { return faults_->flights_started; }
-  uint64_t flight_joins() const { return faults_->flight_joins; }
-  uint64_t herd_fetches() const { return faults_->herd_fetches; }
+  uint64_t flights_started() const { return flights_started_; }
+  uint64_t flight_joins() const { return flight_joins_; }
+  uint64_t herd_fetches() const { return herd_fetches_; }
 
   // Aggregated stats across owned edges.
   HttpCacheStats TotalStats() const;
-  const EdgeFaultStats& edge_fault_stats(int i) const {
-    return faults_->per_edge[static_cast<size_t>(i)];
-  }
+  const EdgeFaultStats& edge_fault_stats(int i) const { return at(i).faults; }
   EdgeFaultStats TotalFaultStats() const;
 
  private:
-  // This shard's fault and flight counters, on their own cache lines: the
-  // struct head is 64-aligned via aligned new, so two shards' accumulators
-  // never share a line the way slot-resident counters used to.
-  struct alignas(kCacheLineBytes) ShardLocalStats {
-    std::vector<EdgeFaultStats> per_edge;  // local index
-    // Origin flight-window accounting (modes kHerd/kCoalesce only).
-    uint64_t flights_started = 0;
-    uint64_t flight_joins = 0;
-    uint64_t herd_fetches = 0;
+  // One owned edge POP. Cache-line aligned (and so a whole number of
+  // lines long), so no cache line holds two shards' edges.
+  struct alignas(kCacheLineBytes) Edge {
+    explicit Edge(size_t capacity_bytes)
+        : cache(/*shared=*/true, capacity_bytes) {}
+
+    HttpCache cache;
+    // Outage flag, toggled by the owning shard's fault-schedule events.
+    bool down = false;
+    EdgeFaultStats faults;
+    // Open origin flights: key -> completion time (modes kHerd/kCoalesce
+    // only; an empty table allocates nothing). Expired entries are reaped
+    // lazily.
+    std::unordered_map<std::string, SimTime, StringHash, std::equal_to<>>
+        flights;
   };
 
-  ShardedEdgeMap::EdgeSlot& slot(int local) {
-    return map_->owned_slot(owned_[static_cast<size_t>(local)], shard_);
-  }
-  const ShardedEdgeMap::EdgeSlot& slot(int local) const {
-    return map_->owned_slot(owned_[static_cast<size_t>(local)], shard_);
-  }
-  EdgeFaultStats& fault_acc(int local) {
-    return faults_->per_edge[static_cast<size_t>(local)];
+  Edge& at(int local) { return edges_[static_cast<size_t>(local)]; }
+  const Edge& at(int local) const {
+    return edges_[static_cast<size_t>(local)];
   }
 
-  std::shared_ptr<ShardedEdgeMap> map_;
-  int shard_ = 0;
-  int shards_ = 1;
-  // owned_[local] = physical index; dense and sorted, so iteration order
-  // over local indices is deterministic.
-  std::vector<int> owned_;
-  std::unique_ptr<ShardLocalStats> faults_;
-  // Per-owned-edge open flights: key -> completion time. Shard-private
-  // like the slot itself; sized lazily on first BeginFlight so kInstant
-  // stacks carry no allocation. Expired entries are reaped lazily.
-  std::vector<std::unordered_map<std::string, SimTime, StringHash,
-                                 std::equal_to<>>>
-      flights_;
+  int physical_edges_;
+  int shard_;
+  int shards_;
+  std::vector<Edge> edges_;  // local index
+  // Origin flight-window accounting (modes kHerd/kCoalesce only).
+  uint64_t flights_started_ = 0;
+  uint64_t flight_joins_ = 0;
+  uint64_t herd_fetches_ = 0;
 };
 
 }  // namespace speedkit::cache

@@ -2,22 +2,12 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
-
 namespace speedkit::core {
 
-int ShardOfClient(uint64_t client_id, int cdn_edges, int shards) {
-  int physical =
-      static_cast<int>(Mix64(client_id) % static_cast<uint64_t>(cdn_edges));
-  return physical % shards;
-}
-
-ShardedFleet::ShardedFleet(const StackConfig& config)
-    : edge_map_(std::make_shared<cache::ShardedEdgeMap>(
-          config.cdn_edges, config.edge_capacity_bytes)) {
+ShardedFleet::ShardedFleet(const StackConfig& config) {
   stacks_.reserve(static_cast<size_t>(std::max(1, config.shards)));
   for (int s = 0; s < config.shards; ++s) {
-    stacks_.push_back(std::make_unique<SpeedKitStack>(config, edge_map_, s));
+    stacks_.push_back(std::make_unique<SpeedKitStack>(config, s));
   }
 }
 

@@ -2,16 +2,15 @@
 //
 // Partitions a simulated deployment into `StackConfig::shards` coherence
 // domains. Each shard is a full SpeedKitStack replica — own clock, event
-// queue, forked PCG stream, origin, sketch, pipeline — over its slice of
-// ONE shared physical edge tier (cache/sharded_edge_map.h). Clients
-// partition by the edge their id hashes to (edge e belongs to shard
-// e % shards), so a shard simulates exactly the clients its edges serve
-// and never touches another shard's state.
+// queue, forked PCG stream, origin, sketch, pipeline — and its Cdn builds
+// and owns the shard's edges of the physical tier. Clients partition by
+// the edge their id hashes to (edge e belongs to shard e % shards), so a
+// shard simulates exactly the clients its edges serve and never touches
+// another shard's state.
 //
 // The invariant that makes this an *engine* and not just a partition:
-// because shards share nothing mutable (edge slots are ownership-disjoint,
-// which debug builds assert in ShardedEdgeMap::owned_slot) and every
-// shard's RNG stream is derived from (seed, shard) alone, the merged
+// because shards share nothing mutable (each owns its edges outright) and
+// every shard's RNG stream is derived from (seed, shard) alone, the merged
 // result of a run is a pure function of (seed, shards) — bit-identical
 // whether the shards execute on 1 thread or 16, in any interleaving.
 // Thread count buys wall-clock speed, never different numbers;
@@ -24,25 +23,18 @@
 #ifndef SPEEDKIT_CORE_FLEET_H_
 #define SPEEDKIT_CORE_FLEET_H_
 
-#include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
-#include "cache/sharded_edge_map.h"
 #include "common/thread_pool.h"
 #include "core/stack.h"
 
 namespace speedkit::core {
 
-// The shard owning `client_id` under a (cdn_edges, shards) partition:
-// the client pins to physical edge Mix64(id) % cdn_edges, and edge e
-// belongs to shard e % shards. Standalone so drivers can partition client
-// populations without a fleet in hand.
-int ShardOfClient(uint64_t client_id, int cdn_edges, int shards);
-
 class ShardedFleet {
  public:
-  // Builds the shared edge tier plus config.shards stack replicas.
+  // Builds config.shards stack replicas, each owning its shard's edges.
   // Aborts on invalid config (see StackConfig::Validate).
   explicit ShardedFleet(const StackConfig& config);
 
@@ -51,12 +43,8 @@ class ShardedFleet {
 
   int shards() const { return static_cast<int>(stacks_.size()); }
   SpeedKitStack& shard(int i) { return *stacks_[static_cast<size_t>(i)]; }
-  const std::shared_ptr<cache::ShardedEdgeMap>& edge_map() const {
-    return edge_map_;
-  }
 
  private:
-  std::shared_ptr<cache::ShardedEdgeMap> edge_map_;
   std::vector<std::unique_ptr<SpeedKitStack>> stacks_;
 };
 

@@ -43,12 +43,7 @@ Status StackConfig::Validate() const {
   return Status::Ok();
 }
 
-SpeedKitStack::SpeedKitStack(const StackConfig& config)
-    : SpeedKitStack(config, nullptr, 0) {}
-
-SpeedKitStack::SpeedKitStack(const StackConfig& config,
-                             std::shared_ptr<cache::ShardedEdgeMap> edge_map,
-                             int shard)
+SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
     : config_(config),
       shard_(shard),
       // Per-shard stream: golden-ratio stride on the stream id keeps the
@@ -101,15 +96,8 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config,
   protocol_ = coherence::MakeCoherenceProtocol(
       config_.coherence,
       /*sketch_variant=*/config_.variant == SystemVariant::kSpeedKit);
-  if (edge_map == nullptr) {
-    // Single-domain stack: private full-view tier. config.shards > 1 only
-    // takes effect through ShardedFleet, which passes the shared map.
-    cdn_ = std::make_unique<cache::Cdn>(config_.cdn_edges,
-                                        config_.edge_capacity_bytes);
-  } else {
-    cdn_ = std::make_unique<cache::Cdn>(std::move(edge_map), shard_,
-                                        config_.shards);
-  }
+  cdn_ = std::make_unique<cache::Cdn>(
+      config_.cdn_edges, config_.edge_capacity_bytes, shard_, config_.shards);
   origin_ = std::make_unique<origin::OriginServer>(
       config_.origin, &clock_, &store_, ttl_policy_.get(),
       &protocol_->publication());

@@ -19,7 +19,6 @@
 #include <string_view>
 
 #include "cache/cdn.h"
-#include "cache/sharded_edge_map.h"
 #include "coherence/coherence_config.h"
 #include "coherence/protocol.h"
 #include "common/random.h"
@@ -61,12 +60,11 @@ struct StackConfig {
   size_t edge_capacity_bytes = 0;  // 0 = unbounded
   // Coherence domains for the sharded fleet engine (core/fleet.h). Clients
   // partition by the edge they route to (edge e belongs to shard
-  // e % shards), each shard gets a full stack replica over its slice of a
-  // shared edge tier, and merged results are a pure function of
-  // (seed, shards) — identical for ANY thread count executing the shards.
-  // Must divide cdn_edges. A directly-constructed SpeedKitStack is always
-  // one full-view domain; shards > 1 takes effect through ShardedFleet /
-  // the workload runners.
+  // e % shards), each shard gets a full stack replica owning its own
+  // edges, and merged results are a pure function of (seed, shards) —
+  // identical for ANY thread count executing the shards. Must divide
+  // cdn_edges. shards > 1 takes effect through ShardedFleet / the workload
+  // runners.
   int shards = 1;
   sim::NetworkConfig network;
   origin::OriginConfig origin;
@@ -111,16 +109,15 @@ struct StackConfig {
 
 class SpeedKitStack {
  public:
-  // A single-domain (full-view) stack. Aborts if config.Validate() fails.
-  explicit SpeedKitStack(const StackConfig& config);
-
-  // One shard of a fleet: views only the edges owned by `shard` out of
-  // config.shards domains of the shared physical tier, and derives a
-  // per-shard RNG stream from (config.seed, shard) so shard streams never
-  // collide. Shard 0 of 1 over a fresh map is bit-identical to the plain
-  // constructor.
-  SpeedKitStack(const StackConfig& config,
-                std::shared_ptr<cache::ShardedEdgeMap> edge_map, int shard);
+  // Shard `shard` of config.shards coherence domains: builds and owns the
+  // CDN edges that shard owns, and derives a per-shard RNG stream from
+  // (config.seed, shard) so shard streams never collide. With
+  // config.shards == 1 (every direct construction) that is the whole edge
+  // tier; with config.shards > 1 a stack built without a shard index is
+  // shard 0 and serves only its slice — sharded runs go through
+  // ShardedFleet. Aborts if config.Validate() fails or `shard` is out of
+  // range.
+  explicit SpeedKitStack(const StackConfig& config, int shard = 0);
 
   SpeedKitStack(const SpeedKitStack&) = delete;
   SpeedKitStack& operator=(const SpeedKitStack&) = delete;
@@ -155,10 +152,10 @@ class SpeedKitStack {
   void Advance(Duration d) { AdvanceTo(clock_.Now() + d); }
 
   const StackConfig& config() const { return config_; }
-  // Which coherence domain this stack is (0 for a full-view stack).
+  // Which coherence domain this stack is (0 for a single-domain stack).
   int shard() const { return shard_; }
   // Whether this stack's shard owns `client_id` (always true for a
-  // full-view stack). Drivers must only MakeClient for owned clients.
+  // single-domain stack). Drivers must only MakeClient for owned clients.
   bool OwnsClient(uint64_t client_id) const { return cdn_->OwnsClient(client_id); }
   sim::SimClock& clock() { return clock_; }
   sim::EventQueue& events() { return events_; }

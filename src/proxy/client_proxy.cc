@@ -438,10 +438,9 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
                                       bool bypass_shared, int edge_index,
                                       Duration burned) {
   SimTime now = clock_->Now();
-  // Lock-free owned access: this client's edge is owned by this proxy's
-  // shard (clients pin to edges, edges to shards), so the whole edge-cache
-  // interaction below runs unsynchronized; debug builds assert the
-  // ownership discipline inside cdn_->edge().
+  // This client's edge belongs to this proxy's shard (clients pin to
+  // edges, edges to shards), and the shard's Cdn holds it outright, so the
+  // whole edge-cache interaction below runs unsynchronized.
   cache::HttpCache& edge = cdn_->edge(edge_index);
   // Origin-flight window (kHerd/kCoalesce; kInstant skips in one branch):
   // while the leader's origin fetch for this key is still in transit, its

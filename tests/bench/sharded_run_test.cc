@@ -4,6 +4,9 @@
 // single-domain stack exactly.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "bench/workload_runner.h"
 
 namespace speedkit::bench {
@@ -56,6 +59,20 @@ TEST(ShardedRunTest, ShardCountIsAModelParameter) {
   uint64_t one = FingerprintRun(RunWorkload(SmallShardedSpec(1)));
   uint64_t four = FingerprintRun(RunWorkload(SmallShardedSpec(4)));
   EXPECT_NE(one, four);
+}
+
+TEST(ShardedRunTest, EachShardBuiltAloneReproducesTheFleetRun) {
+  // Shards share nothing: a shard built and run with no other shard in
+  // existence produces exactly its part of the fleet run.
+  RunSpec spec = SmallShardedSpec(/*shards=*/4);
+  workload::Catalog catalog(spec.catalog, Pcg32(spec.catalog_seed));
+  std::vector<RunOutput> parts;
+  for (int s = 0; s < spec.stack.shards; ++s) {
+    core::SpeedKitStack stack(spec.stack, s);
+    parts.push_back(RunOneStack(stack, catalog, spec));
+  }
+  EXPECT_EQ(FingerprintRun(MergeShardOutputs(std::move(parts))),
+            FingerprintRun(RunWorkload(spec)));
 }
 
 TEST(ShardedRunTest, MergedShardedOutputCarriesNoCaptures) {

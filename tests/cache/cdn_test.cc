@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <utility>
 
 namespace speedkit::cache {
@@ -45,12 +44,10 @@ TEST(CdnTest, RoutingSpreadsClients) {
 // rejected up front by StackConfig::Validate (tests/core/stack_test.cc) —
 // constructing a Cdn directly requires a positive count.
 TEST(CdnTest, ShardViewsPartitionThePhysicalTier) {
-  auto map = std::make_shared<ShardedEdgeMap>(4, 0);
-  Cdn shard0(map, 0, 2);  // owns physical edges 0, 2
-  Cdn shard1(map, 1, 2);  // owns physical edges 1, 3
+  Cdn shard0(4, 0, 0, 2);  // owns physical edges 0, 2
+  Cdn shard1(4, 0, 1, 2);  // owns physical edges 1, 3
   EXPECT_EQ(shard0.num_edges(), 2);
   EXPECT_EQ(shard1.num_edges(), 2);
-  EXPECT_EQ(shard0.physical_edges(), 4);
 
   // Physical->local translation: each physical edge is owned by exactly
   // one shard.
@@ -61,11 +58,15 @@ TEST(CdnTest, ShardViewsPartitionThePhysicalTier) {
   EXPECT_EQ(shard1.LocalIndexOf(3), 1);
   EXPECT_EQ(shard1.LocalIndexOf(4), -1);  // out of range
 
-  // Shard views alias the shared slots: a store through one view is
-  // visible through the full-view translation of the same physical edge.
+  // Each shard holds only its own edges: a store at one shard's edge is
+  // visible there and at no edge of the other shard.
   shard0.edge(1).Store("k", CacheableResponse(), At(0));  // physical edge 2
-  EXPECT_EQ(map->slot(2).cache.Lookup("k", At(1)).outcome,
+  EXPECT_EQ(shard0.edge(1).Lookup("k", At(1)).outcome,
             LookupOutcome::kFreshHit);
+  for (int i = 0; i < shard1.num_edges(); ++i) {
+    EXPECT_EQ(shard1.edge(i).Lookup("k", At(1)).outcome, LookupOutcome::kMiss)
+        << "shard 1 edge " << i;
+  }
 
   // Every client is owned by exactly one shard, and routing agrees with
   // the ownership partition.
@@ -80,7 +81,7 @@ TEST(CdnTest, ShardViewsPartitionThePhysicalTier) {
 
 TEST(CdnTest, FullViewOwnsEveryClient) {
   Cdn cdn(3, 0);
-  EXPECT_EQ(cdn.physical_edges(), 3);
+  EXPECT_EQ(cdn.num_edges(), 3);
   for (uint64_t client = 1; client <= 50; ++client) {
     EXPECT_TRUE(cdn.OwnsClient(client));
     EXPECT_EQ(cdn.LocalIndexOf(cdn.RouteFor(client)), cdn.RouteFor(client));
@@ -88,9 +89,8 @@ TEST(CdnTest, FullViewOwnsEveryClient) {
 }
 
 TEST(CdnTest, ShardFaultAccountingStaysLocal) {
-  auto map = std::make_shared<ShardedEdgeMap>(2, 0);
-  Cdn shard0(map, 0, 2);
-  Cdn shard1(map, 1, 2);
+  Cdn shard0(2, 0, 0, 2);
+  Cdn shard1(2, 0, 1, 2);
   shard0.edge(0).Store("k", CacheableResponse(), At(0));
   shard0.SetEdgeDown(0, true);
   EXPECT_FALSE(shard0.EdgeAvailable(0));
@@ -109,9 +109,8 @@ TEST(CdnTest, ShardFaultAccountingStaysLocal) {
 TEST(CdnTest, RemotePurgeToDownEdgeIsCountedDropped) {
   // A purge delivered to a down POP is lost and counted at the shard that
   // owns the edge; once the edge is back, the next purge applies.
-  auto map = std::make_shared<ShardedEdgeMap>(2, 0);
-  Cdn shard0(map, 0, 2);
-  Cdn shard1(map, 1, 2);
+  Cdn shard0(2, 0, 0, 2);
+  Cdn shard1(2, 0, 1, 2);
   shard1.edge(0).Store("k", CacheableResponse(), At(0));  // physical 1
   shard1.SetEdgeDown(0, true);
   EXPECT_FALSE(shard1.PurgeEdge(0, "k"));
@@ -161,12 +160,15 @@ TEST(CdnTest, EdgesAreSharedCaches) {
 
 TEST(CdnTest, EdgeSlotsAreCacheLineAligned) {
   // Adjacent physical edges belong to DIFFERENT shards under the
-  // e % shards interleaving, so slots must never share a cache line.
-  static_assert(alignof(ShardedEdgeMap::EdgeSlot) == kCacheLineBytes,
-                "EdgeSlot must be cache-line aligned");
-  ShardedEdgeMap map(4, 0);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(&map.slot(i)) % kCacheLineBytes, 0u);
+  // e % shards interleaving, so each shard's edges start on their own
+  // cache line.
+  for (int s = 0; s < 2; ++s) {
+    Cdn cdn(4, 0, s, 2);
+    for (int i = 0; i < cdn.num_edges(); ++i) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(&cdn.edge(i)) % kCacheLineBytes,
+                0u)
+          << "shard " << s << " edge " << i;
+    }
   }
 }
 
@@ -186,11 +188,10 @@ uint64_t FaultStatsFingerprint(const EdgeFaultStats& s) {
 }
 
 TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
-  // The refactor moved fault counters from shared, mutex-guarded slots
-  // into per-shard aligned accumulators. The merge contract is unchanged:
-  // summing the shard views' TotalFaultStats must equal — bit for bit,
-  // histogram fingerprints included — a full view fed the identical
-  // per-physical-edge event sequence.
+  // Each shard counts faults at the edges it owns. Summing the shards'
+  // TotalFaultStats must equal — bit for bit, histogram fingerprints
+  // included — a one-shard Cdn fed the identical per-physical-edge event
+  // sequence.
   auto note_events = [](auto&& reject, auto&& dropped, auto&& delayed,
                         auto&& scheduled) {
     // A fixed script over PHYSICAL edges 0..3.
@@ -203,19 +204,18 @@ TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
     scheduled(3, Duration::Millis(250));
   };
 
-  // Full (legacy, single-domain) view.
+  // The whole tier as one domain.
   Cdn full(4, 0);
   note_events([&](int e) { full.NoteEdgeReject(e); },
               [&](int e) { full.NotePurgeDropped(e); },
               [&](int e) { full.NotePurgeDelayed(e); },
               [&](int e, Duration d) { full.NotePurgeScheduled(e, d); });
 
-  // Two shard views over one map; each receives only its owned edges'
-  // events, translated to local indices — exactly how the fault schedule
-  // mirrors events per shard.
-  auto map = std::make_shared<ShardedEdgeMap>(4, 0);
-  Cdn s0(map, 0, 2);
-  Cdn s1(map, 1, 2);
+  // Two shards; each receives only its owned edges' events, translated to
+  // local indices — exactly how the fault schedule mirrors events per
+  // shard.
+  Cdn s0(4, 0, 0, 2);
+  Cdn s1(4, 0, 1, 2);
   auto route = [&](int physical) -> std::pair<Cdn*, int> {
     Cdn* owner = physical % 2 == 0 ? &s0 : &s1;
     return {owner, owner->LocalIndexOf(physical)};
@@ -237,20 +237,6 @@ TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
   EXPECT_EQ(merged.purges_delayed, legacy.purges_delayed);
   EXPECT_EQ(FaultStatsFingerprint(merged), FaultStatsFingerprint(legacy));
 }
-
-#if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
-TEST(CdnDeathTest, OwnershipAssertionFiresOnCrossShardAccess) {
-  // The runtime fence that replaced the striped locks: in debug builds,
-  // touching a slot another shard owns aborts with the ownership message.
-  auto map = std::make_shared<ShardedEdgeMap>(4, 0);
-  Cdn shard0(map, 0, 2);
-  Cdn shard1(map, 1, 2);
-  (void)shard0;
-  (void)shard1;
-  EXPECT_DEATH(map->owned_slot(/*physical=*/1, /*shard=*/0),
-               "cross-shard edge access");
-}
-#endif
 
 }  // namespace
 }  // namespace speedkit::cache

@@ -45,30 +45,6 @@ TEST(StackConfigValidateTest, RejectsNonPositiveDelta) {
   EXPECT_TRUE(config.Validate().IsInvalidArgument());
 }
 
-TEST(ShardOfClientTest, PartitionMatchesFleetOwnership) {
-  StackConfig config;
-  config.cdn_edges = 8;
-  config.shards = 4;
-  ShardedFleet fleet(config);
-  ASSERT_EQ(fleet.shards(), 4);
-  for (uint64_t client = 1; client <= 500; ++client) {
-    int owner = ShardOfClient(client, config.cdn_edges, config.shards);
-    ASSERT_GE(owner, 0);
-    ASSERT_LT(owner, 4);
-    // Exactly the owning shard claims the client, and nobody else.
-    for (int s = 0; s < fleet.shards(); ++s) {
-      EXPECT_EQ(fleet.shard(s).OwnsClient(client), s == owner)
-          << "client " << client << " shard " << s;
-    }
-  }
-}
-
-TEST(ShardOfClientTest, SingleShardOwnsEverything) {
-  for (uint64_t client = 1; client <= 100; ++client) {
-    EXPECT_EQ(ShardOfClient(client, 4, 1), 0);
-  }
-}
-
 http::HttpResponse CacheableResponse() {
   http::HttpResponse resp;
   resp.status_code = 200;
@@ -97,13 +73,13 @@ TEST(ShardedFleetTest, EveryShardPurgesTheEdgesItOwns) {
   }
 
   const SimTime now = SimTime::Origin() + Duration::Seconds(5);
-  for (int e = 0; e < fleet.edge_map()->num_edges(); ++e) {
-    EXPECT_EQ(fleet.edge_map()->slot(e).cache.Lookup(key, now).outcome,
-              cache::LookupOutcome::kMiss)
-        << "physical edge " << e;
-  }
   for (int s = 0; s < fleet.shards(); ++s) {
     SpeedKitStack& shard = fleet.shard(s);
+    for (int i = 0; i < shard.cdn().num_edges(); ++i) {
+      EXPECT_EQ(shard.cdn().edge(i).Lookup(key, now).outcome,
+                cache::LookupOutcome::kMiss)
+          << "shard " << s << " edge " << i;
+    }
     EXPECT_EQ(shard.pipeline()->stats().purges_effective, 2u) << "shard " << s;
     EXPECT_EQ(shard.events().pending(), 0u) << "shard " << s;
   }
@@ -114,11 +90,32 @@ TEST(ShardedFleetTest, ShardsShareOnePhysicalEdgeTier) {
   config.cdn_edges = 6;
   config.shards = 3;
   ShardedFleet fleet(config);
-  EXPECT_EQ(fleet.edge_map()->num_edges(), 6);
   for (int s = 0; s < fleet.shards(); ++s) {
     EXPECT_EQ(fleet.shard(s).shard(), s);
     EXPECT_EQ(fleet.shard(s).cdn().num_edges(), 2);
-    EXPECT_EQ(fleet.shard(s).cdn().physical_edges(), 6);
+  }
+  // Together the shards hold the whole physical tier, each edge once.
+  for (int e = 0; e < config.cdn_edges; ++e) {
+    int holders = 0;
+    for (int s = 0; s < fleet.shards(); ++s) {
+      if (fleet.shard(s).cdn().LocalIndexOf(e) >= 0) ++holders;
+    }
+    EXPECT_EQ(holders, 1) << "physical edge " << e;
+  }
+}
+
+TEST(ShardedFleetTest, EveryClientHasExactlyOneOwningShard) {
+  StackConfig config;
+  config.cdn_edges = 8;
+  config.shards = 4;
+  ShardedFleet fleet(config);
+  ASSERT_EQ(fleet.shards(), 4);
+  for (uint64_t client = 1; client <= 500; ++client) {
+    int owners = 0;
+    for (int s = 0; s < fleet.shards(); ++s) {
+      if (fleet.shard(s).OwnsClient(client)) ++owners;
+    }
+    EXPECT_EQ(owners, 1) << "client " << client;
   }
 }
 
