@@ -110,8 +110,7 @@ int main() {
   std::printf("\nadmin surface:\n");
   Show("/healthz", Fetch(fd, "/healthz", 0));
   net::WireResponse ring = Fetch(fd, "/ringz", 0);
-  std::printf("  /ringz body: %.*s", static_cast<int>(ring.body.size()),
-              ring.body.data());
+  std::printf("  /ringz body: %s", ring.body.ToString().c_str());
   net::WireResponse metrics = Fetch(fd, "/metricsz", 0);
   std::printf("  /metricsz is %zu bytes of JSON (net.*, proxy, cdn, origin)\n",
               metrics.body.size());

@@ -25,8 +25,11 @@ class ByteWriter {
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void Str(std::string_view s) {
     U32(static_cast<uint32_t>(s.size()));
-    out_.append(s.data(), s.size());
+    Bytes(s);
   }
+  // Bytes with no length prefix: the chunks of a string whose length was
+  // written ahead of them.
+  void Bytes(std::string_view s) { out_.append(s.data(), s.size()); }
 
   std::string Take() { return std::move(out_); }
   size_t size() const { return out_.size(); }

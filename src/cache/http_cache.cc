@@ -282,7 +282,9 @@ std::string HttpCache::Freeze(FrozenHandles* handles) const {
       handles->headers.push_back(r.headers);
       return;
     }
-    w.Str(r.body);
+    // The same u32 length and bytes a flat body writes, chunk by chunk.
+    w.U32(static_cast<uint32_t>(r.body.size()));
+    r.body.ForEachChunk([&w](std::string_view chunk) { w.Bytes(chunk); });
     w.U32(static_cast<uint32_t>(r.headers.size()));
     for (const auto& [name, value] : r.headers) {
       w.Str(name);

@@ -16,6 +16,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "http/cache_control.h"
 #include "http/headers.h"
@@ -24,13 +25,20 @@
 namespace speedkit::http {
 
 // An immutable, reference-counted response payload. Copying a Body shares
-// its buffer instead of duplicating the bytes, so one rendered version can
+// its rep instead of duplicating the bytes, so one rendered version can
 // sit in the origin's render cache, an edge, every browser cache and every
 // spilled cache's handle list as a single allocation (the serialize-once
 // store of Voras & Žagar's cache daemon). Nothing can modify the bytes once
 // built, and a buffer built from a string is trimmed to exactly its size,
 // so long-lived cache entries never pin growth slack. An empty Body holds
 // no allocation.
+//
+// A body is flat (one buffer of its own or one adopted buffer) or joined:
+// a head, shared parts with a separator between each pair, and a tail
+// (see Join). A joined body is never flattened behind the caller's back
+// and keeps no flat copy of itself: its bytes come out chunk by chunk
+// (ForEachChunk), and ToString()/AppendTo() copy them where contiguous
+// bytes are needed.
 class Body {
  public:
   Body() = default;
@@ -39,40 +47,92 @@ class Body {
       : Body(std::string(bytes)) {}
   // Adopts an already-shared immutable buffer (the memoized sketch
   // snapshot) without copying it.
-  explicit Body(std::shared_ptr<const std::string> shared)
-      : buf_(std::move(shared)) {}
+  explicit Body(std::shared_ptr<const std::string> shared);
 
-  std::string_view view() const {
-    return buf_ != nullptr ? std::string_view(*buf_) : std::string_view();
-  }
-  operator std::string_view() const { return view(); }  // NOLINT
-  const char* data() const { return view().data(); }
-  size_t size() const { return buf_ != nullptr ? buf_->size() : 0; }
-  bool empty() const { return size() == 0; }
-  size_t find(std::string_view needle, size_t pos = 0) const {
-    return view().find(needle, pos);
-  }
-  // Bytes the buffer reserves: size() for anything past std::string's
-  // inline capacity.
-  size_t capacity() const { return buf_ != nullptr ? buf_->capacity() : 0; }
-  // Whether both bodies are the same buffer, not merely equal bytes.
+  // `head`, then `parts` with `separator` between each pair, then `tail`.
+  // The parts are shared, not copied, so bodies built from the same parts
+  // (successive versions of a query result) hold their bytes once. The
+  // total size is computed here.
+  static Body Join(std::string_view head, std::vector<Body> parts,
+                   std::string_view separator, std::string_view tail);
+
+  size_t size() const;
+  bool empty() const { return rep_ == nullptr; }
+  // Bytes the buffers reserve: size() for anything past std::string's
+  // inline capacity; a joined body counts its parts and its own strings.
+  size_t capacity() const;
+
+  // Calls fn(std::string_view) for each non-empty run of bytes, in order.
+  template <typename Fn>
+  void ForEachChunk(Fn&& fn) const;
+  void AppendTo(std::string* out) const;
+  std::string ToString() const;
+
+  // Whether both bodies are copies of one body, not merely equal bytes.
   bool SharesBufferWith(const Body& other) const {
-    return buf_ != nullptr && buf_ == other.buf_;
+    return rep_ != nullptr && rep_ == other.rep_;
   }
 
-  friend bool operator==(const Body& a, const Body& b) {
-    return a.view() == b.view();
-  }
+  friend bool operator==(const Body& a, const Body& b);
   template <typename T>
     requires std::convertible_to<const T&, std::string_view>
   friend bool operator==(const Body& a, const T& b) {
-    return a.view() == std::string_view(b);
+    return a.Equals(std::string_view(b));
   }
   friend std::ostream& operator<<(std::ostream& os, const Body& body);
 
  private:
-  std::shared_ptr<const std::string> buf_;
+  enum class Kind : uint8_t { kFlat, kAdopted, kJoined };
+  struct Rep {
+    Kind kind;
+  };
+  struct FlatRep : Rep {
+    explicit FlatRep(std::string b) : Rep{Kind::kFlat}, bytes(std::move(b)) {}
+    std::string bytes;
+  };
+  struct AdoptedRep : Rep {
+    explicit AdoptedRep(std::shared_ptr<const std::string> b)
+        : Rep{Kind::kAdopted}, bytes(std::move(b)) {}
+    std::shared_ptr<const std::string> bytes;
+  };
+  struct JoinedRep : Rep {
+    JoinedRep() : Rep{Kind::kJoined} {}
+    size_t size = 0;
+    std::string head;
+    std::vector<Body> parts;
+    std::string separator;
+    std::string tail;
+  };
+
+  bool Equals(std::string_view bytes) const;
+
+  std::shared_ptr<const Rep> rep_;
 };
+
+template <typename Fn>
+void Body::ForEachChunk(Fn&& fn) const {
+  if (rep_ == nullptr) return;
+  switch (rep_->kind) {
+    case Kind::kFlat:
+      fn(std::string_view(static_cast<const FlatRep&>(*rep_).bytes));
+      return;
+    case Kind::kAdopted:
+      fn(std::string_view(*static_cast<const AdoptedRep&>(*rep_).bytes));
+      return;
+    case Kind::kJoined: {
+      const JoinedRep& joined = static_cast<const JoinedRep&>(*rep_);
+      if (!joined.head.empty()) fn(std::string_view(joined.head));
+      for (size_t i = 0; i < joined.parts.size(); ++i) {
+        if (i > 0 && !joined.separator.empty()) {
+          fn(std::string_view(joined.separator));
+        }
+        joined.parts[i].ForEachChunk(fn);
+      }
+      if (!joined.tail.empty()) fn(std::string_view(joined.tail));
+      return;
+    }
+  }
+}
 
 enum class Method { kGet, kHead, kPost, kPut, kPatch, kDelete };
 

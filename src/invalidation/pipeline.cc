@@ -1,6 +1,7 @@
 #include "invalidation/pipeline.h"
 
 #include <algorithm>
+#include <memory>
 
 namespace speedkit::invalidation {
 
@@ -73,6 +74,7 @@ void InvalidationPipeline::InvalidateKey(const std::string& key) {
     // A probability of 0 must not touch the RNG: an attached-but-quiet
     // fault schedule reproduces the faultless run bit-for-bit.
     auto chance = [this](double p) { return p > 0 && rng_.WithProbability(p); };
+    std::shared_ptr<const std::string> shared_key;
     for (int i = 0; i < cdn_->num_edges(); ++i) {
       stats_.purges_scheduled++;
       if (faults_ != nullptr && chance(faults_->purge_loss_probability())) {
@@ -107,11 +109,16 @@ void InvalidationPipeline::InvalidateKey(const std::string& key) {
       }
       SimTime at = now + delay;
       last_purge = std::max(last_purge, at);
+      // Every edge's event shares one immutable copy of the key.
+      if (shared_key == nullptr) {
+        shared_key = std::make_shared<const std::string>(key);
+      }
       int edge = i;
-      std::string key_copy = key;
-      events_->At(at, [this, edge, key_copy]() {
-        if (cdn_->PurgeEdge(edge, key_copy)) stats_.purges_effective++;
-      });
+      auto purge = [this, edge, shared_key]() {
+        if (cdn_->PurgeEdge(edge, *shared_key)) stats_.purges_effective++;
+      };
+      static_assert(sizeof(purge) <= 64, "purge events must stay inline");
+      events_->At(at, std::move(purge));
     }
     propagation_latency_us_.Add((last_purge - now).micros());
   }

@@ -227,7 +227,7 @@ std::string SerializeRequest(http::Method method, std::string_view target,
 }
 
 std::string SerializeResponse(int status_code, const http::HeaderMap& headers,
-                              std::string_view body, bool keep_alive) {
+                              const http::Body& body, bool keep_alive) {
   std::string out;
   out.reserve(64 + headers.WireSize() + body.size());
   out.append("HTTP/1.1 ");
@@ -248,7 +248,7 @@ std::string SerializeResponse(int status_code, const http::HeaderMap& headers,
   out.append(keep_alive ? "Connection: keep-alive\r\n"
                         : "Connection: close\r\n");
   out.append(kCrlf);
-  out.append(body);
+  body.AppendTo(&out);
   return out;
 }
 

@@ -58,9 +58,10 @@ std::string SerializeRequest(http::Method method, std::string_view target,
                              std::string_view body = {});
 
 // Serializes a response; Content-Length and Connection are emitted from
-// the arguments, never taken from `headers`.
+// the arguments, never taken from `headers`. The body is appended chunk by
+// chunk, so a joined body is never flattened first.
 std::string SerializeResponse(int status_code, const http::HeaderMap& headers,
-                              std::string_view body, bool keep_alive);
+                              const http::Body& body, bool keep_alive);
 
 // "OK", "Not Found", ... ("Unknown" for codes without a phrase here).
 std::string_view StatusText(int code);

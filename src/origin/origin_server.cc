@@ -64,20 +64,20 @@ storage::FieldValue OriginServer::MaterializedQuery::SortValueOf(
 
 size_t OriginServer::MaterializedQuery::PositionOf(
     const storage::Record& image) const {
-  std::pair<storage::FieldValue, std::string> entry{SortValueOf(image),
-                                                    image.id};
-  auto less = [](const auto& a, const auto& b) {
-    if (invalidation::TotalOrderLess(a.first, b.first)) return true;
-    if (invalidation::TotalOrderLess(b.first, a.first)) return false;
-    return a.second < b.second;
+  auto less = [&image](const Member& m, const storage::FieldValue& value) {
+    if (invalidation::TotalOrderLess(m.sort_value, value)) return true;
+    if (invalidation::TotalOrderLess(value, m.sort_value)) return false;
+    return m.id < image.id;
   };
-  return std::lower_bound(members.begin(), members.end(), entry, less) -
+  return std::lower_bound(members.begin(), members.end(), SortValueOf(image),
+                          less) -
          members.begin();
 }
 
 size_t OriginServer::MaterializedQuery::Insert(const storage::Record& record) {
   size_t at = PositionOf(record);
-  members.emplace(members.begin() + at, SortValueOf(record), record.id);
+  members.insert(members.begin() + at,
+                 Member{SortValueOf(record), record.id, http::Body()});
   return at;
 }
 
@@ -112,7 +112,7 @@ void OriginServer::OnWrite(const storage::Record* before,
     if (before != nullptr && mq.query.Matches(*before)) {
       // Its entry was built from its latest image, which is `before`.
       size_t at = mq.PositionOf(*before);
-      assert(at < mq.members.size() && mq.members[at].second == before->id);
+      assert(at < mq.members.size() && mq.members[at].id == before->id);
       changed = mq.IsVisible(at);
       mq.members.erase(mq.members.begin() + at);
     }
@@ -258,25 +258,33 @@ http::HttpResponse OriginServer::ServeQuery(const http::HttpRequest& request,
                                             std::string_view query_id) {
   auto it = queries_.find(std::string(query_id));
   if (it == queries_.end()) return http::MakeNotFound();
-  const MaterializedQuery& mq = it->second;
+  MaterializedQuery& mq = it->second;
   std::string key = request.url.CacheKey();
   Duration ttl = ttl_policy_->TtlFor(key, clock_->Now());
   return Finish(request, key, mq.result_version, ttl,
                 config_.query_render_time, [this, &mq] {
-                  std::string body =
-                      "{\"query\":\"" + mq.query.id + "\",\"results\":[";
+                  // The listing shares each member's memoized fragment, so
+                  // a render after a write renders only the written record.
                   size_t n = mq.members.size();
                   size_t take =
                       mq.query.limit == 0 ? n : std::min(mq.query.limit, n);
+                  std::vector<http::Body> parts;
+                  parts.reserve(take);
                   for (size_t i = 0; i < take; ++i) {
-                    if (i > 0) body += ",";
-                    const storage::Record* record = store_->Peek(
-                        mq.members[mq.query.descending ? n - 1 - i : i]
-                            .second);
-                    if (record != nullptr) body += record->Render();
+                    MaterializedQuery::Member& member =
+                        mq.members[mq.query.descending ? n - 1 - i : i];
+                    if (member.fragment.empty()) {
+                      // Members are live records: Query::Matches rejects
+                      // deleted ones and the store never erases a record.
+                      const storage::Record* record = store_->Peek(member.id);
+                      assert(record != nullptr);
+                      member.fragment = http::Body(record->Render());
+                    }
+                    parts.push_back(member.fragment);
                   }
-                  body += "]}";
-                  return body;
+                  return http::Body::Join(
+                      "{\"query\":\"" + mq.query.id + "\",\"results\":[",
+                      std::move(parts), ",", "]}");
                 });
 }
 

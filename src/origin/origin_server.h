@@ -132,11 +132,21 @@ class OriginServer {
 
  private:
   struct MaterializedQuery {
+    // One predicate-matching record. `fragment` is its Render(), memoized
+    // the first time a listing renders the entry; a write erases the
+    // entry and inserts a fresh one, so a fragment is always that of the
+    // record's current version.
+    struct Member {
+      storage::FieldValue sort_value;
+      std::string id;
+      http::Body fragment;
+    };
+
     invalidation::Query query;
     // All predicate-matching records, ascending by (sort value, id); for
     // unordered queries the sort value is a constant and id order rules.
     // Each entry is built from the record's latest image.
-    std::vector<std::pair<storage::FieldValue, std::string>> members;
+    std::vector<Member> members;
     uint64_t result_version = 1;
 
     storage::FieldValue SortValueOf(const storage::Record& record) const;

@@ -768,14 +768,14 @@ BlockResult ClientProxy::FetchBlock(
   switch (block.scope) {
     case personalization::BlockScope::kStatic: {
       FetchResult r = Fetch(base);
-      out.content = r.response.body;
+      out.content = r.response.body.ToString();
       out.latency = r.latency;
       out.source = r.source;
       return out;
     }
     case personalization::BlockScope::kSegment: {
       FetchResult r = Fetch(base + "&seg=" + segmenter.SegmentFor(user_id));
-      out.content = r.response.body;
+      out.content = r.response.body.ToString();
       out.latency = r.latency;
       out.source = r.source;
       return out;
@@ -784,9 +784,9 @@ BlockResult ClientProxy::FetchBlock(
       if (config_.enabled && config_.gdpr_mode) {
         // GDPR path: cacheable anonymous template + on-device join.
         FetchResult r = Fetch(base + "&tpl=1");
-        out.content = vault_ != nullptr
-                          ? vault_->RenderLocally(r.response.body)
-                          : std::string(r.response.body);
+        std::string tpl = r.response.body.ToString();
+        out.content = vault_ != nullptr ? vault_->RenderLocally(tpl)
+                                        : std::move(tpl);
         out.latency = r.latency + kRenderOverhead;
         out.source = r.source;
         out.rendered_on_device = true;
@@ -794,7 +794,7 @@ BlockResult ClientProxy::FetchBlock(
       }
       // Legacy path: identity crosses the boundary, nothing cacheable.
       FetchResult r = Fetch(base + "&user=" + std::to_string(user_id));
-      out.content = r.response.body;
+      out.content = r.response.body.ToString();
       out.latency = r.latency;
       out.source = r.source;
       return out;

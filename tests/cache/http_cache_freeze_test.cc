@@ -298,6 +298,43 @@ TEST(HttpCacheFreezeTest, HandleBlobKeepsBodiesShared) {
   EXPECT_FALSE(thawed.Thaw(cache.Freeze(), &handles));
 }
 
+// A joined body (a query listing over shared record fragments) freezes
+// to the bytes of its flat twin: the self-contained blob is byte-identical
+// and thaws to a flat body with equal bytes. The handle form keeps the
+// joined body itself.
+TEST(HttpCacheFreezeTest, JoinedBodyFreezesLikeItsFlatTwin) {
+  http::Body joined = http::Body::Join(
+      "{\"results\":[",
+      {http::Body(std::string(40, 'a')), http::Body(std::string(30, 'b')),
+       http::Body(std::string(20, 'c'))},
+      ",", "]}");
+  auto stored = [](http::Body body) {
+    http::HttpResponse resp = Response("max-age=60");
+    resp.body = std::move(body);
+    return resp;
+  };
+  HttpCache joined_cache(false, 0);
+  joined_cache.Store("q", stored(joined), At(0));
+  HttpCache flat_cache(false, 0);
+  flat_cache.Store("q", stored(http::Body(joined.ToString())), At(0));
+
+  std::string blob = joined_cache.Freeze();
+  EXPECT_EQ(blob, flat_cache.Freeze());
+  HttpCache thawed(false, 0);
+  ASSERT_TRUE(thawed.Thaw(blob));
+  const http::Body& body = thawed.Lookup("q", At(1)).entry->response.body;
+  EXPECT_EQ(body, joined);
+  EXPECT_EQ(body.ToString(), joined.ToString());
+  EXPECT_FALSE(body.SharesBufferWith(joined));
+
+  FrozenHandles handles;
+  std::string handle_blob = joined_cache.Freeze(&handles);
+  HttpCache spilled(false, 0);
+  ASSERT_TRUE(spilled.Thaw(handle_blob, &handles));
+  EXPECT_TRUE(spilled.Lookup("q", At(1)).entry->response.body.SharesBufferWith(
+      joined));
+}
+
 TEST(HttpCacheFreezeTest, OutOfRangeBodyIndexFailsClosedToEmpty) {
   HttpCache cache(false, 0);
   cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));

@@ -1,5 +1,11 @@
 #include "http/message.h"
 
+#include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace speedkit::http {
@@ -95,6 +101,64 @@ TEST(MessageTest, BodyCopiesShareOneBuffer) {
   EXPECT_FALSE(a.SharesBufferWith(twin));  // ... in a different buffer
   EXPECT_TRUE(Body().empty());
   EXPECT_FALSE(Body().SharesBufferWith(Body()));
+}
+
+// Every form of Body is one shared pointer.
+static_assert(sizeof(Body) == 16);
+
+// An adopted buffer is served as is, not copied.
+TEST(MessageTest, AdoptedBodyServesTheSharedBuffer) {
+  auto shared = std::make_shared<const std::string>(64, 's');
+  Body body(shared);
+  EXPECT_EQ(body.size(), 64u);
+  body.ForEachChunk([&shared](std::string_view chunk) {
+    EXPECT_EQ(chunk.data(), shared->data());
+  });
+  EXPECT_EQ(body, *shared);
+}
+
+// A joined body is its head, then its parts with a separator between each
+// pair, then its tail. Each part's bytes come out of that part's own
+// buffer, and equality and printing walk the chunks.
+TEST(MessageTest, JoinedBodyWalksItsSharedParts) {
+  Body a("alpha-record");
+  Body b("beta-record");
+  Body joined = Body::Join("[", {a, b, a}, ",", "]");
+  const std::string flat = "[alpha-record,beta-record,alpha-record]";
+  EXPECT_EQ(joined.size(), flat.size());
+  EXPECT_EQ(joined.ToString(), flat);
+  std::string appended = ">";
+  joined.AppendTo(&appended);
+  EXPECT_EQ(appended, ">[alpha-record,beta-record,alpha-record]");
+
+  std::vector<std::string_view> chunks;
+  joined.ForEachChunk(
+      [&chunks](std::string_view chunk) { chunks.push_back(chunk); });
+  ASSERT_EQ(chunks.size(), 7u);  // head, a, sep, b, sep, a, tail
+  a.ForEachChunk([&chunks](std::string_view chunk) {
+    EXPECT_EQ(chunks[1].data(), chunk.data());
+    EXPECT_EQ(chunks[5].data(), chunk.data());
+  });
+
+  Body twin(flat);
+  EXPECT_EQ(joined, twin);
+  EXPECT_EQ(twin, joined);
+  EXPECT_EQ(joined, flat);
+  // Equal bytes cut at other chunk boundaries.
+  EXPECT_EQ(joined, Body::Join("", {Body("[alpha-rec"),
+                                    Body("ord,beta-record,al"),
+                                    Body("pha-record]")},
+                               "", ""));
+  EXPECT_FALSE(joined == Body::Join("[", {b, a, a}, ",", "]"));
+  std::ostringstream printed;
+  printed << joined;
+  EXPECT_EQ(printed.str(), flat);
+
+  Body copy = joined;
+  EXPECT_TRUE(copy.SharesBufferWith(joined));
+  EXPECT_FALSE(twin.SharesBufferWith(joined));
+  EXPECT_EQ(Body::Join("[", {}, ",", "]"), "[]");
+  EXPECT_TRUE(Body::Join("", {}, ",", "").empty());
 }
 
 TEST(MessageTest, MissingCacheControlParsesAsEmpty) {

@@ -50,8 +50,8 @@ class SortedQueryCoherenceTest : public ::testing::Test {
 TEST_F(SortedQueryCoherenceTest, DisplacementVisibleWithinDelta) {
   proxy::FetchResult first = client_->Fetch(QueryUrl());
   ASSERT_TRUE(first.response.ok());
-  EXPECT_NE(first.response.body.find("\"id\":\"p0\""), std::string::npos);
-  EXPECT_EQ(first.response.body.find("\"id\":\"p5\""), std::string::npos);
+  EXPECT_NE(first.response.body.ToString().find("\"id\":\"p0\""), std::string::npos);
+  EXPECT_EQ(first.response.body.ToString().find("\"id\":\"p5\""), std::string::npos);
 
   // p5 (60 -> 1) becomes the cheapest: the cached listing is now stale.
   stack_.store().Update("p5", {{"price", 1.0}}, stack_.clock().Now());
@@ -61,9 +61,9 @@ TEST_F(SortedQueryCoherenceTest, DisplacementVisibleWithinDelta) {
   ASSERT_TRUE(second.response.ok());
   EXPECT_TRUE(second.sketch_bypass);
   EXPECT_GT(second.response.object_version, first.response.object_version);
-  EXPECT_NE(second.response.body.find("\"id\":\"p5\""), std::string::npos);
+  EXPECT_NE(second.response.body.ToString().find("\"id\":\"p5\""), std::string::npos);
   // p2 (rank 3 before) fell out of the slice.
-  EXPECT_EQ(second.response.body.find("\"id\":\"p2\""), std::string::npos);
+  EXPECT_EQ(second.response.body.ToString().find("\"id\":\"p2\""), std::string::npos);
 }
 
 TEST_F(SortedQueryCoherenceTest, OutOfSliceWriteDoesNotChurnResult) {

@@ -107,12 +107,12 @@ TEST_F(EdgedSocketTest, AdminEndpointsAnswer) {
 
   WireResponse ring = RoundTrip(fd, "/ringz");
   EXPECT_EQ(ring.status_code, 200);
-  EXPECT_NE(ring.body.find("\"edge-0\""), std::string::npos);
+  EXPECT_NE(ring.body.ToString().find("\"edge-0\""), std::string::npos);
 
   WireResponse metrics = RoundTrip(fd, "/metricsz");
   EXPECT_EQ(metrics.status_code, 200);
-  EXPECT_NE(metrics.body.find("\"net.requests\""), std::string::npos);
-  EXPECT_NE(metrics.body.find("\"proxy\""), std::string::npos);
+  EXPECT_NE(metrics.body.ToString().find("\"net.requests\""), std::string::npos);
+  EXPECT_NE(metrics.body.ToString().find("\"proxy\""), std::string::npos);
   ::close(fd);
 }
 

@@ -167,6 +167,26 @@ TEST(HttpCodecTest, SerializeOwnsFramingHeaders) {
   EXPECT_TRUE(resp.keep_alive);
 }
 
+// A joined body goes on the wire chunk by chunk, as its flat twin's bytes.
+TEST(HttpCodecTest, JoinedBodySerializesLikeItsFlatTwin) {
+  http::HeaderMap headers;
+  headers.Set("Content-Type", "application/json");
+  http::Body record("{\"id\":\"p1\"}");
+  http::Body joined = http::Body::Join(
+      "{\"results\":[", {record, record, http::Body("{\"id\":\"p2\"}")}, ",",
+      "]}");
+  http::Body flat(joined.ToString());
+  std::string wire = SerializeResponse(200, headers, joined, true);
+  EXPECT_EQ(wire, SerializeResponse(200, headers, flat, true));
+
+  WireResponse resp;
+  size_t consumed = 0;
+  ASSERT_EQ(ParseResponse(wire, &resp, &consumed), ParseStatus::kOk);
+  EXPECT_EQ(consumed, wire.size());
+  EXPECT_EQ(resp.body, "{\"results\":[{\"id\":\"p1\"},{\"id\":\"p1\"},"
+                       "{\"id\":\"p2\"}]}");
+}
+
 TEST(HttpCodecTest, StatusTextCoversTheCodesTheTierEmits) {
   EXPECT_EQ(StatusText(200), "OK");
   EXPECT_EQ(StatusText(400), "Bad Request");

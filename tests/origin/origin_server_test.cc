@@ -46,7 +46,7 @@ TEST_F(OriginServerTest, ServesRecordWithTtlAndETag) {
   EXPECT_TRUE(resp.ok());
   EXPECT_EQ(resp.object_version, 1u);
   EXPECT_EQ(resp.ETag(), "\"v1\"");
-  EXPECT_NE(resp.body.find("\"id\":\"p1\""), std::string::npos);
+  EXPECT_NE(resp.body.ToString().find("\"id\":\"p1\""), std::string::npos);
   http::CacheControl cc = resp.GetCacheControl();
   EXPECT_TRUE(cc.is_public);
   EXPECT_EQ(cc.max_age.value(), Duration::Seconds(60));
@@ -83,8 +83,8 @@ TEST_F(OriginServerTest, QueryResultListsMatchingRecords) {
   http::HttpResponse resp =
       server_.Handle(Get("https://shop.example.com/api/queries/cat-1"));
   EXPECT_TRUE(resp.ok());
-  EXPECT_NE(resp.body.find("\"id\":\"p1\""), std::string::npos);
-  EXPECT_EQ(resp.body.find("\"id\":\"p2\""), std::string::npos);
+  EXPECT_NE(resp.body.ToString().find("\"id\":\"p1\""), std::string::npos);
+  EXPECT_EQ(resp.body.ToString().find("\"id\":\"p2\""), std::string::npos);
 }
 
 TEST_F(OriginServerTest, QueryResultVersionBumpsOnMembershipChange) {
@@ -95,7 +95,7 @@ TEST_F(OriginServerTest, QueryResultVersionBumpsOnMembershipChange) {
   http::HttpResponse after =
       server_.Handle(Get("https://shop.example.com/api/queries/cat-1"));
   EXPECT_GT(after.object_version, before.object_version);
-  EXPECT_NE(after.body.find("\"id\":\"p2\""), std::string::npos);
+  EXPECT_NE(after.body.ToString().find("\"id\":\"p2\""), std::string::npos);
 }
 
 TEST_F(OriginServerTest, QueryResultUnaffectedByIrrelevantWrite) {
@@ -111,7 +111,7 @@ TEST_F(OriginServerTest, DeleteRemovesFromQueryResult) {
   ASSERT_TRUE(store_.Delete("p1", clock_.Now()).ok());
   http::HttpResponse resp =
       server_.Handle(Get("https://shop.example.com/api/queries/cat-1"));
-  EXPECT_EQ(resp.body.find("\"id\":\"p1\""), std::string::npos);
+  EXPECT_EQ(resp.body.ToString().find("\"id\":\"p1\""), std::string::npos);
 }
 
 TEST_F(OriginServerTest, DuplicateQueryRegistrationFails) {
@@ -162,14 +162,14 @@ TEST_F(OriginServerTest, SegmentFragmentIsCacheable) {
       Get("https://shop.example.com/api/fragments/recs?seg=seg-3"));
   EXPECT_TRUE(resp.ok());
   EXPECT_TRUE(resp.GetCacheControl().Storable(true));
-  EXPECT_NE(resp.body.find("seg-3"), std::string::npos);
+  EXPECT_NE(resp.body.ToString().find("seg-3"), std::string::npos);
 }
 
 TEST_F(OriginServerTest, TemplateFragmentHasPlaceholders) {
   http::HttpResponse resp = server_.Handle(
       Get("https://shop.example.com/api/fragments/cart?tpl=1"));
   EXPECT_TRUE(resp.ok());
-  EXPECT_NE(resp.body.find("{{name}}"), std::string::npos);
+  EXPECT_NE(resp.body.ToString().find("{{name}}"), std::string::npos);
   EXPECT_TRUE(resp.GetCacheControl().Storable(true));
 }
 
@@ -180,7 +180,7 @@ TEST_F(OriginServerTest, UserFragmentIsNeverCacheable) {
   http::CacheControl cc = resp.GetCacheControl();
   EXPECT_TRUE(cc.no_store);
   EXPECT_FALSE(cc.Storable(false));
-  EXPECT_NE(resp.body.find("777"), std::string::npos);
+  EXPECT_NE(resp.body.ToString().find("777"), std::string::npos);
 }
 
 TEST_F(OriginServerTest, SketchEndpointServesSnapshot) {
@@ -190,7 +190,7 @@ TEST_F(OriginServerTest, SketchEndpointServesSnapshot) {
       server_.Handle(Get("https://shop.example.com/sketch"));
   EXPECT_TRUE(resp.ok());
   EXPECT_TRUE(resp.GetCacheControl().no_store);
-  auto filter = sketch::BloomFilter::Deserialize(resp.body);
+  auto filter = sketch::BloomFilter::Deserialize(resp.body.ToString());
   ASSERT_TRUE(filter.ok());
   EXPECT_TRUE(filter->MightContain("some-key"));
 }

@@ -137,7 +137,7 @@ void ApplyWrite(uint32_t kind, const std::string& id, int64_t category,
 
 uint64_t Fingerprint(uint64_t h, const http::HttpResponse& resp) {
   for (uint64_t v : {static_cast<uint64_t>(resp.status_code),
-                     Fnv1a_64(resp.ETag()), Fnv1a_64(resp.body),
+                     Fnv1a_64(resp.ETag()), Fnv1a_64(resp.body.ToString()),
                      resp.object_version,
                      static_cast<uint64_t>(resp.server_time.micros())}) {
     h = Mix64(h ^ v);
@@ -250,6 +250,19 @@ std::vector<std::string> ExpectedSlice(const invalidation::Query& q,
   return ids;
 }
 
+// The body of `q` rendered from scratch over its expected slice: the
+// listing head, each record's Render() joined by ",", then the tail.
+std::string ExpectedBody(const invalidation::Query& q,
+                         const std::vector<std::string>& slice,
+                         const storage::ObjectStore& store) {
+  std::string body = "{\"query\":\"" + q.id + "\",\"results\":[";
+  for (size_t i = 0; i < slice.size(); ++i) {
+    if (i > 0) body += ",";
+    body += store.Peek(slice[i])->Render();
+  }
+  return body + "]}";
+}
+
 // The record ids of a query response body, in order.
 std::vector<std::string> ServedIds(std::string_view body) {
   constexpr std::string_view kMarker = "{\"id\":\"";
@@ -269,8 +282,10 @@ bool Contains(const std::vector<std::string>& ids, const std::string& id) {
 
 // The origin's materialized results against a brute-force rebuild from
 // the store after every write: the served slice must equal the expected
-// one, and a result's version must rise iff the written record is in its
-// old or its new expected slice. Writes enter, leave, change in place,
+// one, the served body must equal a from-scratch render of that slice
+// (so no memoized record fragment may outlive its record's version), and
+// a result's version must rise iff the written record is in its old or
+// its new expected slice. Writes enter, leave, change in place,
 // move the sort key, delete and re-put; they also drop the sort field (a
 // Put without price sorts first) and write integer prices that tie with
 // other records' double prices (a cross-type tie broken by id).
@@ -296,7 +311,8 @@ TEST(RenderCacheDifferentialTest, MaterializedResultsMatchBruteForce) {
       http::HttpResponse resp = get(q);
       slices.push_back(ExpectedSlice(q, w.store));
       versions.push_back(resp.object_version);
-      ASSERT_EQ(ServedIds(resp.body), slices.back()) << q.id;
+      ASSERT_EQ(ServedIds(resp.body.ToString()), slices.back()) << q.id;
+      ASSERT_EQ(resp.body, ExpectedBody(q, slices.back(), w.store)) << q.id;
     }
 
     Pcg32 rng(seed, 11);
@@ -333,7 +349,9 @@ TEST(RenderCacheDifferentialTest, MaterializedResultsMatchBruteForce) {
       for (size_t i = 0; i < queries.size(); ++i) {
         std::vector<std::string> slice = ExpectedSlice(queries[i], w.store);
         http::HttpResponse resp = get(queries[i]);
-        ASSERT_EQ(ServedIds(resp.body), slice)
+        ASSERT_EQ(ServedIds(resp.body.ToString()), slice)
+            << "step " << step << " " << queries[i].id;
+        ASSERT_EQ(resp.body, ExpectedBody(queries[i], slice, w.store))
             << "step " << step << " " << queries[i].id;
         bool touched = Contains(slices[i], id) || Contains(slice, id);
         ASSERT_EQ(resp.object_version, versions[i] + (touched ? 1 : 0))

@@ -37,7 +37,7 @@ class SortedQueryTest : public ::testing::Test {
   std::vector<std::string> ResultIds() {
     http::HttpResponse resp =
         server_.Handle(Get("https://shop.example.com/api/queries/cheapest3"));
-    const std::string_view body = resp.body;
+    const std::string body = resp.body.ToString();
     std::vector<std::string> ids;
     size_t pos = 0;
     while ((pos = body.find("\"id\":\"", pos)) != std::string::npos) {
@@ -109,10 +109,10 @@ TEST_F(SortedQueryTest, DescendingOrder) {
   ASSERT_TRUE(server_.RegisterQuery(q).ok());
   http::HttpResponse resp =
       server_.Handle(Get("https://shop.example.com/api/queries/priciest2"));
-  EXPECT_NE(resp.body.find("\"id\":\"p4\""), std::string::npos);
-  EXPECT_NE(resp.body.find("\"id\":\"p3\""), std::string::npos);
-  EXPECT_EQ(resp.body.find("\"id\":\"p2\""), std::string::npos);
-  EXPECT_LT(resp.body.find("\"id\":\"p4\""), resp.body.find("\"id\":\"p3\""));
+  EXPECT_NE(resp.body.ToString().find("\"id\":\"p4\""), std::string::npos);
+  EXPECT_NE(resp.body.ToString().find("\"id\":\"p3\""), std::string::npos);
+  EXPECT_EQ(resp.body.ToString().find("\"id\":\"p2\""), std::string::npos);
+  EXPECT_LT(resp.body.ToString().find("\"id\":\"p4\""), resp.body.ToString().find("\"id\":\"p3\""));
 }
 
 TEST_F(SortedQueryTest, MissingSortFieldSortsFirst) {
@@ -129,8 +129,8 @@ TEST_F(SortedQueryTest, UnlimitedOrderedQueryReturnsAllSorted) {
   ASSERT_TRUE(server_.RegisterQuery(q).ok());
   http::HttpResponse resp =
       server_.Handle(Get("https://shop.example.com/api/queries/all-sorted"));
-  size_t p0 = resp.body.find("\"id\":\"p0\"");
-  size_t p4 = resp.body.find("\"id\":\"p4\"");
+  size_t p0 = resp.body.ToString().find("\"id\":\"p0\"");
+  size_t p4 = resp.body.ToString().find("\"id\":\"p4\"");
   ASSERT_NE(p0, std::string::npos);
   ASSERT_NE(p4, std::string::npos);
   EXPECT_LT(p0, p4);

@@ -1,7 +1,9 @@
 // One buffer per response version: a body rendered once at the origin is
 // the same allocation in the render cache, the edge entry, every browser
 // cache behind that edge, every FetchResult, and a spilled browser cache's
-// handle list. The response's header block is shared the same way.
+// handle list. The response's header block is shared the same way, and a
+// query listing shares its record fragments with the listing's other
+// versions.
 #include <string>
 #include <string_view>
 #include <vector>
@@ -10,6 +12,7 @@
 
 #include "cache/cdn.h"
 #include "coherence/delta_atomic.h"
+#include "invalidation/predicate.h"
 #include "origin/origin_server.h"
 #include "proxy/client_pool.h"
 #include "sim/clock.h"
@@ -175,6 +178,80 @@ TEST(BodySharingTest, OriginTwoHundredsShareTheirHeaderBlockUntilTtlMoves) {
   EXPECT_TRUE(fourth.headers.SharesStorageWith(third.headers));
   EXPECT_EQ(origin.stats().render_cache_hits, 3u);
   EXPECT_EQ(origin.stats().render_cache_misses, 1u);
+}
+
+// The record fragments of one query listing, in order: the chunks a
+// Render() starts, told apart from the listing's head, separators and tail.
+std::vector<std::string_view> FragmentChunks(const http::Body& body) {
+  std::vector<std::string_view> fragments;
+  body.ForEachChunk([&fragments](std::string_view chunk) {
+    if (chunk.starts_with("{\"id\":\"")) fragments.push_back(chunk);
+  });
+  return fragments;
+}
+
+// Successive versions of a query result share every record fragment the
+// write left alone: a price write to one member of a 100-member category
+// renders one new fragment, and the second listing holds the other 99 as
+// the very buffers the first one holds. Clients behind one edge hold the
+// one joined body.
+TEST(BodySharingTest, QueryVersionsShareUnchangedRecordFragments) {
+  constexpr char kQueryUrl[] = "https://shop.example.com/api/queries/cat-7";
+  constexpr size_t kWritten = 42;
+  World w;
+  auto id = [](size_t i) {
+    return std::string(i < 10 ? "c0" : "c") + std::to_string(i);
+  };
+  for (size_t i = 0; i < 100; ++i) {
+    w.store.Put(id(i), {{"category", int64_t{7}}, {"price", 10.0 + i}},
+                w.clock.Now());
+  }
+  invalidation::Query query;
+  query.id = "cat-7";
+  query.conditions.push_back({"category", invalidation::Op::kEq, int64_t{7}});
+  ASSERT_TRUE(w.origin.RegisterQuery(query).ok());
+
+  http::HttpResponse first = w.origin.Handle(Get(kQueryUrl));
+  w.clock.Advance(Duration::Seconds(1));
+  w.store.Update(id(kWritten), {{"price", 99.5}}, w.clock.Now());
+  http::HttpResponse second = w.origin.Handle(Get(kQueryUrl));
+  ASSERT_EQ(second.object_version, first.object_version + 1);
+
+  std::vector<std::string_view> before = FragmentChunks(first.body);
+  std::vector<std::string_view> after = FragmentChunks(second.body);
+  ASSERT_EQ(before.size(), 100u);
+  ASSERT_EQ(after.size(), 100u);
+  for (size_t i = 0; i < 100; ++i) {
+    if (i == kWritten) {
+      EXPECT_NE(after[i].data(), before[i].data());
+      EXPECT_EQ(after[i], w.store.Peek(id(i))->Render());
+    } else {
+      EXPECT_EQ(after[i].data(), before[i].data()) << id(i);
+    }
+  }
+
+  // Byte for byte the flat render of the same listing.
+  std::string flat = "{\"query\":\"cat-7\",\"results\":[";
+  for (size_t i = 0; i < 100; ++i) {
+    if (i > 0) flat += ",";
+    flat += w.store.Peek(id(i))->Render();
+  }
+  flat += "]}";
+  EXPECT_EQ(second.body.size(), flat.size());
+  EXPECT_EQ(second.body.ToString(), flat);
+
+  ClientPool pool(ClientPoolConfig{}, w.Deps());
+  ClientProxy* a = pool.MakeClient(SpeedKitConfig(), 1);
+  ClientProxy* b = pool.MakeClient(SpeedKitConfig(), 2);
+  EXPECT_EQ(a->Fetch(kQueryUrl).source, ServedFrom::kOrigin);
+  EXPECT_EQ(b->Fetch(kQueryUrl).source, ServedFrom::kEdgeCache);
+  const std::string key = http::Url::Parse(kQueryUrl)->CacheKey();
+  const http::Body& held_a =
+      a->browser_cache().Lookup(key, w.clock.Now()).entry->response.body;
+  const http::Body& held_b =
+      b->browser_cache().Lookup(key, w.clock.Now()).entry->response.body;
+  EXPECT_TRUE(held_a.SharesBufferWith(held_b));
+  EXPECT_TRUE(held_a.SharesBufferWith(second.body));
 }
 
 // The legacy per-user fragment is no-store and carries PII: the render

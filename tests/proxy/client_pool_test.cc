@@ -123,7 +123,7 @@ TEST(ClientPoolTest, SpillIsBehaviorNeutralAgainstTwinWorld) {
     auto record = [&](const FetchResult& r) {
       outcomes.push_back(std::string(ServedFromName(r.source)) + "/" +
                          std::to_string(r.response.status_code) + "/" +
-                         std::string(r.response.body));
+                         r.response.body.ToString());
     };
     record(client->Fetch(kRecordUrl));   // origin fetch, warms the cache
     w.Advance(Duration::Seconds(5));

@@ -141,7 +141,7 @@ TEST_F(SwrTest, AssetRequestsRewrittenToOptimizedVariant) {
   ClientProxy proxy = MakeProxy(Config());
   FetchResult r = proxy.Fetch(kAssetUrl);
   ASSERT_TRUE(r.response.ok());
-  EXPECT_NE(r.response.body.find("asset-optimized:"), std::string::npos);
+  EXPECT_NE(r.response.body.ToString().find("asset-optimized:"), std::string::npos);
   size_t optimized_size = r.response.body.size();
   EXPECT_LT(optimized_size, origin::OriginConfig{}.asset_bytes);
   EXPECT_NEAR(static_cast<double>(optimized_size),
@@ -155,7 +155,7 @@ TEST_F(SwrTest, OptimizedVariantIsCachedUnderItsOwnKey) {
   proxy.Fetch(kAssetUrl);
   FetchResult r = proxy.Fetch(kAssetUrl);
   EXPECT_EQ(r.source, ServedFrom::kBrowserCache);
-  EXPECT_NE(r.response.body.find("asset-optimized:"), std::string::npos);
+  EXPECT_NE(r.response.body.ToString().find("asset-optimized:"), std::string::npos);
 }
 
 TEST_F(SwrTest, OptimizationOffFetchesOriginal) {
@@ -164,14 +164,14 @@ TEST_F(SwrTest, OptimizationOffFetchesOriginal) {
   ClientProxy proxy = MakeProxy(pc);
   FetchResult r = proxy.Fetch(kAssetUrl);
   ASSERT_TRUE(r.response.ok());
-  EXPECT_EQ(r.response.body.find("asset-optimized:"), std::string::npos);
+  EXPECT_EQ(r.response.body.ToString().find("asset-optimized:"), std::string::npos);
   EXPECT_EQ(r.response.body.size(), origin::OriginConfig{}.asset_bytes);
 }
 
 TEST_F(SwrTest, NonAssetUrlsNeverRewritten) {
   ClientProxy proxy = MakeProxy(Config());
   FetchResult r = proxy.Fetch(kRecordUrl);
-  EXPECT_EQ(r.response.body.find("skopt"), std::string::npos);
+  EXPECT_EQ(r.response.body.ToString().find("skopt"), std::string::npos);
   // Cache key is the original record URL.
   EXPECT_NE(proxy.browser_cache()
                 .Lookup(http::Url::Parse(kRecordUrl)->CacheKey(),
@@ -186,7 +186,7 @@ TEST_F(SwrTest, DisabledProxyDoesNotRewrite) {
   ClientProxy proxy = MakeProxy(pc);
   FetchResult r = proxy.Fetch(kAssetUrl);
   ASSERT_TRUE(r.response.ok());
-  EXPECT_EQ(r.response.body.find("asset-optimized:"), std::string::npos);
+  EXPECT_EQ(r.response.body.ToString().find("asset-optimized:"), std::string::npos);
 }
 
 }  // namespace
