@@ -15,19 +15,13 @@
 // rate, and --json dumps the full distribution per cell.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
-#include "bench/parallel_runner.h"
-#include "bench/trace_support.h"
-#include "tools/flags.h"
+#include "bench/harness.h"
 
 namespace speedkit {
 namespace {
-
-// --coherence: which protocol the stack runs (delta_atomic default).
-coherence::CoherenceMode g_coherence = coherence::CoherenceMode::kDeltaAtomic;
 
 constexpr core::SystemVariant kVariants[] = {
     core::SystemVariant::kSpeedKit, core::SystemVariant::kFixedTtlCdn,
@@ -38,8 +32,7 @@ double HitRate(const bench::RunOutput& out) {
   return out.traffic.BrowserHitRatio() + out.traffic.EdgeHitRatio();
 }
 
-void Run(int num_seeds, int threads, int shards, const std::string& json_path,
-         const std::string& trace_path) {
+void Run(bench::Harness& h) {
   std::vector<bench::RunSpec> configs;
   for (double writes_per_sec : kWriteRates) {
     for (core::SystemVariant variant : kVariants) {
@@ -50,28 +43,28 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
       configs.push_back(spec);
     }
   }
-  bench::ApplyCoherenceFlag(&configs, g_coherence);
-  int sweep_threads =
-      bench::ApplyShardAndThreadFlags(&configs, shards, threads, num_seeds);
-
-  bench::SweepResult sweep = bench::RunSweep(configs, num_seeds, sweep_threads);
-
-  bench::JsonValue root = bench::JsonValue::Object();
-  root.Set("bench", "baselines");
-  root.Set("seeds", num_seeds);
-  root.Set("threads", threads);
-  root.Set("shards", shards);
+  const bench::SweepResult& sweep =
+      h.Sweep(&configs, /*default_seeds=*/8);
   bench::JsonValue rows = bench::JsonValue::Array();
 
   size_t config_index = 0;
   for (double writes_per_sec : kWriteRates) {
     char section[64];
-    std::snprintf(section, sizeof(section), "%.1f writes/s, %d seeds",
-                  writes_per_sec, num_seeds);
-    bench::PrintSection(section);
-    bench::Row("%18s %10s %10s %17s %12s %14s %12s", "system", "p50_ms",
-               "p99_ms", "hit_rate", "stale_rate", "max_stale_s",
-               "origin_reqs");
+    std::snprintf(section, sizeof(section), "%.1f writes/s, %zu seeds",
+                  writes_per_sec, sweep.outputs.front().size());
+    bench::Table table(section, "",
+                       {{.key = "writes_per_sec", .json_only = true},
+                        {.key = "system", .width = 18},
+                        {"p50_ms", 1},
+                        {"p99_ms", 1},
+                        {"stale_rate", 4, true},
+                        {"max_stale_s"},
+                        {"origin_requests"},
+                        {.key = "requests", .json_only = true},
+                        {"hit_rate", 1, true},
+                        {.key = "p50_ms_per_seed", .json_only = true},
+                        {.key = "p99_ms_per_seed", .json_only = true},
+                        {.key = "stale_rate_per_seed", .json_only = true}});
     for (core::SystemVariant variant : kVariants) {
       const std::vector<bench::RunOutput>& runs = sweep.outputs[config_index];
       bench::RunOutput merged = bench::MergeRuns(runs);
@@ -85,63 +78,34 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
       bench::SeedStats stale = bench::SeedStatsOf(runs, [](const auto& o) {
         return o.staleness.StaleFraction();
       });
-      std::string name(core::SystemVariantName(variant));
-      bench::Row("%18s %10.1f %10.1f %10.1f%%±%4.1f %11.4f%% %14.2f %12llu",
-                 name.c_str(), merged.traffic.api_latency_us.P50() / 1e3,
-                 merged.traffic.api_latency_us.P99() / 1e3, hit.mean * 100,
-                 hit.stddev * 100, merged.staleness.StaleFraction() * 100,
-                 merged.staleness.max_staleness.seconds(),
-                 static_cast<unsigned long long>(merged.origin_requests));
-
-      bench::JsonValue row = bench::JsonRow(
-          {{"writes_per_sec", writes_per_sec},
-           {"system", name},
-           {"p50_ms", merged.traffic.api_latency_us.P50() / 1e3},
-           {"p99_ms", merged.traffic.api_latency_us.P99() / 1e3},
-           {"stale_rate", merged.staleness.StaleFraction()},
-           {"max_stale_s", merged.staleness.max_staleness.seconds()},
-           {"origin_requests", merged.origin_requests},
-           {"requests", merged.traffic.proxies.requests}});
-      row.Set("hit_rate", bench::JsonSeedStats(hit));
-      row.Set("p50_ms_per_seed", bench::JsonSeedStats(p50));
-      row.Set("p99_ms_per_seed", bench::JsonSeedStats(p99));
-      row.Set("stale_rate_per_seed", bench::JsonSeedStats(stale));
-      rows.Push(std::move(row));
+      rows.Push(table.Add(
+          {writes_per_sec, std::string(core::SystemVariantName(variant)),
+           merged.traffic.api_latency_us.P50() / 1e3,
+           merged.traffic.api_latency_us.P99() / 1e3,
+           merged.staleness.StaleFraction(),
+           merged.staleness.max_staleness.seconds(), merged.origin_requests,
+           merged.traffic.proxies.requests, bench::JsonSeedStats(hit),
+           bench::JsonSeedStats(p50), bench::JsonSeedStats(p99),
+           bench::JsonSeedStats(stale)}));
       config_index++;
     }
   }
 
-  bench::Note(bench::WallClockNote(sweep, num_seeds, threads));
-  root.Set("rows", std::move(rows));
-  root.Set("wall_seconds", sweep.wall_seconds);
-  root.Set("cpu_seconds", sweep.cpu_seconds);
-  root.Set("speedup", sweep.Speedup());
-  if (!json_path.empty()) bench::WriteJsonFile(json_path, root);
-
+  h.Finish(std::move(rows));
   // speed_kit at the lowest write rate: the canonical happy-path trace.
-  bench::MaybeTraceRun(configs[0], "baselines", trace_path);
+  h.Trace(configs[0]);
 }
 
 }  // namespace
 }  // namespace speedkit
 
 int main(int argc, char** argv) {
-  speedkit::tools::Flags flags(argc, argv);
-  int seeds = static_cast<int>(flags.GetInt("seeds", 8));
-  speedkit::g_coherence = speedkit::bench::CoherenceModeFromFlag(
-      flags.GetString("coherence", ""));
-  int threads = static_cast<int>(flags.GetInt("threads", 1));
-  int shards = static_cast<int>(flags.GetInt("shards", 1));
-  std::string json_path = speedkit::bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "baselines");
-  std::string trace_path = speedkit::bench::TracePathFromFlag(
-      flags.GetString("trace", ""), "baselines");
-
+  speedkit::bench::Harness h(argc, argv, "baselines");
   speedkit::bench::PrintHeader(
       "E9", "Baseline comparison: latency, staleness, origin load",
       "the paper's positioning against traditional CDNs, no caching, and "
       "pure invalidation");
-  speedkit::Run(seeds, threads, shards, json_path, trace_path);
+  speedkit::Run(h);
   speedkit::bench::Note(
       "expected shape: speed_kit ~matches fixed_ttl_cdn latency with "
       "near-zero staleness; no_caching has zero staleness at ~10x latency; "

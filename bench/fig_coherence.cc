@@ -14,12 +14,12 @@
 // ZERO anomalies while fixed-TTL shows a nonzero anomaly baseline (if the
 // baseline were zero the workload wouldn't be probing coherence at all).
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <utility>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "bench/harness.h"
 #include "core/cart_traffic.h"
-#include "tools/flags.h"
 #include "workload/catalog.h"
 
 namespace speedkit {
@@ -70,14 +70,12 @@ ModeOutcome RunMode(coherence::CoherenceMode mode, const E18Params& params) {
 
 int main(int argc, char** argv) {
   using namespace speedkit;
-  tools::Flags flags(argc, argv);
+  bench::Harness h(argc, argv, "coherence");
   E18Params params;
-  params.clients = static_cast<size_t>(flags.GetInt("clients", 20));
-  params.duration = Duration::Minutes(flags.GetInt("duration", 10));
-  params.keys_per_txn = static_cast<size_t>(flags.GetInt("keys", 4));
-  params.writes_per_sec = flags.GetDouble("writes-per-sec", 4.0);
-  std::string json_path =
-      bench::JsonPathFromFlag(flags.GetString("json", ""), "coherence");
+  params.clients = static_cast<size_t>(h.flags().GetInt("clients", 20));
+  params.duration = Duration::Minutes(h.flags().GetInt("duration", 10));
+  params.keys_per_txn = static_cast<size_t>(h.flags().GetInt("keys", 4));
+  params.writes_per_sec = h.flags().GetDouble("writes-per-sec", 4.0);
 
   bench::PrintHeader(
       "E18", "Pluggable coherence modes on the cart workload",
@@ -90,61 +88,57 @@ int main(int argc, char** argv) {
       coherence::CoherenceMode::kFixedTtl,
   };
 
-  bench::PrintSection("per-mode transaction outcomes");
-  bench::Row("%14s %8s %8s %8s %9s %9s %10s %10s", "mode", "txns", "commit",
-             "abort", "retries", "anomaly", "stale_rd", "p50_txn_ms");
+  bench::Table table("per-mode transaction outcomes", "modes",
+                     {{.key = "mode", .width = 14},
+                      {"txns_attempted"},
+                      {"txns_committed"},
+                      {.key = "txns_aborted", .json_only = true},
+                      {"txn_retries"},
+                      {.key = "anomalies", .json_only = true},
+                      {"anomaly_rate", 2, true},
+                      {"abort_rate", 1, true},
+                      {"stale_read_fraction", 2, true},
+                      {.key = "txn_validations", .json_only = true},
+                      {.key = "txn_validation_bytes", .json_only = true},
+                      {.key = "sketch_refreshes", .json_only = true},
+                      {.key = "sketch_bytes", .json_only = true},
+                      {"p50_txn_ms", 1},
+                      {.key = "p99_txn_ms", .json_only = true},
+                      {.key = "p50_browser_ms", .json_only = true},
+                      {.key = "p50_edge_ms", .json_only = true},
+                      {.key = "p50_origin_ms", .json_only = true},
+                      {.key = "writes_applied", .json_only = true}});
   bench::JsonValue rows = bench::JsonValue::Array();
+  std::string retries_note = "retries per transaction:";
   ModeOutcome outcomes[3];
   for (int m = 0; m < 3; ++m) {
     outcomes[m] = RunMode(modes[m], params);
     const core::CartTrafficResult& c = outcomes[m].cart;
-    const coherence::StalenessReport& s = outcomes[m].staleness;
-    double retries_per_txn =
-        c.txns_attempted == 0
-            ? 0.0
-            : static_cast<double>(c.txn_retries) /
-                  static_cast<double>(c.txns_attempted);
-    bench::Row("%14s %8llu %8llu %7.1f%% %9.3f %8.2f%% %9.2f%% %10.1f",
-               std::string(CoherenceModeName(modes[m])).c_str(),
-               static_cast<unsigned long long>(c.txns_attempted),
-               static_cast<unsigned long long>(c.txns_committed),
-               100.0 * c.AbortRate(), retries_per_txn,
-               100.0 * c.AnomalyRate(), 100.0 * s.StaleFraction(),
-               c.txn_latency_us.P50() / 1e3);
     const proxy::ProxyStats& p = c.proxies;
-    rows.Push(bench::JsonRow(
-        {{"section", "modes"},
-         {"mode", std::string(CoherenceModeName(modes[m]))},
-         {"txns_attempted", c.txns_attempted},
-         {"txns_committed", c.txns_committed},
-         {"txns_aborted", c.txns_aborted},
-         {"txn_retries", c.txn_retries},
-         {"anomalies", c.anomalies},
-         {"anomaly_rate", c.AnomalyRate()},
-         {"abort_rate", c.AbortRate()},
-         {"stale_read_fraction", s.StaleFraction()},
-         {"txn_validations", p.txn_validations},
-         {"txn_validation_bytes", p.txn_validation_bytes},
-         {"sketch_refreshes", p.sketch_refreshes},
-         {"sketch_bytes", p.sketch_bytes},
-         {"p50_txn_ms", c.txn_latency_us.P50() / 1e3},
-         {"p99_txn_ms", c.txn_latency_us.P99() / 1e3},
-         {"p50_browser_ms", p.latency_browser_us.P50() / 1e3},
-         {"p50_edge_ms", p.latency_edge_us.P50() / 1e3},
-         {"p50_origin_ms", p.latency_origin_us.P50() / 1e3},
-         {"writes_applied", c.writes_applied}}));
+    std::string mode(CoherenceModeName(modes[m]));
+    rows.Push(table.Add(
+        {mode, c.txns_attempted, c.txns_committed, c.txns_aborted,
+         c.txn_retries, c.anomalies, c.AnomalyRate(), c.AbortRate(),
+         outcomes[m].staleness.StaleFraction(), p.txn_validations,
+         p.txn_validation_bytes, p.sketch_refreshes, p.sketch_bytes,
+         c.txn_latency_us.P50() / 1e3, c.txn_latency_us.P99() / 1e3,
+         p.latency_browser_us.P50() / 1e3, p.latency_edge_us.P50() / 1e3,
+         p.latency_origin_us.P50() / 1e3, c.writes_applied}));
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), " %s %.3f", mode.c_str(),
+                  c.txns_attempted == 0
+                      ? 0.0
+                      : static_cast<double>(c.txn_retries) /
+                            static_cast<double>(c.txns_attempted));
+    retries_note += buf;
   }
+  bench::Note(retries_note);
   bench::Note(
       "delta_atomic buys zero anomalies with sketch refresh bytes; "
       "serializable buys them with a validation RTT and occasional "
       "retries/aborts; fixed_ttl pays nothing and reads anomalies");
 
-  if (!json_path.empty()) {
-    bench::JsonValue root = bench::JsonValue::Object();
-    root.Set("bench", "coherence");
-    root.Set("rows", std::move(rows));
-    bench::WriteJsonFile(json_path, root);
-  }
+  h.Finish(std::move(rows));
 
   // The gate: both coherent modes must commit anomaly-free, and the
   // fixed-TTL baseline must actually exhibit anomalies (otherwise the

@@ -23,19 +23,13 @@
 // Monte-Carlo mode: --seeds trials per config on --threads workers; the
 // merged JSON is bit-identical for any thread count.
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
-#include "bench/parallel_runner.h"
-#include "bench/trace_support.h"
-#include "tools/flags.h"
+#include "bench/harness.h"
 
 namespace speedkit {
 namespace {
-
-// --coherence: which protocol the stack runs (delta_atomic default).
-coherence::CoherenceMode g_coherence = coherence::CoherenceMode::kDeltaAtomic;
 
 constexpr double kPurgeLoss[] = {0.0, 0.1, 0.3, 0.6};
 constexpr double kLinkLoss[] = {0.0, 0.05, 0.2};
@@ -52,7 +46,7 @@ sim::FaultWindow Window(Duration from, Duration to) {
   return w;
 }
 
-bench::RunSpec BaseSpec(core::SystemVariant variant) {
+bench::RunSpec FaultSpec(core::SystemVariant variant) {
   bench::RunSpec spec = bench::DefaultRunSpec();
   spec.stack.variant = variant;
   spec.stack.ttl_mode = core::TtlMode::kFixed;
@@ -64,13 +58,13 @@ bench::RunSpec BaseSpec(core::SystemVariant variant) {
 }
 
 bench::RunSpec PurgeLossSpec(core::SystemVariant variant, double loss) {
-  bench::RunSpec spec = BaseSpec(variant);
+  bench::RunSpec spec = FaultSpec(variant);
   spec.stack.faults.purge_loss_probability = loss;
   return spec;
 }
 
 bench::RunSpec OutageSpec(core::SystemVariant variant, bool edge_outage) {
-  bench::RunSpec spec = BaseSpec(variant);
+  bench::RunSpec spec = FaultSpec(variant);
   sim::FaultWindow w = Window(Duration::Minutes(8), Duration::Minutes(12));
   if (edge_outage) {
     spec.stack.faults.edges = {{w}};  // edge 0 down for 4 of 20 minutes
@@ -81,7 +75,7 @@ bench::RunSpec OutageSpec(core::SystemVariant variant, bool edge_outage) {
 }
 
 bench::RunSpec FlakyLinkSpec(double loss) {
-  bench::RunSpec spec = BaseSpec(core::SystemVariant::kSpeedKit);
+  bench::RunSpec spec = FaultSpec(core::SystemVariant::kSpeedKit);
   spec.stack.faults.client_edge.loss_probability = loss;
   return spec;
 }
@@ -92,11 +86,9 @@ double Availability(const bench::RunOutput& out) {
   return 1.0 - static_cast<double>(p.errors) / static_cast<double>(p.requests);
 }
 
-void Run(int num_seeds, int threads, int shards, const std::string& json_path,
-         const std::string& trace_path) {
+void Run(bench::Harness& h) {
   // One flat sweep so workers stay busy across section boundaries.
   std::vector<bench::RunSpec> configs;
-  std::vector<std::string> variants;  // parallel to the purge section
   for (double loss : kPurgeLoss) {
     configs.push_back(PurgeLossSpec(core::SystemVariant::kSpeedKit, loss));
   }
@@ -111,54 +103,38 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
   const size_t flaky_off = configs.size();
   for (double loss : kLinkLoss) configs.push_back(FlakyLinkSpec(loss));
 
-  bench::ApplyCoherenceFlag(&configs, g_coherence);
-  int sweep_threads =
-      bench::ApplyShardAndThreadFlags(&configs, shards, threads, num_seeds);
-
-  bench::SweepResult sweep = bench::RunSweep(configs, num_seeds, sweep_threads);
-
-  bench::JsonValue root = bench::JsonValue::Object();
-  root.Set("bench", "faults");
-  root.Set("seeds", num_seeds);
-  root.Set("threads", threads);
-  root.Set("shards", shards);
-  root.Set("bound_margin_s", kBoundMarginS);
+  const bench::SweepResult& sweep =
+      h.Sweep(&configs, /*default_seeds=*/3);
   bench::JsonValue rows = bench::JsonValue::Array();
 
-  bench::PrintSection(
-      "purge-delivery loss: Delta-bound holds, stale-read rate degrades");
-  bench::Row("%12s %10s %10s %12s %12s %12s %14s %12s", "variant",
-             "purge_loss", "reads", "stale_rate", "max_stale_s", "violations",
-             "purges_drop", "purges_sched");
+  bench::Table purges(
+      "purge-delivery loss: Delta-bound holds, stale-read rate degrades",
+      "purge_loss",
+      {{.key = "variant", .width = 13},
+       {"purge_loss"},
+       {"reads"},
+       {"stale_rate", 4, true},
+       {"max_stale_s"},
+       {"delta_violations"},
+       {.key = "violation_rate", .json_only = true},
+       {.key = "excused_stale_reads", .json_only = true},
+       {"purges_scheduled"},
+       {"purges_dropped"},
+       {.key = "purges_delayed", .json_only = true},
+       {.key = "violations_per_seed", .json_only = true}});
   auto purge_row = [&](const std::string& variant, double loss,
                        const std::vector<bench::RunOutput>& runs) {
     bench::RunOutput out = bench::MergeRuns(runs);
     bench::SeedStats violations = bench::SeedStatsOf(runs, [](const auto& o) {
       return static_cast<double>(o.staleness.delta_violations);
     });
-    bench::Row("%12s %10.2f %10llu %11.4f%% %12.2f %12llu %14llu %12llu",
-               variant.c_str(), loss,
-               static_cast<unsigned long long>(out.staleness.reads),
-               out.staleness.StaleFraction() * 100,
-               out.staleness.max_staleness.seconds(),
-               static_cast<unsigned long long>(out.staleness.delta_violations),
-               static_cast<unsigned long long>(out.pipeline.purges_dropped),
-               static_cast<unsigned long long>(out.pipeline.purges_scheduled));
-    bench::JsonValue row = bench::JsonRow(
-        {{"section", "purge_loss"},
-         {"variant", variant},
-         {"purge_loss", loss},
-         {"reads", out.staleness.reads},
-         {"stale_rate", out.staleness.StaleFraction()},
-         {"max_stale_s", out.staleness.max_staleness.seconds()},
-         {"delta_violations", out.staleness.delta_violations},
-         {"violation_rate", out.staleness.ViolationFraction()},
-         {"excused_stale_reads", out.staleness.excused_stale_reads},
-         {"purges_scheduled", out.pipeline.purges_scheduled},
-         {"purges_dropped", out.pipeline.purges_dropped},
-         {"purges_delayed", out.pipeline.purges_delayed}});
-    row.Set("violations_per_seed", bench::JsonSeedStats(violations));
-    rows.Push(std::move(row));
+    rows.Push(purges.Add(
+        {variant, loss, out.staleness.reads, out.staleness.StaleFraction(),
+         out.staleness.max_staleness.seconds(),
+         out.staleness.delta_violations, out.staleness.ViolationFraction(),
+         out.staleness.excused_stale_reads, out.pipeline.purges_scheduled,
+         out.pipeline.purges_dropped, out.pipeline.purges_delayed,
+         bench::JsonSeedStats(violations)}));
   };
   for (size_t i = 0; i < std::size(kPurgeLoss); ++i) {
     purge_row("speed_kit", kPurgeLoss[i], sweep.outputs[i]);
@@ -169,10 +145,18 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
       "speed_kit violations stay 0 at every loss rate; the fixed-TTL "
       "baseline breaks the same bound with zero faults injected");
 
-  bench::PrintSection("4-minute outage inside a 20-minute run");
-  bench::Row("%14s %10s %10s %14s %10s %12s %12s %10s", "outage", "variant",
-             "requests", "availability", "errors", "offline", "fallbacks",
-             "timeouts");
+  bench::Table outages("4-minute outage inside a 20-minute run", "outage",
+                       {{.key = "outage", .width = 14},
+                        {.key = "variant", .width = 13},
+                        {"requests"},
+                        {"availability", 2, true},
+                        {"errors"},
+                        {"offline_serves"},
+                        {"fallback_serves"},
+                        {"timeouts"},
+                        {.key = "edge_down_rejects", .json_only = true},
+                        {.key = "excused_stale_reads", .json_only = true},
+                        {.key = "availability_per_seed", .json_only = true}});
   const char* outage_names[] = {"origin", "origin", "edge0"};
   const char* outage_variants[] = {"speed_kit", "fixed_ttl_cdn", "speed_kit"};
   for (size_t i = 0; i < 3; ++i) {
@@ -180,28 +164,11 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
     bench::RunOutput out = bench::MergeRuns(runs);
     bench::SeedStats avail = bench::SeedStatsOf(runs, Availability);
     const proxy::ProxyStats& p = out.traffic.proxies;
-    bench::Row("%14s %10s %10llu %13.2f%% %10llu %12llu %12llu %10llu",
-               outage_names[i], outage_variants[i],
-               static_cast<unsigned long long>(p.requests),
-               Availability(out) * 100,
-               static_cast<unsigned long long>(p.errors),
-               static_cast<unsigned long long>(p.offline_serves),
-               static_cast<unsigned long long>(p.fallback_serves),
-               static_cast<unsigned long long>(p.timeouts));
-    bench::JsonValue row = bench::JsonRow(
-        {{"section", "outage"},
-         {"outage", std::string(outage_names[i])},
-         {"variant", std::string(outage_variants[i])},
-         {"requests", p.requests},
-         {"availability", Availability(out)},
-         {"errors", p.errors},
-         {"offline_serves", p.offline_serves},
-         {"fallback_serves", p.fallback_serves},
-         {"timeouts", p.timeouts},
-         {"edge_down_rejects", out.edge_faults.down_rejects},
-         {"excused_stale_reads", out.staleness.excused_stale_reads}});
-    row.Set("availability_per_seed", bench::JsonSeedStats(avail));
-    rows.Push(std::move(row));
+    rows.Push(outages.Add(
+        {outage_names[i], outage_variants[i], p.requests, Availability(out),
+         p.errors, p.offline_serves, p.fallback_serves, p.timeouts,
+         out.edge_faults.down_rejects, out.staleness.excused_stale_reads,
+         bench::JsonSeedStats(avail)}));
   }
   bench::Note(
       "speed_kit rides out the origin outage on device/edge copies "
@@ -209,65 +176,44 @@ void Run(int num_seeds, int threads, int shards, const std::string& json_path,
       "over freshness); an edge outage is absorbed by pass-through "
       "rerouting");
 
-  bench::PrintSection("flaky client-edge link: retries, fallbacks, latency");
-  bench::Row("%10s %10s %10s %10s %12s %14s %12s", "link_loss", "requests",
-             "timeouts", "retries", "fallbacks", "availability", "p99_api_ms");
+  bench::Table flaky("flaky client-edge link: retries, fallbacks, latency",
+                     "flaky_link",
+                     {{"link_loss"},
+                      {"requests"},
+                      {"timeouts"},
+                      {"retries"},
+                      {"fallback_serves"},
+                      {"availability", 2, true},
+                      {"p99_api_ms", 1},
+                      {.key = "delta_violations", .json_only = true}});
   for (size_t i = 0; i < std::size(kLinkLoss); ++i) {
-    const std::vector<bench::RunOutput>& runs = sweep.outputs[flaky_off + i];
-    bench::RunOutput out = bench::MergeRuns(runs);
+    bench::RunOutput out = bench::MergeRuns(sweep.outputs[flaky_off + i]);
     const proxy::ProxyStats& p = out.traffic.proxies;
-    bench::Row("%10.2f %10llu %10llu %10llu %12llu %13.2f%% %12.1f",
-               kLinkLoss[i], static_cast<unsigned long long>(p.requests),
-               static_cast<unsigned long long>(p.timeouts),
-               static_cast<unsigned long long>(p.retries),
-               static_cast<unsigned long long>(p.fallback_serves),
-               Availability(out) * 100, out.traffic.api_latency_us.P99() / 1e3);
-    rows.Push(bench::JsonRow(
-        {{"section", "flaky_link"},
-         {"link_loss", kLinkLoss[i]},
-         {"requests", p.requests},
-         {"timeouts", p.timeouts},
-         {"retries", p.retries},
-         {"fallback_serves", p.fallback_serves},
-         {"availability", Availability(out)},
-         {"p99_api_ms", out.traffic.api_latency_us.P99() / 1e3},
-         {"delta_violations", out.staleness.delta_violations}}));
+    rows.Push(flaky.Add({kLinkLoss[i], p.requests, p.timeouts, p.retries,
+                         p.fallback_serves, Availability(out),
+                         out.traffic.api_latency_us.P99() / 1e3,
+                         out.staleness.delta_violations}));
   }
   bench::Note(
       "loss degrades tail latency (timeout + backoff burn) before it "
       "degrades availability (reroute to origin still serves)");
 
-  bench::Note(bench::WallClockNote(sweep, num_seeds, threads));
-  root.Set("rows", std::move(rows));
-  root.Set("wall_seconds", sweep.wall_seconds);
-  root.Set("cpu_seconds", sweep.cpu_seconds);
-  root.Set("speedup", sweep.Speedup());
-  if (!json_path.empty()) bench::WriteJsonFile(json_path, root);
-
+  h.Finish(std::move(rows),
+           bench::JsonRow({{"bound_margin_s", kBoundMarginS}}));
   // Flaky-link config: its traces carry the richest degraded-path spans
   // (timeout waits, retry backoffs, reroutes) next to the happy paths.
-  bench::MaybeTraceRun(FlakyLinkSpec(0.2), "faults", trace_path);
+  h.Trace(FlakyLinkSpec(0.2));
 }
 
 }  // namespace
 }  // namespace speedkit
 
 int main(int argc, char** argv) {
-  speedkit::tools::Flags flags(argc, argv);
-  int seeds = static_cast<int>(flags.GetInt("seeds", 3));
-  speedkit::g_coherence = speedkit::bench::CoherenceModeFromFlag(
-      flags.GetString("coherence", ""));
-  int threads = static_cast<int>(flags.GetInt("threads", 1));
-  int shards = static_cast<int>(flags.GetInt("shards", 1));
-  std::string json_path = speedkit::bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "faults");
-  std::string trace_path = speedkit::bench::TracePathFromFlag(
-      flags.GetString("trace", ""), "faults");
-
+  speedkit::bench::Harness h(argc, argv, "faults");
   speedkit::bench::PrintHeader(
       "E14", "Fault injection: purge loss, outages, flaky links",
       "degraded-mode behavior — the Delta bound survives purge loss, "
       "availability survives outages, retries absorb transient link loss");
-  speedkit::Run(seeds, threads, shards, json_path, trace_path);
+  speedkit::Run(h);
   return 0;
 }

@@ -8,15 +8,14 @@
 // full-scan ablation shows the cliff it avoids.
 #include <chrono>
 #include <string>
+#include <utility>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "bench/harness.h"
 #include "coherence/delta_atomic.h"
 #include "common/histogram.h"
 #include "common/random.h"
 #include "invalidation/pipeline.h"
 #include "invalidation/query_matcher.h"
-#include "tools/flags.h"
 
 namespace speedkit {
 namespace {
@@ -74,9 +73,12 @@ double MeasureWritesPerSec(invalidation::QueryMatcher* matcher, int writes,
 }
 
 void ThroughputSweep(bench::JsonValue* rows) {
-  bench::PrintSection(
-      "matching throughput (writes/s) vs subscriptions; 200 categories");
-  bench::Row("%14s %14s %14s", "subscriptions", "indexed", "fullscan");
+  bench::Table table(
+      "matching throughput (writes/s) vs subscriptions; 200 categories",
+      "matching_throughput",
+      {{"subscriptions"},
+       {"indexed_writes_per_s", 0},
+       {"fullscan_writes_per_s", 0}});
   constexpr int64_t kCategories = 200;
   for (size_t subs : {1000u, 10000u, 100000u, 300000u}) {
     int writes = subs >= 100000 ? 2000 : 20000;
@@ -89,11 +91,7 @@ void ThroughputSweep(bench::JsonValue* rows) {
         MeasureWritesPerSec(&indexed_matcher, writes, kCategories);
     double fullscan =
         MeasureWritesPerSec(&scan_matcher, scan_writes, kCategories);
-    bench::Row("%14zu %14.0f %14.0f", subs, indexed, fullscan);
-    rows->Push(bench::JsonRow({{"section", "matching_throughput"},
-                               {"subscriptions", static_cast<uint64_t>(subs)},
-                               {"indexed_writes_per_s", indexed},
-                               {"fullscan_writes_per_s", fullscan}}));
+    rows->Push(table.Add({subs, indexed, fullscan}));
   }
   bench::Note("the index prunes equality subscriptions to ~n/200 probes; "
               "the residual cost is the un-indexable range subscriptions "
@@ -102,8 +100,9 @@ void ThroughputSweep(bench::JsonValue* rows) {
 }
 
 void PurgePropagation(bench::JsonValue* rows) {
-  bench::PrintSection("purge propagation latency (write -> last edge clean)");
-  bench::Row("%8s %14s %14s %14s", "edges", "p50_ms", "p99_ms", "max_ms");
+  bench::Table table("purge propagation latency (write -> last edge clean)",
+                     "purge_propagation",
+                     {{"edges"}, {"p50_ms", 1}, {"p99_ms", 1}, {"max_ms", 1}});
   for (int edges : {2, 4, 8, 16, 32}) {
     sim::SimClock clock;
     sim::EventQueue events(&clock);
@@ -118,13 +117,7 @@ void PurgePropagation(bench::JsonValue* rows) {
       events.RunUntil(clock.Now() + Duration::Seconds(1));
     }
     const Histogram& h = pipeline.propagation_latency_us();
-    bench::Row("%8d %14.1f %14.1f %14.1f", edges, h.P50() / 1e3, h.P99() / 1e3,
-               h.max() / 1e3);
-    rows->Push(bench::JsonRow({{"section", "purge_propagation"},
-                               {"edges", edges},
-                               {"p50_ms", h.P50() / 1e3},
-                               {"p99_ms", h.P99() / 1e3},
-                               {"max_ms", h.max() / 1e3}}));
+    rows->Push(table.Add({edges, h.P50() / 1e3, h.P99() / 1e3, h.max() / 1e3}));
   }
   bench::Note("latency is max over edges: grows ~logarithmically with edge "
               "count under lognormal per-edge jitter");
@@ -134,22 +127,15 @@ void PurgePropagation(bench::JsonValue* rows) {
 }  // namespace speedkit
 
 int main(int argc, char** argv) {
-  speedkit::tools::Flags flags(argc, argv);
-  std::string json_path = speedkit::bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "invalidation_scale");
-
-  speedkit::bench::PrintHeader(
+  using namespace speedkit;
+  bench::Harness h(argc, argv, "invalidation_scale");
+  bench::PrintHeader(
       "E6", "Invalidation pipeline scalability",
       "InvaliDB-style real-time query matching + CDN purge fan-out that "
       "the coherence protocol rides on");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
-  speedkit::ThroughputSweep(&rows);
-  speedkit::PurgePropagation(&rows);
-  if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
-    root.Set("bench", "invalidation_scale");
-    root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
-  }
+  bench::JsonValue rows = bench::JsonValue::Array();
+  ThroughputSweep(&rows);
+  PurgePropagation(&rows);
+  h.Finish(std::move(rows));
   return 0;
 }

@@ -27,19 +27,14 @@
 #include <cinttypes>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "bench/harness.h"
 #include "bench/mem_probe.h"
-#include "bench/workload_runner.h"
-#include "tools/flags.h"
 
 namespace speedkit {
 namespace {
-
-// --coherence: which protocol the stack runs (delta_atomic default).
-coherence::CoherenceMode g_coherence = coherence::CoherenceMode::kDeltaAtomic;
 
 struct MemPoint {
   size_t clients = 0;
@@ -54,13 +49,13 @@ struct MemPoint {
   proxy::ClientPoolSpillStats spill;
 };
 
-bench::RunSpec MemScaleSpec(size_t clients, double duration_minutes,
-                            proxy::SpillMode spill) {
+bench::RunSpec MemScaleSpec(coherence::CoherenceMode mode, size_t clients,
+                            double duration_minutes, proxy::SpillMode spill) {
   bench::RunSpec spec = bench::DefaultRunSpec();
   spec.traffic.num_clients = clients;
   spec.traffic.duration = Duration::Minutes(duration_minutes);
   spec.traffic.pool.spill = spill;
-  spec.stack.coherence.mode = g_coherence;
+  spec.stack.coherence.mode = mode;
   return spec;
 }
 
@@ -155,11 +150,12 @@ GateResult CheckBudget(const MemPoint& largest, double budget) {
 
 // Spill-neutrality: forced-on and forced-off runs of the same spec must
 // fingerprint identically.
-GateResult CheckSpillNeutral(size_t clients, double duration_minutes) {
-  MemPoint on = Measure(MemScaleSpec(clients, duration_minutes,
-                                     proxy::SpillMode::kOn));
-  MemPoint off = Measure(MemScaleSpec(clients, duration_minutes,
-                                      proxy::SpillMode::kOff));
+GateResult CheckSpillNeutral(coherence::CoherenceMode mode, size_t clients,
+                             double duration_minutes) {
+  MemPoint on = Measure(
+      MemScaleSpec(mode, clients, duration_minutes, proxy::SpillMode::kOn));
+  MemPoint off = Measure(
+      MemScaleSpec(mode, clients, duration_minutes, proxy::SpillMode::kOff));
   GateResult gate;
   char buf[112];
   std::snprintf(buf, sizeof(buf),
@@ -198,15 +194,13 @@ std::vector<size_t> ParseClientList(const std::string& text) {
 
 int main(int argc, char** argv) {
   using namespace speedkit;
-  tools::Flags flags(argc, argv);
+  bench::Harness h(argc, argv, "memscale");
   std::vector<size_t> client_counts =
-      ParseClientList(flags.GetString("clients", "1000,10000,100000"));
-  double duration_min = flags.GetDouble("duration", 2.0);
-  speedkit::g_coherence = speedkit::bench::CoherenceModeFromFlag(
-      flags.GetString("coherence", ""));
-  double budget = flags.GetDouble("max-bytes-per-client", EnvBytesBudget());
-  std::string json_path = bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "memscale");
+      ParseClientList(h.flags().GetString("clients", "1000,10000,100000"));
+  double duration_min = h.flags().GetDouble("duration", 2.0);
+  double budget =
+      h.flags().GetDouble("max-bytes-per-client", EnvBytesBudget());
+  const coherence::CoherenceMode mode = h.coherence();
 
   bench::PrintHeader(
       "E16", "Fleet memory scaling and bytes-per-client gate",
@@ -214,40 +208,37 @@ int main(int argc, char** argv) {
       "1e3 -> 1e6; the largest point must stay under the configured "
       "bytes/client budget, and cold-client spill must not change results");
 
-  bench::PrintSection(
+  bench::Table table(
       "bytes/client vs fleet size (" +
-      std::to_string(static_cast<int>(duration_min)) + " sim-minutes, spill " +
-      "auto)");
-  bench::Row("%10s %9s %11s %12s %12s %10s %9s %11s", "clients", "wall_s",
-             "req/sec", "B/cl_built", "B/cl_run", "rss_mb", "frozen",
-             "frozen_kb");
+          std::to_string(static_cast<int>(duration_min)) +
+          " sim-minutes, spill auto)",
+      "",
+      {{"clients"},
+       {"wall_seconds"},
+       {.key = "requests", .json_only = true},
+       {"requests_per_sec", 0},
+       {"construct_bytes_per_client", 0},
+       {"after_run_bytes_per_client", 0},
+       {"peak_rss_bytes"},
+       {.key = "spill_freezes", .json_only = true},
+       {.key = "spill_thaws", .json_only = true},
+       {"frozen_clients"},
+       {"frozen_bytes"},
+       {.key = "fingerprint", .json_only = true}});
 
   std::vector<MemPoint> points;
   bench::JsonValue rows = bench::JsonValue::Array();
   for (size_t clients : client_counts) {
     MemPoint p = Measure(
-        MemScaleSpec(clients, duration_min, proxy::SpillMode::kAuto));
+        MemScaleSpec(mode, clients, duration_min, proxy::SpillMode::kAuto));
     points.push_back(p);
-    bench::Row("%10zu %9.2f %11.0f %12.0f %12.0f %10.1f %9zu %11.1f",
-               p.clients, p.wall_seconds, p.requests_per_sec,
-               p.construct_bytes_per_client, p.after_run_bytes_per_client,
-               p.peak_rss_bytes / (1024.0 * 1024.0), p.spill.frozen_clients,
-               p.spill.frozen_bytes / 1024.0);
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016" PRIx64, p.fingerprint);
-    rows.Push(bench::JsonRow(
-        {{"clients", static_cast<uint64_t>(p.clients)},
-         {"wall_seconds", p.wall_seconds},
-         {"requests", p.requests},
-         {"requests_per_sec", p.requests_per_sec},
-         {"construct_bytes_per_client", p.construct_bytes_per_client},
-         {"after_run_bytes_per_client", p.after_run_bytes_per_client},
-         {"peak_rss_bytes", p.peak_rss_bytes},
-         {"spill_freezes", p.spill.freezes},
-         {"spill_thaws", p.spill.thaws},
-         {"frozen_clients", static_cast<uint64_t>(p.spill.frozen_clients)},
-         {"frozen_bytes", static_cast<uint64_t>(p.spill.frozen_bytes)},
-         {"fingerprint", std::string(fp)}}));
+    rows.Push(table.Add(
+        {p.clients, p.wall_seconds, p.requests, p.requests_per_sec,
+         p.construct_bytes_per_client, p.after_run_bytes_per_client,
+         p.peak_rss_bytes, p.spill.freezes, p.spill.thaws,
+         p.spill.frozen_clients, p.spill.frozen_bytes, std::string(fp)}));
   }
 
   GateResult mem_gate = CheckBudget(points.back(), budget);
@@ -260,7 +251,7 @@ int main(int argc, char** argv) {
   }
 
   GateResult spill_gate =
-      CheckSpillNeutral(client_counts.front(), duration_min);
+      CheckSpillNeutral(mode, client_counts.front(), duration_min);
   if (spill_gate.ok) {
     bench::Note("spill-neutrality gate " + spill_gate.status);
   } else {
@@ -268,17 +259,13 @@ int main(int argc, char** argv) {
                  spill_gate.status.c_str());
   }
 
-  if (!json_path.empty()) {
-    bench::JsonValue root = bench::JsonValue::Object();
-    root.Set("bench", "memscale");
-    root.Set("duration_minutes", duration_min);
-    root.Set("heap_probe_available", bench::HeapProbeAvailable());
-    root.Set("max_bytes_per_client", budget);
-    root.Set("memory_gate", mem_gate.status);
-    root.Set("spill_gate", spill_gate.status);
-    root.Set("rows", std::move(rows));
-    bench::WriteJsonFile(json_path, root);
-  }
+  h.Finish(std::move(rows),
+           bench::JsonRow(
+               {{"duration_minutes", duration_min},
+                {"heap_probe_available", bench::HeapProbeAvailable()},
+                {"max_bytes_per_client", budget},
+                {"memory_gate", mem_gate.status},
+                {"spill_gate", spill_gate.status}}));
 
   bench::Note(
       "expected shape: bytes/client falls as fixed stack costs amortize, "

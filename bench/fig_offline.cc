@@ -6,12 +6,11 @@
 // the vanilla site hard-fails every request whose cache copy expired.
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "bench/harness.h"
 #include "core/stack.h"
-#include "tools/flags.h"
 #include "workload/session.h"
 
 namespace speedkit {
@@ -98,25 +97,20 @@ OutageResult RunOutage(bool speed_kit_on, Duration warm, Duration outage,
 }
 
 void OutageSweep(bench::JsonValue* rows) {
-  bench::PrintSection(
-      "request success rate during a 10-minute origin outage");
-  bench::Row("%14s %14s %14s %14s %16s", "revisit_share", "vanilla_ok",
-             "speedkit_ok", "offline_serves", "outage_requests");
+  bench::Table table("request success rate during a 10-minute origin outage",
+                     "outage",
+                     {{"revisit_share", 0, true},
+                      {"vanilla_success_rate", 1, true},
+                      {"speedkit_success_rate", 1, true},
+                      {"offline_serves"},
+                      {"outage_requests"}});
   for (double revisit : {0.95, 0.8, 0.5, 0.2}) {
     OutageResult vanilla =
         RunOutage(false, Duration::Minutes(10), Duration::Minutes(10), revisit);
     OutageResult sk =
         RunOutage(true, Duration::Minutes(10), Duration::Minutes(10), revisit);
-    bench::Row("%13.0f%% %13.1f%% %13.1f%% %14llu %16llu", revisit * 100,
-               vanilla.SuccessRate() * 100, sk.SuccessRate() * 100,
-               static_cast<unsigned long long>(sk.offline_serves),
-               static_cast<unsigned long long>(sk.requests));
-    rows->Push(bench::JsonRow({{"section", "outage"},
-                               {"revisit_share", revisit},
-                               {"vanilla_success_rate", vanilla.SuccessRate()},
-                               {"speedkit_success_rate", sk.SuccessRate()},
-                               {"offline_serves", sk.offline_serves},
-                               {"outage_requests", sk.requests}}));
+    rows->Push(table.Add({revisit, vanilla.SuccessRate(), sk.SuccessRate(),
+                          sk.offline_serves, sk.requests}));
   }
   bench::Note("the vanilla arm only succeeds while its browser copies are "
               "still within TTL; speed kit serves anything ever seen");
@@ -126,21 +120,14 @@ void OutageSweep(bench::JsonValue* rows) {
 }  // namespace speedkit
 
 int main(int argc, char** argv) {
-  speedkit::tools::Flags flags(argc, argv);
-  std::string json_path = speedkit::bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "offline");
-
-  speedkit::bench::PrintHeader(
+  using namespace speedkit;
+  bench::Harness h(argc, argv, "offline");
+  bench::PrintHeader(
       "E11", "Offline mode: availability during origin outages",
       "field-experience resilience claim (service worker keeps the site "
       "usable)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
-  speedkit::OutageSweep(&rows);
-  if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
-    root.Set("bench", "offline");
-    root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
-  }
+  bench::JsonValue rows = bench::JsonValue::Array();
+  OutageSweep(&rows);
+  h.Finish(std::move(rows));
   return 0;
 }

@@ -8,16 +8,17 @@
 // driven by identically-seeded session streams. The paper reports ~1.5-3x
 // speedups at the percentiles; the shape to reproduce is "Speed Kit wins
 // at every percentile, most at the median".
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "bench/harness.h"
 #include "core/bounce.h"
 #include "core/page_load.h"
 #include "core/stack.h"
-#include "tools/flags.h"
 #include "workload/session.h"
 #include "workload/write_process.h"
 
@@ -221,89 +222,69 @@ ArmResult RunArm(const Profile& profile, bool speed_kit_on, bool mobile) {
   return result;
 }
 
-bench::JsonValue JsonArm(const ArmResult& r) {
-  return bench::JsonRow(
-      {{"p50_ms", r.load_ms.P50()},
-       {"p90_ms", r.load_ms.P90()},
-       {"p99_ms", r.load_ms.P99()},
-       {"ttfb_p50_ms", r.ttfb_ms.P50()},
-       {"cache_share", r.cache_share},
-       {"origin_requests", r.origin_requests},
-       {"pii_violations", r.pii_violations},
-       {"bounce_rate", r.BounceRate()},
-       {"page_views", r.page_views}});
+double Speedup(int64_t off, int64_t on) {
+  return static_cast<double>(off) / std::max<int64_t>(1, on);
 }
 
 void RunProfile(const Profile& profile, bool mobile, bench::JsonValue* rows) {
-  bench::PrintSection("customer profile: " + profile.name +
-                      (mobile ? " (mobile network)" : " (broadband)"));
+  const std::string network = mobile ? "mobile" : "broadband";
   ArmResult off = RunArm(profile, /*speed_kit_on=*/false, mobile);
   ArmResult on = RunArm(profile, /*speed_kit_on=*/true, mobile);
-  bench::Row("%12s %10s %10s %10s %10s %12s %12s %10s %10s", "arm", "p50_ms",
-             "p90_ms", "p99_ms", "ttfb_p50", "cache_share", "origin_reqs",
-             "pii_leaks", "bounce");
-  auto print_arm = [](const char* name, const ArmResult& r) {
-    bench::Row(
-        "%12s %10lld %10lld %10lld %10lld %11.1f%% %12llu %10llu %9.1f%%",
-        name, static_cast<long long>(r.load_ms.P50()),
-        static_cast<long long>(r.load_ms.P90()),
-        static_cast<long long>(r.load_ms.P99()),
-        static_cast<long long>(r.ttfb_ms.P50()), r.cache_share * 100,
-        static_cast<unsigned long long>(r.origin_requests),
-        static_cast<unsigned long long>(r.pii_violations),
-        r.BounceRate() * 100);
+  bench::Table arms("customer profile: " + profile.name + " (" + network +
+                        "); rows: vanilla, speed_kit",
+                    "",
+                    {{"p50_ms"},
+                     {"p90_ms"},
+                     {"p99_ms"},
+                     {"ttfb_p50_ms"},
+                     {"cache_share", 1, true},
+                     {"origin_requests"},
+                     {"pii_violations"},
+                     {"bounce_rate", 1, true},
+                     {"page_views"}});
+  auto arm = [&arms](const ArmResult& r) {
+    return arms.Add({r.load_ms.P50(), r.load_ms.P90(), r.load_ms.P99(),
+                     r.ttfb_ms.P50(), r.cache_share, r.origin_requests,
+                     r.pii_violations, r.BounceRate(), r.page_views});
   };
-  print_arm("vanilla", off);
-  print_arm("speed-kit", on);
-  bench::Row("%12s %9.2fx %9.2fx %9.2fx %9.2fx", "speedup",
-             static_cast<double>(off.load_ms.P50()) /
-                 std::max<int64_t>(1, on.load_ms.P50()),
-             static_cast<double>(off.load_ms.P90()) /
-                 std::max<int64_t>(1, on.load_ms.P90()),
-             static_cast<double>(off.load_ms.P99()) /
-                 std::max<int64_t>(1, on.load_ms.P99()),
-             static_cast<double>(off.ttfb_ms.P50()) /
-                 std::max<int64_t>(1, on.ttfb_ms.P50()));
-  bench::JsonValue row = bench::JsonRow(
-      {{"profile", profile.name},
-       {"network", mobile ? "mobile" : "broadband"},
-       {"p50_speedup", static_cast<double>(off.load_ms.P50()) /
-                           std::max<int64_t>(1, on.load_ms.P50())},
-       {"p99_speedup", static_cast<double>(off.load_ms.P99()) /
-                           std::max<int64_t>(1, on.load_ms.P99())}});
-  row.Set("vanilla", JsonArm(off));
-  row.Set("speed_kit", JsonArm(on));
-  rows->Push(std::move(row));
+  bench::JsonValue vanilla = arm(off);
+  bench::JsonValue speed_kit = arm(on);
+  bench::Table summary("", "",
+                       {{.key = "profile", .width = 12},
+                        {"network"},
+                        {"p50_speedup"},
+                        {"p99_speedup"},
+                        {.key = "vanilla", .json_only = true},
+                        {.key = "speed_kit", .json_only = true}});
+  rows->Push(summary.Add(
+      {profile.name, network, Speedup(off.load_ms.P50(), on.load_ms.P50()),
+       Speedup(off.load_ms.P99(), on.load_ms.P99()), std::move(vanilla),
+       std::move(speed_kit)}));
+  char note[96];
+  std::snprintf(note, sizeof(note), "p90 speedup %.2fx, ttfb_p50 speedup %.2fx",
+                Speedup(off.load_ms.P90(), on.load_ms.P90()),
+                Speedup(off.ttfb_ms.P50(), on.ttfb_ms.P50()));
+  bench::Note(note);
 }
 
 }  // namespace
 }  // namespace speedkit
 
 int main(int argc, char** argv) {
-  speedkit::tools::Flags flags(argc, argv);
-  std::string json_path = speedkit::bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "pageload_ab");
-
-  speedkit::bench::PrintHeader(
+  using namespace speedkit;
+  bench::Harness h(argc, argv, "pageload_ab");
+  bench::PrintHeader(
       "E5", "Page load time A/B: Speed Kit on vs off",
       "the paper's headline field experience (faster loads on real "
       "e-commerce traffic, GDPR-compliant personalization intact)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
-  for (const auto& profile : speedkit::kProfiles) {
-    speedkit::RunProfile(profile, /*mobile=*/false, &rows);
+  bench::JsonValue rows = bench::JsonValue::Array();
+  for (bool mobile : {false, true}) {
+    for (const auto& profile : kProfiles) RunProfile(profile, mobile, &rows);
   }
-  for (const auto& profile : speedkit::kProfiles) {
-    speedkit::RunProfile(profile, /*mobile=*/true, &rows);
-  }
-  if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
-    root.Set("bench", "pageload_ab");
-    root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
-  }
-  speedkit::bench::Note(
-      "expected shape: speed-kit wins at every percentile; pii_leaks must "
-      "be 0 on the speed-kit arm (vanilla arm has no user-scoped blocks "
-      "cached, it fetches them with identity)");
+  h.Finish(std::move(rows));
+  bench::Note(
+      "expected shape: speed-kit wins at every percentile; pii_violations "
+      "must be 0 on the speed_kit arm (vanilla arm has no user-scoped "
+      "blocks cached, it fetches them with identity)");
   return 0;
 }

@@ -8,12 +8,11 @@
 // baseline fetches user content with identity and caches none of it.
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "bench/harness.h"
 #include "core/stack.h"
-#include "tools/flags.h"
 
 namespace speedkit {
 namespace {
@@ -83,25 +82,21 @@ BlockRunResult RunBlocks(double user_share, int segments, bool gdpr_mode,
 }
 
 void UserShareSweep(bench::JsonValue* rows) {
-  bench::PrintSection(
+  bench::Table table(
       "cache hits on block fetches vs user-scoped share (64 segments, "
-      "200 users, GDPR mode vs legacy)");
-  bench::Row("%12s %14s %14s %14s %14s", "user_share", "gdpr_hits",
-             "gdpr_lat_ms", "legacy_hits", "legacy_leaks");
+      "200 users, GDPR mode vs legacy)",
+      "user_share",
+      {{"user_share", 0, true},
+       {"gdpr_hit_share", 1, true},
+       {"gdpr_latency_ms"},
+       {"legacy_hit_share", 1, true},
+       {"legacy_pii_violations"}});
   for (double share : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     BlockRunResult gdpr = RunBlocks(share, 64, true, 200);
     BlockRunResult legacy = RunBlocks(share, 64, false, 200);
-    bench::Row("%11.0f%% %13.1f%% %14.2f %13.1f%% %14llu", share * 100,
-               gdpr.cache_hit_share * 100, gdpr.mean_latency.millis(),
-               legacy.cache_hit_share * 100,
-               static_cast<unsigned long long>(legacy.pii_violations));
-    rows->Push(bench::JsonRow({{"section", "user_share"},
-                               {"user_share", share},
-                               {"gdpr_hit_share", gdpr.cache_hit_share},
-                               {"gdpr_latency_ms", gdpr.mean_latency.millis()},
-                               {"legacy_hit_share", legacy.cache_hit_share},
-                               {"legacy_pii_violations",
-                                legacy.pii_violations}}));
+    rows->Push(table.Add({share, gdpr.cache_hit_share,
+                          gdpr.mean_latency.millis(), legacy.cache_hit_share,
+                          legacy.pii_violations}));
   }
   bench::Note("GDPR mode keeps hit share high even at 100% user-scoped "
               "blocks (templates are shared); legacy hit share collapses "
@@ -109,19 +104,16 @@ void UserShareSweep(bench::JsonValue* rows) {
 }
 
 void SegmentCountSweep(bench::JsonValue* rows) {
-  bench::PrintSection(
+  bench::Table table(
       "segment blocks: cache hits vs cohort count (0% user share, "
-      "200 users)");
-  bench::Row("%10s %14s %16s", "segments", "hit_share", "identity_bits");
+      "200 users)",
+      "segment_count",
+      {{"segments"}, {"hit_share", 1, true}, {"identity_bits", 1}});
   for (int segments : {1, 4, 16, 64, 256, 1024}) {
     BlockRunResult r = RunBlocks(0.0, segments, true, 200);
     personalization::Segmenter seg(segments);
-    bench::Row("%10d %13.1f%% %16.1f", segments, r.cache_hit_share * 100,
-               seg.IdentityBits());
-    rows->Push(bench::JsonRow({{"section", "segment_count"},
-                               {"segments", segments},
-                               {"hit_share", r.cache_hit_share},
-                               {"identity_bits", seg.IdentityBits()}}));
+    rows->Push(
+        table.Add({segments, r.cache_hit_share, seg.IdentityBits()}));
   }
   bench::Note("more segments = more personalization but fewer shared "
               "fragments (hit share drops) and more identity bits: the "
@@ -132,22 +124,15 @@ void SegmentCountSweep(bench::JsonValue* rows) {
 }  // namespace speedkit
 
 int main(int argc, char** argv) {
-  speedkit::tools::Flags flags(argc, argv);
-  std::string json_path = speedkit::bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "personalized");
-
-  speedkit::bench::PrintHeader(
+  using namespace speedkit;
+  bench::Harness h(argc, argv, "personalized");
+  bench::PrintHeader(
       "E7", "Caching personalized content: dynamic blocks & GDPR mode",
       "the paper's personalization pillar (segment/user block split, "
       "on-device join, zero PII egress)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
-  speedkit::UserShareSweep(&rows);
-  speedkit::SegmentCountSweep(&rows);
-  if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
-    root.Set("bench", "personalized");
-    root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
-  }
+  bench::JsonValue rows = bench::JsonValue::Array();
+  UserShareSweep(&rows);
+  SegmentCountSweep(&rows);
+  h.Finish(std::move(rows));
   return 0;
 }

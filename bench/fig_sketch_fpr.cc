@@ -7,11 +7,10 @@
 // sketch false positive only ever costs an unnecessary revalidation.
 #include <cmath>
 #include <string>
+#include <utility>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "bench/harness.h"
 #include "sketch/bloom_filter.h"
-#include "tools/flags.h"
 
 namespace speedkit {
 namespace {
@@ -39,69 +38,57 @@ double AnalyticFpr(size_t bits, int k, size_t n) {
 }
 
 void SweepBitsPerKey(bench::JsonValue* rows) {
-  bench::PrintSection("FPR vs bits/entry (k = optimal), n stale entries");
-  bench::Row("%8s %10s %4s %12s %12s %12s", "n", "bits/key", "k", "measured",
-             "analytic", "snapshot_B");
+  bench::Table table("FPR vs bits/entry (k = optimal), n stale entries",
+                     "bits_per_key",
+                     {{"n"},
+                      {"bits_per_key"},
+                      {"k"},
+                      {"measured_fpr", 4, true},
+                      {"analytic_fpr", 4, true},
+                      {"snapshot_bytes"}});
   for (size_t n : {1000u, 10000u, 100000u}) {
     for (int bits_per_key : {4, 8, 12, 16, 20}) {
       size_t bits = n * static_cast<size_t>(bits_per_key);
       int k = sketch::BloomFilter::OptimalHashes(bits, n);
       sketch::BloomFilter filter(bits, k);
       for (size_t i = 0; i < n; ++i) filter.Add(Key(i));
-      double measured = MeasureFpr(filter, n, 200000);
-      double analytic = AnalyticFpr(filter.bits(), k, n);
-      bench::Row("%8zu %10d %4d %11.4f%% %11.4f%% %12zu", n, bits_per_key, k,
-                 measured * 100, analytic * 100, filter.SizeBytes() + 8);
-      rows->Push(bench::JsonRow(
-          {{"section", "bits_per_key"},
-           {"n", static_cast<uint64_t>(n)},
-           {"bits_per_key", bits_per_key},
-           {"k", k},
-           {"measured_fpr", measured},
-           {"analytic_fpr", analytic},
-           {"snapshot_bytes", static_cast<uint64_t>(filter.SizeBytes() + 8)}}));
+      rows->Push(table.Add({n, bits_per_key, k, MeasureFpr(filter, n, 200000),
+                            AnalyticFpr(filter.bits(), k, n),
+                            filter.SizeBytes() + 8}));
     }
   }
 }
 
 void SweepHashCount(bench::JsonValue* rows) {
-  bench::PrintSection("FPR vs hash count at fixed 10 bits/entry (n=10000)");
   constexpr size_t kN = 10000;
   constexpr size_t kBits = kN * 10;
-  bench::Row("%4s %12s %12s", "k", "measured", "analytic");
+  bench::Table table(
+      "FPR vs hash count at fixed 10 bits/entry (n=10000)", "hash_count",
+      {{"k"}, {"measured_fpr", 4, true}, {"analytic_fpr", 4, true}});
   for (int k = 1; k <= 12; ++k) {
     sketch::BloomFilter filter(kBits, k);
     for (size_t i = 0; i < kN; ++i) filter.Add(Key(i));
-    double measured = MeasureFpr(filter, kN, 200000);
-    double analytic = AnalyticFpr(filter.bits(), k, kN);
-    bench::Row("%4d %11.4f%% %11.4f%%", k, measured * 100, analytic * 100);
-    rows->Push(bench::JsonRow({{"section", "hash_count"},
-                               {"k", k},
-                               {"measured_fpr", measured},
-                               {"analytic_fpr", analytic}}));
+    rows->Push(table.Add({k, MeasureFpr(filter, kN, 200000),
+                          AnalyticFpr(filter.bits(), k, kN)}));
   }
   bench::Note("minimum should fall near k = 10 * ln2 ~ 7");
 }
 
 void SweepTargetFpr(bench::JsonValue* rows) {
-  bench::PrintSection("auto-sizing ForCapacity(n, p): achieved vs requested");
-  bench::Row("%8s %10s %12s %12s %12s", "n", "target", "measured", "bits/key",
-             "snapshot_B");
+  bench::Table table("auto-sizing ForCapacity(n, p): achieved vs requested",
+                     "target_fpr",
+                     {{"n"},
+                      {"target_fpr", 3, true},
+                      {"measured_fpr", 4, true},
+                      {"bits_per_key", 1},
+                      {"snapshot_bytes"}});
   for (size_t n : {1000u, 20000u}) {
     for (double p : {0.2, 0.1, 0.05, 0.01, 0.001}) {
       sketch::BloomFilter filter = sketch::BloomFilter::ForCapacity(n, p);
       for (size_t i = 0; i < n; ++i) filter.Add(Key(i));
-      double measured = MeasureFpr(filter, n, 200000);
-      bench::Row("%8zu %9.3f%% %11.4f%% %12.1f %12zu", n, p * 100,
-                 measured * 100, static_cast<double>(filter.bits()) / n,
-                 filter.SizeBytes() + 8);
-      rows->Push(bench::JsonRow(
-          {{"section", "target_fpr"},
-           {"n", static_cast<uint64_t>(n)},
-           {"target_fpr", p},
-           {"measured_fpr", measured},
-           {"bits_per_key", static_cast<double>(filter.bits()) / n},
-           {"snapshot_bytes", static_cast<uint64_t>(filter.SizeBytes() + 8)}}));
+      rows->Push(table.Add({n, p, MeasureFpr(filter, n, 200000),
+                            static_cast<double>(filter.bits()) / n,
+                            filter.SizeBytes() + 8}));
     }
   }
 }
@@ -110,23 +97,16 @@ void SweepTargetFpr(bench::JsonValue* rows) {
 }  // namespace speedkit
 
 int main(int argc, char** argv) {
-  speedkit::tools::Flags flags(argc, argv);
-  std::string json_path = speedkit::bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "sketch_fpr");
-
-  speedkit::bench::PrintHeader(
+  using namespace speedkit;
+  bench::Harness h(argc, argv, "sketch_fpr");
+  bench::PrintHeader(
       "E1", "Cache Sketch false-positive rate vs sizing",
       "Bloom-filter dimensioning of the Cache Sketch (coherence protocol "
       "overhead knob)");
-  speedkit::bench::JsonValue rows = speedkit::bench::JsonValue::Array();
-  speedkit::SweepBitsPerKey(&rows);
-  speedkit::SweepHashCount(&rows);
-  speedkit::SweepTargetFpr(&rows);
-  if (!json_path.empty()) {
-    speedkit::bench::JsonValue root = speedkit::bench::JsonValue::Object();
-    root.Set("bench", "sketch_fpr");
-    root.Set("rows", std::move(rows));
-    speedkit::bench::WriteJsonFile(json_path, root);
-  }
+  bench::JsonValue rows = bench::JsonValue::Array();
+  SweepBitsPerKey(&rows);
+  SweepHashCount(&rows);
+  SweepTargetFpr(&rows);
+  h.Finish(std::move(rows));
   return 0;
 }

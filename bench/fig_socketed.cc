@@ -21,8 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
+#include "bench/harness.h"
 #include "common/random.h"
 #include "core/stack.h"
 #include "http/url.h"
@@ -30,7 +29,6 @@
 #include "net/loadgen.h"
 #include "proxy/client_pool.h"
 #include "proxy/client_proxy.h"
-#include "tools/flags.h"
 #include "workload/catalog.h"
 #include "workload/zipf.h"
 
@@ -39,6 +37,13 @@ namespace {
 using speedkit::Duration;
 using speedkit::Histogram;
 using speedkit::Pcg32;
+
+// Prints an object's fields as an aligned "key value" block.
+void PrintFields(const speedkit::obs::JsonValue& object) {
+  for (const auto& [key, value] : object.fields()) {
+    std::printf("  %-26s %s\n", key.c_str(), value.Text(4).c_str());
+  }
+}
 
 double EnvBudget(const char* name, double fallback) {
   const char* raw = std::getenv(name);
@@ -117,7 +122,8 @@ SimReplay ReplayInSim(const speedkit::core::StackConfig& stack_config,
 int main(int argc, char** argv) {
   namespace bench = speedkit::bench;
   namespace net = speedkit::net;
-  speedkit::tools::Flags flags(argc, argv);
+  bench::Harness h(argc, argv, "socketed");
+  const speedkit::tools::Flags& flags = h.flags();
 
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   const int workers = static_cast<int>(flags.GetInt("workers", 4));
@@ -128,8 +134,6 @@ int main(int argc, char** argv) {
   const size_t hot_products =
       static_cast<size_t>(flags.GetInt("hot-products", 500));
   const double zipf_s = flags.GetDouble("zipf", 0.95);
-  const std::string json_path =
-      bench::JsonPathFromFlag(flags.GetString("json", ""), "socketed");
 
   bench::PrintHeader(
       "E17", "socketed edge vs. simulator prediction",
@@ -166,43 +170,36 @@ int main(int argc, char** argv) {
   server_thread.join();
 
   const double socket_hit = socket_report.HitRate();
-  const double throughput =
-      socket_report.wall_seconds > 0
-          ? static_cast<double>(socket_report.responses) /
-                socket_report.wall_seconds
-          : 0.0;
-  uint64_t socket_joins = 0;
-  uint64_t socket_origin_requests = server.stack().origin().stats().requests;
-  socket_joins = server.stack().cdn().flight_joins();
-
+  const uint64_t socket_joins = server.stack().cdn().flight_joins();
+  const Histogram& wall_us = socket_report.wall_latency_us;
+  const Histogram& predicted_us = socket_report.predicted_us;
+  bench::JsonValue socket = bench::JsonRow(
+      {{"responses", socket_report.responses},
+       {"transport_errors", socket_report.transport_errors},
+       {"errors_5xx", socket_report.errors_5xx},
+       {"hit_rate", socket_hit},
+       {"throughput_rps",
+        socket_report.wall_seconds > 0
+            ? static_cast<double>(socket_report.responses) /
+                  socket_report.wall_seconds
+            : 0.0},
+       {"flight_joins", socket_joins},
+       {"origin_requests", server.stack().origin().stats().requests},
+       {"wall_p50_us", wall_us.P50()},
+       {"wall_p99_us", wall_us.P99()},
+       {"predicted_p50_us", predicted_us.P50()}});
   bench::PrintSection("socket run (localhost TCP)");
-  bench::Row("  %-26s %llu", "requests",
-             static_cast<unsigned long long>(socket_report.requests));
-  bench::Row("  %-26s %llu", "responses",
-             static_cast<unsigned long long>(socket_report.responses));
-  bench::Row("  %-26s %llu", "transport errors",
-             static_cast<unsigned long long>(socket_report.transport_errors));
-  bench::Row("  %-26s %llu / %llu", "4xx / 5xx",
-             static_cast<unsigned long long>(socket_report.errors_4xx),
-             static_cast<unsigned long long>(socket_report.errors_5xx));
+  PrintFields(socket);
+  std::string served = "requests " + std::to_string(socket_report.requests) +
+                       ", 4xx " + std::to_string(socket_report.errors_4xx) +
+                       ", wall p90 " + std::to_string(wall_us.P90()) +
+                       " us, modeled p90/p99 " +
+                       std::to_string(predicted_us.P90()) + "/" +
+                       std::to_string(predicted_us.P99()) + " us; served from";
   for (const auto& [source, n] : socket_report.sources) {
-    bench::Row("  served from %-14s %llu", source.c_str(),
-               static_cast<unsigned long long>(n));
+    served += " " + source + " " + std::to_string(n);
   }
-  bench::Row("  %-26s %.4f", "hit rate", socket_hit);
-  bench::Row("  %-26s %.0f req/s", "throughput", throughput);
-  bench::Row("  %-26s %llu", "single-flight joins",
-             static_cast<unsigned long long>(socket_joins));
-  bench::Row("  %-26s %llu", "origin requests",
-             static_cast<unsigned long long>(socket_origin_requests));
-  bench::Row("  wall latency us            p50=%lld p90=%lld p99=%lld",
-             static_cast<long long>(socket_report.wall_latency_us.P50()),
-             static_cast<long long>(socket_report.wall_latency_us.P90()),
-             static_cast<long long>(socket_report.wall_latency_us.P99()));
-  bench::Row("  modeled latency us         p50=%lld p90=%lld p99=%lld",
-             static_cast<long long>(socket_report.predicted_us.P50()),
-             static_cast<long long>(socket_report.predicted_us.P90()),
-             static_cast<long long>(socket_report.predicted_us.P99()));
+  bench::Note(served);
 
   // --- sim replay: identical streams, pure simulation ------------------
   // Inter-arrival matches the socket run's measured per-worker pacing, so
@@ -219,29 +216,21 @@ int main(int argc, char** argv) {
       ReplayInSim(sim_config, lg, edged.warmup, Duration::Micros(inter_us));
   const double sim_hit = sim.HitRate();
 
+  bench::JsonValue sim_fields = bench::JsonRow(
+      {{"requests", sim.requests},
+       {"hit_rate", sim_hit},
+       {"flight_joins", sim.flight_joins},
+       {"origin_requests", sim.origin_requests},
+       {"p50_us", sim.latency_us.P50()},
+       {"p99_us", sim.latency_us.P99()}});
   bench::PrintSection("sim replay (same streams, pure simulation)");
-  bench::Row("  %-26s %llu", "requests",
-             static_cast<unsigned long long>(sim.requests));
-  bench::Row("  %-26s %.4f", "hit rate", sim_hit);
-  bench::Row("  %-26s %llu", "single-flight joins",
-             static_cast<unsigned long long>(sim.flight_joins));
-  bench::Row("  %-26s %llu", "origin requests",
-             static_cast<unsigned long long>(sim.origin_requests));
-  bench::Row("  sim latency us             p50=%lld p90=%lld p99=%lld",
-             static_cast<long long>(sim.latency_us.P50()),
-             static_cast<long long>(sim.latency_us.P90()),
-             static_cast<long long>(sim.latency_us.P99()));
+  PrintFields(sim_fields);
+  bench::Note("sim latency p90 " + std::to_string(sim.latency_us.P90()) +
+              " us");
 
   // --- comparison + gates ----------------------------------------------
   const double hit_gap = std::fabs(socket_hit - sim_hit);
   const double max_gap = EnvBudget("SPEEDKIT_E17_MAX_HIT_GAP", 0.05);
-
-  bench::PrintSection("socket vs. sim");
-  bench::Row("  %-26s %.4f vs %.4f  (gap %.4f, budget %.4f)", "hit rate",
-             socket_hit, sim_hit, hit_gap, max_gap);
-  bench::Row("  %-26s %lld vs %lld us", "p50 latency",
-             static_cast<long long>(socket_report.wall_latency_us.P50()),
-             static_cast<long long>(sim.latency_us.P50()));
 
   bool ok = true;
   if (socket_report.transport_errors != 0 || socket_report.errors_5xx != 0) {
@@ -267,48 +256,24 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!json_path.empty()) {
-    bench::JsonValue root = bench::JsonValue::Object();
-    root.Set("bench", "socketed");
-    root.Set("seed", static_cast<int64_t>(seed));
-    root.Set("workers", static_cast<int64_t>(workers));
-    root.Set("requests_per_worker", static_cast<int64_t>(requests));
-    root.Set("products", static_cast<int64_t>(products));
-    root.Set("hot_products", static_cast<int64_t>(hot_products));
-    root.Set("zipf_s", zipf_s);
-    bench::JsonValue socket_row = bench::JsonValue::Object();
-    socket_row.Set("responses",
-                   static_cast<int64_t>(socket_report.responses));
-    socket_row.Set("transport_errors",
-                   static_cast<int64_t>(socket_report.transport_errors));
-    socket_row.Set("errors_5xx",
-                   static_cast<int64_t>(socket_report.errors_5xx));
-    socket_row.Set("hit_rate", socket_hit);
-    socket_row.Set("throughput_rps", throughput);
-    socket_row.Set("flight_joins", static_cast<int64_t>(socket_joins));
-    socket_row.Set("origin_requests",
-                   static_cast<int64_t>(socket_origin_requests));
-    socket_row.Set("wall_p50_us",
-                   static_cast<int64_t>(socket_report.wall_latency_us.P50()));
-    socket_row.Set("wall_p99_us",
-                   static_cast<int64_t>(socket_report.wall_latency_us.P99()));
-    socket_row.Set("predicted_p50_us",
-                   static_cast<int64_t>(socket_report.predicted_us.P50()));
-    root.Set("socket", std::move(socket_row));
-    bench::JsonValue sim_row = bench::JsonValue::Object();
-    sim_row.Set("requests", static_cast<int64_t>(sim.requests));
-    sim_row.Set("hit_rate", sim_hit);
-    sim_row.Set("flight_joins", static_cast<int64_t>(sim.flight_joins));
-    sim_row.Set("origin_requests",
-                static_cast<int64_t>(sim.origin_requests));
-    sim_row.Set("p50_us", static_cast<int64_t>(sim.latency_us.P50()));
-    sim_row.Set("p99_us", static_cast<int64_t>(sim.latency_us.P99()));
-    root.Set("sim", std::move(sim_row));
-    root.Set("hit_gap", hit_gap);
-    root.Set("max_hit_gap", max_gap);
-    root.Set("gate", ok ? std::string("ok") : std::string("FAIL"));
-    bench::WriteJsonFile(json_path, root);
-  }
+  bench::JsonValue verdict = bench::JsonRow(
+      {{"hit_gap", hit_gap},
+       {"max_hit_gap", max_gap},
+       {"gate", ok ? "ok" : "FAIL"}});
+  bench::PrintSection("socket vs. sim");
+  PrintFields(verdict);
+
+  bench::JsonValue report = bench::JsonRow(
+      {{"seed", seed},
+       {"workers", workers},
+       {"requests_per_worker", requests},
+       {"products", products},
+       {"hot_products", hot_products},
+       {"zipf_s", zipf_s},
+       {"socket", std::move(socket)},
+       {"sim", std::move(sim_fields)}});
+  for (const auto& [key, value] : verdict.fields()) report.Set(key, value);
+  h.Finish(nullptr, report);
 
   bench::Note(
       "expected shape: hit rates agree to within a few points (same code, "

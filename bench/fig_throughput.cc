@@ -26,19 +26,14 @@
 #include <cinttypes>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "bench/bench_util.h"
-#include "bench/json_writer.h"
-#include "bench/workload_runner.h"
+#include "bench/harness.h"
 #include "common/thread_pool.h"
-#include "tools/flags.h"
 
 namespace speedkit {
 namespace {
-
-// --coherence: which protocol the stack runs (delta_atomic default).
-coherence::CoherenceMode g_coherence = coherence::CoherenceMode::kDeltaAtomic;
 
 struct ThroughputPoint {
   int threads = 1;
@@ -48,8 +43,8 @@ struct ThroughputPoint {
   uint64_t requests = 0;
 };
 
-bench::RunSpec ThroughputSpec(int shards, int num_clients,
-                              double duration_minutes) {
+bench::RunSpec ThroughputSpec(coherence::CoherenceMode mode, int shards,
+                              int num_clients, double duration_minutes) {
   bench::RunSpec spec = bench::DefaultRunSpec();
   spec.stack.shards = shards;
   // Give every shard a non-trivial slice: the default 4-edge / 25-client
@@ -59,7 +54,7 @@ bench::RunSpec ThroughputSpec(int shards, int num_clients,
   }
   spec.traffic.num_clients = static_cast<size_t>(num_clients);
   spec.traffic.duration = Duration::Minutes(duration_minutes);
-  spec.stack.coherence.mode = g_coherence;
+  spec.stack.coherence.mode = mode;
   return spec;
 }
 
@@ -125,37 +120,36 @@ GateResult CheckScaling(const std::vector<ThroughputPoint>& points,
 
 // Returns false when a gate failed (fingerprint divergence or a scaling
 // floor miss).
-bool Run(const bench::RunSpec& base, const std::vector<int>& thread_counts,
-         double min_speedup, int gate_threads, const std::string& json_path) {
-  bench::PrintSection(
-      "requests/sec vs threads (shards=" +
-      std::to_string(base.stack.shards) + ", " +
-      std::to_string(base.stack.cdn_edges) + " edges, " +
-      std::to_string(base.traffic.num_clients) + " clients, " +
-      std::to_string(static_cast<int>(base.traffic.duration.seconds() / 60)) +
-      " sim-minutes)");
-  bench::Row("%8s %12s %14s %12s %18s", "threads", "wall_s", "req/sec",
-             "speedup", "fingerprint");
-
+bool Run(const bench::Harness& h, const bench::RunSpec& base,
+         const std::vector<int>& thread_counts, double min_speedup,
+         int gate_threads) {
   std::vector<ThroughputPoint> points;
   for (int threads : thread_counts) points.push_back(Measure(base, threads));
 
+  bench::Table table(
+      "requests/sec vs threads (shards=" + std::to_string(base.stack.shards) +
+          ", " + std::to_string(base.stack.cdn_edges) + " edges, " +
+          std::to_string(base.traffic.num_clients) + " clients, " +
+          std::to_string(
+              static_cast<int>(base.traffic.duration.seconds() / 60)) +
+          " sim-minutes)",
+      "",
+      {{"threads"},
+       {"wall_seconds"},
+       {.key = "requests", .json_only = true},
+       {"requests_per_sec", 0},
+       {"speedup_vs_1_thread"},
+       {.key = "fingerprint", .width = 16}});
   bool invariant = true;
   const ThroughputPoint& first = points.front();
   bench::JsonValue rows = bench::JsonValue::Array();
   for (const ThroughputPoint& p : points) {
     char fp[24];
     std::snprintf(fp, sizeof(fp), "%016" PRIx64, p.fingerprint);
-    bench::Row("%8d %12.2f %14.0f %11.2fx %18s", p.threads, p.wall_seconds,
-               p.requests_per_sec, p.requests_per_sec / first.requests_per_sec,
-               fp);
-    rows.Push(bench::JsonRow(
-        {{"threads", p.threads},
-         {"wall_seconds", p.wall_seconds},
-         {"requests", p.requests},
-         {"requests_per_sec", p.requests_per_sec},
-         {"speedup_vs_1_thread", p.requests_per_sec / first.requests_per_sec},
-         {"fingerprint", std::string(fp)}}));
+    rows.Push(table.Add({p.threads, p.wall_seconds, p.requests,
+                         p.requests_per_sec,
+                         p.requests_per_sec / first.requests_per_sec,
+                         std::string(fp)}));
     if (p.fingerprint != first.fingerprint) invariant = false;
   }
 
@@ -177,23 +171,19 @@ bool Run(const bench::RunSpec& base, const std::vector<int>& thread_counts,
     }
   }
 
-  if (!json_path.empty()) {
-    bench::JsonValue root = bench::JsonValue::Object();
-    root.Set("bench", "throughput");
-    // The workload spec, so stored trajectories are comparable across PRs.
-    root.Set("shards", base.stack.shards);
-    root.Set("cdn_edges", base.stack.cdn_edges);
-    root.Set("num_clients", static_cast<uint64_t>(base.traffic.num_clients));
-    root.Set("duration_minutes", base.traffic.duration.seconds() / 60.0);
-    root.Set("writes_per_sec", base.traffic.writes_per_sec);
-    root.Set("available_cpus",
-             static_cast<uint64_t>(ThreadPool::AvailableCpus()));
-    root.Set("invariant_ok", invariant);
-    root.Set("min_speedup_required", min_speedup);
-    root.Set("speedup_gate", scaling.status);
-    root.Set("rows", std::move(rows));
-    bench::WriteJsonFile(json_path, root);
-  }
+  // The workload spec leads the rows, so stored trajectories are
+  // comparable across PRs.
+  h.Finish(std::move(rows),
+           bench::JsonRow(
+               {{"shards", base.stack.shards},
+                {"cdn_edges", base.stack.cdn_edges},
+                {"num_clients", base.traffic.num_clients},
+                {"duration_minutes", base.traffic.duration.seconds() / 60.0},
+                {"writes_per_sec", base.traffic.writes_per_sec},
+                {"available_cpus", ThreadPool::AvailableCpus()},
+                {"invariant_ok", invariant},
+                {"min_speedup_required", min_speedup},
+                {"speedup_gate", scaling.status}}));
   return invariant && scaling.ok;
 }
 
@@ -206,34 +196,28 @@ double EnvSpeedupFloor() {
 }  // namespace speedkit
 
 int main(int argc, char** argv) {
-  speedkit::tools::Flags flags(argc, argv);
-  int shards = static_cast<int>(flags.GetInt("shards", 8));
-  speedkit::g_coherence = speedkit::bench::CoherenceModeFromFlag(
-      flags.GetString("coherence", ""));
-  int max_threads = static_cast<int>(flags.GetInt("threads", 8));
-  int num_clients = static_cast<int>(flags.GetInt("num-clients", 256));
-  double duration_min = flags.GetDouble("duration", 90.0);
+  using namespace speedkit;
+  bench::Harness h(argc, argv, "throughput");
+  int num_clients = static_cast<int>(h.flags().GetInt("num-clients", 256));
+  double duration_min = h.flags().GetDouble("duration", 90.0);
   // Scaling floor: flag wins, then the env var (how CI configures the
   // runner-class floor), 0 = determinism gate only.
-  double min_speedup =
-      flags.GetDouble("min-speedup", speedkit::EnvSpeedupFloor());
-  int gate_threads = static_cast<int>(flags.GetInt("speedup-threads", 4));
-  std::string json_path = speedkit::bench::JsonPathFromFlag(
-      flags.GetString("json", ""), "throughput");
+  double min_speedup = h.flags().GetDouble("min-speedup", EnvSpeedupFloor());
+  int gate_threads =
+      static_cast<int>(h.flags().GetInt("speedup-threads", 4));
 
   std::vector<int> thread_counts;
-  for (int t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
+  for (int t = 1; t <= h.threads(8); t *= 2) thread_counts.push_back(t);
 
-  speedkit::bench::PrintHeader(
+  bench::PrintHeader(
       "E15", "Sharded-engine scaling and determinism gate",
       "simulated requests/sec vs worker threads at a fixed shard count; "
       "every point must fingerprint identically, and speedup must clear "
       "the configured floor");
-  speedkit::bench::RunSpec base =
-      speedkit::ThroughputSpec(shards, num_clients, duration_min);
-  bool ok = speedkit::Run(base, thread_counts, min_speedup, gate_threads,
-                          json_path);
-  speedkit::bench::Note(
+  bench::RunSpec base =
+      ThroughputSpec(h.coherence(), h.shards(8), num_clients, duration_min);
+  bool ok = Run(h, base, thread_counts, min_speedup, gate_threads);
+  bench::Note(
       "expected shape: near-linear scaling until threads exceed shards or "
       "available CPUs; the numbers themselves never move");
   return ok ? 0 : 1;

@@ -10,8 +10,9 @@
 //
 // Aggregation is two-level:
 //   MergeRuns     pools one config's per-seed runs into a single RunOutput
-//                 (histograms merged sample-by-sample, counters summed) —
-//                 overall percentiles over all seeds' samples;
+//                 (workload_runner.h; histograms merged sample-by-sample,
+//                 counters summed) — overall percentiles over all seeds'
+//                 samples;
 //   SeedStatsOf   the across-seed distribution of a scalar metric
 //                 (mean/stddev/min/max/p50/p99 over the per-seed values) —
 //                 run-to-run variance, the error bars on every figure.
@@ -21,16 +22,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "bench/json_writer.h"
 #include "bench/workload_runner.h"
 #include "common/thread_pool.h"
+#include "obs/json_writer.h"
 
 namespace speedkit::bench {
 
@@ -45,28 +43,6 @@ inline RunSpec SpecForSeed(const RunSpec& base, int i) {
   spec.catalog_seed = base.catalog_seed + n * 7919ull;
   spec.traffic.seed_salt = base.traffic.seed_salt + n * 131ull;
   return spec;
-}
-
-// Stamps the shared --coherence mode (see CoherenceModeFromFlag) into
-// every sweep config.
-inline void ApplyCoherenceFlag(std::vector<RunSpec>* configs,
-                               coherence::CoherenceMode mode) {
-  for (RunSpec& spec : *configs) spec.stack.coherence.mode = mode;
-}
-
-// Applies a harness's --shards/--threads flag pair to its sweep configs:
-// stamps stack.shards into every config and splits the thread budget
-// between multi-seed fan-out and in-run shard execution (see
-// SplitThreadBudget — the two never nest, so cores are not
-// oversubscribed). Returns the thread count to hand RunSweep.
-inline int ApplyShardAndThreadFlags(std::vector<RunSpec>* configs, int shards,
-                                    int threads, int num_seeds) {
-  ThreadSplit split = SplitThreadBudget(threads, num_seeds, configs->size());
-  for (RunSpec& spec : *configs) {
-    spec.stack.shards = shards;
-    spec.run_threads = split.run_threads;
-  }
-  return split.sweep_threads;
 }
 
 struct SweepResult {
@@ -134,26 +110,6 @@ inline SweepResult RunSweep(const std::vector<RunSpec>& configs,
   return result;
 }
 
-// Pools one config's per-seed runs into a single RunOutput. Counters sum;
-// histograms merge; gauges (sketch entry count / snapshot size) take the
-// max across seeds. Merge order is the given vector order — fixed by
-// RunSweep — so the result is deterministic.
-inline RunOutput MergeRuns(const std::vector<RunOutput>& runs) {
-  RunOutput merged;
-  for (const RunOutput& run : runs) {
-    merged.traffic.Merge(run.traffic);
-    merged.staleness.Merge(run.staleness);
-    merged.staleness_us.Merge(run.staleness_us);
-    merged.origin_requests += run.origin_requests;
-    merged.pipeline += run.pipeline;
-    merged.edge_faults += run.edge_faults;
-    merged.sketch_entries = std::max(merged.sketch_entries, run.sketch_entries);
-    merged.sketch_snapshot_bytes =
-        std::max(merged.sketch_snapshot_bytes, run.sketch_snapshot_bytes);
-  }
-  return merged;
-}
-
 // Across-seed distribution of one scalar metric.
 struct SeedStats {
   double mean = 0;
@@ -196,26 +152,13 @@ inline SeedStats SeedStatsOf(
   return SeedStatsOfValues(std::move(values));
 }
 
-inline JsonValue JsonSeedStats(const SeedStats& stats) {
-  return JsonRow({{"mean", stats.mean},
-                  {"stddev", stats.stddev},
-                  {"min", stats.min},
-                  {"max", stats.max},
-                  {"p50", stats.p50},
-                  {"p99", stats.p99}});
-}
-
-// One-line wall-clock summary for the text table. The merged numbers are
-// thread-count-invariant; only this note depends on the machine.
-inline std::string WallClockNote(const SweepResult& sweep, int num_seeds,
-                                 int threads) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "%d seeds x %zu configs on %d thread(s): wall %.2fs, "
-                "cpu %.2fs, speedup %.2fx",
-                num_seeds, sweep.outputs.size(), threads, sweep.wall_seconds,
-                sweep.cpu_seconds, sweep.Speedup());
-  return buf;
+inline obs::JsonValue JsonSeedStats(const SeedStats& stats) {
+  return obs::JsonRow({{"mean", stats.mean},
+                       {"stddev", stats.stddev},
+                       {"min", stats.min},
+                       {"max", stats.max},
+                       {"p50", stats.p50},
+                       {"p99", stats.p99}});
 }
 
 }  // namespace speedkit::bench

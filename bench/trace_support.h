@@ -1,9 +1,9 @@
 // Shared --trace support for the fig_*/tbl_* harnesses.
 //
-// Every traffic-driven binary accepts --trace[=<path>]. When set, the
-// harness re-runs its representative configuration (seed index 0 — the
-// same trial the sweep runs) twice: once untraced and once with the full
-// observability layer on. It then
+// Every traffic-driven binary accepts --trace[=<path>] (Harness::Trace in
+// harness.h). When set, the harness re-runs its representative
+// configuration (seed index 0 — the same trial the sweep runs) twice: once
+// untraced and once with the full observability layer on. It then
 //   1. asserts the two runs produced identical experiment metrics — the
 //      obs layer's "never changes results" contract, checked on every
 //      traced invocation, not just in CI;
@@ -21,22 +21,12 @@
 #include <cstdlib>
 #include <string>
 
-#include "bench/bench_util.h"
 #include "bench/parallel_runner.h"
+#include "bench/table.h"
 #include "bench/workload_runner.h"
 #include "obs/export.h"
 
 namespace speedkit::bench {
-
-// Resolves the --trace flag value for a harness named `name`: a bare
-// `--trace` picks the conventional TRACE_<name>.csv, `--trace=<path>`
-// overrides, absent flag disables (empty string). Mirrors JsonPathFromFlag.
-inline std::string TracePathFromFlag(const std::string& flag_value,
-                                     const std::string& name) {
-  if (flag_value.empty()) return "";
-  if (flag_value == "true") return "TRACE_" + name + ".csv";
-  return flag_value;
-}
 
 namespace trace_internal {
 
@@ -123,29 +113,27 @@ inline bool SameExperimentOutputs(const RunOutput& u, const RunOutput& t) {
   return ok;
 }
 
-inline void PrintTierRow(const char* tier, const Histogram& h) {
-  if (h.count() == 0) return;
-  Row("%10s %10llu %10.1f %10.1f %10.1f %10.1f", tier,
-      static_cast<unsigned long long>(h.count()), h.P50() / 1e3, h.P90() / 1e3,
-      h.P95() / 1e3, h.P99() / 1e3);
-}
-
 }  // namespace trace_internal
 
 // Prints the per-tier latency breakdown of one run (ms). Works for any
 // run — the tier histograms fill unconditionally — but harnesses call it
 // from the --trace path where it sits next to the trace CSV it explains.
 inline void PrintTierBreakdown(const proxy::ProxyStats& p) {
-  PrintSection("per-tier client latency breakdown (ms)");
-  Row("%10s %10s %10s %10s %10s %10s", "tier", "requests", "p50", "p90", "p95",
-      "p99");
-  trace_internal::PrintTierRow("browser", p.latency_browser_us);
-  trace_internal::PrintTierRow("edge", p.latency_edge_us);
-  trace_internal::PrintTierRow("origin", p.latency_origin_us);
-  trace_internal::PrintTierRow("offline", p.latency_offline_us);
-  trace_internal::PrintTierRow("error", p.latency_error_us);
-  trace_internal::PrintTierRow("ok", p.latency_ok_us);
-  trace_internal::PrintTierRow("degraded", p.latency_degraded_us);
+  Table table("per-tier client latency breakdown (ms)", "",
+              {{"tier"}, {"requests"}, {"p50", 1}, {"p90", 1}, {"p95", 1},
+               {"p99", 1}});
+  auto row = [&table](const char* tier, const Histogram& h) {
+    if (h.count() == 0) return;
+    table.Add({tier, h.count(), h.P50() / 1e3, h.P90() / 1e3, h.P95() / 1e3,
+               h.P99() / 1e3});
+  };
+  row("browser", p.latency_browser_us);
+  row("edge", p.latency_edge_us);
+  row("origin", p.latency_origin_us);
+  row("offline", p.latency_offline_us);
+  row("error", p.latency_error_us);
+  row("ok", p.latency_ok_us);
+  row("degraded", p.latency_degraded_us);
 }
 
 // The --trace entry point: no-op when `trace_path` is empty, otherwise the

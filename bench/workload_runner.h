@@ -14,11 +14,8 @@
 #define SPEEDKIT_BENCH_WORKLOAD_RUNNER_H_
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/fleet.h"
@@ -39,7 +36,7 @@ struct RunSpec {
   // Worker threads executing the shards of ONE run (only meaningful with
   // stack.shards > 1; never affects results, only wall-clock). Distinct
   // from the multi-seed parallelism of parallel_runner.h — see
-  // SplitThreadBudget below for how harnesses divide a --threads budget.
+  // Harness::Apply (harness.h) for how harnesses divide a --threads budget.
   int run_threads = 1;
 };
 
@@ -56,26 +53,10 @@ struct RunOutput {
   // Observability captures — non-null only when spec.stack.obs switched
   // them on AND the run was unsharded (a sharded run has one registry/sink
   // per shard; captures stay per-run artifacts, the merged numbers come
-  // from the stats structs above). MergeRuns deliberately ignores them.
+  // from the stats structs above). MergeRuns deliberately drops them.
   std::shared_ptr<obs::MetricsRegistry> metrics;
   std::shared_ptr<obs::InMemoryTraceSink> traces;
 };
-
-// Resolves the shared --coherence flag every harness accepts: the mode
-// names are exactly CoherenceModeName's ("delta_atomic", "serializable",
-// "fixed_ttl"); an empty value keeps the paper-faithful Δ-atomic default.
-// An unknown name is a hard error — the run would otherwise silently
-// measure the wrong protocol.
-inline coherence::CoherenceMode CoherenceModeFromFlag(
-    const std::string& text) {
-  coherence::CoherenceMode mode = coherence::CoherenceMode::kDeltaAtomic;
-  if (text.empty()) return mode;
-  if (Status s = coherence::ParseCoherenceMode(text, &mode); !s.ok()) {
-    std::fprintf(stderr, "--coherence: %s\n", s.ToString().c_str());
-    std::exit(2);
-  }
-  return mode;
-}
 
 inline RunSpec DefaultRunSpec() {
   RunSpec spec;
@@ -86,26 +67,6 @@ inline RunSpec DefaultRunSpec() {
   spec.traffic.writes_per_sec = 2.0;
   spec.traffic.write_skew = 0.8;
   return spec;
-}
-
-// How a harness's --threads budget is spent: multi-seed fan-out already
-// saturates the budget when there are seeds to parallelize over, so in-run
-// shard threads are only worth spinning up for a single-seed run —
-// nesting both would oversubscribe every core. Returns {sweep_threads,
-// run_threads}.
-struct ThreadSplit {
-  int sweep_threads = 1;
-  int run_threads = 1;
-};
-inline ThreadSplit SplitThreadBudget(int threads, int num_seeds,
-                                     size_t num_configs) {
-  ThreadSplit split;
-  if (num_seeds * static_cast<int>(num_configs) > 1) {
-    split.sweep_threads = threads;
-  } else {
-    split.run_threads = threads;
-  }
-  return split;
 }
 
 // The per-stack recipe body: populate, register queries, settle, run
@@ -149,34 +110,33 @@ inline RunOutput RunOneStack(core::SpeedKitStack& stack,
   }
   out.edge_faults = stack.cdn().TotalFaultStats();
   if (stack.metrics() != nullptr) {
-    stack.CollectMetrics(&out.traffic.proxies);
+    stack.CollectMetrics(&out.traffic.proxies, stack.metrics().get());
     out.metrics = stack.metrics();
   }
   out.traces = stack.trace_sink();
   return out;
 }
 
-// Folds shard outputs (fixed, ascending shard order — determinism depends
-// on it). Counters sum, histograms merge, gauges take the max; edge_faults
-// sum correctly because shards own disjoint edge sets.
-inline RunOutput MergeShardOutputs(std::vector<RunOutput> parts) {
-  RunOutput merged = std::move(parts.front());
-  for (size_t s = 1; s < parts.size(); ++s) {
-    RunOutput& p = parts[s];
-    merged.traffic.Merge(p.traffic);
-    merged.staleness.Merge(p.staleness);
-    merged.staleness_us.Merge(p.staleness_us);
-    merged.origin_requests += p.origin_requests;
-    merged.pipeline += p.pipeline;
-    merged.edge_faults += p.edge_faults;
-    merged.sketch_entries = std::max(merged.sketch_entries, p.sketch_entries);
+// Pools runs into one RunOutput, for a config's seeds (parallel_runner.h)
+// and for a run's shards alike. Counters sum, histograms merge, gauges
+// (sketch entry count / snapshot size) take the max; edge_faults sum
+// correctly across shards because shards own disjoint edge sets. Merge
+// order is the vector order — fixed by the caller — so the result is
+// deterministic. Observability captures are per stack and do not compose,
+// so the merged output carries none.
+inline RunOutput MergeRuns(const std::vector<RunOutput>& runs) {
+  RunOutput merged;
+  for (const RunOutput& run : runs) {
+    merged.traffic.Merge(run.traffic);
+    merged.staleness.Merge(run.staleness);
+    merged.staleness_us.Merge(run.staleness_us);
+    merged.origin_requests += run.origin_requests;
+    merged.pipeline += run.pipeline;
+    merged.edge_faults += run.edge_faults;
+    merged.sketch_entries = std::max(merged.sketch_entries, run.sketch_entries);
     merged.sketch_snapshot_bytes =
-        std::max(merged.sketch_snapshot_bytes, p.sketch_snapshot_bytes);
+        std::max(merged.sketch_snapshot_bytes, run.sketch_snapshot_bytes);
   }
-  // Per-shard captures don't compose into one registry/sink; the merged
-  // output carries numbers only.
-  merged.metrics = nullptr;
-  merged.traces = nullptr;
   return merged;
 }
 
@@ -191,7 +151,7 @@ inline RunOutput RunShardedWorkload(const RunSpec& spec) {
   core::ForEachShard(fleet.shards(), spec.run_threads, [&](int s) {
     parts[static_cast<size_t>(s)] = RunOneStack(fleet.shard(s), catalog, spec);
   });
-  return MergeShardOutputs(std::move(parts));
+  return MergeRuns(parts);
 }
 
 inline RunOutput RunWorkload(const RunSpec& spec) {

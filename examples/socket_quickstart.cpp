@@ -112,7 +112,8 @@ int main() {
   net::WireResponse ring = Fetch(fd, "/ringz", 0);
   std::printf("  /ringz body: %s", ring.body.ToString().c_str());
   net::WireResponse metrics = Fetch(fd, "/metricsz", 0);
-  std::printf("  /metricsz is %zu bytes of JSON (net.*, proxy, cdn, origin)\n",
+  std::printf("  /metricsz is %zu bytes of JSON (net.* plus the stack's "
+              "docs/METRICS.md series)\n",
               metrics.body.size());
 
   // 7. Graceful shutdown: drain and close from another thread.

@@ -187,12 +187,14 @@ class SpeedKitStack {
   }
   obs::Tracer* tracer() { return tracer_.get(); }
 
-  // Snapshots every component's stats into the registry under the names
-  // in obs/metric_names.h. `merged_proxies` carries the proxy counters
-  // (the stack does not own its clients); pass null to skip the proxy
-  // family. No-op without config.obs.metrics. Implemented in
-  // stack_metrics.cc — the one file that knows every stats struct.
-  void CollectMetrics(const proxy::ProxyStats* merged_proxies);
+  // Snapshots every component's stats into `reg` under the names in
+  // obs/metric_names.h: the stack's own registry (metrics()) at the end of
+  // a run, or a fresh one per scrape on a live node. `merged_proxies`
+  // carries the proxy counters (the stack does not own its clients); pass
+  // null to skip the proxy family. Implemented in stack_metrics.cc — the
+  // one file that knows every stats struct.
+  void CollectMetrics(const proxy::ProxyStats* merged_proxies,
+                      obs::MetricsRegistry* reg);
 
  private:
   bool UsesPipeline() const {

@@ -4,9 +4,10 @@
 // that must know every stats struct in the system; stack.cc stays wiring.
 //
 // Snapshot semantics: counters and gauges are assigned (idempotent),
-// histograms are merged — call once, at the end of a run. The network RTT
-// histograms are the exception: they are live (wired in the constructor)
-// and never touched here.
+// histograms are merged — call once per registry: the stack's own at the
+// end of a run, or a fresh one per scrape. The network RTT histograms are
+// the exception: they are live (wired in the constructor) and never
+// touched here.
 #include "core/stack.h"
 
 #include "obs/metric_names.h"
@@ -76,10 +77,8 @@ void SnapshotCache(obs::MetricsRegistry* reg, std::string_view cache_label,
 
 }  // namespace
 
-void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies) {
-  if (metrics_ == nullptr) return;
-  obs::MetricsRegistry* reg = metrics_.get();
-
+void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies,
+                                   obs::MetricsRegistry* reg) {
   if (merged_proxies != nullptr) SnapshotProxy(reg, *merged_proxies);
 
   // CDN edges, aggregated across all edges of this stack. (Browser caches
@@ -91,6 +90,9 @@ void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies) {
   *reg->Counter(obs::kEdgePurgesDropped) = edge_faults.purges_dropped;
   *reg->Counter(obs::kEdgePurgesDelayed) = edge_faults.purges_delayed;
   reg->Histo(obs::kEdgePurgeDelayUs)->Merge(edge_faults.purge_delay_us);
+  *reg->Counter(obs::kEdgeFlightsStarted) = cdn_->flights_started();
+  *reg->Counter(obs::kEdgeFlightJoins) = cdn_->flight_joins();
+  *reg->Counter(obs::kEdgeHerdFetches) = cdn_->herd_fetches();
 
   if (pipeline_ != nullptr) {
     const invalidation::PipelineStats& p = pipeline_->stats();

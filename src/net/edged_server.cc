@@ -5,6 +5,7 @@
 
 #include "common/strings.h"
 #include "net/net_metric_names.h"
+#include "obs/export.h"
 #include "proxy/client_proxy.h"
 
 namespace speedkit::net {
@@ -19,19 +20,12 @@ WireResponse PlainResponse(int status, std::string body) {
   return resp;
 }
 
-WireResponse JsonResponse(std::string body) {
+WireResponse JsonResponse(const obs::JsonValue& body) {
   WireResponse resp;
   resp.status_code = 200;
   resp.headers.Set("Content-Type", "application/json");
-  resp.body = std::move(body);
+  resp.body = body.Dump() + "\n";
   return resp;
-}
-
-void AppendJsonField(std::string* out, std::string_view name, uint64_t value,
-                     bool* first) {
-  if (!*first) out->append(",");
-  *first = false;
-  out->append("\"").append(name).append("\":").append(std::to_string(value));
 }
 
 }  // namespace
@@ -169,21 +163,22 @@ WireResponse EdgedServer::Handle(const WireRequest& req) {
   (*requests_)++;
   if (req.target == "/healthz") return PlainResponse(200, "ok\n");
   if (req.target == "/ringz") {
-    std::string body = "{\"node\":\"" + config_.node_name + "\",\"nodes\":[";
-    bool first = true;
-    for (std::string_view n : ring_.nodes()) {
-      if (!first) body.append(",");
-      first = false;
-      body.append("\"").append(n).append("\"");
-    }
-    body.append("],\"replicas\":")
-        .append(std::to_string(ring_.default_replicas()))
-        .append(",\"vnodes\":")
-        .append(std::to_string(ring_.num_vnodes()))
-        .append("}\n");
-    return JsonResponse(std::move(body));
+    obs::JsonValue nodes = obs::JsonValue::Array();
+    for (const std::string& n : ring_.nodes()) nodes.Push(n);
+    return JsonResponse(obs::JsonRow({{"node", config_.node_name},
+                                      {"nodes", std::move(nodes)},
+                                      {"replicas", ring_.default_replicas()},
+                                      {"vnodes", ring_.num_vnodes()}}));
   }
-  if (req.target == "/metricsz") return JsonResponse(MetricsJson());
+  if (req.target == "/metricsz") {
+    // A fresh registry per scrape: the live net.* instruments plus a
+    // snapshot of the stack, whose histograms CollectMetrics merges.
+    obs::MetricsRegistry scrape;
+    scrape.MergeFrom(metrics_);
+    stack_->CollectMetrics(&pool_->stats(), &scrape);
+    return JsonResponse(
+        obs::MetricsDocument(scrape, {{"node", config_.node_name}}));
+  }
   if (req.method != http::Method::kGet) {
     return PlainResponse(405, "only GET is served here\n");
   }
@@ -248,57 +243,6 @@ proxy::ClientProxy* EdgedServer::ClientFor(uint64_t client_id) {
       pool_->MakeClient(stack_->DefaultProxyConfig(), client_id);
   clients_.emplace(client_id, client);
   return client;
-}
-
-std::string EdgedServer::MetricsJson() {
-  std::string out = "{\"net\":{";
-  bool first = true;
-  for (const auto& m : metrics_.metrics()) {
-    switch (m->kind) {
-      case obs::MetricKind::kCounter:
-        AppendJsonField(&out, m->name, m->counter, &first);
-        break;
-      case obs::MetricKind::kGauge:
-        AppendJsonField(&out, m->name,
-                        static_cast<uint64_t>(m->gauge < 0 ? 0 : m->gauge),
-                        &first);
-        break;
-      case obs::MetricKind::kHistogram:
-        if (!first) out.append(",");
-        first = false;
-        out.append("\"").append(m->name).append("\":{\"count\":")
-            .append(std::to_string(m->histogram.count()))
-            .append(",\"p50\":")
-            .append(std::to_string(m->histogram.P50()))
-            .append(",\"p99\":")
-            .append(std::to_string(m->histogram.P99()))
-            .append("}");
-        break;
-    }
-  }
-  const proxy::ProxyStats& ps = pool_->stats();
-  out.append("},\"proxy\":{");
-  first = true;
-  AppendJsonField(&out, "requests", ps.requests, &first);
-  AppendJsonField(&out, "browser_hits", ps.browser_hits, &first);
-  AppendJsonField(&out, "swr_serves", ps.swr_serves, &first);
-  AppendJsonField(&out, "edge_hits", ps.edge_hits, &first);
-  AppendJsonField(&out, "origin_fetches", ps.origin_fetches, &first);
-  AppendJsonField(&out, "offline_serves", ps.offline_serves, &first);
-  AppendJsonField(&out, "errors", ps.errors, &first);
-  const cache::Cdn& cdn = stack_->cdn();
-  out.append("},\"cdn\":{");
-  first = true;
-  AppendJsonField(&out, "flights_started", cdn.flights_started(), &first);
-  AppendJsonField(&out, "flight_joins", cdn.flight_joins(), &first);
-  AppendJsonField(&out, "herd_fetches", cdn.herd_fetches(), &first);
-  out.append("},\"origin\":{");
-  first = true;
-  AppendJsonField(&out, "requests", stack_->origin().stats().requests, &first);
-  AppendJsonField(&out, "not_modified", stack_->origin().stats().not_modified,
-                  &first);
-  out.append("}}\n");
-  return out;
 }
 
 }  // namespace speedkit::net

@@ -25,8 +25,9 @@
 //   * responses carry X-SpeedKit-Source (which tier served) and
 //     X-SpeedKit-Latency-Us (the latency the simulation model predicts
 //     for this serve — what fig_socketed compares wall latency against).
-// Admin endpoints: /healthz, /ringz, /metricsz (flat JSON of the net.*
-// metrics plus proxy/CDN/origin counters).
+// Admin endpoints: /healthz, /ringz, /metricsz (the obs::MetricsDocument
+// of the net.* metrics plus a snapshot of the stack under the METRICS.md
+// names).
 #ifndef SPEEDKIT_NET_EDGED_SERVER_H_
 #define SPEEDKIT_NET_EDGED_SERVER_H_
 
@@ -130,7 +131,6 @@ class EdgedServer {
 
   WireResponse Handle(const WireRequest& req);
   WireResponse HandleCached(const WireRequest& req);
-  std::string MetricsJson();
   proxy::ClientProxy* ClientFor(uint64_t client_id);
 
   EdgedConfig config_;

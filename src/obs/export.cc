@@ -7,8 +7,8 @@ namespace speedkit::obs {
 
 namespace {
 
-bench::JsonValue HistogramToJson(const Histogram& h) {
-  return bench::JsonRow({
+JsonValue HistogramToJson(const Histogram& h) {
+  return JsonRow({
       {"count", h.count()},
       {"min", h.min()},
       {"max", h.max()},
@@ -34,10 +34,10 @@ std::string CsvField(const std::string& s) {
 
 }  // namespace
 
-bench::JsonValue MetricsToJson(const MetricsRegistry& registry) {
-  bench::JsonValue out = bench::JsonValue::Array();
+JsonValue MetricsToJson(const MetricsRegistry& registry) {
+  JsonValue out = JsonValue::Array();
   for (const auto& m : registry.metrics()) {
-    bench::JsonValue row = bench::JsonRow({
+    JsonValue row = JsonRow({
         {"name", m->name},
         {"labels", m->labels},
         {"kind", std::string(MetricKindName(m->kind))},
@@ -58,12 +58,17 @@ bench::JsonValue MetricsToJson(const MetricsRegistry& registry) {
   return out;
 }
 
-bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
-                      const MetaList& meta) {
-  bench::JsonValue root = bench::JsonValue::Object();
+JsonValue MetricsDocument(const MetricsRegistry& registry,
+                          const MetaList& meta) {
+  JsonValue root = JsonValue::Object();
   for (const auto& [key, value] : meta) root.Set(key, value);
   root.Set("metrics", MetricsToJson(registry));
-  return bench::WriteJsonFile(path, root);
+  return root;
+}
+
+bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
+                      const MetaList& meta) {
+  return WriteJsonFile(path, MetricsDocument(registry, meta));
 }
 
 bool WriteMetricsCsv(const std::string& path,

@@ -1,6 +1,6 @@
-// Exporters: MetricsRegistry -> the same ordered JSON used by every bench
-// binary (bench/json_writer.h) or a flat CSV, and trace collections -> a
-// flat CSV trace format that tools/trace_report consumes.
+// Exporters: MetricsRegistry -> the ordered JSON of obs/json_writer.h
+// (also what every bench binary writes) or a flat CSV, and trace
+// collections -> a flat CSV trace format that tools/trace_report consumes.
 //
 // Trace CSV layout (one file per run):
 //   - `# key=value` metadata header lines (run name, seed, served_total —
@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench/json_writer.h"
+#include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -26,9 +26,14 @@ using MetaList = std::vector<std::pair<std::string, std::string>>;
 
 // One JSON object per metric, in registration order. Counters/gauges carry
 // `value`; histograms carry {count, min, max, mean, p50, p95, p99}.
-bench::JsonValue MetricsToJson(const MetricsRegistry& registry);
+JsonValue MetricsToJson(const MetricsRegistry& registry);
 
-// Writes `{meta..., metrics: [...]}` to `path`. Returns false on IO error.
+// `{meta..., metrics: [...]}`: the document WriteMetricsJson writes and a
+// live edge node serves on /metricsz.
+JsonValue MetricsDocument(const MetricsRegistry& registry,
+                          const MetaList& meta = {});
+
+// Writes MetricsDocument to `path`. Returns false on IO error.
 bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
                       const MetaList& meta = {});
 

@@ -1,12 +1,10 @@
-// Minimal ordered JSON value tree + emitter for the experiment harnesses.
-//
-// Every fig_*/tbl_* binary accepts --json[=<path>] and, when set, writes a
-// BENCH_<name>.json next to its text table so downstream tooling (plots,
-// perf trajectories across PRs) can consume machine-readable metrics
-// instead of scraping printf output. Keys keep insertion order so emitted
-// files are deterministic and diffable.
-#ifndef SPEEDKIT_BENCH_JSON_WRITER_H_
-#define SPEEDKIT_BENCH_JSON_WRITER_H_
+// Minimal ordered JSON value tree + emitter: the one JSON writer of the
+// repository. The metrics exporter (obs/export.h), the edge node's admin
+// endpoints and every fig_*/tbl_* harness's BENCH_<name>.json build on it.
+// Keys keep insertion order so emitted files are deterministic and
+// diffable.
+#ifndef SPEEDKIT_OBS_JSON_WRITER_H_
+#define SPEEDKIT_OBS_JSON_WRITER_H_
 
 #include <cmath>
 #include <cstdint>
@@ -14,11 +12,12 @@
 #include <fstream>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
 
-namespace speedkit::bench {
+namespace speedkit::obs {
 
 class JsonValue {
  public:
@@ -64,6 +63,35 @@ class JsonValue {
     auto& items = std::get<ArrayRep>(rep_).items;
     items.push_back(std::move(value));
     return items.back();
+  }
+
+  bool is_null() const { return std::holds_alternative<std::nullptr_t>(rep_); }
+
+  // Object field lookup; nullptr when absent or not an object.
+  const JsonValue* Find(std::string_view key) const {
+    if (auto* o = std::get_if<ObjectRep>(&rep_)) {
+      for (const auto& [k, v] : o->fields) {
+        if (k == key) return &v;
+      }
+    }
+    return nullptr;
+  }
+
+  // An object's fields in insertion order.
+  const std::vector<std::pair<std::string, JsonValue>>& fields() const {
+    return std::get<ObjectRep>(rep_).fields;
+  }
+
+  // A scalar as table text: integers and strings as they are, a double
+  // times `scale` with `precision` digits after the point.
+  std::string Text(int precision, double scale = 1.0) const {
+    if (auto* d = std::get_if<double>(&rep_)) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.*f", precision, *d * scale);
+      return buf;
+    }
+    if (auto* s = std::get_if<std::string>(&rep_)) return *s;
+    return Dump(0);
   }
 
   size_t size() const {
@@ -188,16 +216,6 @@ inline bool WriteJsonFile(const std::string& path, const JsonValue& root) {
   return out.good();
 }
 
-// Resolves the --json flag value for a harness named `name`: a bare
-// `--json` picks the conventional BENCH_<name>.json, `--json=<path>`
-// overrides, absent flag disables (empty string).
-inline std::string JsonPathFromFlag(const std::string& flag_value,
-                                    const std::string& name) {
-  if (flag_value.empty()) return "";
-  if (flag_value == "true") return "BENCH_" + name + ".json";
-  return flag_value;
-}
+}  // namespace speedkit::obs
 
-}  // namespace speedkit::bench
-
-#endif  // SPEEDKIT_BENCH_JSON_WRITER_H_
+#endif  // SPEEDKIT_OBS_JSON_WRITER_H_

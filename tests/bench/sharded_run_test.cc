@@ -71,7 +71,7 @@ TEST(ShardedRunTest, EachShardBuiltAloneReproducesTheFleetRun) {
     core::SpeedKitStack stack(spec.stack, s);
     parts.push_back(RunOneStack(stack, catalog, spec));
   }
-  EXPECT_EQ(FingerprintRun(MergeShardOutputs(std::move(parts))),
+  EXPECT_EQ(FingerprintRun(MergeRuns(parts)),
             FingerprintRun(RunWorkload(spec)));
 }
 

@@ -112,7 +112,8 @@ TEST_F(EdgedSocketTest, AdminEndpointsAnswer) {
   WireResponse metrics = RoundTrip(fd, "/metricsz");
   EXPECT_EQ(metrics.status_code, 200);
   EXPECT_NE(metrics.body.ToString().find("\"net.requests\""), std::string::npos);
-  EXPECT_NE(metrics.body.ToString().find("\"proxy\""), std::string::npos);
+  EXPECT_NE(metrics.body.ToString().find("\"proxy.requests\""),
+            std::string::npos);
   ::close(fd);
 }
 

@@ -1,4 +1,4 @@
-#include "bench/json_writer.h"
+#include "obs/json_writer.h"
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-namespace speedkit::bench {
+namespace speedkit::obs {
 namespace {
 
 TEST(JsonValueTest, ScalarsDump) {
@@ -88,11 +88,5 @@ TEST(JsonWriterTest, WritesFileWithTrailingNewline) {
   std::remove(path.c_str());
 }
 
-TEST(JsonWriterTest, JsonPathFromFlagResolution) {
-  EXPECT_EQ(JsonPathFromFlag("", "baselines"), "");
-  EXPECT_EQ(JsonPathFromFlag("true", "baselines"), "BENCH_baselines.json");
-  EXPECT_EQ(JsonPathFromFlag("/tmp/out.json", "baselines"), "/tmp/out.json");
-}
-
 }  // namespace
-}  // namespace speedkit::bench
+}  // namespace speedkit::obs

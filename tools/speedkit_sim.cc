@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
     }
   }
   if (config.obs.metrics) {
-    stack.CollectMetrics(&result.proxies);
+    stack.CollectMetrics(&result.proxies, stack.metrics().get());
     std::string metrics_path = flags.GetString("metrics", "true");
     if (metrics_path == "true") metrics_path = "METRICS_sim.json";
     obs::MetaList meta = {
