@@ -109,11 +109,13 @@ void PurgePropagation(bench::JsonValue* rows) {
     cache::Cdn cdn(edges, 0);
     coherence::DeltaAtomicProtocol protocol{coherence::CoherenceConfig()};
     invalidation::PipelineConfig config;  // 80ms median, lognormal 0.4
+    invalidation::ExpiryBook no_copies_served;
     invalidation::InvalidationPipeline pipeline(config, &clock, &events, &cdn,
-                                                &protocol, Pcg32(3));
+                                                &protocol, &no_copies_served,
+                                                Pcg32(3));
     for (int i = 0; i < 2000; ++i) {
-      storage::Record r = MakeProduct(static_cast<size_t>(i), 1, 10);
-      pipeline.OnWrite(nullptr, r);
+      pipeline.OnWrite(invalidation::RecordCacheKey("p" + std::to_string(i)),
+                       {});
       events.RunUntil(clock.Now() + Duration::Seconds(1));
     }
     const Histogram& h = pipeline.propagation_latency_us();

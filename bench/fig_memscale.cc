@@ -73,10 +73,6 @@ MemPoint Measure(const bench::RunSpec& spec) {
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     stack.origin().RegisterQuery(catalog.CategoryQuery(c));
-    if (stack.pipeline() != nullptr) {
-      stack.pipeline()->WatchQuery(catalog.CategoryQuery(c),
-                                   catalog.CategoryUrl(c));
-    }
   }
   stack.Advance(Duration::Seconds(5));
 

@@ -105,10 +105,6 @@ ArmResult RunArm(const Profile& profile, bool speed_kit_on, bool mobile) {
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     stack.origin().RegisterQuery(catalog.CategoryQuery(c));
-    if (stack.pipeline() != nullptr) {
-      stack.pipeline()->WatchQuery(catalog.CategoryQuery(c),
-                                   catalog.CategoryUrl(c));
-    }
   }
   stack.Advance(Duration::Seconds(5));
 

@@ -84,10 +84,6 @@ inline RunOutput RunOneStack(core::SpeedKitStack& stack,
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     stack.origin().RegisterQuery(catalog.CategoryQuery(c));
-    if (stack.pipeline() != nullptr) {
-      stack.pipeline()->WatchQuery(catalog.CategoryQuery(c),
-                                   catalog.CategoryUrl(c));
-    }
   }
   // Settle population writes out of the sketch before traffic starts.
   stack.Advance(Duration::Seconds(5));

@@ -28,8 +28,6 @@ int main() {
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     (void)stack.origin().RegisterQuery(catalog.CategoryQuery(c));
-    (void)stack.pipeline()->WatchQuery(catalog.CategoryQuery(c),
-                                       catalog.CategoryUrl(c));
   }
   stack.Advance(Duration::Seconds(5));
   std::printf("catalog: %zu products in %d categories; watching %d listing "

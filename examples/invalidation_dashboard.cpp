@@ -60,8 +60,6 @@ int main() {
   on_sale.conditions.push_back(
       {"on_sale", invalidation::Op::kEq, true});
   (void)stack.origin().RegisterQuery(on_sale);
-  (void)stack.pipeline()->WatchQuery(on_sale,
-                                     invalidation::QueryCacheKey("on-sale"));
   std::printf("watching query: %s\n", on_sale.ToString().c_str());
   stack.Advance(Duration::Seconds(5));
 

@@ -103,14 +103,13 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
       &protocol_->publication());
 
   if (UsesPipeline()) {
+    // The origin records every handed-out freshness deadline; the pipeline
+    // consults that same book to size sketch horizons.
     pipeline_ = std::make_unique<invalidation::InvalidationPipeline>(
         config_.pipeline, &clock_, &events_, cdn_.get(), protocol_.get(),
-        rng_.Fork(2));
-    // The origin records every handed-out freshness deadline; the pipeline
-    // must consult that same book to size sketch horizons correctly.
-    pipeline_->UseExpiryBook(&origin_->expiry_book());
+        &origin_->expiry_book(), rng_.Fork(2));
     pipeline_->SetFaultSchedule(&faults_);
-    pipeline_->AttachTo(&store_);
+    origin_->SetPipeline(pipeline_.get());
   }
 
   // Observability. Allocated only when switched on, so the default stack
@@ -149,16 +148,11 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
     }
   }
 
-  // Version instrumentation: date every record version and every
-  // materialized-query result version. The protocol's staleness tracker is
-  // both the anomaly-measurement ledger and (for serializable mode) the
-  // validation authority.
-  store_.AddWriteListener([this](const storage::Record* /*before*/,
-                                 const storage::Record& after) {
-    protocol_->OnVersion(invalidation::RecordCacheKey(after.id),
-                         after.version, clock_.Now());
-  });
-  origin_->SetQueryVersionListener(
+  // Version instrumentation: date every materialized-query result version
+  // and every record version. The protocol's staleness tracker is both the
+  // anomaly-measurement ledger and (for serializable mode) the validation
+  // authority.
+  origin_->SetVersionListener(
       [this](const std::string& cache_key, uint64_t version) {
         protocol_->OnVersion(cache_key, version, clock_.Now());
       });

@@ -13,44 +13,35 @@ std::string QueryCacheKey(std::string_view query_id) {
   return "https://shop.example.com/api/queries/" + std::string(query_id);
 }
 
-InvalidationPipeline::InvalidationPipeline(const PipelineConfig& config,
-                                           sim::SimClock* clock,
-                                           sim::EventQueue* events,
-                                           cache::Cdn* cdn,
-                                           coherence::CoherenceProtocol* coherence,
-                                           Pcg32 rng)
+InvalidationPipeline::InvalidationPipeline(
+    const PipelineConfig& config, sim::SimClock* clock,
+    sim::EventQueue* events, cache::Cdn* cdn,
+    coherence::CoherenceProtocol* coherence, const ExpiryBook* expiry_book,
+    Pcg32 rng)
     : config_(config),
       clock_(clock),
       events_(events),
       cdn_(cdn),
       coherence_(coherence),
+      expiry_book_(expiry_book),
       rng_(rng) {}
 
-void InvalidationPipeline::AttachTo(storage::ObjectStore* store) {
-  store->AddWriteListener(
-      [this](const storage::Record* before, const storage::Record& after) {
-        OnWrite(before, after);
-      });
+Status InvalidationPipeline::WatchQuery(const Query& query,
+                                        const std::string& cache_key) const {
+  if (cache_key == QueryCacheKey(query.id)) return Status::Ok();
+  return Status::InvalidArgument("query results live at QueryCacheKey(id)");
 }
 
-Status InvalidationPipeline::WatchQuery(Query query, std::string cache_key) {
-  std::string id = query.id;
-  Status s = matcher_.Subscribe(std::move(query));
-  if (!s.ok()) return s;
-  query_cache_keys_[id] = std::move(cache_key);
-  return Status::Ok();
-}
-
-void InvalidationPipeline::OnWrite(const storage::Record* before,
-                                   const storage::Record& after) {
+void InvalidationPipeline::OnWrite(
+    const std::string& record_key,
+    const std::vector<std::string>& matched_query_ids) {
   stats_.writes_seen++;
-  std::vector<std::string> keys{RecordCacheKey(after.id)};
-  for (const std::string& query_id : matcher_.MatchWrite(before, after)) {
-    auto it = query_cache_keys_.find(query_id);
-    if (it != query_cache_keys_.end()) keys.push_back(it->second);
+  std::vector<std::string> keys{record_key};
+  for (const std::string& id : matched_query_ids) {
+    keys.push_back(QueryCacheKey(id));
   }
+  // Key order fixes the order of the purge-delay draws.
   std::sort(keys.begin(), keys.end());
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   for (const std::string& key : keys) InvalidateKey(key);
 }
 

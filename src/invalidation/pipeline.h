@@ -1,15 +1,16 @@
 // The invalidation pipeline — the invalidation-based half of the polyglot
 // architecture.
 //
-// Subscribed to the origin store's write feed, a write triggers, for every
-// affected cache key (the record's own URL plus every cached query result
-// whose result set the write changes, as its QueryMatcher reports):
+// The origin server hands it each write's record key and the ids of the
+// queries its QueryMatcher found the write affects. For every affected
+// cache key (the record's own URL plus QueryCacheKey(id) of every matched
+// query) the pipeline triggers:
 //
 //   1. CDN purge fan-out: one purge per edge, each landing after a sampled
 //      propagation delay (real purge APIs are asynchronous and jittery);
 //   2. a Cache Sketch report with the key's stale horizon from the
-//      ExpiryBook — the sketch keeps warning clients until the last
-//      outstanding copy's TTL has run out.
+//      origin's ExpiryBook — the sketch keeps warning clients until the
+//      last outstanding copy's TTL has run out.
 //
 // Purge-propagation latency (write time -> last edge clean) is recorded
 // per key into a histogram; E6 sweeps it against load.
@@ -18,7 +19,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cdn.h"
@@ -26,12 +26,11 @@
 #include "common/histogram.h"
 #include "common/random.h"
 #include "invalidation/expiry_book.h"
+#include "invalidation/predicate.h"
 #include "obs/trace.h"
-#include "invalidation/query_matcher.h"
 #include "sim/clock.h"
 #include "sim/event_queue.h"
 #include "sim/fault_schedule.h"
-#include "storage/object_store.h"
 
 namespace speedkit::invalidation {
 
@@ -62,25 +61,24 @@ struct PipelineStats {
 
 class InvalidationPipeline {
  public:
+  // `expiry_book` is the origin server's: sketch horizons are sized from
+  // the deadlines it handed out, so no sketch entry expires while a client
+  // copy is live. Only a `coherence` that wants invalidations reads it.
+  // Nothing here is owned.
   InvalidationPipeline(const PipelineConfig& config, sim::SimClock* clock,
                        sim::EventQueue* events, cache::Cdn* cdn,
-                       coherence::CoherenceProtocol* coherence, Pcg32 rng);
+                       coherence::CoherenceProtocol* coherence,
+                       const ExpiryBook* expiry_book, Pcg32 rng);
 
-  // Registers this pipeline on the store's write feed. Call once.
-  void AttachTo(storage::ObjectStore* store);
+  // Keeps nothing (queries are registered with the origin server); checks
+  // that `cache_key` is QueryCacheKey(query.id), the key a matched query
+  // is invalidated under. perfbench is its last caller.
+  Status WatchQuery(const Query& query, const std::string& cache_key) const;
 
-  // Watches a query whose cached result lives under `cache_key`.
-  Status WatchQuery(Query query, std::string cache_key);
-
-  // Direct entry point (also used by tests without a store).
-  void OnWrite(const storage::Record* before, const storage::Record& after);
-
-  // Points the pipeline at an externally-owned ExpiryBook — typically the
-  // origin server's, which is the component that actually observes what
-  // freshness deadlines were handed out. Without this, the pipeline only
-  // knows purge-propagation horizons and sketch entries would expire while
-  // client copies are still live, breaking the Δ-atomicity bound.
-  void UseExpiryBook(ExpiryBook* book) { expiry_book_ = book; }
+  // One write: invalidates `record_key` and QueryCacheKey(id) for each of
+  // the distinct `matched_query_ids`, in key order.
+  void OnWrite(const std::string& record_key,
+               const std::vector<std::string>& matched_query_ids);
 
   // Attaches the stack's fault schedule (not owned; may be nullptr).
   // Purge deliveries are then subject to loss and slow-path delay; the
@@ -95,7 +93,6 @@ class InvalidationPipeline {
   // deliveries get a zero-length marker span).
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  ExpiryBook& expiry_book() { return *expiry_book_; }
   const PipelineStats& stats() const { return stats_; }
   const Histogram& propagation_latency_us() const {
     return propagation_latency_us_;
@@ -109,14 +106,10 @@ class InvalidationPipeline {
   sim::EventQueue* events_;
   cache::Cdn* cdn_;
   coherence::CoherenceProtocol* coherence_;
+  const ExpiryBook* expiry_book_;
   Pcg32 rng_;
   const sim::FaultSchedule* faults_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-
-  QueryMatcher matcher_;
-  std::unordered_map<std::string, std::string> query_cache_keys_;
-  ExpiryBook own_expiry_book_;
-  ExpiryBook* expiry_book_ = &own_expiry_book_;
 
   PipelineStats stats_;
   Histogram propagation_latency_us_;

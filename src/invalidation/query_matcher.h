@@ -1,9 +1,10 @@
 // Real-time query matcher — the in-process stand-in for InvaliDB.
 //
 // Decides which subscriptions (cached query results that must be
-// invalidated when their result set changes) a write affects; the origin
-// (result versions) and the invalidation pipeline (purges, sketch reports)
-// each own one and ask nothing else. Subscriptions whose predicate
+// invalidated when their result set changes) a write affects. A stack has
+// one, owned by the origin server: each write is matched once, and the
+// matched ids drive both the origin's result versions and the invalidation
+// pipeline's purges and sketch reports. Subscriptions whose predicate
 // contains an equality condition on a field are indexed under (field,
 // value): a write only probes the buckets for its before/after field
 // values, each bucket at most once, plus the residual scan list. For

@@ -102,8 +102,10 @@ Status OriginServer::RegisterQuery(invalidation::Query query) {
 void OriginServer::OnWrite(const storage::Record* before,
                            const storage::Record& after) {
   SimTime now = clock_->Now();
-  ttl_policy_->ObserveWrite(invalidation::RecordCacheKey(after.id), now);
-  for (const std::string& id : matcher_.MatchWrite(before, after)) {
+  std::string record_key = invalidation::RecordCacheKey(after.id);
+  ttl_policy_->ObserveWrite(record_key, now);
+  std::vector<std::string> matched = matcher_.MatchWrite(before, after);
+  for (const std::string& id : matched) {
     MaterializedQuery& mq = queries_.find(id)->second;
     // The rendered result changed iff the written record sits inside the
     // old or the new visible slice. Outside both, the slice holds the same
@@ -120,12 +122,13 @@ void OriginServer::OnWrite(const storage::Record* before,
     if (!changed) continue;
 
     mq.result_version++;
-    ttl_policy_->ObserveWrite(invalidation::QueryCacheKey(id), now);
-    if (query_version_listener_) {
-      query_version_listener_(invalidation::QueryCacheKey(id),
-                              mq.result_version);
-    }
+    std::string query_key = invalidation::QueryCacheKey(id);
+    ttl_policy_->ObserveWrite(query_key, now);
+    if (version_listener_) version_listener_(query_key, mq.result_version);
   }
+  // Every matched result is invalidated, not only the changed ones.
+  if (pipeline_ != nullptr) pipeline_->OnWrite(record_key, matched);
+  if (version_listener_) version_listener_(record_key, after.version);
 }
 
 http::HttpResponse OriginServer::Handle(const http::HttpRequest& request) {
@@ -177,9 +180,8 @@ http::Body OriginServer::CachedRender(const std::string& key,
   RenderedBody* cached = render_cache_.Get(key);
   if (cached != nullptr && cached->version == version) {
     stats_.render_cache_hits++;
-    stats_.render_time_saved_us +=
-        (render_time - config_.render_cache_hit_time).micros();
-    *server_time = config_.render_cache_hit_time;
+    stats_.render_time_saved_us += (render_time - kRenderCacheHitTime).micros();
+    *server_time = kRenderCacheHitTime;
     if (no_store) return http::Body(render());
     if (cached->headers == *headers) {
       *headers = cached->headers;
@@ -209,10 +211,8 @@ http::HttpResponse OriginServer::Finish(const http::HttpRequest& request,
   Duration swr = Duration::Zero();
   if (ttl > Duration::Zero()) {
     cc.max_age = ttl;
-    if (config_.swr_fraction > 0) {
-      swr = ttl * config_.swr_fraction;
-      cc.stale_while_revalidate = swr;
-    }
+    swr = ttl * kSwrFraction;
+    cc.stale_while_revalidate = swr;
   } else {
     cc.no_cache = true;  // storable, but must be revalidated before use
     cc.max_age = Duration::Zero();
@@ -231,7 +231,7 @@ http::HttpResponse OriginServer::Finish(const http::HttpRequest& request,
     stats_.not_modified++;
     http::HttpResponse resp =
         http::MakeNotModified(etag, cc, body_version, now);
-    resp.server_time = config_.render_cache_hit_time;
+    resp.server_time = kRenderCacheHitTime;
     return resp;
   }
 
@@ -249,8 +249,7 @@ http::HttpResponse OriginServer::ServeRecord(const http::HttpRequest& request,
   if (record == nullptr) return http::MakeNotFound();
   std::string key = request.url.CacheKey();
   Duration ttl = ttl_policy_->TtlFor(key, clock_->Now());
-  return Finish(request, key, record->version, ttl,
-                config_.record_render_time,
+  return Finish(request, key, record->version, ttl, kRecordRenderTime,
                 [record] { return record->Render(); });
 }
 
@@ -262,7 +261,7 @@ http::HttpResponse OriginServer::ServeQuery(const http::HttpRequest& request,
   std::string key = request.url.CacheKey();
   Duration ttl = ttl_policy_->TtlFor(key, clock_->Now());
   return Finish(request, key, mq.result_version, ttl,
-                config_.query_render_time, [this, &mq] {
+                kQueryRenderTime, [this, &mq] {
                   // The listing shares each member's memoized fragment, so
                   // a render after a write renders only the written record.
                   size_t n = mq.members.size();
@@ -300,13 +299,13 @@ http::HttpResponse OriginServer::ServeFragment(const http::HttpRequest& request,
     http::HttpResponse resp;
     resp.status_code = 200;
     resp.body = CachedRender(
-        key, /*version=*/1, config_.fragment_render_time, /*no_store=*/true,
+        key, /*version=*/1, kFragmentRenderTime, /*no_store=*/true,
         [&] {
           return FillBody(
               StrFormat("<div class=\"%s\">Hello user %s! Recommendations: ...",
                         std::string(block_id).c_str(),
                         std::string(user).c_str()),
-              config_.fragment_bytes);
+              kFragmentBytes);
         },
         &resp.server_time, &resp.headers);
     http::CacheControl cc;
@@ -320,7 +319,7 @@ http::HttpResponse OriginServer::ServeFragment(const http::HttpRequest& request,
 
   Duration ttl = ttl_policy_->TtlFor(key, clock_->Now());
   return Finish(request, key, /*body_version=*/1, ttl,
-                config_.fragment_render_time, [&] {
+                kFragmentRenderTime, [&] {
                   std::string prefix;
                   if (QueryParam(query, "tpl") == "1") {
                     // Anonymous template of a user-scoped block:
@@ -337,25 +336,23 @@ http::HttpResponse OriginServer::ServeFragment(const http::HttpRequest& request,
                         std::string(block_id).c_str(),
                         std::string(seg).c_str());
                   }
-                  return FillBody(std::move(prefix), config_.fragment_bytes);
+                  return FillBody(std::move(prefix), kFragmentBytes);
                 });
 }
 
 http::HttpResponse OriginServer::ServeAsset(const http::HttpRequest& request,
                                             std::string_view name) {
   return Finish(
-      request, request.url.CacheKey(), /*body_version=*/1, config_.asset_ttl,
-      config_.asset_render_time, [&] {
+      request, request.url.CacheKey(), /*body_version=*/1, kAssetTtl,
+      kAssetRenderTime, [&] {
         // skopt=1 requests the optimized variant (transcoded/minified by
         // the acceleration service): same content, fewer bytes.
         if (QueryParam(request.url.query(), "skopt") == "1") {
           return FillBody("asset-optimized:" + std::string(name) + ";",
-                          static_cast<size_t>(
-                              static_cast<double>(config_.asset_bytes) *
-                              config_.optimized_asset_factor));
+                          static_cast<size_t>(kAssetBytes *
+                                              kOptimizedAssetFactor));
         }
-        return FillBody("asset:" + std::string(name) + ";",
-                        config_.asset_bytes);
+        return FillBody("asset:" + std::string(name) + ";", kAssetBytes);
       });
 }
 
@@ -364,16 +361,15 @@ http::HttpResponse OriginServer::ServeShell(const http::HttpRequest& request,
   // HTML is dynamic content: its cacheability is exactly what the TTL
   // policy (and with it the deployed system variant) decides. A site
   // without coherence ships no-cache HTML; Speed Kit's estimator makes the
-  // shell cacheable because the sketch bounds its staleness. The
-  // configured shell_ttl caps the policy's answer.
+  // shell cacheable because the sketch bounds its staleness. kShellTtl
+  // caps the policy's answer.
   std::string key = request.url.CacheKey();
-  Duration ttl =
-      std::min(ttl_policy_->TtlFor(key, clock_->Now()), config_.shell_ttl);
+  Duration ttl = std::min(ttl_policy_->TtlFor(key, clock_->Now()), kShellTtl);
   return Finish(request, key, /*body_version=*/1, ttl,
-                config_.shell_render_time, [&] {
+                kShellRenderTime, [&] {
                   return FillBody(
                       "<html><!-- shell:" + std::string(name) + " -->",
-                      config_.shell_bytes);
+                      kShellBytes);
                 });
 }
 

@@ -17,10 +17,11 @@
 //
 // Query results are materialized incrementally from the store's write feed
 // (before/after membership deltas), so listing requests are O(result), not
-// O(catalog). The origin's own QueryMatcher picks the queries a write
-// touches; no other query is looked at. Every cacheable response is
-// recorded in the ExpiryBook — the sketch's source of stale horizons.
-// Conditional requests (If-None-Match) yield 304 with refreshed freshness.
+// O(catalog). The origin's QueryMatcher is the stack's only one: it
+// matches each write once, and the matched ids also drive the invalidation
+// pipeline. Every cacheable response is recorded in the ExpiryBook — the
+// sketch's source of stale horizons. Conditional requests (If-None-Match)
+// yield 304 with refreshed freshness.
 #ifndef SPEEDKIT_ORIGIN_ORIGIN_SERVER_H_
 #define SPEEDKIT_ORIGIN_ORIGIN_SERVER_H_
 
@@ -44,39 +45,37 @@
 #include "storage/object_store.h"
 #include "ttl/ttl_policy.h"
 
+namespace speedkit::invalidation {
+class InvalidationPipeline;
+}  // namespace speedkit::invalidation
+
 namespace speedkit::origin {
 
+// Synthetic body sizes. An optimized asset variant (skopt=1, Speed Kit's
+// asset optimization service) is kOptimizedAssetFactor of the original.
+inline constexpr size_t kAssetBytes = 40 * 1024;
+inline constexpr size_t kShellBytes = 30 * 1024;
+inline constexpr size_t kFragmentBytes = 2 * 1024;
+inline constexpr double kOptimizedAssetFactor = 0.55;
+// Freshness of immutable assets, and the cap on a shell's TTL.
+inline constexpr Duration kAssetTtl = Duration::Seconds(86400);
+inline constexpr Duration kShellTtl = Duration::Seconds(300);
+// stale-while-revalidate window as a fraction of each response's TTL.
+// Safe under sketch coherence: a written key is flagged, so SWR only ever
+// re-serves content that is merely TTL-expired, not actually changed. The
+// ExpiryBook horizon covers TTL + SWR.
+inline constexpr double kSwrFraction = 0.5;
+// Server-side processing costs (DB access + templating) charged per
+// request via HttpResponse::server_time, which the render cache saves: a
+// cached render or a 304 costs kRenderCacheHitTime.
+inline constexpr Duration kRecordRenderTime = Duration::Millis(8);
+inline constexpr Duration kQueryRenderTime = Duration::Millis(25);
+inline constexpr Duration kFragmentRenderTime = Duration::Millis(5);
+inline constexpr Duration kAssetRenderTime = Duration::Millis(1);
+inline constexpr Duration kShellRenderTime = Duration::Millis(15);
+inline constexpr Duration kRenderCacheHitTime = Duration::Micros(500);
+
 struct OriginConfig {
-  std::string host = "shop.example.com";
-  size_t asset_bytes = 40 * 1024;
-  size_t shell_bytes = 30 * 1024;
-  size_t fragment_bytes = 2 * 1024;
-  // Fixed freshness for immutable assets and shells.
-  Duration asset_ttl = Duration::Seconds(86400);
-  Duration shell_ttl = Duration::Seconds(300);
-
-  // stale-while-revalidate window as a fraction of each response's TTL
-  // (0 disables). Safe under sketch coherence: a written key is flagged,
-  // so SWR only ever re-serves content that is merely TTL-expired, not
-  // actually changed. The ExpiryBook horizon covers TTL + SWR.
-  double swr_fraction = 0.5;
-
-  // Byte size of an optimized asset variant relative to the original
-  // (Speed Kit's image/asset optimization service); served for requests
-  // carrying skopt=1.
-  double optimized_asset_factor = 0.55;
-
-  // Server-side processing costs (DB access + templating) charged per
-  // request via HttpResponse::server_time — the quantity the server-side
-  // render cache saves.
-  Duration record_render_time = Duration::Millis(8);
-  Duration query_render_time = Duration::Millis(25);
-  Duration fragment_render_time = Duration::Millis(5);
-  Duration asset_render_time = Duration::Millis(1);
-  Duration shell_render_time = Duration::Millis(15);
-  // Serving a cached render / validating a 304.
-  Duration render_cache_hit_time = Duration::Micros(500);
-
   // The polyglot architecture's server cache tier (Redis-style rendered
   // responses keyed by content version, so it can never serve stale).
   // 0 disables.
@@ -108,16 +107,23 @@ class OriginServer {
                storage::ObjectStore* store, ttl::TtlPolicy* ttl_policy,
                coherence::SketchPublication* publication);
 
-  // Registers a query whose result is exposed at /api/queries/<query.id>.
+  // Registers a query whose result is exposed at /api/queries/<query.id>
+  // and invalidated by the pipeline: its one registration.
   Status RegisterQuery(invalidation::Query query);
 
-  // Observes every materialized-result version bump (cache key, new
-  // version). The staleness tracker hangs off this to date query-result
-  // versions the same way it dates record versions.
-  using QueryVersionListener =
+  // Hands each write's record key and matched query ids to `pipeline`
+  // (not owned; null for no invalidation) once the results are updated.
+  void SetPipeline(invalidation::InvalidationPipeline* pipeline) {
+    pipeline_ = pipeline;
+  }
+
+  // Observes every version a write creates, as (cache key, new version):
+  // each bumped query result, then, after the pipeline, the record. The
+  // staleness tracker hangs off this to date both.
+  using VersionListener =
       std::function<void(const std::string& cache_key, uint64_t version)>;
-  void SetQueryVersionListener(QueryVersionListener listener) {
-    query_version_listener_ = std::move(listener);
+  void SetVersionListener(VersionListener listener) {
+    version_listener_ = std::move(listener);
   }
 
   // Serves one request on the simulated clock.
@@ -211,7 +217,8 @@ class OriginServer {
   invalidation::QueryMatcher matcher_;
   std::unordered_map<std::string, MaterializedQuery> queries_;
   invalidation::ExpiryBook expiry_book_;
-  QueryVersionListener query_version_listener_;
+  invalidation::InvalidationPipeline* pipeline_ = nullptr;
+  VersionListener version_listener_;
   // Render cache: cache key -> last rendered content version, its body
   // and the header block of the 200 last served with it (both empty for
   // no-store responses). Version-keyed, so it can never serve a stale

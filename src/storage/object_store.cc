@@ -30,7 +30,8 @@ uint64_t ObjectStore::Update(std::string_view id,
                              const std::map<std::string, FieldValue>& fields,
                              SimTime now) {
   auto it = records_.find(std::string(id));
-  if (it == records_.end()) {
+  if (it == records_.end() || it->second.deleted) {
+    // Nothing live to merge into: insert, reviving a tombstone.
     return Put(id, fields, now);
   }
   stats_.puts++;

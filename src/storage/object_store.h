@@ -1,10 +1,10 @@
 // Versioned key-value object store backing the origin.
 //
 // Every successful write bumps the record's version and notifies registered
-// write listeners with the before- and after-images — the hook the
-// invalidation pipeline uses to drive real-time query matching, CDN purges
-// and Cache Sketch inserts. Single-threaded by design: the discrete-event
-// simulation serializes all accesses on the logical clock.
+// write listeners with the before- and after-images — the hook the origin
+// server drives query matching, CDN purges and Cache Sketch inserts from.
+// Single-threaded by design: the discrete-event simulation serializes all
+// accesses on the logical clock.
 #ifndef SPEEDKIT_STORAGE_OBJECT_STORE_H_
 #define SPEEDKIT_STORAGE_OBJECT_STORE_H_
 
@@ -44,7 +44,7 @@ class ObjectStore {
                SimTime now);
 
   // Partial update: merges `fields` into the existing record (insert if
-  // absent), bumps the version, fires listeners.
+  // absent or deleted, as Put), bumps the version, fires listeners.
   uint64_t Update(std::string_view id,
                   const std::map<std::string, FieldValue>& fields, SimTime now);
 

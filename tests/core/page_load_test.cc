@@ -61,9 +61,8 @@ TEST_F(PageLoadTest, TtfbIsShellLatency) {
   PageLoadResult cold = loader.Load(*client, page);
   // Cold shell: edge miss path (20 + 80) + shell render time + overhead;
   // the sketch refresh (20 ms) overlaps the in-flight request.
-  EXPECT_EQ(cold.ttfb, Duration::Millis(100) +
-                           origin::OriginConfig{}.shell_render_time +
-                           Overhead());
+  EXPECT_EQ(cold.ttfb,
+            Duration::Millis(100) + origin::kShellRenderTime + Overhead());
   EXPECT_GT(cold.load_time, cold.ttfb);
 }
 
@@ -77,8 +76,7 @@ TEST_F(PageLoadTest, ParallelismCapsConcurrentDownloads) {
   // miss; sketch fresh after shell): 12 resources / 6 connections = 2
   // waves.
   EXPECT_EQ(cold.load_time - cold.ttfb,
-            (Duration::Millis(100) +
-             origin::OriginConfig{}.asset_render_time + Overhead()) *
+            (Duration::Millis(100) + origin::kAssetRenderTime + Overhead()) *
                 2.0);
 }
 
@@ -88,8 +86,7 @@ TEST_F(PageLoadTest, SingleConnectionSerializes) {
   PageLoader loader(1);
   PageLoadResult cold = loader.Load(*client, page);
   EXPECT_EQ(cold.load_time - cold.ttfb,
-            (Duration::Millis(100) +
-             origin::OriginConfig{}.asset_render_time + Overhead()) *
+            (Duration::Millis(100) + origin::kAssetRenderTime + Overhead()) *
                 4.0);
 }
 

@@ -26,10 +26,6 @@ void Prepare(SpeedKitStack& stack, const workload::Catalog& catalog) {
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     (void)stack.origin().RegisterQuery(catalog.CategoryQuery(c));
-    if (stack.pipeline() != nullptr) {
-      (void)stack.pipeline()->WatchQuery(catalog.CategoryQuery(c),
-                                         catalog.CategoryUrl(c));
-    }
   }
   stack.Advance(Duration::Seconds(5));
 }

@@ -76,6 +76,24 @@ TEST(StackTest, WritesFlowIntoSketchViaPipeline) {
   EXPECT_TRUE(stack.sketch()->Contains(key));
 }
 
+TEST(StackTest, RegisteredQueryIsInvalidatedWithoutWatchQuery) {
+  StackConfig config;
+  SpeedKitStack stack(config);
+  stack.store().Put("p1", {{"category", int64_t{1}}, {"price", 10.0}},
+                    stack.clock().Now());
+  invalidation::Query q;
+  q.id = "cat-1";
+  q.conditions.push_back({"category", invalidation::Op::kEq, int64_t{1}});
+  // Registering with the origin is the only step.
+  ASSERT_TRUE(stack.origin().RegisterQuery(q).ok());
+  stack.Advance(Duration::Seconds(5));
+  uint64_t invalidated = stack.pipeline()->stats().keys_invalidated;
+  stack.store().Update("p1", {{"price", 11.0}}, stack.clock().Now());
+  EXPECT_TRUE(stack.sketch()->Contains(invalidation::QueryCacheKey("cat-1")));
+  // The record's key and the listing's.
+  EXPECT_EQ(stack.pipeline()->stats().keys_invalidated, invalidated + 2);
+}
+
 TEST(StackTest, AdvanceRunsScheduledPurges) {
   StackConfig config;
   SpeedKitStack stack(config);

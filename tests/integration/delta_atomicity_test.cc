@@ -35,11 +35,6 @@ RunOutcome RunWorkload(SystemVariant variant, Duration delta,
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     EXPECT_TRUE(stack.origin().RegisterQuery(catalog.CategoryQuery(c)).ok());
-    EXPECT_TRUE(stack.pipeline() == nullptr ||
-                stack.pipeline()
-                    ->WatchQuery(catalog.CategoryQuery(c),
-                                 catalog.CategoryUrl(c))
-                    .ok());
   }
   TrafficConfig traffic;
   traffic.num_clients = 15;

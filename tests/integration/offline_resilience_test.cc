@@ -16,10 +16,6 @@ class OfflineResilienceTest : public ::testing::Test {
     for (int c = 0; c < catalog_.num_categories(); ++c) {
       EXPECT_TRUE(
           stack_.origin().RegisterQuery(catalog_.CategoryQuery(c)).ok());
-      EXPECT_TRUE(stack_.pipeline()
-                      ->WatchQuery(catalog_.CategoryQuery(c),
-                                   catalog_.CategoryUrl(c))
-                      .ok());
     }
   }
 

@@ -26,9 +26,6 @@ class SortedQueryCoherenceTest : public ::testing::Test {
     q.order_by = "price";
     q.limit = 3;
     EXPECT_TRUE(stack_.origin().RegisterQuery(q).ok());
-    EXPECT_TRUE(
-        stack_.pipeline()->WatchQuery(q, invalidation::QueryCacheKey(q.id))
-            .ok());
     stack_.Advance(Duration::Seconds(5));
     client_ = stack_.MakeClient(1);
   }

@@ -124,9 +124,8 @@ TEST_F(OriginServerTest, AssetsAreLongLivedAndSized) {
   http::HttpResponse resp =
       server_.Handle(Get("https://shop.example.com/assets/app.css"));
   EXPECT_TRUE(resp.ok());
-  EXPECT_EQ(resp.body.size(), OriginConfig{}.asset_bytes);
-  EXPECT_EQ(resp.GetCacheControl().max_age.value(),
-            OriginConfig{}.asset_ttl);
+  EXPECT_EQ(resp.body.size(), kAssetBytes);
+  EXPECT_EQ(resp.GetCacheControl().max_age.value(), kAssetTtl);
 }
 
 TEST_F(OriginServerTest, ShellsUsePolicyTtlCappedByShellTtl) {
@@ -143,8 +142,7 @@ TEST_F(OriginServerTest, ShellTtlCapsLongPolicies) {
                       nullptr);
   http::HttpResponse resp =
       server.Handle(Get("https://shop.example.com/pages/home"));
-  EXPECT_EQ(resp.GetCacheControl().max_age.value(),
-            OriginConfig{}.shell_ttl);
+  EXPECT_EQ(resp.GetCacheControl().max_age.value(), kShellTtl);
 }
 
 TEST_F(OriginServerTest, NoCachePolicyMakesShellsUncacheable) {
@@ -221,17 +219,17 @@ TEST_F(OriginServerTest, UnknownRouteIs404) {
 
 TEST_F(OriginServerTest, TtlObservationsFlowOnWrites) {
   // With an estimating policy, writes should register; here we just check
-  // the query-version listener fires.
-  uint64_t seen_version = 0;
-  std::string seen_key;
-  server_.SetQueryVersionListener(
-      [&](const std::string& key, uint64_t version) {
-        seen_key = key;
-        seen_version = version;
-      });
+  // the version listener dates the bumped query result, then the record.
+  std::vector<std::pair<std::string, uint64_t>> seen;
+  server_.SetVersionListener([&](const std::string& key, uint64_t version) {
+    seen.emplace_back(key, version);
+  });
   store_.Update("p1", {{"price", 99.0}}, clock_.Now());
-  EXPECT_EQ(seen_key, invalidation::QueryCacheKey("cat-1"));
-  EXPECT_GT(seen_version, 1u);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].first, invalidation::QueryCacheKey("cat-1"));
+  EXPECT_GT(seen[0].second, 1u);
+  EXPECT_EQ(seen[1], std::make_pair(invalidation::RecordCacheKey("p1"),
+                                    uint64_t{2}));
 }
 
 }  // namespace

@@ -211,11 +211,11 @@ TEST(RenderCacheDifferentialTest, CachedOriginMatchesUncachedByteForByte) {
   // Pinned from the version-only render cache on this exact sequence:
   // the same Get/Put sequence gives the same hits, misses and charged
   // server time for every response.
-  EXPECT_EQ(s.render_cache_hits, 1345u);
-  EXPECT_EQ(s.render_cache_misses, 779u);
-  EXPECT_EQ(s.render_time_us, 14483000);
-  EXPECT_EQ(s.render_time_saved_us, 13197500);
-  EXPECT_EQ(fingerprint, 0x41a3fe5847fc0ba3u);
+  EXPECT_EQ(s.render_cache_hits, 1391u);
+  EXPECT_EQ(s.render_cache_misses, 945u);
+  EXPECT_EQ(s.render_time_us, 16423000);
+  EXPECT_EQ(s.render_time_saved_us, 13002500);
+  EXPECT_EQ(fingerprint, 0x7678a904acc8a5dcu);
 }
 
 // The visible slice of `q` by brute force over the store: the matching
@@ -379,7 +379,7 @@ TEST(RenderCacheDifferentialTest, NoStoreBodiesAreNeverKept) {
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first.body, second.body);
   EXPECT_FALSE(first.body.SharesBufferWith(second.body));
-  EXPECT_EQ(second.server_time, OriginConfig{}.render_cache_hit_time);
+  EXPECT_EQ(second.server_time, kRenderCacheHitTime);
   EXPECT_EQ(w.server.stats().render_cache_hits, 1u);
 
   const std::string seg = "/api/fragments/recs?page=1&seg=s1";

@@ -29,7 +29,7 @@ class RenderCacheTest : public ::testing::Test {
 TEST_F(RenderCacheTest, FirstRenderChargesFullCost) {
   http::HttpResponse resp =
       server_.Handle(Get("https://shop.example.com/api/records/p1"));
-  EXPECT_EQ(resp.server_time, OriginConfig{}.record_render_time);
+  EXPECT_EQ(resp.server_time, kRecordRenderTime);
   EXPECT_EQ(server_.stats().render_cache_misses, 1u);
   EXPECT_EQ(server_.stats().render_cache_hits, 0u);
 }
@@ -38,7 +38,7 @@ TEST_F(RenderCacheTest, RepeatRenderIsCheap) {
   server_.Handle(Get("https://shop.example.com/api/records/p1"));
   http::HttpResponse resp =
       server_.Handle(Get("https://shop.example.com/api/records/p1"));
-  EXPECT_EQ(resp.server_time, OriginConfig{}.render_cache_hit_time);
+  EXPECT_EQ(resp.server_time, kRenderCacheHitTime);
   EXPECT_EQ(server_.stats().render_cache_hits, 1u);
   EXPECT_GT(server_.stats().render_time_saved_us, 0);
 }
@@ -49,7 +49,7 @@ TEST_F(RenderCacheTest, WriteInvalidatesByVersion) {
   http::HttpResponse resp =
       server_.Handle(Get("https://shop.example.com/api/records/p1"));
   // New version: full render again — the cache cannot serve stale.
-  EXPECT_EQ(resp.server_time, OriginConfig{}.record_render_time);
+  EXPECT_EQ(resp.server_time, kRecordRenderTime);
   EXPECT_EQ(resp.object_version, 2u);
   EXPECT_EQ(server_.stats().render_cache_misses, 2u);
 }
@@ -60,22 +60,21 @@ TEST_F(RenderCacheTest, NotModifiedChargesValidationCost) {
   req.headers.Set("If-None-Match", "\"v1\"");
   http::HttpResponse resp = server_.Handle(req);
   ASSERT_TRUE(resp.IsNotModified());
-  EXPECT_EQ(resp.server_time, OriginConfig{}.render_cache_hit_time);
+  EXPECT_EQ(resp.server_time, kRenderCacheHitTime);
 }
 
 TEST_F(RenderCacheTest, RouteClassesHaveDistinctCosts) {
-  OriginConfig config;
   EXPECT_EQ(server_.Handle(Get("https://shop.example.com/assets/a.css"))
                 .server_time,
-            config.asset_render_time);
+            kAssetRenderTime);
   EXPECT_EQ(server_.Handle(Get("https://shop.example.com/pages/home"))
                 .server_time,
-            config.shell_render_time);
+            kShellRenderTime);
   EXPECT_EQ(server_
                 .Handle(Get(
                     "https://shop.example.com/api/fragments/recs?seg=s1"))
                 .server_time,
-            config.fragment_render_time);
+            kFragmentRenderTime);
 }
 
 TEST_F(RenderCacheTest, DisabledCacheAlwaysRenders) {
@@ -85,7 +84,7 @@ TEST_F(RenderCacheTest, DisabledCacheAlwaysRenders) {
   server.Handle(Get("https://shop.example.com/api/records/p1"));
   http::HttpResponse resp =
       server.Handle(Get("https://shop.example.com/api/records/p1"));
-  EXPECT_EQ(resp.server_time, config.record_render_time);
+  EXPECT_EQ(resp.server_time, kRecordRenderTime);
   EXPECT_EQ(server.stats().render_cache_hits, 0u);
 }
 
@@ -95,13 +94,11 @@ TEST_F(RenderCacheTest, QueriesUseResultVersionAsKey) {
   ASSERT_TRUE(server_.RegisterQuery(q).ok());
   std::string url = "https://shop.example.com/api/queries/all";
   server_.Handle(Get(url));
-  EXPECT_EQ(server_.Handle(Get(url)).server_time,
-            OriginConfig{}.render_cache_hit_time);
+  EXPECT_EQ(server_.Handle(Get(url)).server_time, kRenderCacheHitTime);
   // Unrelated-to-result write: version stays, cache stays warm... but p1
   // IS in "all" (matches everything), so this write invalidates.
   store_.Update("p1", {{"price", 99.0}}, clock_.Now());
-  EXPECT_EQ(server_.Handle(Get(url)).server_time,
-            OriginConfig{}.query_render_time);
+  EXPECT_EQ(server_.Handle(Get(url)).server_time, kQueryRenderTime);
 }
 
 }  // namespace

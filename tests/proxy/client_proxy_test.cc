@@ -22,12 +22,11 @@ class ClientProxyTest : public ::testing::Test {
         ttl_policy_(Duration::Seconds(60)),
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),
+        // The origin's expiry book knows which copies are outstanding; the
+        // pipeline sizes sketch horizons from it.
         pipeline_(PipelineConfig(), &clock_, &events_, &cdn_, &protocol_,
-                  Pcg32(2)) {
-    // The origin's expiry book knows which copies are outstanding; the
-    // pipeline must size sketch horizons from it.
-    pipeline_.UseExpiryBook(&origin_.expiry_book());
-    pipeline_.AttachTo(&store_);
+                  &origin_.expiry_book(), Pcg32(2)) {
+    origin_.SetPipeline(&pipeline_);
     store_.Put("p1", {{"price", 10.0}}, clock_.Now());
     // The initial insert put p1 into the sketch (purges in flight); settle
     // past that horizon so tests start from a quiescent system.
@@ -272,8 +271,7 @@ TEST_F(ClientProxyTest, LatencyReflectsNetworkDistance) {
   // render time (8 ms); the due sketch refresh (20 ms to the edge)
   // overlaps the in-flight request.
   FetchResult miss = proxy.Fetch(kRecordUrl);
-  EXPECT_EQ(miss.latency,
-            Duration::Millis(100) + origin::OriginConfig{}.record_render_time);
+  EXPECT_EQ(miss.latency, Duration::Millis(100) + origin::kRecordRenderTime);
   // Browser hit: free.
   FetchResult hit = proxy.Fetch(kRecordUrl);
   EXPECT_EQ(hit.latency, Duration::Zero());

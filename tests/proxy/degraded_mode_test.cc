@@ -29,9 +29,8 @@ class DegradedModeTest : public ::testing::Test {
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),
         pipeline_(PipelineConfig(), &clock_, &events_, &cdn_, &protocol_,
-                  Pcg32(2)) {
-    pipeline_.UseExpiryBook(&origin_.expiry_book());
-    pipeline_.AttachTo(&store_);
+                  &origin_.expiry_book(), Pcg32(2)) {
+    origin_.SetPipeline(&pipeline_);
     store_.Put("p1", {{"price", 10.0}}, clock_.Now());
     events_.RunUntil(clock_.Now() + Duration::Seconds(1));
   }

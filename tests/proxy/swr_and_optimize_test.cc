@@ -24,9 +24,8 @@ class SwrTest : public ::testing::Test {
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),
         pipeline_(MakePipelineConfig(), &clock_, &events_, &cdn_, &protocol_,
-                  Pcg32(2)) {
-    pipeline_.UseExpiryBook(&origin_.expiry_book());
-    pipeline_.AttachTo(&store_);
+                  &origin_.expiry_book(), Pcg32(2)) {
+    origin_.SetPipeline(&pipeline_);
     store_.Put("p1", {{"price", 10.0}}, clock_.Now());
     events_.RunUntil(clock_.Now() + Duration::Seconds(1));
   }
@@ -143,11 +142,9 @@ TEST_F(SwrTest, AssetRequestsRewrittenToOptimizedVariant) {
   ASSERT_TRUE(r.response.ok());
   EXPECT_NE(r.response.body.ToString().find("asset-optimized:"), std::string::npos);
   size_t optimized_size = r.response.body.size();
-  EXPECT_LT(optimized_size, origin::OriginConfig{}.asset_bytes);
+  EXPECT_LT(optimized_size, origin::kAssetBytes);
   EXPECT_NEAR(static_cast<double>(optimized_size),
-              origin::OriginConfig{}.asset_bytes *
-                  origin::OriginConfig{}.optimized_asset_factor,
-              16.0);
+              origin::kAssetBytes * origin::kOptimizedAssetFactor, 16.0);
 }
 
 TEST_F(SwrTest, OptimizedVariantIsCachedUnderItsOwnKey) {
@@ -165,7 +162,7 @@ TEST_F(SwrTest, OptimizationOffFetchesOriginal) {
   FetchResult r = proxy.Fetch(kAssetUrl);
   ASSERT_TRUE(r.response.ok());
   EXPECT_EQ(r.response.body.ToString().find("asset-optimized:"), std::string::npos);
-  EXPECT_EQ(r.response.body.size(), origin::OriginConfig{}.asset_bytes);
+  EXPECT_EQ(r.response.body.size(), origin::kAssetBytes);
 }
 
 TEST_F(SwrTest, NonAssetUrlsNeverRewritten) {

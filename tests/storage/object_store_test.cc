@@ -79,6 +79,25 @@ TEST(ObjectStoreTest, PutReplacesAndBumpsVersion) {
   EXPECT_EQ(r->GetField("old"), nullptr);  // full replace
 }
 
+TEST(ObjectStoreTest, UpdateOfDeletedRecordReinsertsIt) {
+  ObjectStore store;
+  store.Put("p1", {{"price", 10.0}, {"old", true}}, At(0));
+  ASSERT_TRUE(store.Delete("p1", At(1)).ok());
+  bool before_deleted = false;
+  bool after_deleted = true;
+  store.AddWriteListener([&](const Record* before, const Record& after) {
+    before_deleted = before != nullptr && before->deleted;
+    after_deleted = after.deleted;
+  });
+  EXPECT_EQ(store.Update("p1", {{"price", 12.0}}, At(2)), 3u);
+  auto r = store.Get("p1");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->version, 3u);
+  EXPECT_EQ(r->GetField("old"), nullptr);  // inserted afresh, not merged
+  EXPECT_TRUE(before_deleted);
+  EXPECT_FALSE(after_deleted);
+}
+
 TEST(ObjectStoreTest, UpdateMergesFields) {
   ObjectStore store;
   store.Put("p1", {{"price", 10.0}, {"stock", static_cast<int64_t>(5)}},

@@ -120,10 +120,6 @@ int Replay(const tools::Flags& flags) {
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     (void)stack.origin().RegisterQuery(catalog.CategoryQuery(c));
-    if (stack.pipeline() != nullptr) {
-      (void)stack.pipeline()->WatchQuery(catalog.CategoryQuery(c),
-                                         catalog.CategoryUrl(c));
-    }
   }
   stack.Advance(Duration::Seconds(5));
 
