@@ -32,7 +32,7 @@ void AblationTtlEstimator(const bench::Harness& h, bench::JsonValue* rows) {
        {"sketch_entries"},
        {"revalidations_304"},
        {"p50_ms", 1}});
-  for (const std::string& policy : {"estimator", "fixed-120s"}) {
+  for (const std::string policy : {"estimator", "fixed-120s"}) {
     bench::RunSpec spec = h.Spec();
     // Strong write skew: hot objects churn fast, tail barely changes —
     // exactly where one global TTL must be wrong for someone.

@@ -1,10 +1,12 @@
 // E17 -- socketed edge vs. simulator prediction.
 //
-// Boots a real speedkit_edged instance on an ephemeral localhost port,
-// drives it over genuine TCP with the closed-loop load generator, then
-// replays the IDENTICAL per-worker request streams through a pure
-// simulation of the same stack. The two runs share every knob: seed,
-// catalog, Zipf popularity, per-worker Pcg32 forks, flight mode. The
+// Boots a real speedkit_edged instance on an ephemeral localhost port and
+// drives it over genuine TCP with the closed-loop load generator, sending
+// one workload::Trace (the loadgen's Zipf product stream, one client per
+// worker). It then replays the SAME trace through core::TraceReplayer on a
+// stack readied by the node's own recipe (net::PrepareEdgeStack: catalog,
+// warm-up; same seed and flight mode), restamped at the socket run's
+// measured pace. The
 // point of the figure is the paper's implicit claim that the simulator
 // PREDICTS the socketed system: cache hit rate must agree within a few
 // points, and the latency gap is exactly the modeled network (the sim
@@ -14,29 +16,25 @@
 //   SPEEDKIT_E17_MAX_HIT_GAP   |socket - sim| hit-rate gap, default 0.05
 //   zero transport errors / zero 5xx from the socket run
 //   single-flight visibly collapsing (joins > 0 under kCoalesce)
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench/harness.h"
 #include "common/random.h"
+#include "core/replay.h"
 #include "core/stack.h"
-#include "http/url.h"
 #include "net/edged_server.h"
 #include "net/loadgen.h"
-#include "proxy/client_pool.h"
-#include "proxy/client_proxy.h"
 #include "workload/catalog.h"
-#include "workload/zipf.h"
 
 namespace {
 
 using speedkit::Duration;
 using speedkit::Histogram;
-using speedkit::Pcg32;
 
 // Prints an object's fields as an aligned "key value" block.
 void PrintFields(const speedkit::obs::JsonValue& object) {
@@ -49,72 +47,6 @@ double EnvBudget(const char* name, double fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || *raw == '\0') return fallback;
   return std::atof(raw);
-}
-
-struct SimReplay {
-  uint64_t requests = 0;
-  uint64_t origin_serves = 0;
-  uint64_t flight_joins = 0;
-  uint64_t origin_requests = 0;
-  Histogram latency_us;
-
-  double HitRate() const {
-    if (requests == 0) return 0.0;
-    return 1.0 -
-           static_cast<double>(origin_serves) / static_cast<double>(requests);
-  }
-};
-
-// Replays the loadgen's exact request streams inside the simulator: same
-// catalog, same shared Zipf popularity, same per-worker Pcg32 forks, one
-// sim client per worker. Workers interleave round-robin with a fixed
-// inter-arrival so concurrent hot keys overlap origin flight windows the
-// way the socket run's real concurrency does.
-SimReplay ReplayInSim(const speedkit::core::StackConfig& stack_config,
-                      const speedkit::net::LoadGenConfig& lg,
-                      Duration warmup, Duration inter_arrival) {
-  namespace workload = speedkit::workload;
-  speedkit::core::SpeedKitStack stack(stack_config);
-  workload::Catalog catalog(lg.catalog, stack.ForkRng(0xca7a10a));
-  catalog.Populate(&stack.store(), stack.clock().Now());
-  if (warmup > Duration::Zero()) stack.Advance(warmup);
-  auto pool = stack.MakeClientPool(speedkit::proxy::ClientPoolConfig{});
-
-  size_t hot = lg.hot_products;
-  if (hot == 0 || hot > catalog.num_products()) hot = catalog.num_products();
-  std::vector<speedkit::http::Url> urls;
-  urls.reserve(hot);
-  for (size_t rank = 0; rank < hot; ++rank) {
-    urls.push_back(*speedkit::http::Url::Parse(catalog.ProductUrl(rank)));
-  }
-  workload::ZipfGenerator popularity(hot, lg.zipf_s);
-
-  size_t workers = static_cast<size_t>(lg.workers);
-  std::vector<Pcg32> rngs;
-  std::vector<speedkit::proxy::ClientProxy*> clients;
-  rngs.reserve(workers);
-  clients.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) {
-    rngs.push_back(Pcg32(lg.seed).Fork(0x10ad0000 + w));
-    clients.push_back(pool->MakeClient(stack.DefaultProxyConfig(), w));
-  }
-
-  SimReplay replay;
-  for (uint64_t i = 0; i < lg.requests_per_worker; ++i) {
-    for (size_t w = 0; w < workers; ++w) {
-      stack.Advance(inter_arrival);
-      const speedkit::http::Url& url = urls[popularity.Sample(rngs[w])];
-      speedkit::proxy::FetchResult result = clients[w]->Fetch(url);
-      replay.requests++;
-      if (result.source == speedkit::proxy::ServedFrom::kOrigin) {
-        replay.origin_serves++;
-      }
-      replay.latency_us.Add(result.latency.micros());
-    }
-  }
-  replay.flight_joins = stack.cdn().flight_joins();
-  replay.origin_requests = stack.origin().stats().requests;
-  return replay;
 }
 
 }  // namespace
@@ -156,18 +88,24 @@ int main(int argc, char** argv) {
   }
   std::thread server_thread([&server] { server.Run(); });
 
+  // The one request stream both substrates run. The socket run keeps each
+  // client's order but not its timestamps; the replay below re-times it.
+  speedkit::workload::Catalog catalog(edged.catalog, speedkit::Pcg32(seed));
+  speedkit::workload::Trace trace = speedkit::core::SynthesizeZipfTrace(
+      catalog, static_cast<size_t>(workers), requests, hot_products, zipf_s,
+      seed, speedkit::SimTime::Origin(), Duration::Micros(1));
+
   net::LoadGenConfig lg;
   lg.targets.push_back({edged.node_name, edged.host, server.port()});
   lg.workers = workers;
-  lg.requests_per_worker = requests;
-  lg.seed = seed;
-  lg.zipf_s = zipf_s;
-  lg.hot_products = hot_products;
-  lg.catalog.num_products = products;
-
-  net::LoadGenReport socket_report = net::RunLoadGen(lg);
+  speedkit::Result<net::LoadGenReport> sent = net::RunLoadGen(lg, trace);
   server.Stop();
   server_thread.join();
+  if (!sent.ok()) {
+    std::fprintf(stderr, "FATAL: %s\n", sent.status().ToString().c_str());
+    return 1;
+  }
+  const net::LoadGenReport& socket_report = *sent;
 
   const double socket_hit = socket_report.HitRate();
   const uint64_t socket_joins = server.stack().cdn().flight_joins();
@@ -178,11 +116,7 @@ int main(int argc, char** argv) {
        {"transport_errors", socket_report.transport_errors},
        {"errors_5xx", socket_report.errors_5xx},
        {"hit_rate", socket_hit},
-       {"throughput_rps",
-        socket_report.wall_seconds > 0
-            ? static_cast<double>(socket_report.responses) /
-                  socket_report.wall_seconds
-            : 0.0},
+       {"throughput_rps", socket_report.Throughput()},
        {"flight_joins", socket_joins},
        {"origin_requests", server.stack().origin().stats().requests},
        {"wall_p50_us", wall_us.P50()},
@@ -201,29 +135,34 @@ int main(int argc, char** argv) {
   }
   bench::Note(served);
 
-  // --- sim replay: identical streams, pure simulation ------------------
-  // Inter-arrival matches the socket run's measured per-worker pacing, so
-  // flight windows overlap comparably. Floor at 1us.
+  // --- sim replay: the same trace, pure simulation ---------------------
+  // Paced at the socket run's measured per-worker pace, so flight windows
+  // overlap comparably. Floor at 1us.
   int64_t inter_us = 1;
-  if (socket_report.responses > 0 && socket_report.wall_seconds > 0) {
-    inter_us = static_cast<int64_t>(
-        socket_report.wall_seconds * 1e6 * workers /
-        static_cast<double>(socket_report.responses));
-    if (inter_us < 1) inter_us = 1;
+  if (socket_report.responses > 0) {
+    inter_us = std::max<int64_t>(
+        1, static_cast<int64_t>(socket_report.wall_seconds * 1e6 * workers /
+                                static_cast<double>(socket_report.responses)));
   }
-  speedkit::core::StackConfig sim_config = edged.stack;
-  SimReplay sim =
-      ReplayInSim(sim_config, lg, edged.warmup, Duration::Micros(inter_us));
-  const double sim_hit = sim.HitRate();
+  const Duration pace = Duration::Micros(inter_us);
+  speedkit::core::SpeedKitStack sim_stack(edged.stack);
+  net::PrepareEdgeStack(edged, &sim_stack);
+  trace.Restamp(sim_stack.clock().Now() + pace, pace);
+  speedkit::core::TraceReplayer replayer(&sim_stack);
+  const speedkit::core::ReplayResult sim = replayer.Replay(trace);
+  const double sim_hit =
+      sim.fetches == 0 ? 0.0
+                       : 1.0 - static_cast<double>(sim.proxies.origin_fetches) /
+                                   static_cast<double>(sim.fetches);
 
   bench::JsonValue sim_fields = bench::JsonRow(
-      {{"requests", sim.requests},
+      {{"requests", sim.fetches},
        {"hit_rate", sim_hit},
-       {"flight_joins", sim.flight_joins},
-       {"origin_requests", sim.origin_requests},
+       {"flight_joins", sim_stack.cdn().flight_joins()},
+       {"origin_requests", sim_stack.origin().stats().requests},
        {"p50_us", sim.latency_us.P50()},
        {"p99_us", sim.latency_us.P99()}});
-  bench::PrintSection("sim replay (same streams, pure simulation)");
+  bench::PrintSection("sim replay (same trace, pure simulation)");
   PrintFields(sim_fields);
   bench::Note("sim latency p90 " + std::to_string(sim.latency_us.P90()) +
               " us");
@@ -277,7 +216,7 @@ int main(int argc, char** argv) {
 
   bench::Note(
       "expected shape: hit rates agree to within a few points (same code, "
-      "same streams, only the substrate differs); wall p50 sits orders of "
+      "same trace, only the substrate differs); wall p50 sits orders of "
       "magnitude under the modeled p50 because localhost replaces the "
       "simulated WAN; joins > 0 shows real concurrency riding the "
       "single-flight window");

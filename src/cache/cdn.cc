@@ -17,8 +17,11 @@ std::string_view OriginFlightModeName(OriginFlightMode mode) {
 }
 
 Cdn::Cdn(int physical_edges, size_t edge_capacity_bytes, int shard,
-         int shards)
-    : physical_edges_(physical_edges), shard_(shard), shards_(shards) {
+         int shards, OriginFlightMode flight_mode)
+    : physical_edges_(physical_edges),
+      shard_(shard),
+      shards_(shards),
+      flight_mode_(flight_mode) {
   assert(physical_edges >= 1 && "Cdn requires at least one edge");
   assert(shards >= 1 && shard >= 0 && shard < shards);
   assert(physical_edges % shards == 0 &&

@@ -89,9 +89,11 @@ class Cdn {
   // domain. Requires physical_edges >= 1 (the stack validates its config
   // before constructing one), 0 <= shard < shards, and physical_edges
   // divisible by shards (so every shard owns the same number of edges).
-  // `edge_capacity_bytes` 0 = unbounded per edge.
+  // `edge_capacity_bytes` 0 = unbounded per edge. `flight_mode` is how
+  // every owned edge treats concurrent misses (see OriginFlightMode).
   Cdn(int physical_edges, size_t edge_capacity_bytes, int shard = 0,
-      int shards = 1);
+      int shards = 1,
+      OriginFlightMode flight_mode = OriginFlightMode::kInstant);
 
   // Owned (local) edge count.
   int num_edges() const { return static_cast<int>(edges_.size()); }
@@ -147,6 +149,8 @@ class Cdn {
   }
 
   // -- origin flight windows (single-flight coalescing) -----------------
+  OriginFlightMode flight_mode() const { return flight_mode_; }
+
   // Registers an origin fetch for `key` at owned edge `i`, completing at
   // `ready_at`. No-op while an unexpired flight for the key is already
   // open (herd fetches inside the window never extend it; after expiry the
@@ -201,6 +205,7 @@ class Cdn {
   int physical_edges_;
   int shard_;
   int shards_;
+  OriginFlightMode flight_mode_;
   std::vector<Edge> edges_;  // local index
   // Origin flight-window accounting (modes kHerd/kCoalesce only).
   uint64_t flights_started_ = 0;

@@ -1,8 +1,11 @@
 #include "core/replay.h"
 
+#include <vector>
+
 #include "common/hash.h"
 #include "workload/session.h"
 #include "workload/write_process.h"
+#include "workload/zipf.h"
 
 namespace speedkit::core {
 
@@ -18,19 +21,14 @@ uint64_t ReplayResult::Fingerprint() const {
   return h;
 }
 
-TraceReplayer::TraceReplayer(SpeedKitStack* stack,
-                             const proxy::ProxyConfig* proxy_config)
+TraceReplayer::TraceReplayer(SpeedKitStack* stack)
     : stack_(stack),
-      proxy_config_(proxy_config != nullptr ? *proxy_config
-                                            : stack->DefaultProxyConfig()) {}
+      proxy_config_(stack->DefaultProxyConfig()),
+      pool_(stack->MakeClientPool(proxy::ClientPoolConfig{})) {}
 
 proxy::ClientProxy& TraceReplayer::ClientFor(uint64_t client_id) {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) {
-    it = clients_
-             .emplace(client_id, stack_->MakeClient(proxy_config_, client_id))
-             .first;
-  }
+  auto [it, inserted] = clients_.try_emplace(client_id, nullptr);
+  if (inserted) it->second = pool_->MakeClient(proxy_config_, client_id);
   return *it->second;
 }
 
@@ -70,10 +68,7 @@ ReplayResult TraceReplayer::Replay(const workload::Trace& trace) {
     if (ev.at > last) last = ev.at;
   }
   stack_->AdvanceTo(last + Duration::Seconds(1));  // drain trailing purges
-
-  for (const auto& [id, client] : clients_) {
-    result.proxies += client->stats();
-  }
+  result.proxies = pool_->stats();
   return result;
 }
 
@@ -94,18 +89,8 @@ workload::Trace SynthesizeTrace(const workload::Catalog& catalog,
       for (const workload::PageView& view : sessions.NextSession()) {
         t = t + view.think_time_before;
         if (t >= end) break;
-        switch (view.type) {
-          case workload::PageType::kHome:
-            trace.AddFetch(t, c + 1, "https://shop.example.com/pages/home");
-            break;
-          case workload::PageType::kCategory:
-            trace.AddFetch(t, c + 1, catalog.CategoryUrl(view.category));
-            break;
-          case workload::PageType::kProduct:
-            trace.AddFetch(t, c + 1, catalog.ProductUrl(view.product_rank));
-            break;
-          case workload::PageType::kCart:
-            break;
+        if (auto url = workload::PageViewUrl(catalog, view)) {
+          trace.AddFetch(t, c + 1, std::move(*url));
         }
       }
       t = t + Duration::Seconds(gaps.Exponential(1.0 / 45.0));
@@ -126,6 +111,31 @@ workload::Trace SynthesizeTrace(const workload::Catalog& catalog,
   }
 
   trace.SortByTime();
+  return trace;
+}
+
+workload::Trace SynthesizeZipfTrace(const workload::Catalog& catalog,
+                                    size_t num_clients,
+                                    uint64_t requests_per_client,
+                                    size_t hot_products, double zipf_s,
+                                    uint64_t seed, SimTime start,
+                                    Duration pace) {
+  size_t hot = hot_products;
+  if (hot == 0 || hot > catalog.num_products()) hot = catalog.num_products();
+  workload::ZipfGenerator popularity(hot, zipf_s);
+  std::vector<Pcg32> streams;
+  for (size_t c = 0; c < num_clients; ++c) {
+    streams.push_back(Pcg32(seed).Fork(0x10ad0000 + c));
+  }
+  workload::Trace trace;
+  for (uint64_t i = 0; i < requests_per_client; ++i) {
+    for (size_t c = 0; c < num_clients; ++c) {
+      trace.AddFetch(start, c,
+                     catalog.ProductUrl(popularity.Sample(streams[c])));
+    }
+  }
+  // The one timing rule, shared with callers that re-pace the trace.
+  trace.Restamp(start, pace);
   return trace;
 }
 

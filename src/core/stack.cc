@@ -21,6 +21,19 @@ std::string_view SystemVariantName(SystemVariant variant) {
   return "unknown";
 }
 
+Status ParseSystemVariant(std::string_view text, SystemVariant* out) {
+  for (SystemVariant v :
+       {SystemVariant::kSpeedKit, SystemVariant::kFixedTtlCdn,
+        SystemVariant::kNoCaching, SystemVariant::kPureInvalidation}) {
+    if (text != SystemVariantName(v)) continue;
+    *out = v;
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "unknown variant (expected speed_kit, fixed_ttl_cdn, no_caching or "
+      "pure_invalidation)");
+}
+
 Status StackConfig::Validate() const {
   // Real errors at the call site beat silent clamping: a config that used
   // to be "fixed up" (edge count forced to 1, FPR squeezed into range)
@@ -96,8 +109,9 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
   protocol_ = coherence::MakeCoherenceProtocol(
       config_.coherence,
       /*sketch_variant=*/config_.variant == SystemVariant::kSpeedKit);
-  cdn_ = std::make_unique<cache::Cdn>(
-      config_.cdn_edges, config_.edge_capacity_bytes, shard_, config_.shards);
+  cdn_ = std::make_unique<cache::Cdn>(config_.cdn_edges,
+                                      config_.edge_capacity_bytes, shard_,
+                                      config_.shards, config_.origin_flight);
   origin_ = std::make_unique<origin::OriginServer>(
       config_.origin, &clock_, &store_, ttl_policy_.get(),
       &protocol_->publication());
@@ -161,7 +175,6 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
 proxy::ProxyConfig SpeedKitStack::DefaultProxyConfig() const {
   proxy::ProxyConfig pc;
   pc.sketch_refresh_interval = config_.coherence.delta;
-  pc.origin_flight = config_.origin_flight;
   switch (config_.variant) {
     case SystemVariant::kSpeedKit:
       // Sketch consultation and SWR admission are the protocol's call:

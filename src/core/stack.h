@@ -47,7 +47,13 @@ enum class SystemVariant {
   kPureInvalidation,
 };
 
+// Stable names used by --variant flags and JSON output: "speed_kit",
+// "fixed_ttl_cdn", "no_caching", "pure_invalidation".
 std::string_view SystemVariantName(SystemVariant variant);
+
+// Parses a variant name (as printed by SystemVariantName). On success
+// writes `*out`; unknown names return InvalidArgument listing the valid set.
+Status ParseSystemVariant(std::string_view text, SystemVariant* out);
 
 enum class TtlMode { kEstimator, kFixed };
 

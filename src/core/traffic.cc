@@ -1,5 +1,6 @@
 #include "core/traffic.h"
 
+#include <optional>
 #include <string>
 
 namespace speedkit::core {
@@ -135,25 +136,10 @@ void TrafficSimulation::ScheduleNextWrite(SimTime from) {
 
 void TrafficSimulation::ExecutePageView(size_t client_index,
                                         const workload::PageView& view) {
-  proxy::ClientProxy& client = *clients_[client_index];
-  std::string url;
-  bool track_staleness = false;
-  switch (view.type) {
-    case workload::PageType::kHome:
-      url = "https://shop.example.com/pages/home";
-      break;
-    case workload::PageType::kCategory:
-      url = catalog_->CategoryUrl(view.category);
-      track_staleness = true;
-      break;
-    case workload::PageType::kProduct:
-      url = catalog_->ProductUrl(view.product_rank);
-      track_staleness = true;
-      break;
-    case workload::PageType::kCart:
-      return;  // handled on-device; no network traffic
-  }
-  proxy::FetchResult r = client.Fetch(url);
+  std::optional<std::string> url = workload::PageViewUrl(*catalog_, view);
+  if (!url.has_value()) return;  // a cart view makes no network traffic
+  const bool track_staleness = view.type != workload::PageType::kHome;
+  proxy::FetchResult r = clients_[client_index]->Fetch(*url);
   result_.page_views++;
   result_.all_latency_us.Add(r.latency.micros());
   bool cache_hit = r.source == proxy::ServedFrom::kBrowserCache ||
@@ -168,7 +154,7 @@ void TrafficSimulation::ExecutePageView(size_t client_index,
       // proxy makes deliberately; they must not count as Δ-violations.
       bool excused = r.source == proxy::ServedFrom::kOfflineCache;
       Duration staleness = stack_->staleness().RecordRead(
-          url, r.response.object_version, stack_->clock().Now(), excused);
+          *url, r.response.object_version, stack_->clock().Now(), excused);
       result_.stale_timeline.Add(stack_->clock().Now(),
                                  staleness > Duration::Zero() ? 1.0 : 0.0);
     }

@@ -30,6 +30,12 @@ WireResponse JsonResponse(const obs::JsonValue& body) {
 
 }  // namespace
 
+void PrepareEdgeStack(const EdgedConfig& config, core::SpeedKitStack* stack) {
+  workload::Catalog catalog(config.catalog, stack->ForkRng(0xca7a10a));
+  catalog.Populate(&stack->store(), stack->clock().Now());
+  stack->Advance(kEdgeWarmup);
+}
+
 EdgedServer::EdgedServer(const EdgedConfig& config)
     : config_(config),
       listener_(&loop_),
@@ -40,11 +46,7 @@ EdgedServer::EdgedServer(const EdgedConfig& config)
   } else {
     for (const std::string& n : config_.ring_nodes) ring_.AddNode(n);
   }
-  if (config_.populate_catalog) {
-    workload::Catalog catalog(config_.catalog, stack_->ForkRng(0xca7a10a));
-    catalog.Populate(&stack_->store(), stack_->clock().Now());
-  }
-  if (config_.warmup > Duration::Zero()) stack_->Advance(config_.warmup);
+  PrepareEdgeStack(config_, stack_.get());
   pool_ = stack_->MakeClientPool(proxy::ClientPoolConfig{});
 
   accepts_ = metrics_.Counter(kNetAccepts);

@@ -71,20 +71,25 @@ struct EdgedConfig {
   // tools default to it) since the socket tier has real in-flight windows.
   core::StackConfig stack;
 
-  // Seed the origin's object store with a synthetic catalog so the edge
-  // has content to serve out of the box (off for harnesses that populate
-  // their own).
-  bool populate_catalog = true;
+  // The synthetic catalog seeded into the origin's object store, so the
+  // edge has content to serve out of the box.
   workload::CatalogConfig catalog;
-
-  // Sim-time advance applied once at construction, after the catalog is
-  // populated. A just-populated stack is in a cold-start transient: the
-  // TTL estimator has no samples and the published Cache Sketch still
-  // flags every catalog key, so requests arriving in the first sim
-  // moments bypass every cache. Warming past the transient makes the
-  // first socket request behave like a steady-state one.
-  Duration warmup = Duration::Seconds(1);
 };
+
+// Sim-time advance applied once at construction, after the catalog is
+// populated. A just-populated stack is in a cold-start transient: the TTL
+// estimator has no samples and the published Cache Sketch still flags
+// every catalog key, so requests arriving in the first sim moments bypass
+// every cache. Warming past the transient makes the first socket request
+// behave like a steady-state one.
+inline constexpr Duration kEdgeWarmup = Duration::Seconds(1);
+
+// Readies a stack built from `config.stack` the way a node does: populates
+// the synthetic catalog, drawn from a fixed fork of the stack's RNG, then
+// advances kEdgeWarmup. EdgedServer runs it on its own stack and
+// fig_socketed on the simulated twin it replays the load generator's trace
+// on, so the socket run and the replay start from one state.
+void PrepareEdgeStack(const EdgedConfig& config, core::SpeedKitStack* stack);
 
 class EdgedServer {
  public:

@@ -6,17 +6,15 @@
 
 #include <cerrno>
 #include <chrono>
-#include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
-#include "common/random.h"
 #include "common/strings.h"
 #include "http/url.h"
 #include "net/hash_ring.h"
 #include "net/http_codec.h"
 #include "net/tcp_listener.h"
-#include "workload/zipf.h"
 
 namespace speedkit::net {
 
@@ -46,7 +44,7 @@ bool SendAll(int fd, std::string_view data) {
   return true;
 }
 
-// One request key, pre-resolved: what the worker loop needs per send.
+// One request URL, pre-resolved: what the worker loop needs per send.
 struct RequestPlan {
   std::string target;  // origin-form
   std::string host;
@@ -55,6 +53,8 @@ struct RequestPlan {
 
 struct WorkerState {
   LoadGenReport report;
+  // This worker's clients' fetches in trace order: (plan index, client id).
+  std::vector<std::pair<size_t, uint64_t>> sends;
   std::vector<int> fds;  // one keep-alive connection per target, lazy
 };
 
@@ -69,33 +69,50 @@ double LoadGenReport::HitRate() const {
   return 1.0 - static_cast<double>(origin) / static_cast<double>(responses);
 }
 
-LoadGenReport RunLoadGen(const LoadGenConfig& config) {
-  // Resolve every hot product once: URL parse + ring routing are identical
-  // across workers, so hoisting them keeps the closed loop send/recv-bound.
-  workload::Catalog catalog(config.catalog, Pcg32(config.seed));
+double LoadGenReport::Throughput() const {
+  if (wall_seconds <= 0) return 0.0;
+  return static_cast<double>(responses) / wall_seconds;
+}
+
+Result<LoadGenReport> RunLoadGen(const LoadGenConfig& config,
+                                 const workload::Trace& trace) {
+  if (config.targets.empty() || config.workers < 1) {
+    return Status::InvalidArgument("loadgen needs a target and a worker");
+  }
   HashRing ring(config.ring_replicas);
   std::unordered_map<std::string, size_t> target_of;
   for (size_t i = 0; i < config.targets.size(); ++i) {
     ring.AddNode(config.targets[i].node_name);
     target_of[config.targets[i].node_name] = i;
   }
-  size_t hot = config.hot_products;
-  if (hot == 0 || hot > catalog.num_products()) hot = catalog.num_products();
+  // Resolve each distinct URL once (URL parse + ring routing) and deal the
+  // fetches out by client id, so the closed loop stays send/recv-bound and
+  // a bad trace is refused before the first byte goes out.
+  std::vector<WorkerState> workers(static_cast<size_t>(config.workers));
   std::vector<RequestPlan> plans;
-  plans.reserve(hot);
-  for (size_t rank = 0; rank < hot; ++rank) {
-    auto url = http::Url::Parse(catalog.ProductUrl(rank));
-    RequestPlan plan;
-    plan.host = url->host();
-    plan.target = url->path();
-    if (!url->query().empty()) plan.target += "?" + url->query();
-    plan.target_index = target_of.at(std::string(ring.NodeFor(url->CacheKey())));
-    plans.push_back(std::move(plan));
+  std::unordered_map<std::string_view, size_t> plan_of;
+  for (const workload::TraceEvent& ev : trace.events()) {
+    if (ev.kind != workload::TraceEvent::Kind::kFetch) {
+      return Status::InvalidArgument("loadgen sends only fetches, not the "
+                                     "trace's write to " + ev.record_id);
+    }
+    auto [it, inserted] = plan_of.try_emplace(ev.url, plans.size());
+    if (inserted) {
+      auto url = http::Url::Parse(ev.url);
+      if (!url.ok()) {
+        return Status::InvalidArgument("unparseable trace URL: " + ev.url);
+      }
+      std::string target = url->path();
+      if (!url->query().empty()) target += "?" + url->query();
+      plans.push_back(
+          {std::move(target), url->host(),
+           target_of.at(std::string(ring.NodeFor(url->CacheKey())))});
+    }
+    workers[ev.client_id % workers.size()].sends.push_back(
+        {it->second, ev.client_id});
   }
-  workload::ZipfGenerator popularity(hot, config.zipf_s);
 
   auto run_start = std::chrono::steady_clock::now();
-  std::vector<WorkerState> workers(static_cast<size_t>(config.workers));
   std::vector<std::thread> threads;
   threads.reserve(workers.size());
   for (size_t w = 0; w < workers.size(); ++w) {
@@ -103,11 +120,10 @@ LoadGenReport RunLoadGen(const LoadGenConfig& config) {
       WorkerState& state = workers[w];
       LoadGenReport& rep = state.report;
       state.fds.assign(config.targets.size(), -1);
-      Pcg32 rng = Pcg32(config.seed).Fork(0x10ad0000 + w);
       std::string buf;
 
-      for (uint64_t i = 0; i < config.requests_per_worker; ++i) {
-        const RequestPlan& plan = plans[popularity.Sample(rng)];
+      for (const auto& [plan_index, client_id] : state.sends) {
+        const RequestPlan& plan = plans[plan_index];
         int& fd = state.fds[plan.target_index];
         if (fd < 0) {
           const LoadGenTarget& t = config.targets[plan.target_index];
@@ -122,7 +138,7 @@ LoadGenReport RunLoadGen(const LoadGenConfig& config) {
 
         http::HeaderMap headers;
         headers.Set("Host", plan.host);
-        headers.Set("X-SpeedKit-Client", std::to_string(w));
+        headers.Set("X-SpeedKit-Client", std::to_string(client_id));
         std::string wire =
             SerializeRequest(http::Method::kGet, plan.target, headers);
 
@@ -134,7 +150,6 @@ LoadGenReport RunLoadGen(const LoadGenConfig& config) {
           fd = -1;
           continue;
         }
-        rep.bytes_out += wire.size();
 
         WireResponse resp;
         bool got = false;
@@ -162,14 +177,11 @@ LoadGenReport RunLoadGen(const LoadGenConfig& config) {
         auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0);
         rep.responses++;
-        rep.bytes_in += buf.size();
         rep.wall_latency_us.Add(elapsed.count());
         if (resp.status_code >= 500) {
           rep.errors_5xx++;
         } else if (resp.status_code >= 400) {
           rep.errors_4xx++;
-        } else if (resp.status_code != 200) {
-          rep.errors_2xx_other++;
         }
         if (auto src = resp.headers.Get("X-SpeedKit-Source")) {
           rep.sources[std::string(*src)]++;
@@ -195,12 +207,9 @@ LoadGenReport RunLoadGen(const LoadGenConfig& config) {
     const LoadGenReport& r = state.report;
     total.requests += r.requests;
     total.responses += r.responses;
-    total.errors_2xx_other += r.errors_2xx_other;
     total.errors_4xx += r.errors_4xx;
     total.errors_5xx += r.errors_5xx;
     total.transport_errors += r.transport_errors;
-    total.bytes_in += r.bytes_in;
-    total.bytes_out += r.bytes_out;
     for (const auto& [name, n] : r.sources) total.sources[name] += n;
     total.wall_latency_us.Merge(r.wall_latency_us);
     total.predicted_us.Merge(r.predicted_us);

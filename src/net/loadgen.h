@@ -1,18 +1,20 @@
 // speedkit_loadgen — closed-loop TCP load generator for the edged tier.
 //
-// N workers, each a closed loop over its own keep-alive connections: draw
-// a product rank from the shared Zipf popularity (the same
-// workload::ZipfGenerator every simulation experiment sweeps), route the
-// key through the SAME consistent-hash ring the edge tier runs (client-
-// side routing, like a memcached client), send one HTTP/1.1 GET, block
+// Sends the fetch events of a workload::Trace, the one request-stream
+// format the simulator's TraceReplayer also replays. The trace's clients
+// are split over N workers by client id (client c runs on worker
+// c % workers); each worker is a closed loop over its own keep-alive
+// connections: route the key through the SAME consistent-hash ring the
+// edge tier runs (client-side routing, like a memcached client), send one
+// HTTP/1.1 GET carrying the event's client id as X-SpeedKit-Client, block
 // for the response, record wall latency and the X-SpeedKit-* annotations,
-// repeat. Each worker is one client identity (one browser cache + sketch
-// on the edge side), so hit patterns match a fleet of real devices.
+// repeat. Each client id is one browser cache + sketch on the edge side,
+// so hit patterns match a fleet of real devices.
 //
-// Deterministic request STREAMS (per-worker Pcg32 forked from the seed);
-// the interleaving across workers is real concurrency and intentionally
-// not deterministic — that is the thing the socketed mode adds over the
-// simulator.
+// Each client's requests go out in trace order; timestamps are ignored
+// (the loop runs as fast as the node answers), and the interleaving across
+// workers is real concurrency and intentionally not deterministic — that
+// is the thing the socketed mode adds over the simulator.
 #ifndef SPEEDKIT_NET_LOADGEN_H_
 #define SPEEDKIT_NET_LOADGEN_H_
 
@@ -22,7 +24,8 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "workload/catalog.h"
+#include "common/result.h"
+#include "workload/trace.h"
 
 namespace speedkit::net {
 
@@ -35,12 +38,7 @@ struct LoadGenTarget {
 struct LoadGenConfig {
   std::vector<LoadGenTarget> targets;  // the edge ring, one entry per node
   int ring_replicas = 200;             // must match the edged instances
-  int workers = 4;                     // closed-loop clients (threads)
-  uint64_t requests_per_worker = 1000;
-  uint64_t seed = 42;
-  double zipf_s = 0.95;
-  size_t hot_products = 500;  // Zipf ranks drawn from the first N products
-  workload::CatalogConfig catalog;  // must match the edged instances
+  int workers = 4;                     // closed-loop threads
   int connect_timeout_ms = 2000;
   int response_timeout_ms = 5000;
 };
@@ -48,14 +46,11 @@ struct LoadGenConfig {
 struct LoadGenReport {
   uint64_t requests = 0;
   uint64_t responses = 0;
-  uint64_t errors_2xx_other = 0;  // non-200 2xx/3xx (unexpected but not 5xx)
   uint64_t errors_4xx = 0;
   uint64_t errors_5xx = 0;
   uint64_t transport_errors = 0;  // connect/send/recv/parse failures
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  // Serve-tier split from X-SpeedKit-Source (browser_cache, edge_cache,
-  // origin, ...). Ordered map for deterministic report output.
+  // Serve-tier split from X-SpeedKit-Source (browser, edge, origin, ...).
+  // Ordered map for deterministic report output.
   std::map<std::string, uint64_t> sources;
   Histogram wall_latency_us;  // measured around each request/response
   Histogram predicted_us;     // X-SpeedKit-Latency-Us (the sim's model)
@@ -64,10 +59,16 @@ struct LoadGenReport {
   // Cache hit rate as the experiments define it: served without an origin
   // round trip.
   double HitRate() const;
+  // Responses per wall-clock second over the whole run.
+  double Throughput() const;
 };
 
-// Runs the configured load and blocks until every worker finishes.
-LoadGenReport RunLoadGen(const LoadGenConfig& config);
+// Sends every fetch of `trace` and blocks until every worker finishes.
+// Before sending anything, returns InvalidArgument for a trace holding a
+// write event or a URL that does not parse, and for a config without
+// targets or workers.
+Result<LoadGenReport> RunLoadGen(const LoadGenConfig& config,
+                                 const workload::Trace& trace);
 
 }  // namespace speedkit::net
 

@@ -450,13 +450,13 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   // Sketch-flagged requests (bypass_shared) never coalesce: sharing a
   // leader's response would reintroduce the staleness the flag exists to
   // prevent.
+  const cache::OriginFlightMode flight = cdn_->flight_mode();
   bool herd_to_origin = false;
   Duration flight_wait = Duration::Zero();
-  if (!bypass_shared &&
-      config_.origin_flight != cache::OriginFlightMode::kInstant) {
+  if (!bypass_shared && flight != cache::OriginFlightMode::kInstant) {
     std::optional<SimTime> ready = cdn_->OpenFlightReadyAt(edge_index, key, now);
     if (ready.has_value()) {
-      if (config_.origin_flight == cache::OriginFlightMode::kCoalesce) {
+      if (flight == cache::OriginFlightMode::kCoalesce) {
         flight_wait = *ready - now;
       } else {
         herd_to_origin = true;
@@ -621,8 +621,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   if (oresp.IsNotModified()) {
     edge.Refresh(key, request.headers, oresp, now);
   } else {
-    if (!bypass_shared &&
-        config_.origin_flight != cache::OriginFlightMode::kInstant) {
+    if (!bypass_shared && flight != cache::OriginFlightMode::kInstant) {
       // This fetch leads a flight: the stored response becomes visible to
       // other clients only once the origin round trip completes. A no-op
       // for herd fetches inside an already-open window.

@@ -108,13 +108,6 @@ struct ProxyConfig {
   size_t browser_cache_bytes = 50u * 1024 * 1024;
   // Service-worker interception cost per request on the device.
   Duration device_overhead = Duration::Micros(300);
-
-  // How concurrent misses behave while an origin fetch for the same key is
-  // already in flight at the client's edge (see cache::OriginFlightMode).
-  // kInstant (the legacy instantaneous-store model) is the default and
-  // keeps every pre-existing run bit-identical; kHerd exposes thundering
-  // herds; kCoalesce collapses them single-flight style.
-  cache::OriginFlightMode origin_flight = cache::OriginFlightMode::kInstant;
 };
 
 // Per-client request accounting. Every request the page makes lands in

@@ -2,6 +2,17 @@
 
 namespace speedkit::workload {
 
+std::optional<std::string> PageViewUrl(const Catalog& catalog,
+                                       const PageView& view) {
+  switch (view.type) {
+    case PageType::kHome: return "https://shop.example.com/pages/home";
+    case PageType::kCategory: return catalog.CategoryUrl(view.category);
+    case PageType::kProduct: return catalog.ProductUrl(view.product_rank);
+    case PageType::kCart: break;
+  }
+  return std::nullopt;
+}
+
 SessionGenerator::SessionGenerator(const Catalog* catalog,
                                    const SessionConfig& config, Pcg32 rng)
     : catalog_(catalog),

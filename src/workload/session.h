@@ -10,6 +10,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -27,6 +29,11 @@ struct PageView {
   int category = 0;         // for kCategory (and the product's category)
   Duration think_time_before = Duration::Zero();
 };
+
+// The URL a page view fetches; none for a cart view, which the device
+// handles without network traffic.
+std::optional<std::string> PageViewUrl(const Catalog& catalog,
+                                       const PageView& view);
 
 struct SessionConfig {
   double product_skew = 0.9;       // Zipf exponent for product choice

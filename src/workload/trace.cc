@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 
 #include "common/strings.h"
 
@@ -131,6 +133,13 @@ void Trace::SortByTime() {
                    });
 }
 
+void Trace::Restamp(SimTime start, Duration pace) {
+  for (size_t i = 0; i < events_.size(); ++i) {
+    events_[i].at =
+        start + Duration::Micros(pace.micros() * static_cast<int64_t>(i));
+  }
+}
+
 std::string Trace::Serialize() const {
   std::string out;
   for (const TraceEvent& ev : events_) {
@@ -202,6 +211,13 @@ Result<Trace> Trace::Deserialize(std::string_view text) {
     }
   }
   return trace;
+}
+
+Result<Trace> LoadTrace(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::NotFound("cannot open trace file: " + path);
+  return Trace::Deserialize(
+      std::string(std::istreambuf_iterator<char>(in), {}));
 }
 
 }  // namespace speedkit::workload

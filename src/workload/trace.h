@@ -50,12 +50,19 @@ class Trace {
   // Sorts by timestamp; call after out-of-order construction.
   void SortByTime();
 
+  // Re-times the events in their current order: event i fires at
+  // start + i * pace.
+  void Restamp(SimTime start, Duration pace);
+
   std::string Serialize() const;
   static Result<Trace> Deserialize(std::string_view text);
 
  private:
   std::vector<TraceEvent> events_;
 };
+
+// Reads and parses a trace file (NotFound if it cannot be opened).
+Result<Trace> LoadTrace(const std::string& path);
 
 }  // namespace speedkit::workload
 

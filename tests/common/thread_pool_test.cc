@@ -90,7 +90,9 @@ TEST(AvailableCpusTest, PositiveAndNeverAboveHardwareConcurrency) {
   size_t n = ThreadPool::AvailableCpus();
   EXPECT_GE(n, 1u);
   unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0) EXPECT_LE(n, static_cast<size_t>(hw));
+  if (hw > 0) {
+    EXPECT_LE(n, static_cast<size_t>(hw));
+  }
   // DefaultThreads is the affinity-clamped count — in a container that
   // grants 2 CPUs of a 64-core host, sizing pools by hardware_concurrency
   // oversubscribes 32x; this is the knob every harness sizes by.

@@ -54,6 +54,25 @@ TEST(StackTest, VariantNames) {
             "pure_invalidation");
 }
 
+TEST(StackTest, VariantNamesRoundTripThroughParse) {
+  for (SystemVariant variant :
+       {SystemVariant::kSpeedKit, SystemVariant::kFixedTtlCdn,
+        SystemVariant::kNoCaching, SystemVariant::kPureInvalidation}) {
+    SystemVariant parsed = SystemVariant::kSpeedKit;
+    ASSERT_TRUE(ParseSystemVariant(SystemVariantName(variant), &parsed).ok());
+    EXPECT_EQ(parsed, variant);
+  }
+}
+
+TEST(StackTest, UnknownVariantIsInvalidArgument) {
+  SystemVariant variant = SystemVariant::kNoCaching;
+  // A misspelling used to run speed_kit silently.
+  Status s = ParseSystemVariant("speedkit", &variant);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.ToString().find("speed_kit"), std::string::npos);
+  EXPECT_EQ(variant, SystemVariant::kNoCaching);  // not written on failure
+}
+
 TEST(StackTest, WritesFlowIntoStalenessTracker) {
   StackConfig config;
   SpeedKitStack stack(config);

@@ -124,7 +124,9 @@ TEST(HashRingTest, AddingANodeOnlyStealsKeys) {
     std::string_view now = after.NodeFor(key);
     // Every movement must be INTO the new node; keys never shuffle
     // between pre-existing members.
-    if (now != before.NodeFor(key)) EXPECT_EQ(now, "edge-c") << key;
+    if (now != before.NodeFor(key)) {
+      EXPECT_EQ(now, "edge-c") << key;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // speedkit_sim: run a configurable end-to-end simulation from the command
 // line and print the operations dashboard.
 //
-//   speedkit_sim --variant=speed_kit --clients=40 --minutes=30 \
+//   speedkit_sim --variant=speed_kit --clients=40 --minutes=30
 //                --writes-per-sec=3 --skew=0.9 --delta=30 --seed=42
 //
 // Variants: speed_kit | fixed_ttl_cdn | no_caching | pure_invalidation.
@@ -16,15 +16,6 @@
 using namespace speedkit;
 
 namespace {
-
-core::SystemVariant ParseVariant(const std::string& name) {
-  if (name == "fixed_ttl_cdn") return core::SystemVariant::kFixedTtlCdn;
-  if (name == "no_caching") return core::SystemVariant::kNoCaching;
-  if (name == "pure_invalidation") {
-    return core::SystemVariant::kPureInvalidation;
-  }
-  return core::SystemVariant::kSpeedKit;
-}
 
 int Usage() {
   std::printf(
@@ -51,7 +42,12 @@ int main(int argc, char** argv) {
   if (flags.Has("help")) return Usage();
 
   core::StackConfig config;
-  config.variant = ParseVariant(flags.GetString("variant", "speed_kit"));
+  if (Status s = core::ParseSystemVariant(
+          flags.GetString("variant", "speed_kit"), &config.variant);
+      !s.ok()) {
+    std::fprintf(stderr, "--variant: %s\n", s.ToString().c_str());
+    return 2;
+  }
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   config.cdn_edges = static_cast<int>(flags.GetInt("edges", 4));
   config.coherence.delta = Duration::Seconds(flags.GetDouble("delta", 30));

@@ -1,6 +1,6 @@
 // trace_tool: generate, inspect and replay workload traces.
 //
-//   trace_tool generate --out=day.trace --clients=20 --minutes=30 \
+//   trace_tool generate --out=day.trace --clients=20 --minutes=30
 //                       --writes-per-sec=2 --products=5000 --seed=7
 //   trace_tool info day.trace
 //   trace_tool replay day.trace --variant=speed_kit
@@ -9,7 +9,6 @@
 // identical request/write sequence.
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <set>
 #include <string>
 
@@ -28,14 +27,6 @@ int Usage() {
       "  trace_tool info FILE\n"
       "  trace_tool replay FILE [--variant=V] [--products=P] [--seed=S]\n");
   return 2;
-}
-
-Result<workload::Trace> LoadTrace(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::NotFound("cannot open trace file: " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return workload::Trace::Deserialize(buffer.str());
 }
 
 workload::Catalog MakeCatalog(const tools::Flags& flags) {
@@ -67,7 +58,7 @@ int Generate(const tools::Flags& flags) {
 
 int Info(const tools::Flags& flags) {
   if (flags.positional().size() < 2) return Usage();
-  auto trace = LoadTrace(flags.positional()[1]);
+  auto trace = workload::LoadTrace(flags.positional()[1]);
   if (!trace.ok()) {
     std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
     return 1;
@@ -100,19 +91,17 @@ int Info(const tools::Flags& flags) {
 
 int Replay(const tools::Flags& flags) {
   if (flags.positional().size() < 2) return Usage();
-  auto trace = LoadTrace(flags.positional()[1]);
+  core::StackConfig config;
+  if (Status s = core::ParseSystemVariant(
+          flags.GetString("variant", "speed_kit"), &config.variant);
+      !s.ok()) {
+    std::fprintf(stderr, "--variant: %s\n", s.ToString().c_str());
+    return 2;
+  }
+  auto trace = workload::LoadTrace(flags.positional()[1]);
   if (!trace.ok()) {
     std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
     return 1;
-  }
-  core::StackConfig config;
-  std::string variant = flags.GetString("variant", "speed_kit");
-  if (variant == "fixed_ttl_cdn") {
-    config.variant = core::SystemVariant::kFixedTtlCdn;
-  } else if (variant == "no_caching") {
-    config.variant = core::SystemVariant::kNoCaching;
-  } else if (variant == "pure_invalidation") {
-    config.variant = core::SystemVariant::kPureInvalidation;
   }
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   core::SpeedKitStack stack(config);
