@@ -11,7 +11,7 @@
 #include <utility>
 
 #include "bench/harness.h"
-#include "coherence/delta_atomic.h"
+#include "coherence/protocol.h"
 #include "common/histogram.h"
 #include "common/random.h"
 #include "invalidation/pipeline.h"
@@ -107,7 +107,7 @@ void PurgePropagation(bench::JsonValue* rows) {
     sim::SimClock clock;
     sim::EventQueue events(&clock);
     cache::Cdn cdn(edges, 0);
-    coherence::DeltaAtomicProtocol protocol{coherence::CoherenceConfig()};
+    coherence::CoherenceProtocol protocol{coherence::CoherenceConfig()};
     invalidation::PipelineConfig config;  // 80ms median, lognormal 0.4
     invalidation::ExpiryBook no_copies_served;
     invalidation::InvalidationPipeline pipeline(config, &clock, &events, &cdn,

@@ -55,7 +55,6 @@ OutageResult RunOutage(bool speed_kit_on, Duration warm, Duration outage,
   if (!speed_kit_on) {
     pc.enabled = false;
     pc.use_cdn = false;
-    pc.use_sketch = false;
     pc.offline_mode = false;
   }
   constexpr int kClients = 10;

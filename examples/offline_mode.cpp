@@ -40,7 +40,6 @@ int main() {
   proxy::ProxyConfig vanilla_config = stack.DefaultProxyConfig();
   vanilla_config.enabled = false;
   vanilla_config.use_cdn = false;
-  vanilla_config.use_sketch = false;
   vanilla_config.offline_mode = false;
   auto vanilla_client = stack.MakeClient(vanilla_config, 2);
 

@@ -16,6 +16,18 @@ std::string_view OriginFlightModeName(OriginFlightMode mode) {
   return "unknown";
 }
 
+Status ParseOriginFlightMode(std::string_view text, OriginFlightMode* out) {
+  for (OriginFlightMode mode : {OriginFlightMode::kInstant,
+                                OriginFlightMode::kHerd,
+                                OriginFlightMode::kCoalesce}) {
+    if (text != OriginFlightModeName(mode)) continue;
+    *out = mode;
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "unknown origin flight mode (expected instant, herd or coalesce)");
+}
+
 Cdn::Cdn(int physical_edges, size_t edge_capacity_bytes, int shard,
          int shards, OriginFlightMode flight_mode)
     : physical_edges_(physical_edges),

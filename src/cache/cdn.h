@@ -36,6 +36,7 @@
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/sim_time.h"
+#include "common/status.h"
 
 namespace speedkit::cache {
 
@@ -80,7 +81,12 @@ struct EdgeFaultStats {
 //              client<->edge leg, and the origin sees ONE fetch.
 enum class OriginFlightMode { kInstant, kHerd, kCoalesce };
 
+// Stable names used by the --flight flag: "instant", "herd", "coalesce".
 std::string_view OriginFlightModeName(OriginFlightMode mode);
+
+// Parses a mode name (as printed by OriginFlightModeName). On success
+// writes `*out`; unknown names return InvalidArgument listing the valid set.
+Status ParseOriginFlightMode(std::string_view text, OriginFlightMode* out);
 
 class Cdn {
  public:

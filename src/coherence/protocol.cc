@@ -1,35 +1,24 @@
 #include "coherence/protocol.h"
 
-#include "coherence/delta_atomic.h"
-#include "coherence/fixed_ttl.h"
-#include "coherence/serializable.h"
-
 namespace speedkit::coherence {
 
-std::unique_ptr<ClientCoherence> CoherenceProtocol::NewClient(
-    Duration /*refresh_interval*/) {
-  return std::make_unique<ClientCoherence>();
-}
+CoherenceProtocol::CoherenceProtocol(const CoherenceConfig& config)
+    : config_(config),
+      sketch_(config.mode == CoherenceMode::kDeltaAtomic
+                  ? std::make_unique<sketch::CacheSketch>()
+                  : nullptr),
+      publication_(sketch_.get()) {}
 
-std::unique_ptr<CoherenceProtocol> MakeCoherenceProtocol(
-    const CoherenceConfig& config, bool sketch_variant) {
-  if (!sketch_variant) {
-    // Baselines hard-wire their coherence (fixed TTLs, purge-only, none):
-    // the protocol object degrades to staleness bookkeeping plus an empty
-    // publication. Normalize the mode so mode() tells the truth.
-    CoherenceConfig normalized = config;
-    normalized.mode = CoherenceMode::kFixedTtl;
-    return std::make_unique<FixedTtlProtocol>(normalized);
+std::vector<size_t> CoherenceProtocol::StaleReadIndexes(
+    const std::vector<ReadVersion>& reads) const {
+  std::vector<size_t> stale;
+  for (size_t i = 0; i < reads.size(); ++i) {
+    auto head = staleness_.CurrentVersion(reads[i].key);
+    // A key the authority never saw written cannot mismatch; version 0
+    // reads of written keys predate the first write and always mismatch.
+    if (head.has_value() && *head != reads[i].version) stale.push_back(i);
   }
-  switch (config.mode) {
-    case CoherenceMode::kDeltaAtomic:
-      return std::make_unique<DeltaAtomicProtocol>(config);
-    case CoherenceMode::kSerializable:
-      return std::make_unique<SerializableProtocol>(config);
-    case CoherenceMode::kFixedTtl:
-      return std::make_unique<FixedTtlProtocol>(config);
-  }
-  return std::make_unique<DeltaAtomicProtocol>(config);
+  return stale;
 }
 
 }  // namespace speedkit::coherence

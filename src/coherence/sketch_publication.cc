@@ -28,7 +28,7 @@ std::shared_ptr<const std::string> SketchPublication::Serialized(SimTime now) {
 size_t SketchPublication::InstallInto(sketch::ClientSketch* client,
                                       SimTime now) {
   const sketch::CacheSketch::Publication& pub = Publish(now);
-  client->Install(pub.filter, pub.bytes->size(), now);
+  client->Install(pub.filter, now);
   return pub.bytes->size();
 }
 

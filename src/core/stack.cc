@@ -103,12 +103,14 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
       break;
   }
 
-  // The coherence tier. Baselines (non-sketch variants) always get the
-  // fixed-TTL protocol regardless of the configured mode — their coherence
-  // story is the TTL policy itself, and mode() stays truthful for them.
-  protocol_ = coherence::MakeCoherenceProtocol(
-      config_.coherence,
-      /*sketch_variant=*/config_.variant == SystemVariant::kSpeedKit);
+  // The coherence tier. Baselines run it in mode fixed_ttl whatever mode
+  // was asked for: their coherence story is the TTL policy itself, and
+  // mode() stays truthful for them.
+  coherence::CoherenceConfig coherence_config = config_.coherence;
+  if (config_.variant != SystemVariant::kSpeedKit) {
+    coherence_config.mode = coherence::CoherenceMode::kFixedTtl;
+  }
+  protocol_ = std::make_unique<coherence::CoherenceProtocol>(coherence_config);
   cdn_ = std::make_unique<cache::Cdn>(config_.cdn_edges,
                                       config_.edge_capacity_bytes, shard_,
                                       config_.shards, config_.origin_flight);
@@ -174,42 +176,32 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
 
 proxy::ProxyConfig SpeedKitStack::DefaultProxyConfig() const {
   proxy::ProxyConfig pc;
-  pc.sketch_refresh_interval = config_.coherence.delta;
+  // SWR is safe only under a sketch: it flags every changed key, so only
+  // merely-expired copies take the SWR path. Without one, SWR would
+  // stretch staleness past the TTL, or serve a version that serializable
+  // validation then has to retry away.
+  pc.stale_while_revalidate = protocol_->sketch() != nullptr;
   switch (config_.variant) {
     case SystemVariant::kSpeedKit:
-      // Sketch consultation and SWR admission are the protocol's call:
-      // serializable and fixed-TTL modes run the SpeedKit stack without
-      // the sketch fast path and without SWR (which could serve a version
-      // the validation RTT then has to retry away).
-      pc.use_sketch =
-          protocol_->mode() == coherence::CoherenceMode::kDeltaAtomic;
-      pc.stale_while_revalidate = protocol_->AdmitStaleWhileRevalidate();
       break;
     case SystemVariant::kFixedTtlCdn:
-      pc.use_sketch = false;
       pc.gdpr_mode = false;
       pc.offline_mode = false;
-      // Without the sketch, SWR would stretch staleness beyond the TTL.
-      pc.stale_while_revalidate = false;
       pc.optimize_assets = false;  // no service worker, no rewriting
       pc.device_overhead = Duration::Zero();
       break;
     case SystemVariant::kNoCaching:
       pc.enabled = false;
       pc.use_cdn = false;
-      pc.use_sketch = false;
       pc.gdpr_mode = false;
       pc.offline_mode = false;
-      pc.stale_while_revalidate = false;
       pc.optimize_assets = false;
       pc.browser_cache_bytes = 1;  // admits nothing
       pc.device_overhead = Duration::Zero();
       break;
     case SystemVariant::kPureInvalidation:
-      pc.use_sketch = false;
       pc.gdpr_mode = false;
       pc.offline_mode = false;
-      pc.stale_while_revalidate = false;
       pc.optimize_assets = false;
       pc.browser_cache_bytes = 1;  // purges cannot reach the device
       pc.device_overhead = Duration::Zero();

@@ -83,10 +83,11 @@ struct StackConfig {
   // wall-clock windows.
   cache::OriginFlightMode origin_flight = cache::OriginFlightMode::kInstant;
 
-  // Coherence tier: which CoherenceProtocol runs (Δ-atomic sketch,
-  // serializable read-validation, or plain fixed-TTL) and its knobs — Δ
-  // and the transaction retry budget. Only consulted for the kSpeedKit
-  // variant; baselines always get the fixed-TTL protocol.
+  // Coherence tier: the mode the stack's CoherenceProtocol runs (Δ-atomic
+  // sketch, serializable read validation, or plain fixed-TTL) and its
+  // knobs, Δ and the transaction retry budget. Baseline variants run it
+  // in mode fixed_ttl whatever mode is set here. In Δ-atomic mode every
+  // enabled client proxy refreshes its sketch every Δ.
   coherence::CoherenceConfig coherence;
   invalidation::PipelineConfig pipeline;
 
@@ -169,9 +170,9 @@ class SpeedKitStack {
   storage::ObjectStore& store() { return store_; }
   origin::OriginServer& origin() { return *origin_; }
   cache::Cdn& cdn() { return *cdn_; }
-  // The coherence tier — never null; baselines run the fixed-TTL protocol.
+  // The coherence tier — never null; baselines run it in mode fixed_ttl.
   coherence::CoherenceProtocol& coherence_protocol() { return *protocol_; }
-  // Null for protocols without sketch coherence.
+  // Null unless the coherence tier runs in Δ-atomic mode.
   sketch::CacheSketch* sketch() { return protocol_->sketch(); }
   // Null for variants without an invalidation pipeline.
   invalidation::InvalidationPipeline* pipeline() { return pipeline_.get(); }

@@ -115,10 +115,10 @@ void InvalidationPipeline::InvalidateKey(const std::string& key) {
   }
   trace.Finish(obs::kTierPurge, /*status=*/0, faulted, last_purge - now);
 
-  if (coherence_ != nullptr && coherence_->WantsInvalidations()) {
+  if (coherence_ != nullptr && coherence_->sketch() != nullptr) {
     SimTime stale_until =
         std::max(expiry_book_->LatestExpiry(key, now), last_purge);
-    coherence_->OnInvalidation(key, stale_until, now);
+    coherence_->sketch()->ReportInvalidation(key, stale_until, now);
   }
 }
 

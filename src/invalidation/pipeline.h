@@ -63,7 +63,7 @@ class InvalidationPipeline {
  public:
   // `expiry_book` is the origin server's: sketch horizons are sized from
   // the deadlines it handed out, so no sketch entry expires while a client
-  // copy is live. Only a `coherence` that wants invalidations reads it.
+  // copy is live. It is read only when `coherence` keeps a sketch.
   // Nothing here is owned.
   InvalidationPipeline(const PipelineConfig& config, sim::SimClock* clock,
                        sim::EventQueue* events, cache::Cdn* cdn,

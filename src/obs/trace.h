@@ -14,13 +14,10 @@
 //
 // Cost when disabled: a default-constructed Tracer has a null sink, and
 // every TraceBuilder call starts with a single `active()` branch — no
-// allocation, no string copies. NoopTraceSink exists for callers that want
-// a non-null sink that still discards everything; compile-time checks
-// below pin down that it carries no state beyond the vtable.
+// allocation, no string copies.
 #ifndef SPEEDKIT_OBS_TRACE_H_
 #define SPEEDKIT_OBS_TRACE_H_
 
-#include <concepts>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -69,23 +66,14 @@ struct RequestTrace {
   friend bool operator==(const RequestTrace&, const RequestTrace&) = default;
 };
 
-// Where finished traces go.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void Emit(RequestTrace&& trace) = 0;
-  virtual uint64_t emitted() const = 0;
-  virtual uint64_t dropped() const = 0;
-};
-
-// Keeps up to `max_traces` traces in memory (0 = unbounded); overflow is
-// counted, never silently lost.
-class InMemoryTraceSink final : public TraceSink {
+// Where finished traces go: up to `max_traces` traces kept in memory
+// (0 = unbounded); overflow is counted, never silently lost.
+class InMemoryTraceSink {
  public:
   explicit InMemoryTraceSink(size_t max_traces = 0)
       : max_traces_(max_traces) {}
 
-  void Emit(RequestTrace&& trace) override {
+  void Emit(RequestTrace&& trace) {
     ++emitted_;
     if (max_traces_ != 0 && traces_.size() >= max_traces_) {
       ++dropped_;
@@ -94,8 +82,8 @@ class InMemoryTraceSink final : public TraceSink {
     traces_.push_back(std::move(trace));
   }
 
-  uint64_t emitted() const override { return emitted_; }
-  uint64_t dropped() const override { return dropped_; }
+  uint64_t emitted() const { return emitted_; }
+  uint64_t dropped() const { return dropped_; }
   const std::vector<RequestTrace>& traces() const { return traces_; }
 
  private:
@@ -105,38 +93,13 @@ class InMemoryTraceSink final : public TraceSink {
   uint64_t dropped_ = 0;
 };
 
-// Discards everything. For callers that need a non-null sink on a path
-// where tracing is off; the preferred "off" is a null sink in Tracer.
-class NoopTraceSink final : public TraceSink {
- public:
-  void Emit(RequestTrace&&) override {}
-  uint64_t emitted() const override { return 0; }
-  uint64_t dropped() const override { return 0; }
-};
-
-// Compile-time checks on the disabled path: the sink interface is what the
-// recorder expects, and the no-op sink carries no state beyond the vtable
-// pointer — it cannot buffer, count, or leak anything.
-template <typename S>
-concept TraceSinkLike = std::derived_from<S, TraceSink> &&
-    requires(S s, RequestTrace t) {
-      { s.Emit(std::move(t)) } -> std::same_as<void>;
-      { std::as_const(s).emitted() } -> std::convertible_to<uint64_t>;
-      { std::as_const(s).dropped() } -> std::convertible_to<uint64_t>;
-    };
-static_assert(TraceSinkLike<InMemoryTraceSink>);
-static_assert(TraceSinkLike<NoopTraceSink>);
-static_assert(sizeof(NoopTraceSink) == sizeof(TraceSink),
-              "NoopTraceSink must be stateless: disabled tracing may not "
-              "accumulate anything");
-
 // Hands out trace ids and forwards finished traces. Default-constructed =
 // disabled; components keep a Tracer by value and never null-check a sink
 // themselves.
 class Tracer {
  public:
   Tracer() = default;
-  explicit Tracer(TraceSink* sink) : sink_(sink) {}
+  explicit Tracer(InMemoryTraceSink* sink) : sink_(sink) {}
 
   bool enabled() const { return sink_ != nullptr; }
   uint64_t NextId() { return next_id_++; }
@@ -145,7 +108,7 @@ class Tracer {
   }
 
  private:
-  TraceSink* sink_ = nullptr;
+  InMemoryTraceSink* sink_ = nullptr;
   uint64_t next_id_ = 0;
 };
 
@@ -210,9 +173,6 @@ class TraceBuilder {
     tracer_->Emit(std::move(trace_));
     tracer_ = nullptr;
   }
-
-  // Drops the trace without emitting (e.g. a nested call took over).
-  void Abandon() { tracer_ = nullptr; }
 
  private:
   Tracer* tracer_ = nullptr;

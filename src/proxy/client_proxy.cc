@@ -56,17 +56,18 @@ ClientProxy::ClientProxy(const ProxyConfig& config, uint64_t client_id,
       auditor_(deps.auditor),
       browser_cache_(/*shared=*/false, config.browser_cache_bytes),
       coherence_(deps.coherence),
-      coherence_client_(deps.coherence != nullptr
-                            ? deps.coherence->NewClient(
-                                  config.sketch_refresh_interval)
-                            : nullptr),
       rng_(Mix64(client_id ^ 0xba0c0ffeeULL), client_id * 2 + 1),
       own_stats_(deps.stats_sink ? nullptr : new ProxyStats()),
       stats_(deps.stats_sink ? deps.stats_sink : own_stats_.get()),
       last_active_(deps.clock->Now()),
       tracer_(deps.tracer),
       trace_(deps.tracer != nullptr ? std::make_unique<obs::TraceBuilder>()
-                                    : nullptr) {}
+                                    : nullptr) {
+  if (config_.enabled && coherence_ != nullptr &&
+      coherence_->sketch() != nullptr) {
+    sketch_.emplace(coherence_->config().delta);
+  }
+}
 
 FetchResult ClientProxy::Fetch(std::string_view url_text) {
   auto url = http::Url::Parse(url_text);
@@ -135,15 +136,13 @@ FetchResult ClientProxy::FetchDecide(const http::Url& url) {
   Duration overhead =
       config_.enabled ? config_.device_overhead : Duration::Zero();
 
-  bool use_sketch =
-      config_.enabled && config_.use_sketch && coherence_client_ != nullptr;
-  Duration refresh_latency = use_sketch
-                                 ? MaybeRefreshSketchLatency(/*txn_begin=*/false)
-                                 : Duration::Zero();
+  Duration refresh_latency =
+      sketch_ ? MaybeRefreshSketchLatency(/*txn_begin=*/false)
+              : Duration::Zero();
 
   // One coherence verdict drives the whole flow: a flagged key must bypass
   // every expiration-based cache between the device and the origin.
-  bool flagged = use_sketch && coherence_client_->MustRevalidate(key);
+  bool flagged = sketch_ && sketch_->MightBeStale(key);
 
   // Trace attribution for the legs every path shares. A sketch refresh
   // only serializes with cache serves (network fetches overlap it); the
@@ -215,8 +214,8 @@ FetchResult ClientProxy::FetchDecide(const http::Url& url) {
 
 Duration ClientProxy::MaybeRefreshSketchLatency(bool txn_begin) {
   SimTime now = clock_->Now();
-  bool due = txn_begin ? coherence_client_->NeedsTxnRefresh(now)
-                       : coherence_client_->NeedsRefresh(now);
+  bool due = txn_begin ? sketch_->Age(now) > Duration::Zero()
+                       : sketch_->NeedsRefresh(now);
   if (!due) return Duration::Zero();
   if (!origin_->available()) return Duration::Zero();  // keep the old snapshot
   if (!network_->Delivered(sim::Link::kClientEdge, now)) {
@@ -232,7 +231,7 @@ Duration ClientProxy::MaybeRefreshSketchLatency(bool txn_begin) {
   // The published filter is shared across every client of the fleet; the
   // wire-byte count still reflects the serialized form so transfer
   // accounting is unchanged.
-  size_t wire_bytes = coherence_client_->InstallRefresh(now);
+  size_t wire_bytes = coherence_->publication().InstallInto(&*sketch_, now);
   stats_->sketch_refreshes++;
   stats_->sketch_bytes += wire_bytes;
   // The sketch service answers from the edge tier.
@@ -242,18 +241,12 @@ Duration ClientProxy::MaybeRefreshSketchLatency(bool txn_begin) {
 TxnResult ClientProxy::FetchTxn(const std::vector<std::string>& urls) {
   stats_->txn_begins++;
   TxnResult txn;
-  coherence::CoherenceMode mode = coherence_ != nullptr
-                                      ? coherence_->mode()
-                                      : coherence::CoherenceMode::kFixedTtl;
 
   // Δ-atomic: force a snapshot taken at the transaction's own instant so
   // every member read consults one boundary picture. The refresh gates
   // all of the reads' cache serves, so it serializes with them.
-  Duration setup = Duration::Zero();
-  if (mode == coherence::CoherenceMode::kDeltaAtomic && config_.enabled &&
-      config_.use_sketch && coherence_client_ != nullptr) {
-    setup = MaybeRefreshSketchLatency(/*txn_begin=*/true);
-  }
+  Duration setup = sketch_ ? MaybeRefreshSketchLatency(/*txn_begin=*/true)
+                           : Duration::Zero();
 
   // All reads issue at the same sim instant; the read span is the slowest
   // member (the page fires them in parallel).
@@ -266,7 +259,8 @@ TxnResult ClientProxy::FetchTxn(const std::vector<std::string>& urls) {
   }
   txn.latency = setup + read_span;
 
-  if (mode == coherence::CoherenceMode::kSerializable) {
+  if (coherence_ != nullptr &&
+      coherence_->mode() == coherence::CoherenceMode::kSerializable) {
     if (!ValidateTxn(urls, &txn)) txn.aborted = true;
   }
   if (txn.aborted) {

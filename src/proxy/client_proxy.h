@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,20 +92,22 @@ struct TxnResult {
   bool aborted = false; // serializable only: retry budget exhausted
 };
 
+// Whether a client checks a Cache Sketch is not configured here: an
+// enabled proxy keeps one exactly when its coherence tier does (see
+// ProxyDeps::coherence).
 struct ProxyConfig {
   bool enabled = true;      // false: vanilla browser (cache + origin only)
   bool use_cdn = true;
-  bool use_sketch = true;
   bool gdpr_mode = true;    // user blocks via on-device join
   bool offline_mode = true;
   // Serve TTL-expired (but sketch-clean) copies instantly and revalidate
-  // in the background. Safe: a genuinely changed key is flagged by the
-  // sketch and never takes this path.
+  // in the background. Safe under a sketch: a genuinely changed key is
+  // flagged and never takes this path, so the stack's default turns it on
+  // only when the coherence tier keeps one.
   bool stale_while_revalidate = true;
   // Rewrite /assets/ requests to the optimized variant (skopt=1): fewer
   // bytes per asset via the acceleration service's transcoding.
   bool optimize_assets = true;
-  Duration sketch_refresh_interval = Duration::Seconds(30);  // Δ
   size_t browser_cache_bytes = 50u * 1024 * 1024;
   // Service-worker interception cost per request on the device.
   Duration device_overhead = Duration::Micros(300);
@@ -256,8 +259,11 @@ struct ProxyDeps {
   sim::Network* network = nullptr;
   cache::Cdn* cdn = nullptr;
   origin::OriginServer* origin = nullptr;
-  // The stack's coherence tier. May be null (tests without coherence):
-  // the client then has no sketch and FetchTxn behaves as fixed-TTL.
+  // The stack's coherence tier. When it keeps a sketch (Δ-atomic mode) an
+  // enabled client holds its own sketch::ClientSketch, refreshed from the
+  // tier's publication every CoherenceConfig::delta; in serializable mode
+  // FetchTxn validates against it. May be null: the client then has no
+  // sketch and FetchTxn behaves as fixed-TTL.
   coherence::CoherenceProtocol* coherence = nullptr;
   personalization::BoundaryAuditor* auditor = nullptr;
   obs::Tracer* tracer = nullptr;
@@ -303,13 +309,6 @@ class ClientProxy {
   cache::HttpCache& browser_cache() {
     EnsureThawed();
     return browser_cache_;
-  }
-  // This client's sketch view, owned by its coherence handle; null when
-  // the coherence mode keeps no client sketch (serializable, fixed-TTL,
-  // or no protocol wired at all).
-  sketch::ClientSketch* client_sketch() {
-    return coherence_client_ != nullptr ? coherence_client_->client_sketch()
-                                        : nullptr;
   }
   // In sink mode (ProxyDeps::stats_sink set) this is the shared aggregate,
   // not this client's own traffic.
@@ -420,10 +419,10 @@ class ClientProxy {
   FetchResult ServeFromEntry(const cache::CacheEntry& entry,
                              ServedFrom source, Duration latency);
 
-  // Refreshes the sketch snapshot if due; returns the added latency.
-  // `txn_begin` asks the coherence handle's transaction-grade freshness
-  // check (Δ-atomic: any nonzero snapshot age is "due", so the reads cut
-  // one boundary picture) instead of the per-request Δ check.
+  // Refreshes the sketch snapshot if due; returns the added latency. Call
+  // only with a sketch. A request's snapshot is due after Δ; at
+  // `txn_begin` any nonzero age is due, because only a snapshot taken at
+  // the transaction's own instant proves none of its reads is stale.
   Duration MaybeRefreshSketchLatency(bool txn_begin);
 
   // Serializable validation loop (see FetchTxn). Returns false when the
@@ -453,11 +452,11 @@ class ClientProxy {
   const personalization::PiiVault* vault_ = nullptr;
 
   cache::HttpCache browser_cache_;
-  // The stack's coherence tier (may be null) and this client's per-client
-  // handle into it (sketch view, refresh decisions; null iff coherence_
-  // is null).
+  // The stack's coherence tier (may be null) and this client's view of its
+  // sketch: present only when the proxy is enabled and the tier keeps a
+  // sketch. Every request refreshes it when due and checks its key in it.
   coherence::CoherenceProtocol* coherence_;
-  std::unique_ptr<coherence::ClientCoherence> coherence_client_;
+  std::optional<sketch::ClientSketch> sketch_;
   // Drives retry-backoff jitter only. Seeded from the client id — not the
   // stack's stream — so attaching fault handling does not perturb any
   // pre-existing draw sequence (network latencies, traffic).

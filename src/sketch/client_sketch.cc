@@ -12,29 +12,19 @@ bool ClientSketch::NeedsRefresh(SimTime now) const {
 Status ClientSketch::Update(std::string_view serialized, SimTime now) {
   auto filter = BloomFilter::Deserialize(serialized);
   if (!filter.ok()) return filter.status();
-  Install(std::make_shared<const BloomFilter>(std::move(filter).value()),
-          serialized.size(), now);
+  Install(std::make_shared<const BloomFilter>(std::move(filter).value()), now);
   return Status::Ok();
 }
 
 void ClientSketch::Install(std::shared_ptr<const BloomFilter> filter,
-                           size_t wire_bytes, SimTime now) {
+                           SimTime now) {
   filter_ = std::move(filter);
   has_snapshot_ = true;
   fetched_at_ = now;
-  stats_.refreshes++;
-  stats_.bytes_fetched += wire_bytes;
 }
 
-bool ClientSketch::MightBeStale(std::string_view key) {
-  stats_.checks++;
-  if (!has_snapshot_) {
-    stats_.positives++;
-    return true;
-  }
-  bool positive = filter_->MightContain(key);
-  if (positive) stats_.positives++;
-  return positive;
+bool ClientSketch::MightBeStale(std::string_view key) const {
+  return !has_snapshot_ || filter_->MightContain(key);
 }
 
 }  // namespace speedkit::sketch

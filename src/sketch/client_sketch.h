@@ -9,7 +9,6 @@
 #ifndef SPEEDKIT_SKETCH_CLIENT_SKETCH_H_
 #define SPEEDKIT_SKETCH_CLIENT_SKETCH_H_
 
-#include <cstdint>
 #include <memory>
 #include <string_view>
 
@@ -22,13 +21,6 @@ class SketchPublication;
 }  // namespace speedkit::coherence
 
 namespace speedkit::sketch {
-
-struct ClientSketchStats {
-  uint64_t refreshes = 0;
-  uint64_t bytes_fetched = 0;
-  uint64_t checks = 0;
-  uint64_t positives = 0;  // "might be stale" answers
-};
 
 class ClientSketch {
  public:
@@ -45,7 +37,7 @@ class ClientSketch {
   // Membership check against the last snapshot. `true` means the cached
   // copy must be revalidated; `false` means it is safe to serve (up to the
   // snapshot's age in staleness).
-  bool MightBeStale(std::string_view key);
+  bool MightBeStale(std::string_view key) const;
 
   bool HasSnapshot() const { return has_snapshot_; }
   // The installed snapshot filter (null before the first refresh).
@@ -56,19 +48,14 @@ class ClientSketch {
     return has_snapshot_ ? now - fetched_at_ : Duration::Max();
   }
 
-  const ClientSketchStats& stats() const { return stats_; }
-
  private:
   // Fleet-shared installs flow through the coherence tier's publication
   // handle only: it is the one caller that can guarantee the filter is
-  // the published immutable view with its matching wire size.
+  // the published immutable view.
   friend class speedkit::coherence::SketchPublication;
 
   // Installs a pre-deserialized snapshot shared across the whole fleet.
-  // `wire_bytes` is what the serialized form would have cost, so transfer
-  // accounting matches Update exactly.
-  void Install(std::shared_ptr<const BloomFilter> filter, size_t wire_bytes,
-               SimTime now);
+  void Install(std::shared_ptr<const BloomFilter> filter, SimTime now);
 
   Duration refresh_interval_;
   // Shared and immutable: a million clients refreshed inside the same Δ
@@ -76,7 +63,6 @@ class ClientSketch {
   std::shared_ptr<const BloomFilter> filter_;
   bool has_snapshot_ = false;
   SimTime fetched_at_;
-  ClientSketchStats stats_;
 };
 
 }  // namespace speedkit::sketch

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 
 namespace speedkit::cache {
@@ -19,6 +20,26 @@ http::HttpResponse CacheableResponse() {
   resp.headers.Set("Cache-Control", "public, max-age=60");
   resp.generated_at = At(0);
   return resp;
+}
+
+TEST(OriginFlightModeTest, NamesRoundTripThroughParse) {
+  for (OriginFlightMode mode : {OriginFlightMode::kInstant,
+                                OriginFlightMode::kHerd,
+                                OriginFlightMode::kCoalesce}) {
+    OriginFlightMode parsed = OriginFlightMode::kInstant;
+    ASSERT_TRUE(
+        ParseOriginFlightMode(OriginFlightModeName(mode), &parsed).ok());
+    EXPECT_EQ(parsed, mode);
+  }
+}
+
+TEST(OriginFlightModeTest, UnknownNameIsInvalidArgument) {
+  OriginFlightMode mode = OriginFlightMode::kHerd;
+  // A misspelling used to run coalesce silently.
+  Status s = ParseOriginFlightMode("hrd", &mode);
+  EXPECT_TRUE(s.IsInvalidArgument());
+  EXPECT_NE(s.ToString().find("coalesce"), std::string::npos);
+  EXPECT_EQ(mode, OriginFlightMode::kHerd);  // not written on failure
 }
 
 TEST(CdnTest, RoutingIsStablePerClient) {

@@ -1,17 +1,15 @@
 // Unit coverage for the pluggable coherence tier's building blocks: mode
-// parsing, typed config validation, protocol construction/normalization,
-// serializable read-vector validation, and the staleness tracker's
-// snapshot-consistency check (the E18 anomaly audit).
+// parsing, typed config validation, serializable read-vector validation,
+// and the staleness tracker's snapshot-consistency check (the E18 anomaly
+// audit). Which stack and client keep a sketch is covered in
+// tests/core/stack_test.cc.
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "coherence/delta_atomic.h"
-#include "coherence/fixed_ttl.h"
 #include "coherence/protocol.h"
-#include "coherence/serializable.h"
 #include "coherence/staleness.h"
 
 namespace speedkit::coherence {
@@ -66,66 +64,8 @@ TEST(CoherenceConfigTest, RejectsOutOfRangeKnobs) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
-TEST(MakeCoherenceProtocolTest, DeltaAtomicOwnsSketchAndWantsInvalidations) {
-  auto protocol = MakeCoherenceProtocol(
-      SmallConfig(CoherenceMode::kDeltaAtomic), /*sketch_variant=*/true);
-  EXPECT_EQ(protocol->mode(), CoherenceMode::kDeltaAtomic);
-  EXPECT_NE(protocol->sketch(), nullptr);
-  EXPECT_TRUE(protocol->WantsInvalidations());
-  EXPECT_TRUE(protocol->AdmitStaleWhileRevalidate());
-  auto client = protocol->NewClient(Duration::Seconds(10));
-  EXPECT_NE(client->client_sketch(), nullptr);
-  // Fresh client: no snapshot yet, so both refresh gates fire.
-  EXPECT_TRUE(client->NeedsRefresh(At(0)));
-  EXPECT_TRUE(client->NeedsTxnRefresh(At(0)));
-}
-
-TEST(MakeCoherenceProtocolTest, SketchlessModesRunWithoutASketch) {
-  for (CoherenceMode mode :
-       {CoherenceMode::kSerializable, CoherenceMode::kFixedTtl}) {
-    auto protocol =
-        MakeCoherenceProtocol(SmallConfig(mode), /*sketch_variant=*/true);
-    EXPECT_EQ(protocol->mode(), mode);
-    EXPECT_EQ(protocol->sketch(), nullptr);
-    EXPECT_FALSE(protocol->WantsInvalidations());
-    EXPECT_FALSE(protocol->AdmitStaleWhileRevalidate());
-    auto client = protocol->NewClient(Duration::Seconds(10));
-    EXPECT_EQ(client->client_sketch(), nullptr);
-    EXPECT_FALSE(client->NeedsRefresh(At(0)));
-    EXPECT_FALSE(client->NeedsTxnRefresh(At(0)));
-    EXPECT_FALSE(client->MustRevalidate("any"));
-  }
-}
-
-// Baseline system variants hard-wire their coherence; whatever mode the
-// config asks for, they get the fixed-TTL protocol and mode() tells the
-// truth about it.
-TEST(MakeCoherenceProtocolTest, NonSketchVariantsNormalizeToFixedTtl) {
-  for (CoherenceMode mode :
-       {CoherenceMode::kDeltaAtomic, CoherenceMode::kSerializable,
-        CoherenceMode::kFixedTtl}) {
-    auto protocol =
-        MakeCoherenceProtocol(SmallConfig(mode), /*sketch_variant=*/false);
-    EXPECT_EQ(protocol->mode(), CoherenceMode::kFixedTtl);
-    EXPECT_EQ(protocol->sketch(), nullptr);
-  }
-}
-
-// Δ-atomic's transaction gate is stricter than the per-read cadence: any
-// nonzero snapshot age forces a refresh at the txn instant.
-TEST(DeltaAtomicClientTest, TxnRefreshDemandsZeroAgeSnapshot) {
-  DeltaAtomicProtocol protocol(SmallConfig(CoherenceMode::kDeltaAtomic));
-  auto client = protocol.NewClient(Duration::Seconds(10));
-  ASSERT_GT(client->InstallRefresh(At(0)), 0u);
-  // Within Δ the per-read gate is satisfied...
-  EXPECT_FALSE(client->NeedsRefresh(At(5)));
-  // ...but a transaction at t=5 cannot trust a t=0 snapshot.
-  EXPECT_TRUE(client->NeedsTxnRefresh(At(5)));
-  EXPECT_FALSE(client->NeedsTxnRefresh(At(0)));
-}
-
 TEST(SerializableProtocolTest, StaleReadIndexesFlagsHeadMismatchesOnly) {
-  SerializableProtocol protocol(SmallConfig(CoherenceMode::kSerializable));
+  CoherenceProtocol protocol(SmallConfig(CoherenceMode::kSerializable));
   protocol.OnVersion("a", 1, At(0));
   protocol.OnVersion("a", 2, At(1));
   protocol.OnVersion("b", 7, At(2));

@@ -69,7 +69,6 @@ TEST(SketchPublicationTest, InstallMatchesTheSerializedBytes) {
   size_t wire_bytes = publication.InstallInto(&client, At(1));
   std::shared_ptr<const std::string> bytes = publication.Serialized(At(1));
   EXPECT_EQ(wire_bytes, bytes->size());
-  EXPECT_EQ(client.stats().bytes_fetched, wire_bytes);
   auto decoded = sketch::BloomFilter::Deserialize(*bytes);
   ASSERT_TRUE(decoded.ok());
   ASSERT_NE(client.filter(), nullptr);

@@ -1,5 +1,7 @@
 #include "core/stack.h"
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace speedkit::core {
@@ -13,9 +15,7 @@ TEST(StackTest, SpeedKitVariantWiresEverything) {
   EXPECT_EQ(stack.cdn().num_edges(), config.cdn_edges);
   proxy::ProxyConfig pc = stack.DefaultProxyConfig();
   EXPECT_TRUE(pc.enabled);
-  EXPECT_TRUE(pc.use_sketch);
   EXPECT_TRUE(pc.use_cdn);
-  EXPECT_EQ(pc.sketch_refresh_interval, config.coherence.delta);
 }
 
 TEST(StackTest, FixedTtlCdnHasNoCoherence) {
@@ -24,7 +24,6 @@ TEST(StackTest, FixedTtlCdnHasNoCoherence) {
   SpeedKitStack stack(config);
   EXPECT_EQ(stack.sketch(), nullptr);
   EXPECT_EQ(stack.pipeline(), nullptr);
-  EXPECT_FALSE(stack.DefaultProxyConfig().use_sketch);
 }
 
 TEST(StackTest, NoCachingDisablesEverything) {
@@ -43,7 +42,57 @@ TEST(StackTest, PureInvalidationKeepsPipelineDropsSketch) {
   SpeedKitStack stack(config);
   EXPECT_EQ(stack.sketch(), nullptr);
   EXPECT_NE(stack.pipeline(), nullptr);
-  EXPECT_FALSE(stack.DefaultProxyConfig().use_sketch);
+}
+
+// The sketch decision lives in one place: the stack's protocol keeps a
+// sketch only for speed_kit in Δ-atomic mode (baselines run fixed_ttl
+// whatever mode is asked), and a default client checks a sketch of its
+// own exactly then. Its refresh rules: once per Δ for single reads, and
+// at zero age for a transaction.
+TEST(StackTest, OnlySpeedKitDeltaAtomicClientsRefreshASketch) {
+  const std::string url = "https://shop.example.com/api/records/p1";
+  for (SystemVariant variant :
+       {SystemVariant::kSpeedKit, SystemVariant::kFixedTtlCdn,
+        SystemVariant::kNoCaching, SystemVariant::kPureInvalidation}) {
+    for (coherence::CoherenceMode mode :
+         {coherence::CoherenceMode::kDeltaAtomic,
+          coherence::CoherenceMode::kSerializable,
+          coherence::CoherenceMode::kFixedTtl}) {
+      SCOPED_TRACE(std::string(SystemVariantName(variant)) + " " +
+                   std::string(coherence::CoherenceModeName(mode)));
+      StackConfig config;
+      config.variant = variant;
+      config.coherence.mode = mode;
+      config.coherence.delta = Duration::Seconds(10);
+      SpeedKitStack stack(config);
+      stack.store().Put("p1", {{"price", 10.0}}, stack.clock().Now());
+      stack.Advance(Duration::Seconds(1));
+
+      const bool baseline = variant != SystemVariant::kSpeedKit;
+      const bool keeps_sketch =
+          !baseline && mode == coherence::CoherenceMode::kDeltaAtomic;
+      EXPECT_EQ(stack.coherence_protocol().mode(),
+                baseline ? coherence::CoherenceMode::kFixedTtl : mode);
+      EXPECT_EQ(stack.sketch() != nullptr, keeps_sketch);
+      // SWR is safe only when a sketch flags every changed key.
+      EXPECT_EQ(stack.DefaultProxyConfig().stale_while_revalidate,
+                keeps_sketch);
+
+      auto client = stack.MakeClient(1);
+      client->Fetch(url);
+      EXPECT_EQ(client->stats().sketch_refreshes, keeps_sketch ? 1u : 0u);
+      if (!keeps_sketch) continue;
+
+      stack.Advance(Duration::Seconds(5));
+      client->Fetch(url);  // the snapshot is 5 s old, inside Δ
+      EXPECT_EQ(client->stats().sketch_refreshes, 1u);
+      client->FetchTxn({url});  // a transaction needs a zero-age snapshot
+      EXPECT_EQ(client->stats().sketch_refreshes, 2u);
+      stack.Advance(config.coherence.delta);
+      client->Fetch(url);  // the snapshot is Δ old
+      EXPECT_EQ(client->stats().sketch_refreshes, 3u);
+    }
+  }
 }
 
 TEST(StackTest, VariantNames) {

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coherence/delta_atomic.h"
+#include "coherence/protocol.h"
 #include "origin/origin_server.h"
 #include "sketch/client_sketch.h"
 #include "ttl/ttl_policy.h"
@@ -63,7 +63,7 @@ class PipelineTest : public ::testing::Test {
   sim::SimClock clock_;
   sim::EventQueue events_;
   cache::Cdn cdn_;
-  coherence::DeltaAtomicProtocol protocol_;
+  coherence::CoherenceProtocol protocol_;
   storage::ObjectStore store_;
   ttl::FixedTtlPolicy ttl_policy_;
   origin::OriginServer origin_;

@@ -76,17 +76,6 @@ TEST(TraceBuilderTest, AddSpanAtDoesNotMoveCursor) {
   EXPECT_EQ(t.spans[2].start_us, 0);
 }
 
-TEST(TraceBuilderTest, AbandonEmitsNothing) {
-  InMemoryTraceSink sink;
-  Tracer tracer(&sink);
-  TraceBuilder b;
-  b.Begin(&tracer, kTraceKindRequest, "/p/1", SimTime());
-  b.AddSpan("proxy.overhead", kTierProxy, Duration::Millis(1));
-  b.Abandon();
-  EXPECT_FALSE(b.active());
-  EXPECT_EQ(sink.emitted(), 0u);
-}
-
 TEST(InMemoryTraceSinkTest, CapCountsDropsInsteadOfLosingThemSilently) {
   InMemoryTraceSink sink(/*max_traces=*/2);
   Tracer tracer(&sink);

@@ -11,7 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cdn.h"
-#include "coherence/delta_atomic.h"
+#include "coherence/protocol.h"
 #include "invalidation/predicate.h"
 #include "origin/origin_server.h"
 #include "proxy/client_pool.h"
@@ -37,12 +37,19 @@ class SettableTtlPolicy : public ttl::TtlPolicy {
   Duration ttl = Duration::Seconds(60);
 };
 
+// Δ = 10 s, so tests can step past a sketch refresh.
+coherence::CoherenceConfig Coherence() {
+  coherence::CoherenceConfig config;
+  config.delta = Duration::Seconds(10);
+  return config;
+}
+
 // One edge, so every client routes to it.
 struct World {
   World()
       : network(sim::NetworkConfig::Instant(), Pcg32(1)),
         cdn(1, 0),
-        protocol(coherence::CoherenceConfig()),
+        protocol(Coherence()),
         ttl_policy(Duration::Seconds(60)),
         origin(origin::OriginConfig{}, &clock, &store, &ttl_policy,
                &protocol.publication()) {
@@ -66,18 +73,12 @@ struct World {
   sim::SimClock clock;
   sim::Network network;
   cache::Cdn cdn;
-  coherence::DeltaAtomicProtocol protocol;
+  coherence::CoherenceProtocol protocol;
   storage::ObjectStore store;
   ttl::FixedTtlPolicy ttl_policy;
   origin::OriginServer origin;
   const std::string key = http::Url::Parse(kRecordUrl)->CacheKey();
 };
-
-ProxyConfig SpeedKitConfig() {
-  ProxyConfig pc;
-  pc.sketch_refresh_interval = Duration::Seconds(10);
-  return pc;
-}
 
 TEST(BodySharingTest, ClientsBehindOneEdgeShareTheRenderedBuffer) {
   World w;
@@ -85,7 +86,7 @@ TEST(BodySharingTest, ClientsBehindOneEdgeShareTheRenderedBuffer) {
   std::vector<ClientProxy*> clients;
   std::vector<FetchResult> results;
   for (uint64_t id = 1; id <= 4; ++id) {
-    clients.push_back(pool.MakeClient(SpeedKitConfig(), id));
+    clients.push_back(pool.MakeClient(ProxyConfig(), id));
     results.push_back(clients.back()->Fetch(kRecordUrl));
     ASSERT_TRUE(results.back().response.ok());
   }
@@ -113,7 +114,7 @@ TEST(BodySharingTest, ClientsBehindOneEdgeShareTheRenderedBuffer) {
 
 TEST(BodySharingTest, SpilledCacheThawsOntoTheSameBuffer) {
   World w;
-  ClientProxy client(SpeedKitConfig(), 1, w.Deps());
+  ClientProxy client(ProxyConfig(), 1, w.Deps());
   ASSERT_TRUE(client.Fetch(kRecordUrl).response.ok());
   const http::HttpResponse held = w.BrowserResponse(&client);
   ASSERT_TRUE(held.headers.SharesStorageWith(
@@ -139,7 +140,7 @@ TEST(BodySharingTest, FrozenBlobHoldsNoSlack) {
   for (int i = 2; i <= 13; ++i) {
     w.store.Put("p" + std::to_string(i), {{"price", 10.0}}, w.clock.Now());
   }
-  ClientProxy client(SpeedKitConfig(), 1, w.Deps());
+  ClientProxy client(ProxyConfig(), 1, w.Deps());
   for (int i = 1; i <= 13; ++i) {
     std::string url =
         "https://shop.example.com/api/records/p" + std::to_string(i);
@@ -241,8 +242,8 @@ TEST(BodySharingTest, QueryVersionsShareUnchangedRecordFragments) {
   EXPECT_EQ(second.body.ToString(), flat);
 
   ClientPool pool(ClientPoolConfig{}, w.Deps());
-  ClientProxy* a = pool.MakeClient(SpeedKitConfig(), 1);
-  ClientProxy* b = pool.MakeClient(SpeedKitConfig(), 2);
+  ClientProxy* a = pool.MakeClient(ProxyConfig(), 1);
+  ClientProxy* b = pool.MakeClient(ProxyConfig(), 2);
   EXPECT_EQ(a->Fetch(kQueryUrl).source, ServedFrom::kOrigin);
   EXPECT_EQ(b->Fetch(kQueryUrl).source, ServedFrom::kEdgeCache);
   const std::string key = http::Url::Parse(kQueryUrl)->CacheKey();

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cdn.h"
-#include "coherence/delta_atomic.h"
+#include "coherence/protocol.h"
 #include "common/chunked_pool.h"
 #include "origin/origin_server.h"
 #include "sim/clock.h"
@@ -24,6 +24,13 @@ namespace {
 
 constexpr char kRecordUrl[] = "https://shop.example.com/api/records/p1";
 
+// Δ = 10 s, so tests can step past a sketch refresh.
+coherence::CoherenceConfig Coherence() {
+  coherence::CoherenceConfig config;
+  config.delta = Duration::Seconds(10);
+  return config;
+}
+
 // One isolated server side (clock, network, CDN, origin). Comparative
 // tests build two of these so the reference run and the run under test
 // never share cache or sketch state.
@@ -32,7 +39,7 @@ struct World {
       : network(sim::NetworkConfig::Instant(), Pcg32(1)),
         events(&clock),
         cdn(2, 0),
-        protocol(coherence::CoherenceConfig()),
+        protocol(Coherence()),
         ttl_policy(Duration::Seconds(60)),
         origin(origin::OriginConfig{}, &clock, &store, &ttl_policy,
                &protocol.publication()) {
@@ -55,7 +62,7 @@ struct World {
   sim::Network network;
   sim::EventQueue events;
   cache::Cdn cdn;
-  coherence::DeltaAtomicProtocol protocol;
+  coherence::CoherenceProtocol protocol;
   storage::ObjectStore store;
   ttl::FixedTtlPolicy ttl_policy;
   origin::OriginServer origin;
@@ -63,7 +70,6 @@ struct World {
 
 ProxyConfig SpeedKitConfig() {
   ProxyConfig pc;
-  pc.sketch_refresh_interval = Duration::Seconds(10);
   pc.device_overhead = Duration::Zero();
   return pc;
 }

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coherence/delta_atomic.h"
+#include "coherence/protocol.h"
 #include "invalidation/pipeline.h"
 
 namespace speedkit::proxy {
@@ -18,7 +18,7 @@ class ClientProxyTest : public ::testing::Test {
       : network_(sim::NetworkConfig::Instant(), Pcg32(1)),
         events_(&clock_),
         cdn_(2, 0),
-        protocol_(coherence::CoherenceConfig()),
+        protocol_(Coherence()),
         ttl_policy_(Duration::Seconds(60)),
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),
@@ -33,6 +33,13 @@ class ClientProxyTest : public ::testing::Test {
     events_.RunUntil(clock_.Now() + Duration::Seconds(1));
   }
 
+  // Δ = 10 s, so tests can step past a sketch refresh.
+  static coherence::CoherenceConfig Coherence() {
+    coherence::CoherenceConfig config;
+    config.delta = Duration::Seconds(10);
+    return config;
+  }
+
   static invalidation::PipelineConfig PipelineConfig() {
     invalidation::PipelineConfig config;
     config.purge_median_delay = Duration::Millis(50);
@@ -42,18 +49,19 @@ class ClientProxyTest : public ::testing::Test {
 
   ProxyConfig SpeedKitConfig() {
     ProxyConfig pc;
-    pc.sketch_refresh_interval = Duration::Seconds(10);
     pc.device_overhead = Duration::Zero();
     return pc;
   }
 
-  ClientProxy MakeProxy(const ProxyConfig& pc, uint64_t id = 1) {
+  // Without the coherence tier in its deps the proxy keeps no sketch.
+  ClientProxy MakeProxy(const ProxyConfig& pc, uint64_t id = 1,
+                        bool with_sketch = true) {
     ProxyDeps deps;
     deps.clock = &clock_;
     deps.network = &network_;
     deps.cdn = &cdn_;
     deps.origin = &origin_;
-    deps.coherence = &protocol_;
+    deps.coherence = with_sketch ? &protocol_ : nullptr;
     return ClientProxy(pc, id, deps);
   }
 
@@ -67,7 +75,7 @@ class ClientProxyTest : public ::testing::Test {
   sim::Network network_;
   sim::EventQueue events_;
   cache::Cdn cdn_;
-  coherence::DeltaAtomicProtocol protocol_;
+  coherence::CoherenceProtocol protocol_;
   storage::ObjectStore store_;
   ttl::FixedTtlPolicy ttl_policy_;
   origin::OriginServer origin_;
@@ -141,9 +149,7 @@ TEST_F(ClientProxyTest, UnchangedFlaggedKeyRevalidatesWith304) {
 }
 
 TEST_F(ClientProxyTest, WithoutSketchServesStaleUntilTtl) {
-  ProxyConfig pc = SpeedKitConfig();
-  pc.use_sketch = false;
-  ClientProxy proxy = MakeProxy(pc);
+  ClientProxy proxy = MakeProxy(SpeedKitConfig(), 1, /*with_sketch=*/false);
   proxy.Fetch(kRecordUrl);  // v1, TTL 60s
   WriteP1(11.0);            // v2
   Advance(Duration::Seconds(10));

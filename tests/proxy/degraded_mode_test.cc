@@ -6,7 +6,7 @@
 
 #include <memory>
 
-#include "coherence/delta_atomic.h"
+#include "coherence/protocol.h"
 #include "invalidation/pipeline.h"
 #include "proxy/client_proxy.h"
 #include "sim/fault_schedule.h"
@@ -24,7 +24,7 @@ class DegradedModeTest : public ::testing::Test {
       : network_(sim::NetworkConfig::Instant(), Pcg32(1)),
         events_(&clock_),
         cdn_(2, 0),
-        protocol_(coherence::CoherenceConfig()),
+        protocol_(Coherence()),
         ttl_policy_(Duration::Seconds(60)),
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),
@@ -33,6 +33,13 @@ class DegradedModeTest : public ::testing::Test {
     origin_.SetPipeline(&pipeline_);
     store_.Put("p1", {{"price", 10.0}}, clock_.Now());
     events_.RunUntil(clock_.Now() + Duration::Seconds(1));
+  }
+
+  // Δ = 10 s, so tests can step past a sketch refresh.
+  static coherence::CoherenceConfig Coherence() {
+    coherence::CoherenceConfig config;
+    config.delta = Duration::Seconds(10);
+    return config;
   }
 
   static invalidation::PipelineConfig PipelineConfig() {
@@ -44,18 +51,19 @@ class DegradedModeTest : public ::testing::Test {
 
   ProxyConfig SpeedKitConfig() {
     ProxyConfig pc;
-    pc.sketch_refresh_interval = Duration::Seconds(10);
     pc.device_overhead = Duration::Zero();
     return pc;
   }
 
-  ClientProxy MakeProxy(const ProxyConfig& pc, uint64_t id = 1) {
+  // Without the coherence tier in its deps the proxy keeps no sketch.
+  ClientProxy MakeProxy(const ProxyConfig& pc, uint64_t id = 1,
+                        bool with_sketch = true) {
     ProxyDeps deps;
     deps.clock = &clock_;
     deps.network = &network_;
     deps.cdn = &cdn_;
     deps.origin = &origin_;
-    deps.coherence = &protocol_;
+    deps.coherence = with_sketch ? &protocol_ : nullptr;
     return ClientProxy(pc, id, deps);
   }
 
@@ -77,7 +85,7 @@ class DegradedModeTest : public ::testing::Test {
   sim::Network network_;
   sim::EventQueue events_;
   cache::Cdn cdn_;
-  coherence::DeltaAtomicProtocol protocol_;
+  coherence::CoherenceProtocol protocol_;
   storage::ObjectStore store_;
   ttl::FixedTtlPolicy ttl_policy_;
   origin::OriginServer origin_;
@@ -90,9 +98,8 @@ TEST_F(DegradedModeTest, ClientEdgeLinkDownFallsBackToPassThrough) {
   fc.client_edge.windows.push_back(Window(0, 1000));
   AttachFaults(fc);
 
-  ProxyConfig pc = SpeedKitConfig();
-  pc.use_sketch = false;  // keep sketch-refresh traffic out of the counters
-  ClientProxy proxy = MakeProxy(pc);
+  // No sketch: keep sketch-refresh traffic out of the counters.
+  ClientProxy proxy = MakeProxy(SpeedKitConfig(), 1, /*with_sketch=*/false);
   FetchResult r = proxy.Fetch(kRecordUrl);
 
   // Edge path exhausted its attempts, then the reroute to the original
@@ -108,12 +115,10 @@ TEST_F(DegradedModeTest, ClientEdgeLinkDownFallsBackToPassThrough) {
 }
 
 TEST_F(DegradedModeTest, EdgeNodeOutageReroutesWithoutRetries) {
-  ProxyConfig pc = SpeedKitConfig();
-  pc.use_sketch = false;
   int edge = cdn_.RouteFor(1);
   cdn_.SetEdgeDown(edge, true);
 
-  ClientProxy proxy = MakeProxy(pc);
+  ClientProxy proxy = MakeProxy(SpeedKitConfig(), 1, /*with_sketch=*/false);
   FetchResult r = proxy.Fetch(kRecordUrl);
 
   // A down edge is detected before any network attempt: no timeouts, just
@@ -129,9 +134,8 @@ TEST_F(DegradedModeTest, EdgeNodeOutageReroutesWithoutRetries) {
 
 TEST_F(DegradedModeTest, TotalOutageServesOfflineCopy) {
   ProxyConfig pc = SpeedKitConfig();
-  pc.use_sketch = false;
   pc.stale_while_revalidate = false;  // force the expired copy to the network
-  ClientProxy proxy = MakeProxy(pc);
+  ClientProxy proxy = MakeProxy(pc, 1, /*with_sketch=*/false);
   proxy.Fetch(kRecordUrl);  // t=1s: browser copy, TTL 60s
 
   sim::FaultScheduleConfig fc;
@@ -162,9 +166,8 @@ TEST_F(DegradedModeTest, UpstreamFailureServesStaleEdgeCopy) {
 
   uint64_t same_edge_id = 2;
   while (cdn_.RouteFor(same_edge_id) != cdn_.RouteFor(1)) ++same_edge_id;
-  ProxyConfig pc = SpeedKitConfig();
-  pc.use_sketch = false;
-  ClientProxy b = MakeProxy(pc, same_edge_id);
+  ClientProxy b =
+      MakeProxy(SpeedKitConfig(), same_edge_id, /*with_sketch=*/false);
 
   // The edge's revalidation cannot reach the origin; the stale copy is
   // served rather than failing the request (stale-if-error).

@@ -3,7 +3,7 @@
 // sketch: an invalidated key is flagged and never takes the SWR path.
 #include <gtest/gtest.h>
 
-#include "coherence/delta_atomic.h"
+#include "coherence/protocol.h"
 #include "invalidation/pipeline.h"
 #include "proxy/client_proxy.h"
 
@@ -19,7 +19,7 @@ class SwrTest : public ::testing::Test {
       : network_(sim::NetworkConfig::Instant(), Pcg32(1)),
         events_(&clock_),
         cdn_(2, 0),
-        protocol_(coherence::CoherenceConfig()),
+        protocol_(Coherence()),
         ttl_policy_(Duration::Seconds(60)),  // SWR window: +30s
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,
                 &protocol_.publication()),
@@ -30,6 +30,13 @@ class SwrTest : public ::testing::Test {
     events_.RunUntil(clock_.Now() + Duration::Seconds(1));
   }
 
+  // Δ = 10 s, so tests can step past a sketch refresh.
+  static coherence::CoherenceConfig Coherence() {
+    coherence::CoherenceConfig config;
+    config.delta = Duration::Seconds(10);
+    return config;
+  }
+
   static invalidation::PipelineConfig MakePipelineConfig() {
     invalidation::PipelineConfig config;
     config.purge_log_sigma = 0.0;
@@ -38,7 +45,6 @@ class SwrTest : public ::testing::Test {
 
   ProxyConfig Config() {
     ProxyConfig pc;
-    pc.sketch_refresh_interval = Duration::Seconds(10);
     pc.device_overhead = Duration::Zero();
     return pc;
   }
@@ -59,7 +65,7 @@ class SwrTest : public ::testing::Test {
   sim::Network network_;
   sim::EventQueue events_;
   cache::Cdn cdn_;
-  coherence::DeltaAtomicProtocol protocol_;
+  coherence::CoherenceProtocol protocol_;
   storage::ObjectStore store_;
   ttl::FixedTtlPolicy ttl_policy_;
   origin::OriginServer origin_;

@@ -56,18 +56,20 @@ TEST(ClientSketchTest, CorruptSnapshotRejectedKeepsOld) {
   EXPECT_EQ(client.fetched_at(), At(0));
 }
 
+// The sketch keeps no counters of its own (the proxy's ProxyStats counts
+// refreshes, their bytes and the bypasses); the count of positive checks
+// is read off the answers.
 TEST(ClientSketchTest, StatsCountChecksAndPositives) {
   ClientSketch client(Duration::Seconds(30));
   BloomFilter filter(1024, 4);
   filter.Add("hit");
   ASSERT_TRUE(client.Update(filter.Serialize().value(), At(0)).ok());
-  client.MightBeStale("hit");
-  client.MightBeStale("miss");
-  client.MightBeStale("miss2");
-  EXPECT_EQ(client.stats().checks, 3u);
-  EXPECT_EQ(client.stats().positives, 1u);
-  EXPECT_EQ(client.stats().refreshes, 1u);
-  EXPECT_GT(client.stats().bytes_fetched, 0u);
+  int positives = 0;
+  for (const char* key : {"hit", "miss", "miss2"}) {
+    positives += client.MightBeStale(key) ? 1 : 0;
+  }
+  EXPECT_EQ(positives, 1);
+  EXPECT_EQ(client.fetched_at(), At(0));
 }
 
 TEST(ClientSketchTest, EndToEndWithServerSketch) {

@@ -25,12 +25,6 @@ void HandleSignal(int /*sig*/) {
   if (g_server != nullptr) g_server->Interrupt();  // async-signal-safe
 }
 
-speedkit::cache::OriginFlightMode ParseFlightMode(const std::string& name) {
-  if (name == "instant") return speedkit::cache::OriginFlightMode::kInstant;
-  if (name == "herd") return speedkit::cache::OriginFlightMode::kHerd;
-  return speedkit::cache::OriginFlightMode::kCoalesce;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -78,8 +72,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.stack.cdn_edges = static_cast<int>(flags.GetInt("edges", 1));
-  config.stack.origin_flight =
-      ParseFlightMode(flags.GetString("flight", "coalesce"));
+  if (speedkit::Status s = speedkit::cache::ParseOriginFlightMode(
+          flags.GetString("flight", "coalesce"), &config.stack.origin_flight);
+      !s.ok()) {
+    std::fprintf(stderr, "--flight: %s\n", s.ToString().c_str());
+    return 2;
+  }
   config.catalog.num_products =
       static_cast<size_t>(flags.GetInt("products", 2000));
 

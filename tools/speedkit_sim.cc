@@ -26,6 +26,7 @@ int Usage() {
       "                    [--coherence=delta_atomic|serializable|"
       "fixed_ttl]\n"
       "                    [--categories=C] [--edges=E] [--fixed-ttl=SECONDS]\n"
+      "                    [--ttl-mode=estimator|fixed]\n"
       "                    [--seed=N]\n"
       "                    [--metrics[=METRICS.json]] write the metrics\n"
       "                    registry snapshot (docs/METRICS.md names)\n"
@@ -59,8 +60,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.fixed_ttl = Duration::Seconds(flags.GetDouble("fixed-ttl", 120));
-  if (flags.GetString("ttl-mode", "estimator") == "fixed") {
+  if (std::string ttl_mode = flags.GetString("ttl-mode", "estimator");
+      ttl_mode == "fixed") {
     config.ttl_mode = core::TtlMode::kFixed;
+  } else if (ttl_mode != "estimator") {
+    std::fprintf(stderr, "--ttl-mode: expected estimator or fixed\n");
+    return 2;
   }
   // Observability is inert by contract: with or without these flags the
   // dashboard numbers below are bit-for-bit identical.
