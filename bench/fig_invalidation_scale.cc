@@ -106,7 +106,7 @@ void PurgePropagation(bench::JsonValue* rows) {
   for (int edges : {2, 4, 8, 16, 32}) {
     sim::SimClock clock;
     sim::EventQueue events(&clock);
-    cache::Cdn cdn(edges, 0);
+    cache::Cdn cdn(edges);
     coherence::CoherenceProtocol protocol{coherence::CoherenceConfig()};
     invalidation::PipelineConfig config;  // 80ms median, lognormal 0.4
     invalidation::ExpiryBook no_copies_served;

@@ -28,8 +28,8 @@ Status ParseOriginFlightMode(std::string_view text, OriginFlightMode* out) {
       "unknown origin flight mode (expected instant, herd or coalesce)");
 }
 
-Cdn::Cdn(int physical_edges, size_t edge_capacity_bytes, int shard,
-         int shards, OriginFlightMode flight_mode)
+Cdn::Cdn(int physical_edges, int shard, int shards,
+         OriginFlightMode flight_mode)
     : physical_edges_(physical_edges),
       shard_(shard),
       shards_(shards),
@@ -38,9 +38,7 @@ Cdn::Cdn(int physical_edges, size_t edge_capacity_bytes, int shard,
   assert(shards >= 1 && shard >= 0 && shard < shards);
   assert(physical_edges % shards == 0 &&
          "edge count must divide evenly across shards");
-  const size_t owned = static_cast<size_t>(physical_edges / shards);
-  edges_.reserve(owned);
-  for (size_t i = 0; i < owned; ++i) edges_.emplace_back(edge_capacity_bytes);
+  edges_.resize(static_cast<size_t>(physical_edges / shards));
 }
 
 int Cdn::RouteFor(uint64_t client_id) const {

@@ -95,10 +95,9 @@ class Cdn {
   // domain. Requires physical_edges >= 1 (the stack validates its config
   // before constructing one), 0 <= shard < shards, and physical_edges
   // divisible by shards (so every shard owns the same number of edges).
-  // `edge_capacity_bytes` 0 = unbounded per edge. `flight_mode` is how
-  // every owned edge treats concurrent misses (see OriginFlightMode).
-  Cdn(int physical_edges, size_t edge_capacity_bytes, int shard = 0,
-      int shards = 1,
+  // Every edge cache is unbounded. `flight_mode` is how every owned edge
+  // treats concurrent misses (see OriginFlightMode).
+  Cdn(int physical_edges, int shard = 0, int shards = 1,
       OriginFlightMode flight_mode = OriginFlightMode::kInstant);
 
   // Owned (local) edge count.
@@ -189,10 +188,7 @@ class Cdn {
   // One owned edge POP. Cache-line aligned (and so a whole number of
   // lines long), so no cache line holds two shards' edges.
   struct alignas(kCacheLineBytes) Edge {
-    explicit Edge(size_t capacity_bytes)
-        : cache(/*shared=*/true, capacity_bytes) {}
-
-    HttpCache cache;
+    HttpCache cache{/*shared=*/true, /*capacity_bytes=*/0};
     // Outage flag, toggled by the owning shard's fault-schedule events.
     bool down = false;
     EdgeFaultStats faults;

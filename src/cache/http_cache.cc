@@ -1,23 +1,11 @@
 #include "cache/http_cache.h"
 
-#include <algorithm>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "cache/freeze_codec.h"
-#include "common/strings.h"
-#include "http/headers.h"
 
 namespace speedkit::cache {
-
-namespace {
-// Separators for the variant discriminator; neither occurs in URLs or
-// header values, so variant keys cannot collide with primary keys.
-constexpr char kVariantSep = '\x1f';
-constexpr char kFieldSep = '\x1e';
-}  // namespace
 
 HttpCache::HttpCache(bool shared, size_t capacity_bytes)
     : shared_(shared),
@@ -25,45 +13,8 @@ HttpCache::HttpCache(bool shared, size_t capacity_bytes)
         return e.response.WireSize() + 64;  // entry bookkeeping overhead
       }) {}
 
-std::string_view HttpCache::StorageKey(
-    std::string_view key, const http::HeaderMap& request_headers,
-    std::string* buffer) const {
-  if (vary_names_ == nullptr) return key;
-  auto it = vary_names_->find(key);
-  if (it == vary_names_->end()) return key;
-  std::string& storage_key = *buffer;
-  storage_key.assign(key);
-  storage_key += kVariantSep;
-  for (const std::string& name : it->second) {
-    storage_key += name;
-    storage_key += '=';
-    auto value = request_headers.Get(name);
-    if (value.has_value()) storage_key += *value;
-    storage_key += kFieldSep;
-  }
-  return storage_key;
-}
-
-size_t HttpCache::EraseVariants(std::string_view key) {
-  return entries_.EraseIf([key](std::string_view k, const CacheEntry&) {
-    return k.size() > key.size() && k[key.size()] == kVariantSep &&
-           StartsWith(k, key);
-  });
-}
-
-size_t HttpCache::RetireVariants(std::string_view key) {
-  if (vary_names_ == nullptr) return 0;
-  auto it = vary_names_->find(key);
-  if (it == vary_names_->end()) return 0;
-  size_t erased = EraseVariants(key);
-  vary_names_->erase(it);
-  if (vary_names_->empty()) vary_names_.reset();
-  return erased;
-}
-
-LookupResult HttpCache::LookupStored(std::string_view storage_key,
-                                     SimTime now) {
-  CacheEntry* entry = entries_.Get(storage_key);
+LookupResult HttpCache::Lookup(std::string_view key, SimTime now) {
+  CacheEntry* entry = entries_.Get(key);
   if (entry == nullptr) {
     stats_.misses++;
     return LookupResult{LookupOutcome::kMiss, nullptr};
@@ -76,66 +27,16 @@ LookupResult HttpCache::LookupStored(std::string_view storage_key,
   return LookupResult{LookupOutcome::kStaleHit, entry};
 }
 
-LookupResult HttpCache::Lookup(std::string_view key, SimTime now) {
-  // A varying resource looked up without headers resolves to the
-  // all-absent variant.
-  static const http::HeaderMap kNoHeaders;
-  return Lookup(key, kNoHeaders, now);
-}
-
-LookupResult HttpCache::Lookup(std::string_view key,
-                               const http::HeaderMap& request_headers,
-                               SimTime now) {
-  std::string variant_key;
-  return LookupStored(StorageKey(key, request_headers, &variant_key), now);
-}
-
 bool HttpCache::Store(std::string_view key, const http::HttpResponse& response,
                       SimTime now) {
-  static const http::HeaderMap kNoHeaders;
-  return Store(key, kNoHeaders, response, now);
-}
-
-bool HttpCache::Store(std::string_view key,
-                      const http::HeaderMap& request_headers,
-                      const http::HttpResponse& response, SimTime now) {
   if (!response.ok() || response.body.empty()) return false;
   http::CacheControl cc = response.GetCacheControl();
-  if (!cc.Storable(shared_)) {
+  // A varying response is keyed on request headers as well as the URL;
+  // this cache keys on the URL alone, so it refuses the response rather
+  // than risk serving it to a request it was not made for.
+  if (!cc.Storable(shared_) || response.headers.Has("Vary")) {
     stats_.store_rejects++;
     return false;
-  }
-
-  std::string_view storage_key = key;
-  std::string variant_key;
-  auto vary_value = response.headers.Get("Vary");
-  if (vary_value.has_value()) {
-    std::vector<std::string> names = http::ParseVaryNames(*vary_value);
-    if (!names.empty() && names.front() == "*") {
-      // Vary: * — the response depends on inputs no cache can see.
-      stats_.store_rejects++;
-      return false;
-    }
-    if (!names.empty()) {
-      if (vary_names_ == nullptr) vary_names_ = std::make_unique<VaryMap>();
-      // First varying store for this key displaces any plain entry (it
-      // predates the resource starting to vary).
-      auto it = vary_names_->find(key);
-      if (it == vary_names_->end()) {
-        entries_.Erase(key);
-        vary_names_->emplace(std::string(key), std::move(names));
-      } else if (it->second != names) {
-        // The Vary set itself changed: old variant keys are unreachable
-        // under the new set, drop them before they rot in the budget.
-        EraseVariants(key);
-        it->second = std::move(names);
-      }
-      storage_key = StorageKey(key, request_headers, &variant_key);
-    }
-  } else {
-    // The resource stopped varying (if it ever did): retire the variant
-    // entries and the mapping, then store plainly.
-    RetireVariants(key);
   }
 
   CacheEntry entry;
@@ -146,8 +47,7 @@ bool HttpCache::Store(std::string_view key,
   entry.ttl = freshness.value_or(Duration::Zero());
   entry.swr = cc.stale_while_revalidate.value_or(Duration::Zero());
   entry.requires_revalidation = cc.no_cache;
-  if (entries_.Put(storage_key, std::move(entry)) ==
-      PutOutcome::kRejectedOversized) {
+  if (entries_.Put(key, std::move(entry)) == PutOutcome::kRejectedOversized) {
     // Larger than the whole cache budget: dropped (and any stale resident
     // evicted). Surface it — a silent "stored" here inflates hit-rate
     // expectations for exactly the responses that can never hit.
@@ -160,16 +60,7 @@ bool HttpCache::Store(std::string_view key,
 
 void HttpCache::Refresh(std::string_view key,
                         const http::HttpResponse& not_modified, SimTime now) {
-  static const http::HeaderMap kNoHeaders;
-  Refresh(key, kNoHeaders, not_modified, now);
-}
-
-void HttpCache::Refresh(std::string_view key,
-                        const http::HeaderMap& request_headers,
-                        const http::HttpResponse& not_modified, SimTime now) {
-  std::string variant_key;
-  CacheEntry* entry =
-      entries_.Get(StorageKey(key, request_headers, &variant_key));
+  CacheEntry* entry = entries_.Get(key);
   if (entry == nullptr) return;
   http::CacheControl cc = not_modified.GetCacheControl();
   auto freshness =
@@ -190,16 +81,11 @@ void HttpCache::Refresh(std::string_view key,
 
 bool HttpCache::Purge(std::string_view key) {
   bool removed = entries_.Erase(key);
-  // A purge hits the resource, i.e. every variant of it.
-  removed |= RetireVariants(key) > 0;
   if (removed) stats_.purges++;
   return removed;
 }
 
-void HttpCache::Clear() {
-  entries_.Clear();
-  vary_names_.reset();
-}
+void HttpCache::Clear() { entries_.Clear(); }
 
 namespace {
 constexpr uint32_t kFreezeMagic = 0x534b4643;  // "SKFC": SpeedKit FreezeCache
@@ -223,39 +109,6 @@ std::string HttpCache::Freeze(FrozenHandles* handles) const {
   w.U64(stats_.purges);
   w.U64(entries_.evictions());
   w.U64(entries_.oversized_rejections());
-  // Most fleets never see a Vary response, so the variant-name section is
-  // presence-gated rather than written as an empty count: spilled blobs
-  // for never-varying clients carry one byte here, not a dangling section.
-  // Mappings whose variant entries were all evicted are dead weight and
-  // are dropped the same way — a no-longer-varying client spills the one
-  // presence byte, not its Vary history. Live mappings are written in
-  // sorted key order so equal cache contents freeze to identical bytes.
-  std::vector<const VaryMap::value_type*> live;
-  if (vary_names_ != nullptr) {
-    std::unordered_set<std::string_view> live_primaries;
-    entries_.ForEachLruToMru(
-        [&live_primaries](std::string_view key, const CacheEntry&) {
-          size_t sep = key.find(kVariantSep);
-          if (sep != std::string_view::npos) {
-            live_primaries.insert(key.substr(0, sep));
-          }
-        });
-    live.reserve(vary_names_->size());
-    for (const auto& mapping : *vary_names_) {
-      if (live_primaries.count(mapping.first) != 0) live.push_back(&mapping);
-    }
-  }
-  std::sort(live.begin(), live.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  w.U8(live.empty() ? 0 : 1);
-  if (!live.empty()) {
-    w.U32(static_cast<uint32_t>(live.size()));
-    for (const auto* mapping : live) {
-      w.Str(mapping->first);
-      w.U32(static_cast<uint32_t>(mapping->second.size()));
-      for (const std::string& name : mapping->second) w.Str(name);
-    }
-  }
   w.U32(static_cast<uint32_t>(entries_.size()));
   if (handles != nullptr) {
     handles->bodies.reserve(handles->bodies.size() + entries_.size());
@@ -317,19 +170,6 @@ bool HttpCache::Thaw(std::string_view blob, const FrozenHandles* handles) {
   stats.purges = r.U64();
   uint64_t evictions = r.U64();
   uint64_t oversized = r.U64();
-  uint32_t vary_count = r.U8() != 0 ? r.U32() : 0;
-  if (vary_count != 0) vary_names_ = std::make_unique<VaryMap>();
-  for (uint32_t i = 0; i < vary_count && r.ok(); ++i) {
-    std::string key(r.Str());
-    // The name count comes from the blob: no reserve ahead of the reads,
-    // which stop at the blob's end.
-    uint32_t name_count = r.U32();
-    std::vector<std::string> names;
-    for (uint32_t j = 0; j < name_count && r.ok(); ++j) {
-      names.emplace_back(r.Str());
-    }
-    vary_names_->emplace(std::move(key), std::move(names));
-  }
   uint32_t entry_count = r.U32();
   for (uint32_t i = 0; i < entry_count && r.ok(); ++i) {
     std::string_view key = r.Str();

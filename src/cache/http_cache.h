@@ -10,15 +10,11 @@
 #define SPEEDKIT_CACHE_HTTP_CACHE_H_
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/lru_cache.h"
-#include "common/hash.h"
 #include "common/sim_time.h"
 #include "http/message.h"
 
@@ -74,7 +70,7 @@ struct HttpCacheStats {
   uint64_t stale_hits = 0;
   uint64_t misses = 0;
   uint64_t stores = 0;
-  uint64_t store_rejects = 0;  // no-store / private-at-shared / Vary: *
+  uint64_t store_rejects = 0;  // no-store / private-at-shared / varying
   uint64_t refreshes = 0;      // 304-driven lifetime extensions
   uint64_t purges = 0;
 };
@@ -85,39 +81,29 @@ class HttpCache {
   // private). `capacity_bytes` 0 = unbounded.
   HttpCache(bool shared, size_t capacity_bytes);
 
-  // Vary-aware lookup: when the stored response carried `Vary`, the named
-  // request headers become a secondary cache key, so two variants (e.g.
-  // segments) can never cross-serve. The header-less overload is for
-  // resources known not to vary (and legacy callers).
   LookupResult Lookup(std::string_view key, SimTime now);
-  LookupResult Lookup(std::string_view key,
-                      const http::HeaderMap& request_headers, SimTime now);
 
-  // Stores `response` if its Cache-Control permits storage in this cache
-  // class. Returns true if stored. Responses without explicit freshness get
-  // TTL zero (stored for revalidation only). A response with `Vary` is
-  // stored under the variant key derived from `request_headers`;
-  // `Vary: *` is uncacheable (counted as a store reject).
+  // Stores `response` under `key` if its Cache-Control permits storage in
+  // this cache class. Returns true if stored. Responses without explicit
+  // freshness get TTL zero (stored for revalidation only). The key is the
+  // URL alone, so a response that varies on request headers the key does
+  // not hold is refused and counted as a store reject; no route of the
+  // origin sends one.
   bool Store(std::string_view key, const http::HttpResponse& response,
              SimTime now);
-  bool Store(std::string_view key, const http::HeaderMap& request_headers,
-             const http::HttpResponse& response, SimTime now);
 
   // Applies a 304: extends the stored entry's freshness using the new
   // Cache-Control and render time. No-op if the entry vanished.
   void Refresh(std::string_view key, const http::HttpResponse& not_modified,
                SimTime now);
-  void Refresh(std::string_view key, const http::HeaderMap& request_headers,
-               const http::HttpResponse& not_modified, SimTime now);
 
-  // Invalidation-based removal (CDN purge API). Purging a varying key
-  // removes every stored variant.
+  // Invalidation-based removal (CDN purge API).
   bool Purge(std::string_view key);
   void Clear();
 
   // Cold-client spill: serializes the full cache state — entries in
-  // recency order, Vary mappings, stats, eviction history — into one flat
-  // byte string, and reconstructs it exactly. A freeze/thaw round trip is
+  // recency order, stats, eviction history — into one flat byte string,
+  // and reconstructs it exactly. A freeze/thaw round trip is
   // behavior-neutral: every subsequent lookup, store and eviction decision
   // is identical to the never-frozen cache, so fleet results cannot depend
   // on which clients went cold. Thaw replaces this cache's contents; it
@@ -141,29 +127,8 @@ class HttpCache {
   const HttpCacheStats& stats() const { return stats_; }
 
  private:
-  // Primary key -> normalized Vary header names of the stored response(s).
-  using VaryMap = std::unordered_map<std::string, std::vector<std::string>,
-                                     StringHash, std::equal_to<>>;
-
-  // The internal storage key: `key` itself while the resource does not
-  // vary; otherwise `key` plus a discriminator built from the Vary'd
-  // request-header values, written into *buffer. The view is of `key` or
-  // of *buffer.
-  std::string_view StorageKey(std::string_view key,
-                              const http::HeaderMap& request_headers,
-                              std::string* buffer) const;
-  LookupResult LookupStored(std::string_view storage_key, SimTime now);
-  // Erases every variant entry of `key`; returns how many there were.
-  size_t EraseVariants(std::string_view key);
-  // Erases `key`'s variant entries and its Vary mapping, if it has one,
-  // and frees the map once no mapping is left; returns the entries erased.
-  size_t RetireVariants(std::string_view key);
-
   bool shared_;
   LruCache<CacheEntry> entries_;
-  // Null until the first varying store (or a thaw carrying mappings): most
-  // caches never see Vary, and a non-varying lookup then skips it.
-  std::unique_ptr<VaryMap> vary_names_;
   HttpCacheStats stats_;
 };
 

@@ -138,22 +138,6 @@ class LruCache {
     used_bytes_ = 0;
   }
 
-  // Removes entries matching `pred`, visiting from most- to least-recently
-  // used; returns how many were removed.
-  template <typename Pred>  // bool Pred(std::string_view key, const Value&)
-  size_t EraseIf(Pred pred) {
-    size_t removed = 0;
-    for (Node* node = mru_; node != nullptr;) {
-      Node* next = node->next;
-      if (pred(node->key(), std::as_const(node->value))) {
-        Remove(node);
-        ++removed;
-      }
-      node = next;
-    }
-    return removed;
-  }
-
   // Visits entries from least- to most-recently-used. Re-inserting in
   // visit order via Put reconstructs the exact recency chain — the
   // browser-cache freeze/thaw codec depends on this.

@@ -1,14 +1,14 @@
-// Open-addressing hash map keyed by std::string — the hot-path container
-// behind the origin's expiry book.
+// Insert-only open-addressing hash map keyed by std::string — the hot-path
+// container behind the origin's expiry book.
 //
 // Layout: one contiguous slot array (power-of-two capacity), linear
 // probing, Murmur3 hashes cached per slot so rehash and probe compares
-// never touch key bytes unless the hashes already match. Erase leaves a
-// tombstone; a rehash (triggered at 7/8 combined load of live entries and
-// tombstones) drops tombstones and restores probe-sequence health. Probes
-// accept string_view, so lookups never materialize a temporary
-// std::string — same heterogeneous-lookup guarantee the cache tiers get
-// from StringHash, without the node allocations of std::unordered_map.
+// never touch key bytes unless the hashes already match. The table doubles
+// at 7/8 load. Nothing is ever erased, so a probe ends at the first empty
+// slot. Probes accept string_view, so lookups never materialize a
+// temporary std::string — same heterogeneous-lookup guarantee the cache
+// tiers get from StringHash, without the node allocations of
+// std::unordered_map.
 #ifndef SPEEDKIT_COMMON_FLAT_MAP_H_
 #define SPEEDKIT_COMMON_FLAT_MAP_H_
 
@@ -29,16 +29,12 @@ class FlatStringMap {
   FlatStringMap() { slots_.resize(kMinCapacity); }
 
   size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  size_t capacity() const { return slots_.size(); }
 
   // Pointer to the value for `key`, or null. Stable only until the next
   // insertion (a rehash moves slots).
   V* Find(std::string_view key) {
-    size_t i = FindSlot(key, Murmur3_64(key));
-    return i != kNotFound && slots_[i].state == State::kFull
-               ? &slots_[i].value
-               : nullptr;
+    Slot& slot = slots_[Probe(key, Murmur3_64(key))];
+    return slot.full ? &slot.value : nullptr;
   }
   const V* Find(std::string_view key) const {
     return const_cast<FlatStringMap*>(this)->Find(key);
@@ -49,139 +45,53 @@ class FlatStringMap {
   std::pair<V*, bool> Upsert(std::string_view key, V value) {
     MaybeGrow();
     uint64_t hash = Murmur3_64(key);
-    size_t mask = slots_.size() - 1;
-    size_t i = hash & mask;
-    size_t first_tombstone = kNotFound;
-    while (true) {
-      Slot& slot = slots_[i];
-      if (slot.state == State::kEmpty) {
-        size_t target = first_tombstone != kNotFound ? first_tombstone : i;
-        Place(target, key, hash, std::move(value));
-        return {&slots_[target].value, true};
-      }
-      if (slot.state == State::kTombstone) {
-        if (first_tombstone == kNotFound) first_tombstone = i;
-      } else if (slot.hash == hash && slot.key == key) {
-        return {&slot.value, false};
-      }
-      i = (i + 1) & mask;
-    }
-  }
-
-  // Removes `key`; returns true if it was present.
-  bool Erase(std::string_view key) {
-    size_t i = FindSlot(key, Murmur3_64(key));
-    if (i == kNotFound || slots_[i].state != State::kFull) return false;
-    slots_[i].state = State::kTombstone;
-    slots_[i].key.clear();
-    slots_[i].key.shrink_to_fit();
-    slots_[i].value = V{};
-    --size_;
-    ++tombstones_;
-    return true;
-  }
-
-  // Removes every entry for which pred(key, value) is true; returns how
-  // many were dropped. Iteration order is the slot order — callers must
-  // not depend on it.
-  template <typename Pred>
-  size_t EraseIf(Pred pred) {
-    size_t erased = 0;
-    for (Slot& slot : slots_) {
-      if (slot.state != State::kFull) continue;
-      if (!pred(static_cast<const std::string&>(slot.key), slot.value)) {
-        continue;
-      }
-      slot.state = State::kTombstone;
-      slot.key.clear();
-      slot.key.shrink_to_fit();
-      slot.value = V{};
-      --size_;
-      ++tombstones_;
-      ++erased;
-    }
-    return erased;
-  }
-
-  // Visits every (key, value); same ordering caveat as EraseIf.
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const Slot& slot : slots_) {
-      if (slot.state == State::kFull) fn(slot.key, slot.value);
-    }
-  }
-
-  void Clear() {
-    slots_.assign(kMinCapacity, Slot{});
-    size_ = 0;
-    tombstones_ = 0;
+    Slot& slot = slots_[Probe(key, hash)];
+    if (slot.full) return {&slot.value, false};
+    slot.key.assign(key.data(), key.size());
+    slot.value = std::move(value);
+    slot.hash = hash;
+    slot.full = true;
+    ++size_;
+    return {&slot.value, true};
   }
 
  private:
-  enum class State : uint8_t { kEmpty = 0, kTombstone, kFull };
-
   struct Slot {
     std::string key;
     V value{};
     uint64_t hash = 0;
-    State state = State::kEmpty;
+    bool full = false;
   };
 
   static constexpr size_t kMinCapacity = 16;
-  static constexpr size_t kNotFound = static_cast<size_t>(-1);
 
-  // Slot index holding `key`, or kNotFound. Linear probe over the full
-  // cluster: tombstones are skipped, an empty slot terminates.
-  size_t FindSlot(std::string_view key, uint64_t hash) const {
+  // The slot holding `key`, or the empty slot that ends its probe run.
+  size_t Probe(std::string_view key, uint64_t hash) const {
     size_t mask = slots_.size() - 1;
     size_t i = hash & mask;
-    while (true) {
-      const Slot& slot = slots_[i];
-      if (slot.state == State::kEmpty) return kNotFound;
-      if (slot.state == State::kFull && slot.hash == hash && slot.key == key) {
-        return i;
-      }
+    while (slots_[i].full && (slots_[i].hash != hash || slots_[i].key != key)) {
       i = (i + 1) & mask;
     }
+    return i;
   }
 
-  void Place(size_t i, std::string_view key, uint64_t hash, V value) {
-    Slot& slot = slots_[i];
-    if (slot.state == State::kTombstone) --tombstones_;
-    slot.key.assign(key.data(), key.size());
-    slot.value = std::move(value);
-    slot.hash = hash;
-    slot.state = State::kFull;
-    ++size_;
-  }
-
-  // Grows (or compacts tombstones in place at the same capacity) when
-  // live + dead slots pass 7/8 of capacity — linear probing degrades
-  // sharply past that point.
+  // Doubles the table when one more entry would pass 7/8 of capacity —
+  // linear probing degrades sharply past that point.
   void MaybeGrow() {
-    if ((size_ + tombstones_ + 1) * 8 < slots_.size() * 7) return;
-    // Double only when genuinely full of live entries; a tombstone-heavy
-    // table rehashes at the same size.
-    size_t new_capacity =
-        (size_ + 1) * 8 >= slots_.size() * 7 ? slots_.size() * 2
-                                             : slots_.size();
+    if ((size_ + 1) * 8 < slots_.size() * 7) return;
     std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
-    size_ = 0;
-    tombstones_ = 0;
+    slots_.assign(old.size() * 2, Slot{});
+    size_t mask = slots_.size() - 1;
     for (Slot& slot : old) {
-      if (slot.state != State::kFull) continue;
-      size_t mask = slots_.size() - 1;
+      if (!slot.full) continue;
       size_t i = slot.hash & mask;
-      while (slots_[i].state == State::kFull) i = (i + 1) & mask;
+      while (slots_[i].full) i = (i + 1) & mask;
       slots_[i] = std::move(slot);
-      ++size_;
     }
   }
 
   std::vector<Slot> slots_;
   size_t size_ = 0;
-  size_t tombstones_ = 0;
 };
 
 }  // namespace speedkit

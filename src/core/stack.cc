@@ -111,8 +111,7 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
     coherence_config.mode = coherence::CoherenceMode::kFixedTtl;
   }
   protocol_ = std::make_unique<coherence::CoherenceProtocol>(coherence_config);
-  cdn_ = std::make_unique<cache::Cdn>(config_.cdn_edges,
-                                      config_.edge_capacity_bytes, shard_,
+  cdn_ = std::make_unique<cache::Cdn>(config_.cdn_edges, shard_,
                                       config_.shards, config_.origin_flight);
   origin_ = std::make_unique<origin::OriginServer>(
       config_.origin, &clock_, &store_, ttl_policy_.get(),

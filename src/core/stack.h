@@ -63,7 +63,6 @@ struct StackConfig {
 
   // Infrastructure.
   int cdn_edges = 4;
-  size_t edge_capacity_bytes = 0;  // 0 = unbounded
   // Coherence domains for the sharded fleet engine (core/fleet.h). Clients
   // partition by the edge they route to (edge e belongs to shard
   // e % shards), each shard gets a full stack replica owning its own

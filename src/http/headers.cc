@@ -71,17 +71,4 @@ void HeaderMap::Release() noexcept {
   block_ = nullptr;
 }
 
-std::vector<std::string> ParseVaryNames(std::string_view vary_value) {
-  std::vector<std::string> names;
-  for (std::string_view piece : SplitView(vary_value, ',')) {
-    std::string_view name = TrimWhitespace(piece);
-    if (name.empty()) continue;
-    if (name == "*") return {"*"};
-    names.push_back(AsciiLower(name));
-  }
-  std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
-  return names;
-}
-
 }  // namespace speedkit::http

@@ -96,13 +96,6 @@ class HeaderMap {
   Block* block_ = nullptr;  // null: no entries
 };
 
-// Parses a response's Vary field value into normalized request-header
-// names: lowercased, trimmed, sorted, deduplicated — a canonical form, so
-// caches build identical variant keys for "Accept, X-Segment" and
-// "x-segment,accept". A "*" anywhere yields exactly {"*"} (RFC 9110: the
-// response varies on unknowable inputs and is effectively uncacheable).
-std::vector<std::string> ParseVaryNames(std::string_view vary_value);
-
 }  // namespace speedkit::http
 
 #endif  // SPEEDKIT_HTTP_HEADERS_H_

@@ -1,7 +1,5 @@
 #include "invalidation/expiry_book.h"
 
-#include <string>
-
 namespace speedkit::invalidation {
 
 void ExpiryBook::RecordServed(std::string_view key, SimTime fresh_until) {
@@ -13,13 +11,6 @@ SimTime ExpiryBook::LatestExpiry(std::string_view key, SimTime now) const {
   const SimTime* deadline = deadlines_.Find(key);
   if (deadline == nullptr || *deadline <= now) return now;
   return *deadline;
-}
-
-void ExpiryBook::CompactUntil(SimTime now) {
-  deadlines_.EraseIf(
-      [now](const std::string& /*key*/, SimTime deadline) {
-        return deadline <= now;
-      });
 }
 
 }  // namespace speedkit::invalidation

@@ -30,11 +30,6 @@ class ExpiryBook {
   // when the key was never served or all copies have expired.
   SimTime LatestExpiry(std::string_view key, SimTime now) const;
 
-  // Drops entries whose deadline passed (periodic housekeeping).
-  void CompactUntil(SimTime now);
-
-  size_t size() const { return deadlines_.size(); }
-
  private:
   FlatStringMap<SimTime> deadlines_;
 };

@@ -78,10 +78,8 @@ FetchResult ClientProxy::Fetch(std::string_view url_text) {
     // count keeps matching ServedTotal().
     stats_->requests++;
     stats_->errors++;
-    if (!background_fetch_) {
-      BeginTrace(url_text);
-      request_degraded_ = false;
-    }
+    BeginTrace(url_text);
+    request_degraded_ = false;
     FetchResult result;
     result.response.status_code = 400;
     result.source = ServedFrom::kError;
@@ -107,18 +105,15 @@ FetchResult ClientProxy::Fetch(const http::Url& url) {
 
 FetchResult ClientProxy::FetchResolved(const http::Url& url) {
   Touch();
-  if (!background_fetch_) {
-    // Only a trace needs the key here; FetchDecide builds its own.
-    if (trace_ != nullptr) BeginTrace(url.CacheKey());
-    request_degraded_ = false;
-  }
+  // Only a trace needs the key here; FetchDecide builds its own.
+  if (trace_ != nullptr) BeginTrace(url.CacheKey());
+  request_degraded_ = false;
   FetchResult result = FetchDecide(url);
   RecordRequestOutcome(result);
   return result;
 }
 
 void ClientProxy::RecordRequestOutcome(const FetchResult& result) {
-  if (background_fetch_) return;
   const int64_t us = result.latency.micros();
   stats_->LatencyFor(result.source)->Add(us);
   (request_degraded_ ? stats_->latency_degraded_us : stats_->latency_ok_us)
@@ -154,8 +149,7 @@ FetchResult ClientProxy::FetchDecide(const http::Url& url) {
     TraceSpan("sketch.refresh", obs::kTierProxy, refresh_latency);
   }
 
-  http::HttpRequest request = http::HttpRequest::Get(url);
-  cache::LookupResult lookup = browser_cache_.Lookup(key, request.headers, now);
+  cache::LookupResult lookup = browser_cache_.Lookup(key, now);
 
   if (lookup.outcome == cache::LookupOutcome::kFreshHit && !flagged) {
     // Serving from the browser cache is gated on the sketch check, so a
@@ -190,6 +184,7 @@ FetchResult ClientProxy::FetchDecide(const http::Url& url) {
 
   // Attach our validator when we hold any copy (fresh-but-flagged or
   // stale): the origin can then answer with a cheap 304.
+  http::HttpRequest request = http::HttpRequest::Get(url);
   if (lookup.entry != nullptr) {
     std::string etag = lookup.entry->response.ETag();
     if (!etag.empty()) request.headers.Set("If-None-Match", etag);
@@ -336,10 +331,8 @@ FetchResult ClientProxy::TxnRefetch(const http::Url& url,
   // A full foreground request: counted, traced, and funneled through
   // RecordRequestOutcome like any other, so the serve buckets (and the
   // trace count) keep reconciling with `requests`.
-  if (!background_fetch_) {
-    BeginTrace(key);
-    request_degraded_ = false;
-  }
+  BeginTrace(key);
+  request_degraded_ = false;
   stats_->requests++;
   http::HttpRequest request = http::HttpRequest::Get(url);
   FetchResult result = FetchOverNetwork(request, key, /*bypass_shared=*/true);
@@ -406,14 +399,14 @@ FetchResult ClientProxy::FetchOverNetwork(const http::HttpRequest& request,
 FetchResult ClientProxy::FetchDirect(const http::HttpRequest& request,
                                      const std::string& key, Duration burned) {
   if (!DeliverWithRetries(sim::Link::kClientOrigin, &burned)) {
-    return OfflineFallback(request, key, burned);
+    return OfflineFallback(key, burned);
   }
   SimTime now = clock_->Now();
   http::HttpResponse resp = origin_->Handle(request);
   if (resp.status_code == 503) {
     Duration rtt = network_->SampleRtt(sim::Link::kClientOrigin, now);
     TraceSpan("net.client_origin", obs::kTierNetwork, rtt);
-    return OfflineFallback(request, key, burned + rtt);
+    return OfflineFallback(key, burned + rtt);
   }
   size_t down = resp.IsNotModified() ? kNotModifiedWireBytes : resp.WireSize();
   // RTT draws are hoisted into locals (here and everywhere a span needs a
@@ -459,7 +452,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
     }
   }
   if (!bypass_shared && !herd_to_origin) {
-    cache::LookupResult el = edge.Lookup(key, request.headers, now);
+    cache::LookupResult el = edge.Lookup(key, now);
     if (el.outcome == cache::LookupOutcome::kFreshHit) {
       if (flight_wait > Duration::Zero()) {
         // Joined the open flight: the response is logically still on the
@@ -523,11 +516,11 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
         Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
         TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
         TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo);
-        return OfflineFallback(request, key, burned + rtt_ce + rtt_eo);
+        return OfflineFallback(key, burned + rtt_ce + rtt_eo);
       }
       if (oresp.IsNotModified()) {
-        edge.Refresh(key, request.headers, oresp, now);
-        cache::LookupResult refreshed = edge.Lookup(key, request.headers, now);
+        edge.Refresh(key, oresp, now);
+        cache::LookupResult refreshed = edge.Lookup(key, now);
         if (refreshed.entry != nullptr) {
           Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin, now);
           Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
@@ -559,7 +552,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
         }
         // Entry evicted under us; fall through to a plain origin fetch.
       } else {
-        edge.Store(key, request.headers, oresp, now);
+        edge.Store(key, oresp, now);
         // Draw order matters: the compiled pre-obs code evaluated the
         // edge->origin leg's RTT first, so the hoisted draws keep that
         // order to leave the RNG stream byte-identical.
@@ -589,7 +582,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
     // be served from a shared cache): last resort is the offline cache.
     Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
     TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
-    return OfflineFallback(request, key, burned + rtt_ce);
+    return OfflineFallback(key, burned + rtt_ce);
   }
   http::HttpResponse oresp = origin_->Handle(request);
   if (oresp.status_code == 503) {
@@ -597,7 +590,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
     Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin, now);
     TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
     TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo);
-    return OfflineFallback(request, key, burned + rtt_ce + rtt_eo);
+    return OfflineFallback(key, burned + rtt_ce + rtt_eo);
   }
   size_t down =
       oresp.IsNotModified() ? kNotModifiedWireBytes : oresp.WireSize();
@@ -613,7 +606,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   Duration lat =
       burned + rtt_ce + rtt_eo + xfer_eo + xfer_ce + oresp.server_time;
   if (oresp.IsNotModified()) {
-    edge.Refresh(key, request.headers, oresp, now);
+    edge.Refresh(key, oresp, now);
   } else {
     if (!bypass_shared && flight != cache::OriginFlightMode::kInstant) {
       // This fetch leads a flight: the stored response becomes visible to
@@ -622,7 +615,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
       cdn_->BeginFlight(edge_index, key, now,
                         now + rtt_eo + xfer_eo + oresp.server_time);
     }
-    edge.Store(key, request.headers, oresp, now);
+    edge.Store(key, oresp, now);
   }
   return FinishClientResponse(request, key, oresp, ServedFrom::kOrigin, lat);
 }
@@ -643,13 +636,13 @@ FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
     if (resp.IsNotModified()) {
       stats_->background_304s++;
       stats_->background_bytes += kNotModifiedWireBytes;
-      browser_cache_.Refresh(key, request.headers, resp, now);
+      browser_cache_.Refresh(key, resp, now);
       result.source = source;
       result.revalidated = true;
     } else if (resp.ok()) {
       stats_->background_200s++;
       stats_->background_bytes += resp.WireSize();
-      browser_cache_.Store(key, request.headers, resp, now);
+      browser_cache_.Store(key, resp, now);
       result.source = source;
     } else {
       stats_->background_errors++;
@@ -659,9 +652,8 @@ FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
   if (resp.IsNotModified()) {
     stats_->revalidations_304++;
     stats_->bytes_over_network += kNotModifiedWireBytes;
-    browser_cache_.Refresh(key, request.headers, resp, now);
-    cache::LookupResult refreshed =
-        browser_cache_.Lookup(key, request.headers, now);
+    browser_cache_.Refresh(key, resp, now);
+    cache::LookupResult refreshed = browser_cache_.Lookup(key, now);
     if (refreshed.entry != nullptr) {
       // The 304 round trip is what served this request: attribute it to
       // the tier that answered so serve counts reconcile with `requests`.
@@ -697,7 +689,7 @@ FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
     stats_->origin_fetches++;
   }
   stats_->bytes_over_network += resp.WireSize();
-  browser_cache_.Store(key, request.headers, resp, now);
+  browser_cache_.Store(key, resp, now);
   FetchResult result;
   result.response = resp;
   result.latency = latency;
@@ -705,8 +697,7 @@ FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
   return result;
 }
 
-FetchResult ClientProxy::OfflineFallback(const http::HttpRequest& request,
-                                         const std::string& key,
+FetchResult ClientProxy::OfflineFallback(const std::string& key,
                                          Duration attempt_latency) {
   SimTime now = clock_->Now();
   if (background_fetch_) {
@@ -720,8 +711,7 @@ FetchResult ClientProxy::OfflineFallback(const http::HttpRequest& request,
   }
   NoteFaultOnRequest();
   if (config_.enabled && config_.offline_mode) {
-    cache::LookupResult lookup =
-        browser_cache_.Lookup(key, request.headers, now);
+    cache::LookupResult lookup = browser_cache_.Lookup(key, now);
     if (lookup.entry != nullptr) {
       stats_->offline_serves++;
       TraceSpan("offline.serve", obs::kTierOffline, Duration::Zero());

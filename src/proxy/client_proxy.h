@@ -412,8 +412,7 @@ class ClientProxy {
                                    ServedFrom source, Duration latency);
 
   // Origin unreachable: serve a (possibly stale) browser copy if allowed.
-  FetchResult OfflineFallback(const http::HttpRequest& request,
-                              const std::string& key,
+  FetchResult OfflineFallback(const std::string& key,
                               Duration attempt_latency);
 
   FetchResult ServeFromEntry(const cache::CacheEntry& entry,
@@ -469,14 +468,9 @@ class ClientProxy {
   // Cold-client spill state (see FreezeBrowserCache).
   std::string frozen_browser_cache_;
   cache::FrozenHandles frozen_handles_;
-  bool browser_cache_frozen_ = false;
   SimTime last_active_;
   uint64_t freezes_ = 0;
   uint64_t thaws_ = 0;
-  // True while an SWR background revalidation is in flight: its network
-  // outcome must land in the background_* counters, not the per-request
-  // serve buckets.
-  bool background_fetch_ = false;
 
   // Observability: ProxyDeps::tracer, not owned. With a tracer the client
   // emits one RequestTrace per foreground request, so the trace count
@@ -486,6 +480,14 @@ class ClientProxy {
   // then one branch that builds nothing.
   obs::Tracer* tracer_ = nullptr;
   std::unique_ptr<obs::TraceBuilder> trace_;
+
+  // Three flags, kept together so they share one word of the object.
+  // True while the browser cache lives in the spill state above.
+  bool browser_cache_frozen_ = false;
+  // True while an SWR background revalidation is in flight: its network
+  // outcome must land in the background_* counters, not the per-request
+  // serve buckets.
+  bool background_fetch_ = false;
   // A fault-handling path fired during the current foreground request.
   bool request_degraded_ = false;
 };

@@ -5,7 +5,7 @@
 namespace speedkit::sketch {
 
 bool ClientSketch::NeedsRefresh(SimTime now) const {
-  if (!has_snapshot_) return true;
+  if (!HasSnapshot()) return true;
   return now - fetched_at_ >= refresh_interval_;
 }
 
@@ -19,12 +19,11 @@ Status ClientSketch::Update(std::string_view serialized, SimTime now) {
 void ClientSketch::Install(std::shared_ptr<const BloomFilter> filter,
                            SimTime now) {
   filter_ = std::move(filter);
-  has_snapshot_ = true;
   fetched_at_ = now;
 }
 
 bool ClientSketch::MightBeStale(std::string_view key) const {
-  return !has_snapshot_ || filter_->MightContain(key);
+  return !HasSnapshot() || filter_->MightContain(key);
 }
 
 }  // namespace speedkit::sketch

@@ -39,13 +39,12 @@ class ClientSketch {
   // snapshot's age in staleness).
   bool MightBeStale(std::string_view key) const;
 
-  bool HasSnapshot() const { return has_snapshot_; }
+  bool HasSnapshot() const { return filter_ != nullptr; }
   // The installed snapshot filter (null before the first refresh).
   const BloomFilter* filter() const { return filter_.get(); }
   SimTime fetched_at() const { return fetched_at_; }
-  Duration refresh_interval() const { return refresh_interval_; }
   Duration Age(SimTime now) const {
-    return has_snapshot_ ? now - fetched_at_ : Duration::Max();
+    return HasSnapshot() ? now - fetched_at_ : Duration::Max();
   }
 
  private:
@@ -61,7 +60,6 @@ class ClientSketch {
   // Shared and immutable: a million clients refreshed inside the same Δ
   // window all point at one filter object.
   std::shared_ptr<const BloomFilter> filter_;
-  bool has_snapshot_ = false;
   SimTime fetched_at_;
 };
 

@@ -43,7 +43,7 @@ TEST(OriginFlightModeTest, UnknownNameIsInvalidArgument) {
 }
 
 TEST(CdnTest, RoutingIsStablePerClient) {
-  Cdn cdn(8, 0);
+  Cdn cdn(8);
   for (uint64_t client = 0; client < 50; ++client) {
     int e = cdn.RouteFor(client);
     EXPECT_EQ(e, cdn.RouteFor(client));
@@ -53,7 +53,7 @@ TEST(CdnTest, RoutingIsStablePerClient) {
 }
 
 TEST(CdnTest, RoutingSpreadsClients) {
-  Cdn cdn(4, 0);
+  Cdn cdn(4);
   int counts[4] = {0};
   for (uint64_t client = 0; client < 4000; ++client) {
     counts[cdn.RouteFor(client)]++;
@@ -65,8 +65,8 @@ TEST(CdnTest, RoutingSpreadsClients) {
 // rejected up front by StackConfig::Validate (tests/core/stack_test.cc) —
 // constructing a Cdn directly requires a positive count.
 TEST(CdnTest, ShardViewsPartitionThePhysicalTier) {
-  Cdn shard0(4, 0, 0, 2);  // owns physical edges 0, 2
-  Cdn shard1(4, 0, 1, 2);  // owns physical edges 1, 3
+  Cdn shard0(4, 0, 2);  // owns physical edges 0, 2
+  Cdn shard1(4, 1, 2);  // owns physical edges 1, 3
   EXPECT_EQ(shard0.num_edges(), 2);
   EXPECT_EQ(shard1.num_edges(), 2);
 
@@ -101,7 +101,7 @@ TEST(CdnTest, ShardViewsPartitionThePhysicalTier) {
 }
 
 TEST(CdnTest, FullViewOwnsEveryClient) {
-  Cdn cdn(3, 0);
+  Cdn cdn(3);
   EXPECT_EQ(cdn.num_edges(), 3);
   for (uint64_t client = 1; client <= 50; ++client) {
     EXPECT_TRUE(cdn.OwnsClient(client));
@@ -110,8 +110,8 @@ TEST(CdnTest, FullViewOwnsEveryClient) {
 }
 
 TEST(CdnTest, ShardFaultAccountingStaysLocal) {
-  Cdn shard0(2, 0, 0, 2);
-  Cdn shard1(2, 0, 1, 2);
+  Cdn shard0(2, 0, 2);
+  Cdn shard1(2, 1, 2);
   shard0.edge(0).Store("k", CacheableResponse(), At(0));
   shard0.SetEdgeDown(0, true);
   EXPECT_FALSE(shard0.EdgeAvailable(0));
@@ -130,8 +130,8 @@ TEST(CdnTest, ShardFaultAccountingStaysLocal) {
 TEST(CdnTest, RemotePurgeToDownEdgeIsCountedDropped) {
   // A purge delivered to a down POP is lost and counted at the shard that
   // owns the edge; once the edge is back, the next purge applies.
-  Cdn shard0(2, 0, 0, 2);
-  Cdn shard1(2, 0, 1, 2);
+  Cdn shard0(2, 0, 2);
+  Cdn shard1(2, 1, 2);
   shard1.edge(0).Store("k", CacheableResponse(), At(0));  // physical 1
   shard1.SetEdgeDown(0, true);
   EXPECT_FALSE(shard1.PurgeEdge(0, "k"));
@@ -146,14 +146,14 @@ TEST(CdnTest, RemotePurgeToDownEdgeIsCountedDropped) {
 }
 
 TEST(CdnTest, EdgesAreIndependentCaches) {
-  Cdn cdn(2, 0);
+  Cdn cdn(2);
   cdn.edge(0).Store("k", CacheableResponse(), At(0));
   EXPECT_EQ(cdn.edge(0).Lookup("k", At(1)).outcome, LookupOutcome::kFreshHit);
   EXPECT_EQ(cdn.edge(1).Lookup("k", At(1)).outcome, LookupOutcome::kMiss);
 }
 
 TEST(CdnTest, PurgeEdgeIsLocal) {
-  Cdn cdn(2, 0);
+  Cdn cdn(2);
   cdn.edge(0).Store("k", CacheableResponse(), At(0));
   cdn.edge(1).Store("k", CacheableResponse(), At(0));
   EXPECT_TRUE(cdn.PurgeEdge(0, "k"));
@@ -161,7 +161,7 @@ TEST(CdnTest, PurgeEdgeIsLocal) {
 }
 
 TEST(CdnTest, TotalStatsAggregates) {
-  Cdn cdn(2, 0);
+  Cdn cdn(2);
   cdn.edge(0).Store("a", CacheableResponse(), At(0));
   cdn.edge(1).Store("b", CacheableResponse(), At(0));
   cdn.edge(0).Lookup("a", At(1));
@@ -173,7 +173,7 @@ TEST(CdnTest, TotalStatsAggregates) {
 }
 
 TEST(CdnTest, EdgesAreSharedCaches) {
-  Cdn cdn(1, 0);
+  Cdn cdn(1);
   http::HttpResponse priv = CacheableResponse();
   priv.headers.Set("Cache-Control", "private, max-age=60");
   EXPECT_FALSE(cdn.edge(0).Store("k", priv, At(0)));
@@ -184,7 +184,7 @@ TEST(CdnTest, EdgeSlotsAreCacheLineAligned) {
   // e % shards interleaving, so each shard's edges start on their own
   // cache line.
   for (int s = 0; s < 2; ++s) {
-    Cdn cdn(4, 0, s, 2);
+    Cdn cdn(4, s, 2);
     for (int i = 0; i < cdn.num_edges(); ++i) {
       EXPECT_EQ(reinterpret_cast<uintptr_t>(&cdn.edge(i)) % kCacheLineBytes,
                 0u)
@@ -226,7 +226,7 @@ TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
   };
 
   // The whole tier as one domain.
-  Cdn full(4, 0);
+  Cdn full(4);
   note_events([&](int e) { full.NoteEdgeReject(e); },
               [&](int e) { full.NotePurgeDropped(e); },
               [&](int e) { full.NotePurgeDelayed(e); },
@@ -235,8 +235,8 @@ TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
   // Two shards; each receives only its owned edges' events, translated to
   // local indices — exactly how the fault schedule mirrors events per
   // shard.
-  Cdn s0(4, 0, 0, 2);
-  Cdn s1(4, 0, 1, 2);
+  Cdn s0(4, 0, 2);
+  Cdn s1(4, 1, 2);
   auto route = [&](int physical) -> std::pair<Cdn*, int> {
     Cdn* owner = physical % 2 == 0 ? &s0 : &s1;
     return {owner, owner->LocalIndexOf(physical)};

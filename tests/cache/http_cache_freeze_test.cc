@@ -1,11 +1,10 @@
 // Cold-client spill codec: HttpCache::Freeze/Thaw must be a lossless
-// round trip — contents, Vary variants, stats, eviction history AND the
-// LRU recency order, so a thawed cache makes the exact same decisions as
-// its never-frozen twin forever after. The fleet depends on this being
+// round trip — contents, stats, eviction history AND the LRU recency
+// order, so a thawed cache makes the exact same decisions as its
+// never-frozen twin forever after. The fleet depends on this being
 // behavior-neutral (fig_memscale gates it end-to-end; these tests pin
 // the codec directly).
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -101,42 +100,14 @@ TEST(HttpCacheFreezeTest, RecencyOrderSurvivesSoEvictionsMatchTwin) {
   EXPECT_EQ(run(/*freeze_midway=*/false), "acd/1");  // b was LRU
 }
 
-TEST(HttpCacheFreezeTest, VaryVariantsSurvive) {
-  HttpCache cache(false, 0);
-  http::HttpResponse seg_a = Response("max-age=60", 0, 1, "segment-a");
-  seg_a.headers.Set("Vary", "X-Segment");
-  http::HttpResponse seg_b = Response("max-age=60", 0, 2, "segment-b");
-  seg_b.headers.Set("Vary", "X-Segment");
-  http::HeaderMap req_a;
-  req_a.Set("X-Segment", "a");
-  http::HeaderMap req_b;
-  req_b.Set("X-Segment", "b");
-  ASSERT_TRUE(cache.Store("k", req_a, seg_a, At(0)));
-  ASSERT_TRUE(cache.Store("k", req_b, seg_b, At(0)));
-
-  HttpCache thawed(false, 0);
-  ASSERT_TRUE(thawed.Thaw(cache.Freeze()));
-  LookupResult a = thawed.Lookup("k", req_a, At(1));
-  ASSERT_EQ(a.outcome, LookupOutcome::kFreshHit);
-  EXPECT_EQ(a.entry->response.body, "segment-a");
-  LookupResult b = thawed.Lookup("k", req_b, At(1));
-  ASSERT_EQ(b.outcome, LookupOutcome::kFreshHit);
-  EXPECT_EQ(b.entry->response.body, "segment-b");
-  // A third variant can still be stored and purged through the thawed
-  // Vary bookkeeping.
-  EXPECT_TRUE(thawed.Purge("k"));
-  EXPECT_EQ(thawed.Lookup("k", req_a, At(1)).outcome, LookupOutcome::kMiss);
-}
-
-// The variant-name section is presence-gated: a never-varying cache —
-// the overwhelmingly common case in a spilled fleet — spends one byte on
-// it instead of a dangling empty count. Pinned by exact header size so a
-// codec change that reintroduces the empty section fails here.
+// The caches store no varying response, so a blob carries no Vary section,
+// not even a presence byte. Pinned by exact size, so a codec change that
+// adds a field to every blob (every spilled client pays it) fails here.
 TEST(HttpCacheFreezeTest, EmptyVarySectionIsOmittedFromBlob) {
   HttpCache empty(false, 0);
   // magic(4) + shared(1) + capacity + 9 stat counters (10 x U64 = 80) +
-  // vary presence byte(1) + entry count(4).
-  EXPECT_EQ(empty.Freeze().size(), 90u);
+  // entry count(4).
+  EXPECT_EQ(empty.Freeze().size(), 89u);
 
   // And the lean blob still round-trips losslessly.
   HttpCache cache(false, 0);
@@ -146,69 +117,6 @@ TEST(HttpCacheFreezeTest, EmptyVarySectionIsOmittedFromBlob) {
   LookupResult a = thawed.Lookup("a", At(1));
   ASSERT_EQ(a.outcome, LookupOutcome::kFreshHit);
   EXPECT_EQ(a.entry->response.body, "body-a");
-}
-
-// Eviction removes variant entries but leaves the vary_names_ mapping
-// behind in memory; Freeze must not spill that dead bookkeeping. A fleet
-// client that varied once and then churned past it freezes as lean as one
-// that never varied at all.
-TEST(HttpCacheFreezeTest, EvictedVaryMappingsAreDroppedAtFreeze) {
-  http::HttpResponse varied = Response("max-age=60", 0, 1, "segment-a");
-  varied.headers.Set("Vary", "X-Segment");
-  http::HeaderMap req;
-  req.Set("X-Segment", "a");
-
-  // Capacity that holds either entry alone but not both, so the second
-  // store evicts the variant and orphans its vary mapping.
-  size_t total = [&] {
-    HttpCache probe(false, 0);
-    probe.Store("k", req, varied, At(0));
-    probe.Store("plain", Response("max-age=60", 0, 2, "body-p"), At(0));
-    return probe.used_bytes();
-  }();
-  HttpCache cache(false, total - 1);
-  ASSERT_TRUE(cache.Store("k", req, varied, At(0)));
-  ASSERT_TRUE(
-      cache.Store("plain", Response("max-age=60", 0, 2, "body-p"), At(1)));
-  ASSERT_EQ(cache.evictions(), 1u);
-
-  std::string blob = cache.Freeze();
-  // The dead mapping (and its vary header name) must not appear: the
-  // variant entry is gone, so the only place "X-Segment" could survive is
-  // the vary-name section this test guards.
-  EXPECT_EQ(blob.find("X-Segment"), std::string::npos);
-
-  HttpCache thawed(false, total - 1);
-  ASSERT_TRUE(thawed.Thaw(blob));
-  EXPECT_EQ(thawed.size(), 1u);
-  EXPECT_EQ(thawed.Lookup("plain", At(1)).outcome, LookupOutcome::kFreshHit);
-}
-
-// Live vary mappings freeze in sorted key order, so two caches holding the
-// same contents produce byte-identical blobs regardless of the (unordered)
-// in-memory map's insertion history.
-TEST(HttpCacheFreezeTest, VarySectionIsCanonicallyOrdered) {
-  auto store_varied = [](HttpCache* cache, const std::string& key,
-                         uint64_t version) {
-    http::HttpResponse resp = Response("max-age=60", 0, version, "seg");
-    resp.headers.Set("Vary", "X-Segment");
-    http::HeaderMap req;
-    req.Set("X-Segment", "a");
-    ASSERT_TRUE(cache->Store(key, req, resp, At(0)));
-  };
-  http::HeaderMap req;
-  req.Set("X-Segment", "a");
-  HttpCache first(false, 0);
-  store_varied(&first, "alpha", 1);
-  store_varied(&first, "beta", 2);
-  first.Lookup("alpha", req, At(1));  // recency: beta LRU, alpha MRU
-
-  HttpCache second(false, 0);
-  store_varied(&second, "beta", 2);  // reversed vary-map insertion order
-  store_varied(&second, "alpha", 1);
-  second.Lookup("alpha", req, At(1));  // same recency chain as `first`
-
-  EXPECT_EQ(first.Freeze(), second.Freeze());
 }
 
 TEST(HttpCacheFreezeTest, CorruptBlobFailsClosedToEmpty) {
@@ -226,34 +134,6 @@ TEST(HttpCacheFreezeTest, CorruptBlobFailsClosedToEmpty) {
   EXPECT_FALSE(victim.Thaw(bad_magic));
   EXPECT_TRUE(victim.Thaw(blob));  // the pristine blob still works
   EXPECT_EQ(victim.size(), 1u);
-}
-
-// The Vary-name count is read from the blob. A corrupt count must fail the
-// thaw closed, not size an allocation (it used to throw std::bad_alloc).
-TEST(HttpCacheFreezeTest, CorruptVaryNameCountFailsClosedToEmpty) {
-  http::HttpResponse varied = Response("max-age=60", 0, 1, "segment-a");
-  varied.headers.Set("Vary", "X-Segment");
-  http::HeaderMap req;
-  req.Set("X-Segment", "a");
-  HttpCache cache(false, 0);
-  ASSERT_TRUE(cache.Store("k", req, varied, At(0)));
-  std::string blob = cache.Freeze();
-
-  // magic(4) + shared(1) + capacity and 9 counters (80) + Vary presence(1)
-  // + mapping count(4) + the key "k" (4 + 1), then its name count.
-  const size_t name_count_at = 4 + 1 + 80 + 1 + 4 + 4 + 1;
-  ASSERT_GT(blob.size(), name_count_at + 4);
-  uint32_t name_count = 0;
-  std::memcpy(&name_count, blob.data() + name_count_at, sizeof(name_count));
-  ASSERT_EQ(name_count, 1u);
-  name_count = 0xFFFFFFFFu;
-  std::memcpy(blob.data() + name_count_at, &name_count, sizeof(name_count));
-
-  HttpCache victim(false, 0);
-  victim.Store("keep", Response("max-age=60"), At(0));
-  EXPECT_FALSE(victim.Thaw(blob));
-  EXPECT_EQ(victim.size(), 0u);
-  EXPECT_EQ(victim.Lookup("k", req, At(1)).outcome, LookupOutcome::kMiss);
 }
 
 // With handle lists, the blob carries body and header-block indexes

@@ -96,17 +96,6 @@ TEST(LruCacheTest, EraseMissingReturnsFalse) {
   EXPECT_TRUE(cache.Erase("x"));
 }
 
-TEST(LruCacheTest, EraseIfRemovesMatching) {
-  LruCache<int> cache(0);
-  for (int i = 0; i < 10; ++i) cache.Put("k" + std::to_string(i), i);
-  size_t removed = cache.EraseIf(
-      [](std::string_view, const int& v) { return v % 2 == 0; });
-  EXPECT_EQ(removed, 5u);
-  EXPECT_EQ(cache.size(), 5u);
-  EXPECT_EQ(cache.Get("k0"), nullptr);
-  EXPECT_NE(cache.Get("k1"), nullptr);
-}
-
 TEST(LruCacheTest, ClearEmptiesEverything) {
   LruCache<std::string> cache(100, BySize());
   cache.Put("a", "xyz");
@@ -183,10 +172,7 @@ void ExpectWorkingCache(LruCache<std::string>& cache) {
   EXPECT_TRUE(cache.Erase("s2"));
   EXPECT_TRUE(cache.Erase("https://shop.example.com/api/records/p2"));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.EraseIf([](std::string_view k, const std::string&) {
-              return k.size() > 15;
-            }),
-            1u);
+  EXPECT_TRUE(cache.Erase("https://shop.example.com/api/records/p1"));
   EXPECT_EQ(cache.Get("https://shop.example.com/api/records/p1"), nullptr);
   // Fill past the 40-byte budget: "short" (7 B) is the LRU victim.
   cache.Put("https://shop.example.com/api/records/p3", std::string(20, 'x'));

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <string>
 
 namespace speedkit {
@@ -12,7 +11,7 @@ std::string Key(int i) { return "https://shop.example.com/api/k" + std::to_strin
 
 TEST(FlatStringMapTest, UpsertAndFind) {
   FlatStringMap<int> map;
-  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.size(), 0u);
   auto [v, inserted] = map.Upsert("a", 1);
   EXPECT_TRUE(inserted);
   EXPECT_EQ(*v, 1);
@@ -37,37 +36,6 @@ TEST(FlatStringMapTest, FindAcceptsStringView) {
   EXPECT_EQ(*map.Find(view), 7);
 }
 
-TEST(FlatStringMapTest, EraseLeavesOthersReachable) {
-  FlatStringMap<int> map;
-  for (int i = 0; i < 100; ++i) map.Upsert(Key(i), i);
-  EXPECT_TRUE(map.Erase(Key(50)));
-  EXPECT_FALSE(map.Erase(Key(50)));  // already gone
-  EXPECT_EQ(map.size(), 99u);
-  EXPECT_EQ(map.Find(Key(50)), nullptr);
-  // Every other key still probes correctly through the tombstone.
-  for (int i = 0; i < 100; ++i) {
-    if (i == 50) continue;
-    ASSERT_NE(map.Find(Key(i)), nullptr) << Key(i);
-    EXPECT_EQ(*map.Find(Key(i)), i);
-  }
-}
-
-TEST(FlatStringMapTest, TombstoneSlotsAreReused) {
-  FlatStringMap<int> map;
-  map.Upsert("x", 1);
-  size_t cap = map.capacity();
-  // Churn one key far more times than the capacity: without tombstone
-  // reuse + same-size compaction this would force unbounded growth.
-  for (int round = 0; round < 200; ++round) {
-    EXPECT_TRUE(map.Erase("x"));
-    auto [v, inserted] = map.Upsert("x", round);
-    EXPECT_TRUE(inserted);
-    EXPECT_EQ(*v, round);
-  }
-  EXPECT_EQ(map.size(), 1u);
-  EXPECT_LE(map.capacity(), cap * 2);
-}
-
 TEST(FlatStringMapTest, GrowthPreservesEntries) {
   FlatStringMap<int> map;
   constexpr int kN = 5000;  // far past kMinCapacity: several rehashes
@@ -77,38 +45,8 @@ TEST(FlatStringMapTest, GrowthPreservesEntries) {
     ASSERT_NE(map.Find(Key(i)), nullptr) << Key(i);
     EXPECT_EQ(*map.Find(Key(i)), i);
   }
-}
-
-TEST(FlatStringMapTest, EraseIfDropsMatchingEntries) {
-  FlatStringMap<int> map;
-  for (int i = 0; i < 20; ++i) map.Upsert(Key(i), i);
-  size_t erased = map.EraseIf(
-      [](const std::string&, const int& v) { return v % 2 == 0; });
-  EXPECT_EQ(erased, 10u);
-  EXPECT_EQ(map.size(), 10u);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(map.Find(Key(i)) != nullptr, i % 2 == 1) << Key(i);
-  }
-}
-
-TEST(FlatStringMapTest, ForEachVisitsEveryLiveEntry) {
-  FlatStringMap<int> map;
-  for (int i = 0; i < 50; ++i) map.Upsert(Key(i), i);
-  map.Erase(Key(7));
-  std::set<std::string> seen;
-  map.ForEach([&](const std::string& k, const int&) { seen.insert(k); });
-  EXPECT_EQ(seen.size(), 49u);
-  EXPECT_EQ(seen.count(Key(7)), 0u);
-}
-
-TEST(FlatStringMapTest, ClearResets) {
-  FlatStringMap<int> map;
-  for (int i = 0; i < 30; ++i) map.Upsert(Key(i), i);
-  map.Clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Find(Key(3)), nullptr);
-  map.Upsert("fresh", 1);
-  EXPECT_EQ(map.size(), 1u);
+  // A probe for an absent key still ends at an empty slot.
+  EXPECT_EQ(map.Find(Key(kN)), nullptr);
 }
 
 }  // namespace

@@ -35,15 +35,6 @@ TEST(ExpiryBookTest, ExpiredDeadlineCollapsesToNow) {
   EXPECT_EQ(book.LatestExpiry("k", At(70)), At(70));
 }
 
-TEST(ExpiryBookTest, CompactDropsExpiredOnly) {
-  ExpiryBook book;
-  book.RecordServed("old", At(10));
-  book.RecordServed("live", At(100));
-  book.CompactUntil(At(50));
-  EXPECT_EQ(book.size(), 1u);
-  EXPECT_EQ(book.LatestExpiry("live", At(50)), At(100));
-}
-
 TEST(ExpiryBookTest, KeysAreIndependent) {
   ExpiryBook book;
   book.RecordServed("a", At(60));

@@ -30,7 +30,7 @@ class PipelineTest : public ::testing::Test {
  protected:
   PipelineTest()
       : events_(&clock_),
-        cdn_(3, 0),
+        cdn_(3),
         protocol_(coherence::CoherenceConfig()),
         ttl_policy_(Duration::Seconds(60)),
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "coherence/sketch_publication.h"
 #include "invalidation/pipeline.h"
 
@@ -191,6 +194,33 @@ TEST_F(OriginServerTest, SketchEndpointServesSnapshot) {
   auto filter = sketch::BloomFilter::Deserialize(resp.body.ToString());
   ASSERT_TRUE(filter.ok());
   EXPECT_TRUE(filter->MightContain("some-key"));
+}
+
+// The HTTP caches key on the URL alone and refuse a response that carries
+// Vary, so every cacheable route must answer without one. If a route ever
+// starts to vary, this test fails before its responses silently stop
+// being cached.
+TEST_F(OriginServerTest, NoRouteSendsVary) {
+  http::HttpRequest record_304 = Get("https://shop.example.com/api/records/p1");
+  record_304.headers.Set("If-None-Match", "\"v1\"");
+  const std::vector<std::pair<http::HttpRequest, int>> requests = {
+      {Get("https://shop.example.com/api/records/p1"), 200},
+      {record_304, 304},
+      {Get("https://shop.example.com/api/queries/cat-1"), 200},
+      {Get("https://shop.example.com/api/fragments/recs?seg=seg-3"), 200},
+      {Get("https://shop.example.com/api/fragments/cart?tpl=1"), 200},
+      {Get("https://shop.example.com/api/fragments/cart?user=777"), 200},
+      {Get("https://shop.example.com/assets/app.css"), 200},
+      {Get("https://shop.example.com/assets/app.css?skopt=1"), 200},
+      {Get("https://shop.example.com/pages/home"), 200},
+      {Get("https://shop.example.com/sketch"), 200},
+      {Get("https://shop.example.com/nope"), 404},
+  };
+  for (const auto& [request, status] : requests) {
+    http::HttpResponse resp = server_.Handle(request);
+    EXPECT_EQ(resp.status_code, status) << request.url.CacheKey();
+    EXPECT_FALSE(resp.headers.Has("Vary")) << request.url.CacheKey();
+  }
 }
 
 TEST_F(OriginServerTest, ServedResponsesFeedExpiryBook) {

@@ -17,7 +17,7 @@ class ClientProxyTest : public ::testing::Test {
   ClientProxyTest()
       : network_(sim::NetworkConfig::Instant(), Pcg32(1)),
         events_(&clock_),
-        cdn_(2, 0),
+        cdn_(2),
         protocol_(Coherence()),
         ttl_policy_(Duration::Seconds(60)),
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,

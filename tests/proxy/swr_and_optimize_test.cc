@@ -18,7 +18,7 @@ class SwrTest : public ::testing::Test {
   SwrTest()
       : network_(sim::NetworkConfig::Instant(), Pcg32(1)),
         events_(&clock_),
-        cdn_(2, 0),
+        cdn_(2),
         protocol_(Coherence()),
         ttl_policy_(Duration::Seconds(60)),  // SWR window: +30s
         origin_(origin::OriginConfig{}, &clock_, &store_, &ttl_policy_,

@@ -1,9 +1,13 @@
 // Minimal --key=value flag parsing for the CLI tools. No dependencies, no
-// registration: parse once, query typed getters with defaults.
+// registration: parse once, query typed getters with defaults. Every
+// getter (and Has) marks its flag read, so once a tool has read what its
+// chosen mode uses, Unread() names what the command line gave in vain: a
+// misspelled flag, or one that has no effect in that mode.
 #ifndef SPEEDKIT_TOOLS_FLAGS_H_
 #define SPEEDKIT_TOOLS_FLAGS_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -25,46 +29,81 @@ class Flags {
       std::string body = arg.substr(2);
       size_t eq = body.find('=');
       if (eq != std::string::npos) {
-        values_[body.substr(0, eq)] = body.substr(eq + 1);
+        values_[body.substr(0, eq)].text = body.substr(eq + 1);
       } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        values_[body] = argv[++i];
+        values_[body].text = argv[++i];
       } else {
-        values_[body] = "true";
+        values_[body].text = "true";
       }
     }
   }
 
   std::string GetString(const std::string& key,
                         const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const std::string* value = Read(key);
+    return value == nullptr ? fallback : *value;
   }
 
   int64_t GetInt(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoll(it->second.c_str(),
-                                                         nullptr, 10);
+    const std::string* value = Read(key);
+    return value == nullptr ? fallback
+                            : std::strtoll(value->c_str(), nullptr, 10);
   }
 
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
+    const std::string* value = Read(key);
+    return value == nullptr ? fallback : std::strtod(value->c_str(), nullptr);
   }
 
   bool GetBool(const std::string& key, bool fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return it->second == "true" || it->second == "1" || it->second == "yes";
+    const std::string* value = Read(key);
+    if (value == nullptr) return fallback;
+    return *value == "true" || *value == "1" || *value == "yes";
   }
 
-  bool Has(const std::string& key) const { return values_.count(key) != 0; }
+  bool Has(const std::string& key) const { return Read(key) != nullptr; }
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // The names of the flags on the command line that no getter has read,
+  // in name order.
+  std::vector<std::string> Unread() const {
+    std::vector<std::string> unread;
+    for (const auto& [key, value] : values_) {
+      if (!value.read) unread.push_back(key);
+    }
+    return unread;
+  }
+
  private:
-  std::map<std::string, std::string> values_;
+  struct Value {
+    std::string text;
+    mutable bool read = false;
+  };
+
+  // The flag's value, marked read; null when the command line lacks it.
+  const std::string* Read(const std::string& key) const {
+    auto it = values_.find(key);
+    if (it == values_.end()) return nullptr;
+    it->second.read = true;
+    return &it->second.text;
+  }
+
+  std::map<std::string, Value> values_;
   std::vector<std::string> positional_;
 };
+
+// Prints "<tool>: unused flag --<name>" to stderr for each of Unread() and
+// returns whether there was any. A tool calls it once it has read every
+// flag its chosen mode uses, and exits 2 when it returns true.
+inline bool ReportUnread(const Flags& flags, const char* tool) {
+  const std::vector<std::string> unread = flags.Unread();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr,
+                 "%s: unused flag --%s (misspelled, or no effect here)\n",
+                 tool, name.c_str());
+  }
+  return !unread.empty();
+}
 
 }  // namespace speedkit::tools
 

@@ -80,6 +80,7 @@ int main(int argc, char** argv) {
   }
   config.catalog.num_products =
       static_cast<size_t>(flags.GetInt("products", 2000));
+  if (speedkit::tools::ReportUnread(flags, "speedkit-edged")) return 2;
 
   speedkit::net::EdgedServer server(config);
   if (!server.Start()) {

@@ -81,6 +81,7 @@ int main(int argc, char** argv) {
         flags.GetDouble("zipf", 0.95), seed, SimTime::Origin(),
         Duration::Micros(1));
   }
+  if (tools::ReportUnread(flags, "speedkit-loadgen")) return 2;
   Result<net::LoadGenReport> sent =
       trace.ok() ? net::RunLoadGen(config, *trace) : trace.status();
   if (!sent.ok()) {

@@ -71,25 +71,31 @@ int main(int argc, char** argv) {
   // dashboard numbers below are bit-for-bit identical.
   config.obs.metrics = flags.Has("metrics");
   config.obs.tracing = flags.Has("trace");
-  core::SpeedKitStack stack(config);
+  std::string trace_path = flags.GetString("trace", "true");
+  if (trace_path == "true") trace_path = "TRACE_sim.csv";
+  std::string metrics_path = flags.GetString("metrics", "true");
+  if (metrics_path == "true") metrics_path = "METRICS_sim.json";
 
   workload::CatalogConfig catalog_config;
   catalog_config.num_products =
       static_cast<size_t>(flags.GetInt("products", 5000));
   catalog_config.num_categories =
       static_cast<int>(flags.GetInt("categories", 40));
-  workload::Catalog catalog(catalog_config, Pcg32(config.seed + 1));
-  catalog.Populate(&stack.store(), stack.clock().Now());
-  for (int c = 0; c < catalog.num_categories(); ++c) {
-    (void)stack.origin().RegisterQuery(catalog.CategoryQuery(c));
-  }
-  stack.Advance(Duration::Seconds(5));
 
   core::TrafficConfig traffic;
   traffic.num_clients = static_cast<size_t>(flags.GetInt("clients", 40));
   traffic.duration = Duration::Minutes(flags.GetDouble("minutes", 30));
   traffic.writes_per_sec = flags.GetDouble("writes-per-sec", 3.0);
   traffic.session.product_skew = flags.GetDouble("skew", 0.9);
+  if (tools::ReportUnread(flags, "speedkit-sim")) return 2;
+
+  core::SpeedKitStack stack(config);
+  workload::Catalog catalog(catalog_config, Pcg32(config.seed + 1));
+  catalog.Populate(&stack.store(), stack.clock().Now());
+  for (int c = 0; c < catalog.num_categories(); ++c) {
+    (void)stack.origin().RegisterQuery(catalog.CategoryQuery(c));
+  }
+  stack.Advance(Duration::Seconds(5));
 
   std::printf("speedkit_sim: variant=%s clients=%zu minutes=%.0f "
               "writes/s=%.1f skew=%.2f delta=%.0fs seed=%llu\n\n",
@@ -155,8 +161,6 @@ int main(int argc, char** argv) {
     tier_row("error", p.latency_error_us);
     tier_row("degraded", p.latency_degraded_us);
 
-    std::string trace_path = flags.GetString("trace", "true");
-    if (trace_path == "true") trace_path = "TRACE_sim.csv";
     obs::MetaList meta = {
         {"bench", "speedkit_sim"},
         {"seed", std::to_string(config.seed)},
@@ -173,8 +177,6 @@ int main(int argc, char** argv) {
   }
   if (config.obs.metrics) {
     stack.CollectMetrics(&result.proxies, stack.metrics().get());
-    std::string metrics_path = flags.GetString("metrics", "true");
-    if (metrics_path == "true") metrics_path = "METRICS_sim.json";
     obs::MetaList meta = {
         {"bench", "speedkit_sim"},
         {"variant", std::string(core::SystemVariantName(config.variant))},

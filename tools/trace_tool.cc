@@ -41,10 +41,12 @@ int Generate(const tools::Flags& flags) {
   std::string out = flags.GetString("out", "");
   if (out.empty()) return Usage();
   workload::Catalog catalog = MakeCatalog(flags);
+  const size_t clients = static_cast<size_t>(flags.GetInt("clients", 20));
+  const Duration duration = Duration::Minutes(flags.GetDouble("minutes", 30));
+  const double writes_per_sec = flags.GetDouble("writes-per-sec", 2.0);
+  if (tools::ReportUnread(flags, "trace_tool")) return 2;
   workload::Trace trace = core::SynthesizeTrace(
-      catalog, static_cast<size_t>(flags.GetInt("clients", 20)),
-      Duration::Minutes(flags.GetDouble("minutes", 30)),
-      flags.GetDouble("writes-per-sec", 2.0),
+      catalog, clients, duration, writes_per_sec,
       static_cast<uint64_t>(flags.GetInt("seed", 7)));
   std::ofstream file(out);
   if (!file) {
@@ -58,6 +60,7 @@ int Generate(const tools::Flags& flags) {
 
 int Info(const tools::Flags& flags) {
   if (flags.positional().size() < 2) return Usage();
+  if (tools::ReportUnread(flags, "trace_tool")) return 2;
   auto trace = workload::LoadTrace(flags.positional()[1]);
   if (!trace.ok()) {
     std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
@@ -98,14 +101,15 @@ int Replay(const tools::Flags& flags) {
     std::fprintf(stderr, "--variant: %s\n", s.ToString().c_str());
     return 2;
   }
+  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
+  workload::Catalog catalog = MakeCatalog(flags);
+  if (tools::ReportUnread(flags, "trace_tool")) return 2;
   auto trace = workload::LoadTrace(flags.positional()[1]);
   if (!trace.ok()) {
     std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
     return 1;
   }
-  config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   core::SpeedKitStack stack(config);
-  workload::Catalog catalog = MakeCatalog(flags);
   catalog.Populate(&stack.store(), stack.clock().Now());
   for (int c = 0; c < catalog.num_categories(); ++c) {
     (void)stack.origin().RegisterQuery(catalog.CategoryQuery(c));
