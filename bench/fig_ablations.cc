@@ -230,6 +230,7 @@ void AblationAssetOptimization(bench::JsonValue* rows) {
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "ablations");
+  h.RejectUnreadFlags(bench::SharedFlags::kSpec);
   bench::PrintHeader(
       "E12",
       "Ablations: TTL estimator, counting filter, segment caching, SWR, "

@@ -101,6 +101,7 @@ void Run(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   speedkit::bench::Harness h(argc, argv, "baselines");
+  h.RejectUnreadFlags(speedkit::bench::SharedFlags::kSweep);
   speedkit::bench::PrintHeader(
       "E9", "Baseline comparison: latency, staleness, origin load",
       "the paper's positioning against traditional CDNs, no caching, and "

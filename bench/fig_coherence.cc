@@ -76,6 +76,7 @@ int main(int argc, char** argv) {
   params.duration = Duration::Minutes(h.flags().GetInt("duration", 10));
   params.keys_per_txn = static_cast<size_t>(h.flags().GetInt("keys", 4));
   params.writes_per_sec = h.flags().GetDouble("writes-per-sec", 4.0);
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
 
   bench::PrintHeader(
       "E18", "Pluggable coherence modes on the cart workload",

@@ -120,7 +120,6 @@ void Run(bench::Harness& h) {
        {.key = "excused_stale_reads", .json_only = true},
        {"purges_scheduled"},
        {"purges_dropped"},
-       {.key = "purges_delayed", .json_only = true},
        {.key = "violations_per_seed", .json_only = true}});
   auto purge_row = [&](const std::string& variant, double loss,
                        const std::vector<bench::RunOutput>& runs) {
@@ -133,8 +132,7 @@ void Run(bench::Harness& h) {
          out.staleness.max_staleness.seconds(),
          out.staleness.delta_violations, out.staleness.ViolationFraction(),
          out.staleness.excused_stale_reads, out.pipeline.purges_scheduled,
-         out.pipeline.purges_dropped, out.pipeline.purges_delayed,
-         bench::JsonSeedStats(violations)}));
+         out.pipeline.purges_dropped, bench::JsonSeedStats(violations)}));
   };
   for (size_t i = 0; i < std::size(kPurgeLoss); ++i) {
     purge_row("speed_kit", kPurgeLoss[i], sweep.outputs[i]);
@@ -210,6 +208,7 @@ void Run(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   speedkit::bench::Harness h(argc, argv, "faults");
+  h.RejectUnreadFlags(speedkit::bench::SharedFlags::kSweep);
   speedkit::bench::PrintHeader(
       "E14", "Fault injection: purge loss, outages, flaky links",
       "degraded-mode behavior — the Delta bound survives purge loss, "

@@ -87,6 +87,7 @@ void CatalogSizeSweep(const bench::Harness& h, bench::JsonValue* rows) {
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "hit_layers");
+  h.RejectUnreadFlags(bench::SharedFlags::kSpec);
   bench::PrintHeader(
       "E4", "Requests served per cache layer",
       "the polyglot architecture's layered hit ratios (browser -> CDN -> "

@@ -14,6 +14,7 @@
 #include "coherence/protocol.h"
 #include "common/histogram.h"
 #include "common/random.h"
+#include "common/strings.h"
 #include "invalidation/pipeline.h"
 #include "invalidation/query_matcher.h"
 
@@ -24,7 +25,8 @@ using Clock = std::chrono::steady_clock;
 
 storage::Record MakeProduct(size_t id, int64_t category, double price) {
   storage::Record r;
-  r.id = "p" + std::to_string(id);
+  r.id = "p";
+  r.id += std::to_string(id);
   r.version = 1;
   r.fields["category"] = category;
   r.fields["price"] = price;
@@ -40,7 +42,8 @@ void Populate(invalidation::QueryMatcher* matcher, size_t n,
               int64_t categories) {
   for (size_t i = 0; i < n; ++i) {
     invalidation::Query q;
-    q.id = "q" + std::to_string(i);
+    q.id = "q";
+    q.id += std::to_string(i);
     if (i % 10 != 0) {
       q.conditions.push_back({"category", invalidation::Op::kEq,
                               static_cast<int64_t>(i % categories)});
@@ -114,8 +117,7 @@ void PurgePropagation(bench::JsonValue* rows) {
                                                 &protocol, &no_copies_served,
                                                 Pcg32(3));
     for (int i = 0; i < 2000; ++i) {
-      pipeline.OnWrite(invalidation::RecordCacheKey("p" + std::to_string(i)),
-                       {});
+      pipeline.OnWrite(invalidation::RecordCacheKey(StrFormat("p%d", i)), {});
       events.RunUntil(clock.Now() + Duration::Seconds(1));
     }
     const Histogram& h = pipeline.propagation_latency_us();
@@ -131,6 +133,7 @@ void PurgePropagation(bench::JsonValue* rows) {
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "invalidation_scale");
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
   bench::PrintHeader(
       "E6", "Invalidation pipeline scalability",
       "InvaliDB-style real-time query matching + CDN purge fan-out that "

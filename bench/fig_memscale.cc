@@ -197,6 +197,7 @@ int main(int argc, char** argv) {
   double budget =
       h.flags().GetDouble("max-bytes-per-client", EnvBytesBudget());
   const coherence::CoherenceMode mode = h.coherence();
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
 
   bench::PrintHeader(
       "E16", "Fleet memory scaling and bytes-per-client gate",

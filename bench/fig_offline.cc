@@ -121,6 +121,7 @@ void OutageSweep(bench::JsonValue* rows) {
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "offline");
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
   bench::PrintHeader(
       "E11", "Offline mode: availability during origin outages",
       "field-experience resilience claim (service worker keeps the site "

@@ -269,6 +269,7 @@ void RunProfile(const Profile& profile, bool mobile, bench::JsonValue* rows) {
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "pageload_ab");
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
   bench::PrintHeader(
       "E5", "Page load time A/B: Speed Kit on vs off",
       "the paper's headline field experience (faster loads on real "

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/strings.h"
 #include "core/stack.h"
 
 namespace speedkit {
@@ -40,7 +41,7 @@ BlockRunResult RunBlocks(double user_share, int segments, bool gdpr_mode,
         i < user_blocks ? personalization::BlockScope::kUser
                         : personalization::BlockScope::kSegment;
     tpl.blocks.push_back(
-        {"b" + std::to_string(i), scope, 2048});
+        {StrFormat("b%d", i), scope, 2048});
   }
   personalization::Segmenter segmenter(segments);
 
@@ -54,7 +55,9 @@ BlockRunResult RunBlocks(double user_share, int segments, bool gdpr_mode,
   for (int u = 0; u < num_users; ++u) {
     uint64_t user_id = 7000 + static_cast<uint64_t>(u);
     vaults.push_back(std::make_unique<personalization::PiiVault>(user_id));
-    vaults.back()->Put("name", "User " + std::to_string(user_id));
+    std::string name = "User ";
+    name += std::to_string(user_id);
+    vaults.back()->Put("name", name);
     vaults.back()->Put("cart", std::to_string(u % 3) + " items");
     auditors.push_back(std::make_unique<personalization::BoundaryAuditor>());
     auditors.back()->RegisterVault(*vaults.back());
@@ -126,6 +129,7 @@ void SegmentCountSweep(bench::JsonValue* rows) {
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "personalized");
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
   bench::PrintHeader(
       "E7", "Caching personalized content: dynamic blocks & GDPR mode",
       "the paper's personalization pillar (segment/user block split, "

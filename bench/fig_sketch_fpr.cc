@@ -99,6 +99,7 @@ void SweepTargetFpr(bench::JsonValue* rows) {
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "sketch_fpr");
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
   bench::PrintHeader(
       "E1", "Cache Sketch false-positive rate vs sizing",
       "Bloom-filter dimensioning of the Cache Sketch (coherence protocol "

@@ -66,6 +66,7 @@ int main(int argc, char** argv) {
   const size_t hot_products =
       static_cast<size_t>(flags.GetInt("hot-products", 500));
   const double zipf_s = flags.GetDouble("zipf", 0.95);
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
 
   bench::PrintHeader(
       "E17", "socketed edge vs. simulator prediction",

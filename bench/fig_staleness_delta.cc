@@ -124,6 +124,7 @@ void Run(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   speedkit::bench::Harness h(argc, argv, "staleness_delta");
+  h.RejectUnreadFlags(speedkit::bench::SharedFlags::kSweep);
   speedkit::bench::PrintHeader(
       "E2", "Delta-atomicity: staleness bound vs sketch refresh interval",
       "the paper's central coherence claim (bounded staleness under "

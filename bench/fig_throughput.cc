@@ -208,14 +208,15 @@ int main(int argc, char** argv) {
 
   std::vector<int> thread_counts;
   for (int t = 1; t <= h.threads(8); t *= 2) thread_counts.push_back(t);
+  bench::RunSpec base =
+      ThroughputSpec(h.coherence(), h.shards(8), num_clients, duration_min);
+  h.RejectUnreadFlags(bench::SharedFlags::kNone);
 
   bench::PrintHeader(
       "E15", "Sharded-engine scaling and determinism gate",
       "simulated requests/sec vs worker threads at a fixed shard count; "
       "every point must fingerprint identically, and speedup must clear "
       "the configured floor");
-  bench::RunSpec base =
-      ThroughputSpec(h.coherence(), h.shards(8), num_clients, duration_min);
   bool ok = Run(h, base, thread_counts, min_speedup, gate_threads);
   bench::Note(
       "expected shape: near-linear scaling until threads exceed shards or "

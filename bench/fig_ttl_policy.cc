@@ -120,6 +120,7 @@ void Run(bench::Harness& h) {
 
 int main(int argc, char** argv) {
   speedkit::bench::Harness h(argc, argv, "ttl_policy");
+  h.RejectUnreadFlags(speedkit::bench::SharedFlags::kSweep);
   speedkit::bench::PrintHeader(
       "E3", "TTL policy: latency & hit ratio vs cache-lifetime strategy",
       "the TTL estimator's role in the polyglot architecture (hits vs "

@@ -29,6 +29,7 @@ bench::RunSpec TimelineSpec(const bench::Harness& h,
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "warmup");
+  h.RejectUnreadFlags(bench::SharedFlags::kSpec);
   bench::PrintHeader(
       "E13", "Cache warm-up timeline (per-minute hit ratio & latency)",
       "deployment dynamics: how fast the hierarchy warms and whether it "

@@ -8,10 +8,10 @@
 //                     the RunSpec-driven harnesses;
 //   --seeds=N         the multi-seed sweeps.
 //
-// A flag is read only when a harness asks for what it controls, so each
-// binary accepts exactly the flags it uses; unknown flags are ignored
-// (tools/flags.h). Harnesses with flags of their own read them through
-// flags().
+// Harnesses with flags of their own read them through flags(), then call
+// RejectUnreadFlags before their first run: it reads the shared flags the
+// harness uses later and exits 2 on any other flag (tools/flags.h), so a
+// misspelled flag cannot run the default configuration.
 #ifndef SPEEDKIT_BENCH_HARNESS_H_
 #define SPEEDKIT_BENCH_HARNESS_H_
 
@@ -29,6 +29,13 @@
 
 namespace speedkit::bench {
 
+// The shared flags a harness reads after Harness::RejectUnreadFlags: kSpec
+// for the RunSpec-driven harnesses (Spec and Trace read --coherence,
+// --shards, --threads and --trace), kSweep for the multi-seed sweeps (Sweep
+// adds --seeds). A harness that reads its shared flags itself before the
+// check passes kNone.
+enum class SharedFlags { kNone, kSpec, kSweep };
+
 class Harness {
  public:
   Harness(int argc, char** argv, std::string name)
@@ -42,6 +49,20 @@ class Harness {
                               const std::string& name) {
     if (flag_value.empty()) return "";
     return flag_value == "true" ? "BENCH_" + name + ".json" : flag_value;
+  }
+
+  // Reads the shared flags `later` names, then prints each flag on the
+  // command line that nothing has read (a misspelling, or a flag this
+  // harness has no use for) and exits 2 if there is one.
+  void RejectUnreadFlags(SharedFlags later) const {
+    if (later != SharedFlags::kNone) {
+      coherence();  // exits 2 on an unknown mode
+      shards();
+      threads();
+      flags_.Has("trace");
+    }
+    if (later == SharedFlags::kSweep) flags_.Has("seeds");
+    if (tools::ReportUnread(flags_, name_.c_str())) std::exit(2);
   }
 
   const tools::Flags& flags() const { return flags_; }

@@ -242,7 +242,8 @@ void BM_MatcherWrite(benchmark::State& state) {
   invalidation::QueryMatcher matcher(/*use_index=*/state.range(1) != 0);
   for (int64_t i = 0; i < state.range(0); ++i) {
     invalidation::Query q;
-    q.id = "q" + std::to_string(i);
+    q.id = "q";
+    q.id += std::to_string(i);
     q.conditions.push_back(
         {"category", invalidation::Op::kEq, static_cast<int64_t>(i % 100)});
     (void)matcher.Subscribe(std::move(q));

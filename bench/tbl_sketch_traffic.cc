@@ -63,6 +63,7 @@ void WriteRateSweep(const bench::Harness& h, bench::JsonValue* rows) {
 int main(int argc, char** argv) {
   using namespace speedkit;
   bench::Harness h(argc, argv, "sketch_traffic");
+  h.RejectUnreadFlags(bench::SharedFlags::kSpec);
   bench::PrintHeader(
       "E8", "Cache Sketch maintenance traffic",
       "protocol overhead table: coherence bytes per client vs delta and "

@@ -216,10 +216,10 @@ inline uint64_t FingerprintRun(const RunOutput& out) {
   mix(out.pipeline.purges_scheduled);
   mix(out.pipeline.purges_effective);
   mix(out.pipeline.purges_dropped);
-  mix(out.pipeline.purges_delayed);
+  mix(0);  // the retired purges_delayed counter, so pinned prints hold
   mix(out.edge_faults.down_rejects);
   mix(out.edge_faults.purges_dropped);
-  mix(out.edge_faults.purges_delayed);
+  mix(0);  // the retired purges_delayed counter, so pinned prints hold
   mix(out.edge_faults.purge_delay_us.Fingerprint());
   mix(out.sketch_entries);
   mix(out.sketch_snapshot_bytes);

@@ -10,22 +10,20 @@ namespace speedkit::cache {
 std::string_view OriginFlightModeName(OriginFlightMode mode) {
   switch (mode) {
     case OriginFlightMode::kInstant: return "instant";
-    case OriginFlightMode::kHerd: return "herd";
     case OriginFlightMode::kCoalesce: return "coalesce";
   }
   return "unknown";
 }
 
 Status ParseOriginFlightMode(std::string_view text, OriginFlightMode* out) {
-  for (OriginFlightMode mode : {OriginFlightMode::kInstant,
-                                OriginFlightMode::kHerd,
-                                OriginFlightMode::kCoalesce}) {
+  for (OriginFlightMode mode :
+       {OriginFlightMode::kInstant, OriginFlightMode::kCoalesce}) {
     if (text != OriginFlightModeName(mode)) continue;
     *out = mode;
     return Status::Ok();
   }
   return Status::InvalidArgument(
-      "unknown origin flight mode (expected instant, herd or coalesce)");
+      "unknown origin flight mode (expected instant or coalesce)");
 }
 
 Cdn::Cdn(int physical_edges, int shard, int shards,
@@ -67,7 +65,7 @@ void Cdn::BeginFlight(int i, const std::string& key, SimTime now,
   }
   auto it = table.find(key);
   if (it != table.end()) {
-    if (it->second > now) return;  // open flight: herd fetches never extend
+    if (it->second > now) return;  // open flight: never extended
     it->second = ready_at;         // expired: this fetch leads a new flight
   } else {
     table.emplace(key, ready_at);

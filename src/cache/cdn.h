@@ -48,16 +48,14 @@ inline constexpr size_t kCacheLineBytes = 64;
 struct EdgeFaultStats {
   uint64_t down_rejects = 0;    // requests that found the edge down
   uint64_t purges_dropped = 0;  // purge deliveries lost (edge down / faulted)
-  uint64_t purges_delayed = 0;  // purge deliveries on the slow path
   // Propagation delay (us) of every purge delivery scheduled to this edge
-  // — slow-path deliveries included, in-flight losses not (they never get
-  // a delay). Feeds the `edge.purge_delay_us` metric.
+  // (in-flight losses never get a delay). Feeds the `edge.purge_delay_us`
+  // metric.
   Histogram purge_delay_us;
 
   EdgeFaultStats& operator+=(const EdgeFaultStats& other) {
     down_rejects += other.down_rejects;
     purges_dropped += other.purges_dropped;
-    purges_delayed += other.purges_delayed;
     purge_delay_us.Merge(other.purge_delay_us);
     return *this;
   }
@@ -71,17 +69,14 @@ struct EdgeFaultStats {
 //              fetch-START sim time, so a concurrent miss never exists and
 //              thundering herds are structurally invisible. Default —
 //              every pre-existing fingerprint stays bit-identical.
-//   kHerd      Realistic window, no collapsing: the leader's response
+//   kCoalesce  Realistic window + single-flight: the leader's response
 //              becomes visible only at fetch COMPLETION (start + origin
-//              round trip); arrivals inside the window each go to the
-//              origin themselves. The honest baseline a real edge without
-//              request collapsing would show.
-//   kCoalesce  Window + single-flight: arrivals inside the window join the
-//              leader's flight, paying the remaining window plus their own
+//              round trip); arrivals inside the window join the leader's
+//              flight, paying the remaining window plus their own
 //              client<->edge leg, and the origin sees ONE fetch.
-enum class OriginFlightMode { kInstant, kHerd, kCoalesce };
+enum class OriginFlightMode { kInstant, kCoalesce };
 
-// Stable names used by the --flight flag: "instant", "herd", "coalesce".
+// Stable names used by the --flight flag: "instant", "coalesce".
 std::string_view OriginFlightModeName(OriginFlightMode mode);
 
 // Parses a mode name (as printed by OriginFlightModeName). On success
@@ -134,9 +129,8 @@ class Cdn {
   void NoteEdgeReject(int i) { at(i).faults.down_rejects++; }
   // Called by the invalidation pipeline when a purge is faulted.
   void NotePurgeDropped(int i) { at(i).faults.purges_dropped++; }
-  void NotePurgeDelayed(int i) { at(i).faults.purges_delayed++; }
   // Called by the pipeline for every purge delivery it schedules, with the
-  // delivery's final propagation delay (slow-path stretch included).
+  // delivery's propagation delay.
   void NotePurgeScheduled(int i, Duration delay) {
     at(i).faults.purge_delay_us.Add(delay.micros());
   }
@@ -158,8 +152,8 @@ class Cdn {
 
   // Registers an origin fetch for `key` at owned edge `i`, completing at
   // `ready_at`. No-op while an unexpired flight for the key is already
-  // open (herd fetches inside the window never extend it; after expiry the
-  // next miss leads a fresh flight).
+  // open (a miss inside the window that still reached the origin never
+  // extends it; after expiry the next miss leads a fresh flight).
   void BeginFlight(int i, const std::string& key, SimTime now,
                    SimTime ready_at);
 
@@ -169,15 +163,12 @@ class Cdn {
   std::optional<SimTime> OpenFlightReadyAt(int i, const std::string& key,
                                            SimTime now);
 
-  // Called by the proxy for each arrival inside an open window: a join
-  // (kCoalesce — served the leader's response) or a herd fetch (kHerd —
-  // went to the origin anyway).
+  // Called by the proxy for each arrival served the leader's response
+  // inside an open window.
   void NoteFlightJoin() { flight_joins_++; }
-  void NoteHerdFetch() { herd_fetches_++; }
 
   uint64_t flights_started() const { return flights_started_; }
   uint64_t flight_joins() const { return flight_joins_; }
-  uint64_t herd_fetches() const { return herd_fetches_; }
 
   // Aggregated stats across owned edges.
   HttpCacheStats TotalStats() const;
@@ -192,8 +183,8 @@ class Cdn {
     // Outage flag, toggled by the owning shard's fault-schedule events.
     bool down = false;
     EdgeFaultStats faults;
-    // Open origin flights: key -> completion time (modes kHerd/kCoalesce
-    // only; an empty table allocates nothing). Expired entries are reaped
+    // Open origin flights: key -> completion time (mode kCoalesce only;
+    // an empty table allocates nothing). Expired entries are reaped
     // lazily.
     std::unordered_map<std::string, SimTime, StringHash, std::equal_to<>>
         flights;
@@ -209,10 +200,9 @@ class Cdn {
   int shards_;
   OriginFlightMode flight_mode_;
   std::vector<Edge> edges_;  // local index
-  // Origin flight-window accounting (modes kHerd/kCoalesce only).
+  // Origin flight-window accounting (mode kCoalesce only).
   uint64_t flights_started_ = 0;
   uint64_t flight_joins_ = 0;
-  uint64_t herd_fetches_ = 0;
 };
 
 }  // namespace speedkit::cache

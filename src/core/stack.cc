@@ -2,10 +2,39 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
+#include "common/strings.h"
 #include "obs/metric_names.h"
 
 namespace speedkit::core {
+namespace {
+
+// One node's outage windows must each run forward and be pairwise
+// disjoint: the stack mirrors a window into a down event at `start` and an
+// up event at `end`, so a backwards window leaves the node down for good
+// and an overlap brings it back up inside the other window. Windows that
+// touch ([a, b) and [b, c)) count as overlapping, because their events at
+// b tie and run in insertion order; give one window [a, c) instead.
+Status ValidateOutageWindows(const std::vector<sim::FaultWindow>& windows,
+                             const std::string& node) {
+  for (size_t i = 0; i < windows.size(); ++i) {
+    const sim::FaultWindow& w = windows[i];
+    if (w.end <= w.start) {
+      return Status::InvalidArgument(node +
+                                     " outage window must end after it starts");
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (w.start <= windows[j].end && windows[j].start <= w.end) {
+        return Status::InvalidArgument(node + " outage windows overlap");
+      }
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 std::string_view SystemVariantName(SystemVariant variant) {
   switch (variant) {
@@ -50,6 +79,13 @@ Status StackConfig::Validate() const {
         "shards must divide cdn_edges (every shard owns the same number of "
         "edges)");
   }
+  if (Status s = ValidateOutageWindows(faults.origin, "origin"); !s.ok()) {
+    return s;
+  }
+  for (size_t e = 0; e < faults.edges.size(); ++e) {
+    Status s = ValidateOutageWindows(faults.edges[e], StrFormat("edge %zu", e));
+    if (!s.ok()) return s;
+  }
   if (Status s = coherence.Validate(); !s.ok()) {
     return s;
   }
@@ -66,7 +102,6 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
            (config.seed ^ 0x5eed0001ULL) +
                static_cast<uint64_t>(shard) * 0x9e3779b97f4a7c15ULL),
       events_(&clock_),
-      faults_(config.faults),
       network_(config.network, rng_.Fork(1)) {
   if (Status valid = config_.Validate(); !valid.ok()) {
     std::fprintf(stderr, "SpeedKitStack: invalid StackConfig: %s\n",
@@ -78,7 +113,7 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
                  shard_, config_.shards);
     std::abort();
   }
-  network_.SetFaultSchedule(&faults_);
+  network_.SetFaults(&config_.faults);
   // TTL policy by variant/mode.
   switch (config_.variant) {
     case SystemVariant::kNoCaching:
@@ -123,7 +158,7 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
     pipeline_ = std::make_unique<invalidation::InvalidationPipeline>(
         config_.pipeline, &clock_, &events_, cdn_.get(), protocol_.get(),
         &origin_->expiry_book(), rng_.Fork(2));
-    pipeline_->SetFaultSchedule(&faults_);
+    pipeline_->SetFaults(&config_.faults);
     origin_->SetPipeline(pipeline_.get());
   }
 
@@ -145,8 +180,8 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
 
   // Mirror outage windows into clock events so that components consult
   // plain availability flags instead of each re-deriving window coverage.
-  // Windows per node must be disjoint (documented in fault_schedule.h):
-  // each one toggles down at `start` and back up at `end`.
+  // Each window toggles its node down at `start` and back up at `end`;
+  // Validate() checked that one node's windows are disjoint.
   for (const sim::FaultWindow& w : config_.faults.origin) {
     events_.At(w.start, [this] { origin_->set_available(false); });
     events_.At(w.end, [this] { origin_->set_available(true); });

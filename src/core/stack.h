@@ -76,10 +76,9 @@ struct StackConfig {
   // Concurrent-miss semantics at the edge while an origin fetch for the
   // same key is in flight (see cache::OriginFlightMode). kInstant — the
   // legacy instantaneous-store model — is the default, keeping every
-  // pre-existing fingerprint bit-identical; kHerd models the in-flight
-  // window honestly (arrivals stampede to the origin); kCoalesce adds
-  // single-flight collapsing, the mechanism speedkit_edged runs over real
-  // wall-clock windows.
+  // pre-existing fingerprint bit-identical; kCoalesce models the in-flight
+  // window with single-flight collapsing, the mechanism speedkit_edged
+  // runs over real wall-clock windows.
   cache::OriginFlightMode origin_flight = cache::OriginFlightMode::kInstant;
 
   // Coherence tier: the mode the stack's CoherenceProtocol runs (Δ-atomic
@@ -95,10 +94,10 @@ struct StackConfig {
   Duration fixed_ttl = Duration::Seconds(60);
   ttl::EstimatorConfig estimator;
 
-  // Fault injection (E14). Link loss and purge loss/delay are applied
-  // probabilistically from the components' own RNG streams; origin and
-  // edge outage windows become clock events at construction. An empty
-  // schedule reproduces a no-schedule run bit-for-bit.
+  // Fault injection (E11, E14). Link loss and purge loss are drawn from
+  // the components' own RNG streams; origin and edge outage windows become
+  // clock events at construction. An empty schedule reproduces a
+  // no-schedule run bit-for-bit.
   sim::FaultScheduleConfig faults;
 
   // Observability (off by default; turning it on never changes results —
@@ -108,8 +107,10 @@ struct StackConfig {
   // Structural sanity of the configuration. The stack constructor calls
   // this and refuses to build on error — a bad value is a real error at
   // the call site, not something to silently clamp into range. Checks:
-  // cdn_edges >= 1, shards >= 1, shards divides cdn_edges, plus
-  // CoherenceConfig::Validate (delta > 0, max_txn_retries >= 0).
+  // cdn_edges >= 1, shards >= 1, shards divides cdn_edges, every outage
+  // window runs forward (end > start) and no two windows of one node (the
+  // origin, or one edge) overlap, plus CoherenceConfig::Validate
+  // (delta > 0, max_txn_retries >= 0).
   Status Validate() const;
 };
 
@@ -177,7 +178,6 @@ class SpeedKitStack {
   invalidation::InvalidationPipeline* pipeline() { return pipeline_.get(); }
   ttl::TtlPolicy& ttl_policy() { return *ttl_policy_; }
   coherence::StalenessTracker& staleness() { return protocol_->staleness(); }
-  const sim::FaultSchedule& faults() { return faults_; }
 
   // Forks a deterministic child RNG for drivers.
   Pcg32 ForkRng(uint64_t salt) { return rng_.Fork(salt); }
@@ -213,7 +213,6 @@ class SpeedKitStack {
   Pcg32 rng_;
   sim::SimClock clock_;
   sim::EventQueue events_;
-  sim::FaultSchedule faults_;
   sim::Network network_;
   storage::ObjectStore store_;
   std::unique_ptr<ttl::TtlPolicy> ttl_policy_;

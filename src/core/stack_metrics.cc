@@ -88,11 +88,9 @@ void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies,
   const cache::EdgeFaultStats edge_faults = cdn_->TotalFaultStats();
   *reg->Counter(obs::kEdgeDownRejects) = edge_faults.down_rejects;
   *reg->Counter(obs::kEdgePurgesDropped) = edge_faults.purges_dropped;
-  *reg->Counter(obs::kEdgePurgesDelayed) = edge_faults.purges_delayed;
   reg->Histo(obs::kEdgePurgeDelayUs)->Merge(edge_faults.purge_delay_us);
   *reg->Counter(obs::kEdgeFlightsStarted) = cdn_->flights_started();
   *reg->Counter(obs::kEdgeFlightJoins) = cdn_->flight_joins();
-  *reg->Counter(obs::kEdgeHerdFetches) = cdn_->herd_fetches();
 
   if (pipeline_ != nullptr) {
     const invalidation::PipelineStats& p = pipeline_->stats();
@@ -103,7 +101,6 @@ void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies,
     *reg->Counter(obs::kPipelinePurges, "result=effective") =
         p.purges_effective;
     *reg->Counter(obs::kPipelinePurges, "result=dropped") = p.purges_dropped;
-    *reg->Counter(obs::kPipelinePurges, "result=delayed") = p.purges_delayed;
     reg->Histo(obs::kPipelinePropagationLatencyUs)
         ->Merge(pipeline_->propagation_latency_us());
   }

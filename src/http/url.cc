@@ -61,7 +61,8 @@ std::string Url::CacheKey() const {
   std::string key = scheme_ + "://" + host_;
   uint16_t default_port = scheme_ == "https" ? 443 : 80;
   if (port_ != 0 && port_ != default_port) {
-    key += ":" + std::to_string(port_);
+    key += ':';
+    key += std::to_string(port_);
   }
   key += path_;
   if (!query_.empty()) key += "?" + query_;

@@ -64,11 +64,12 @@ void InvalidationPipeline::InvalidateKey(const std::string& key) {
   if (cdn_ != nullptr) {
     // A probability of 0 must not touch the RNG: an attached-but-quiet
     // fault schedule reproduces the faultless run bit-for-bit.
-    auto chance = [this](double p) { return p > 0 && rng_.WithProbability(p); };
+    const double loss =
+        faults_ != nullptr ? faults_->purge_loss_probability : 0.0;
     std::shared_ptr<const std::string> shared_key;
     for (int i = 0; i < cdn_->num_edges(); ++i) {
       stats_.purges_scheduled++;
-      if (faults_ != nullptr && chance(faults_->purge_loss_probability())) {
+      if (loss > 0 && rng_.WithProbability(loss)) {
         // Delivery lost in flight. The edge keeps its stale copy until the
         // copy's own TTL runs out — which the sketch horizon covers via
         // the ExpiryBook, so Δ-atomicity survives (at the cost of longer
@@ -87,12 +88,6 @@ void InvalidationPipeline::InvalidateKey(const std::string& key) {
                           : 1.0;
       Duration delay = Duration::Micros(static_cast<int64_t>(
           config_.purge_median_delay.micros() * jitter));
-      if (faults_ != nullptr && chance(faults_->purge_delay_probability())) {
-        delay = delay * faults_->purge_delay_factor();
-        stats_.purges_delayed++;
-        cdn_->NotePurgeDelayed(i);
-        faulted = true;
-      }
       cdn_->NotePurgeScheduled(i, delay);
       if (trace.active()) {
         trace.AddSpanAt("purge.deliver." + std::to_string(i), obs::kTierEdge,

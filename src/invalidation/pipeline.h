@@ -46,7 +46,6 @@ struct PipelineStats {
   uint64_t purges_scheduled = 0;
   uint64_t purges_effective = 0;  // an edge actually held the key
   uint64_t purges_dropped = 0;    // delivery lost before reaching the edge
-  uint64_t purges_delayed = 0;    // delivery took the schedule's slow path
 
   PipelineStats& operator+=(const PipelineStats& other) {
     writes_seen += other.writes_seen;
@@ -54,7 +53,6 @@ struct PipelineStats {
     purges_scheduled += other.purges_scheduled;
     purges_effective += other.purges_effective;
     purges_dropped += other.purges_dropped;
-    purges_delayed += other.purges_delayed;
     return *this;
   }
 };
@@ -81,11 +79,11 @@ class InvalidationPipeline {
                const std::vector<std::string>& matched_query_ids);
 
   // Attaches the stack's fault schedule (not owned; may be nullptr).
-  // Purge deliveries are then subject to loss and slow-path delay; the
+  // Purge deliveries are then lost with its purge_loss_probability; the
   // sketch horizon still covers unpurged copies because it takes the
   // ExpiryBook's latest handed-out deadline — this is the mechanism E14
-  // stresses. A schedule with zero purge probabilities draws no RNG.
-  void SetFaultSchedule(const sim::FaultSchedule* faults) { faults_ = faults; }
+  // stresses. A zero purge-loss probability draws no RNG.
+  void SetFaults(const sim::FaultScheduleConfig* faults) { faults_ = faults; }
 
   // Attaches the stack's tracer (not owned; may be null = off). Each
   // invalidated key then emits one `purge`-kind trace whose spans are the
@@ -108,7 +106,7 @@ class InvalidationPipeline {
   coherence::CoherenceProtocol* coherence_;
   const ExpiryBook* expiry_book_;
   Pcg32 rng_;
-  const sim::FaultSchedule* faults_ = nullptr;
+  const sim::FaultScheduleConfig* faults_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
 
   PipelineStats stats_;

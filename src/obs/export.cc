@@ -71,36 +71,6 @@ bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
   return WriteJsonFile(path, MetricsDocument(registry, meta));
 }
 
-bool WriteMetricsCsv(const std::string& path,
-                     const MetricsRegistry& registry) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
-  out << "name,labels,kind,count,value,mean,p50,p95,p99,max\n";
-  for (const auto& m : registry.metrics()) {
-    out << CsvField(m->name) << ',' << CsvField(m->labels) << ','
-        << MetricKindName(m->kind) << ',';
-    switch (m->kind) {
-      case MetricKind::kCounter:
-        out << m->counter << ',' << m->counter << ",,,,,\n";
-        break;
-      case MetricKind::kGauge:
-        out << 1 << ',' << m->gauge << ",,,,,\n";
-        break;
-      case MetricKind::kHistogram: {
-        const Histogram& h = m->histogram;
-        out << h.count() << ',' << h.Sum() << ',' << h.Mean() << ','
-            << h.P50() << ',' << h.P95() << ',' << h.P99() << ',' << h.max()
-            << "\n";
-        break;
-      }
-    }
-  }
-  return out.good();
-}
-
 bool WriteTraceCsv(const std::string& path,
                    const std::vector<RequestTrace>& traces,
                    const MetaList& meta) {

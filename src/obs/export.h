@@ -1,6 +1,6 @@
 // Exporters: MetricsRegistry -> the ordered JSON of obs/json_writer.h
-// (also what every bench binary writes) or a flat CSV, and trace
-// collections -> a flat CSV trace format that tools/trace_report consumes.
+// (also what every bench binary writes), and trace collections -> a flat
+// CSV trace format that tools/trace_report consumes.
 //
 // Trace CSV layout (one file per run):
 //   - `# key=value` metadata header lines (run name, seed, served_total —
@@ -36,9 +36,6 @@ JsonValue MetricsDocument(const MetricsRegistry& registry,
 // Writes MetricsDocument to `path`. Returns false on IO error.
 bool WriteMetricsJson(const std::string& path, const MetricsRegistry& registry,
                       const MetaList& meta = {});
-
-// name,labels,kind,count,value,mean,p50,p95,p99,max — one row per metric.
-bool WriteMetricsCsv(const std::string& path, const MetricsRegistry& registry);
 
 // The trace CSV described above.
 bool WriteTraceCsv(const std::string& path,

@@ -47,11 +47,9 @@ inline constexpr std::string_view kCachePurges = "cache.purges";
 // -- CDN edge fault handling (snapshot of EdgeFaultStats) ------------------
 inline constexpr std::string_view kEdgeDownRejects = "edge.down_rejects";
 inline constexpr std::string_view kEdgePurgesDropped = "edge.purges_dropped";
-inline constexpr std::string_view kEdgePurgesDelayed = "edge.purges_delayed";
 inline constexpr std::string_view kEdgePurgeDelayUs = "edge.purge_delay_us";
 inline constexpr std::string_view kEdgeFlightsStarted = "edge.flights_started";
 inline constexpr std::string_view kEdgeFlightJoins = "edge.flight_joins";
-inline constexpr std::string_view kEdgeHerdFetches = "edge.herd_fetches";
 
 // -- invalidation pipeline (snapshot of PipelineStats) ---------------------
 inline constexpr std::string_view kPipelineWritesSeen = "pipeline.writes_seen";

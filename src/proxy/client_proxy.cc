@@ -213,7 +213,7 @@ Duration ClientProxy::MaybeRefreshSketchLatency(bool txn_begin) {
                        : sketch_->NeedsRefresh(now);
   if (!due) return Duration::Zero();
   if (!origin_->available()) return Duration::Zero();  // keep the old snapshot
-  if (!network_->Delivered(sim::Link::kClientEdge, now)) {
+  if (!network_->Delivered(sim::Link::kClientEdge)) {
     // The refresh request never got through: keep the old snapshot and
     // charge one timeout. Degraded mode — the Δ guarantee rests on the
     // next successful refresh; no retry loop here because the refresh is
@@ -230,7 +230,7 @@ Duration ClientProxy::MaybeRefreshSketchLatency(bool txn_begin) {
   stats_->sketch_refreshes++;
   stats_->sketch_bytes += wire_bytes;
   // The sketch service answers from the edge tier.
-  return network_->RequestTime(sim::Link::kClientEdge, wire_bytes, now);
+  return network_->RequestTime(sim::Link::kClientEdge, wire_bytes);
 }
 
 TxnResult ClientProxy::FetchTxn(const std::vector<std::string>& urls) {
@@ -298,8 +298,7 @@ bool ClientProxy::ValidateTxn(const std::vector<std::string>& urls,
       txn->latency += vlat;
       return false;
     }
-    vlat +=
-        network_->RequestTime(sim::Link::kClientOrigin, wire, clock_->Now());
+    vlat += network_->RequestTime(sim::Link::kClientOrigin, wire);
     txn->latency += vlat;
 
     std::vector<size_t> stale = coherence_->StaleReadIndexes(reads);
@@ -343,8 +342,7 @@ FetchResult ClientProxy::TxnRefetch(const http::Url& url,
 }
 
 bool ClientProxy::DeliverWithRetries(sim::Link link, Duration* latency) {
-  SimTime now = clock_->Now();
-  if (network_->Delivered(link, now)) return true;
+  if (network_->Delivered(link)) return true;
   stats_->timeouts++;
   NoteFaultOnRequest();
   TraceSpan("timeout.wait", obs::kTierNetwork, kRequestTimeout);
@@ -358,7 +356,7 @@ bool ClientProxy::DeliverWithRetries(sim::Link link, Duration* latency) {
                        (1.0 + kRetryJitter * rng_.NextDouble());
     TraceSpan("retry.backoff", obs::kTierProxy, backoff);
     *latency += backoff;
-    if (network_->Delivered(link, now)) return true;
+    if (network_->Delivered(link)) return true;
     stats_->timeouts++;
     TraceSpan("timeout.wait", obs::kTierNetwork, kRequestTimeout);
     *latency += kRequestTimeout;
@@ -401,10 +399,9 @@ FetchResult ClientProxy::FetchDirect(const http::HttpRequest& request,
   if (!DeliverWithRetries(sim::Link::kClientOrigin, &burned)) {
     return OfflineFallback(key, burned);
   }
-  SimTime now = clock_->Now();
   http::HttpResponse resp = origin_->Handle(request);
   if (resp.status_code == 503) {
-    Duration rtt = network_->SampleRtt(sim::Link::kClientOrigin, now);
+    Duration rtt = network_->SampleRtt(sim::Link::kClientOrigin);
     TraceSpan("net.client_origin", obs::kTierNetwork, rtt);
     return OfflineFallback(key, burned + rtt);
   }
@@ -412,7 +409,7 @@ FetchResult ClientProxy::FetchDirect(const http::HttpRequest& request,
   // RTT draws are hoisted into locals (here and everywhere a span needs a
   // leg's duration) — each call site keeps its position and count, so the
   // network's RNG stream advances exactly as before tracing existed.
-  Duration rtt = network_->SampleRtt(sim::Link::kClientOrigin, now);
+  Duration rtt = network_->SampleRtt(sim::Link::kClientOrigin);
   Duration xfer = network_->TransferTime(sim::Link::kClientOrigin, down);
   TraceSpan("net.client_origin", obs::kTierNetwork, rtt + xfer);
   TraceSpan("origin.render", obs::kTierOrigin, resp.server_time);
@@ -429,29 +426,22 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   // edges, edges to shards), and the shard's Cdn holds it outright, so the
   // whole edge-cache interaction below runs unsynchronized.
   cache::HttpCache& edge = cdn_->edge(edge_index);
-  // Origin-flight window (kHerd/kCoalesce; kInstant skips in one branch):
-  // while the leader's origin fetch for this key is still in transit, its
-  // stored response is not yet visible at a real edge. kCoalesce joins the
-  // flight — pay the remaining window and serve the leader's response;
-  // kHerd stampedes to the origin like an edge without request collapsing.
+  // Origin-flight window (kCoalesce; kInstant skips in one branch): while
+  // the leader's origin fetch for this key is still in transit, its stored
+  // response is not yet visible at a real edge, so a request joins the
+  // flight — pays the remaining window and serves the leader's response.
   // Sketch-flagged requests (bypass_shared) never coalesce: sharing a
   // leader's response would reintroduce the staleness the flag exists to
   // prevent.
-  const cache::OriginFlightMode flight = cdn_->flight_mode();
-  bool herd_to_origin = false;
+  const bool coalesce =
+      !bypass_shared &&
+      cdn_->flight_mode() == cache::OriginFlightMode::kCoalesce;
   Duration flight_wait = Duration::Zero();
-  if (!bypass_shared && flight != cache::OriginFlightMode::kInstant) {
+  if (coalesce) {
     std::optional<SimTime> ready = cdn_->OpenFlightReadyAt(edge_index, key, now);
-    if (ready.has_value()) {
-      if (flight == cache::OriginFlightMode::kCoalesce) {
-        flight_wait = *ready - now;
-      } else {
-        herd_to_origin = true;
-        cdn_->NoteHerdFetch();
-      }
-    }
+    if (ready.has_value()) flight_wait = *ready - now;
   }
-  if (!bypass_shared && !herd_to_origin) {
+  if (!bypass_shared) {
     cache::LookupResult el = edge.Lookup(key, now);
     if (el.outcome == cache::LookupOutcome::kFreshHit) {
       if (flight_wait > Duration::Zero()) {
@@ -471,14 +461,14 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
             el.entry->response.object_version,
             el.entry->response.generated_at);
         Duration rt = network_->RequestTime(sim::Link::kClientEdge,
-                                            kNotModifiedWireBytes, now);
+                                            kNotModifiedWireBytes);
         TraceSpan("edge.hit_304", obs::kTierEdge, Duration::Zero());
         TraceSpan("net.client_edge", obs::kTierNetwork, rt);
         return FinishClientResponse(request, key, edge_304,
                                     ServedFrom::kEdgeCache, burned + rt);
       }
       Duration rt = network_->RequestTime(sim::Link::kClientEdge,
-                                          el.entry->response.WireSize(), now);
+                                          el.entry->response.WireSize());
       TraceSpan("edge.hit", obs::kTierEdge, Duration::Zero());
       TraceSpan("net.client_edge", obs::kTierNetwork, rt);
       return FinishClientResponse(request, key, el.entry->response,
@@ -501,7 +491,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
         stats_->fallback_serves++;
         NoteFaultOnRequest();
         Duration rt = network_->RequestTime(sim::Link::kClientEdge,
-                                            el.entry->response.WireSize(), now);
+                                            el.entry->response.WireSize());
         TraceSpan("edge.stale_if_error", obs::kTierEdge, Duration::Zero());
         TraceSpan("net.client_edge", obs::kTierNetwork, rt);
         return FinishClientResponse(request, key, el.entry->response,
@@ -512,8 +502,8 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
         // Draw order matters: the compiled pre-obs code evaluated the
         // edge->origin leg's RTT first, so the hoisted draws keep that
         // order to leave the RNG stream byte-identical.
-        Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin, now);
-        Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
+        Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
+        Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
         TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
         TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo);
         return OfflineFallback(key, burned + rtt_ce + rtt_eo);
@@ -522,8 +512,8 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
         edge.Refresh(key, oresp, now);
         cache::LookupResult refreshed = edge.Lookup(key, now);
         if (refreshed.entry != nullptr) {
-          Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin, now);
-          Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
+          Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
+          Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
           Duration xfer_eo = network_->TransferTime(sim::Link::kEdgeOrigin,
                                                     kNotModifiedWireBytes);
           Duration upstream = burned + rtt_ce + rtt_eo + xfer_eo +
@@ -556,8 +546,8 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
         // Draw order matters: the compiled pre-obs code evaluated the
         // edge->origin leg's RTT first, so the hoisted draws keep that
         // order to leave the RNG stream byte-identical.
-        Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin, now);
-        Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
+        Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
+        Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
         Duration xfer_eo =
             network_->TransferTime(sim::Link::kEdgeOrigin, oresp.WireSize());
         Duration xfer_ce =
@@ -580,22 +570,22 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   if (!DeliverWithRetries(sim::Link::kEdgeOrigin, &burned)) {
     // Nothing servable at the edge (miss, or a flagged key that must not
     // be served from a shared cache): last resort is the offline cache.
-    Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
+    Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
     TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
     return OfflineFallback(key, burned + rtt_ce);
   }
   http::HttpResponse oresp = origin_->Handle(request);
   if (oresp.status_code == 503) {
-    Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
-    Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin, now);
+    Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
+    Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
     TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
     TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo);
     return OfflineFallback(key, burned + rtt_ce + rtt_eo);
   }
   size_t down =
       oresp.IsNotModified() ? kNotModifiedWireBytes : oresp.WireSize();
-  Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin, now);
-  Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge, now);
+  Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
+  Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
   Duration xfer_eo = network_->TransferTime(sim::Link::kEdgeOrigin, down);
   Duration xfer_ce = network_->TransferTime(sim::Link::kClientEdge, down);
   TraceSpan(bypass_shared ? "edge.bypass" : "edge.miss", obs::kTierEdge,
@@ -608,10 +598,10 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   if (oresp.IsNotModified()) {
     edge.Refresh(key, oresp, now);
   } else {
-    if (!bypass_shared && flight != cache::OriginFlightMode::kInstant) {
+    if (coalesce) {
       // This fetch leads a flight: the stored response becomes visible to
       // other clients only once the origin round trip completes. A no-op
-      // for herd fetches inside an already-open window.
+      // for a miss inside an already-open window.
       cdn_->BeginFlight(edge_index, key, now,
                         now + rtt_eo + xfer_eo + oresp.server_time);
     }

@@ -1,37 +1,29 @@
 // Deterministic fault injection for the simulated infrastructure.
 //
-// A FaultSchedule describes *when* and *how badly* things break: per-link
-// down windows, latency-spike windows, packet-loss probabilities, origin
-// and edge-node outage windows, and purge-delivery loss/delay for the
-// invalidation pipeline. The schedule itself is pure data — every
-// probabilistic decision (loss draws, delay draws) is taken by the
-// component that owns the relevant seeded PRNG stream, so faulty runs stay
-// bit-reproducible and an all-zero schedule is byte-for-byte identical to
-// no schedule at all (no extra RNG draws).
+// A FaultScheduleConfig is plain data describing the four faults the
+// resilience experiments (E11, E14) inject: per-link request loss, origin
+// outage windows, per-edge outage windows, and purge-delivery loss in the
+// invalidation pipeline. Every probabilistic decision (a loss draw) is
+// taken by the component that owns the relevant seeded PRNG stream, so
+// faulty runs stay bit-reproducible, and a probability of 0 takes no draw,
+// so an all-zero schedule is byte-for-byte identical to no schedule.
 //
-// Windows on the same node/link must not overlap: SpeedKitStack turns each
-// window into a pair of clock events (down at `start`, back up at `end`),
-// so overlapping windows would fight over the same toggle.
+// SpeedKitStack turns each outage window into a pair of clock events (down
+// at `start`, back up at `end`); StackConfig::Validate rejects a window
+// that does not run forward and two overlapping windows on one node.
 #ifndef SPEEDKIT_SIM_FAULT_SCHEDULE_H_
 #define SPEEDKIT_SIM_FAULT_SCHEDULE_H_
 
 #include <vector>
 
 #include "common/sim_time.h"
-#include "sim/network.h"
 
 namespace speedkit::sim {
 
-// One contiguous fault interval, [start, end). `down` windows make the
-// link/node unreachable; otherwise the window is a latency spike that
-// multiplies sampled RTTs by `latency_multiplier`.
+// One outage, [start, end): the node is unreachable inside it.
 struct FaultWindow {
   SimTime start = SimTime::Origin();
   SimTime end = SimTime::Origin();
-  bool down = true;
-  double latency_multiplier = 1.0;
-
-  bool Covers(SimTime t) const { return start <= t && t < end; }
 };
 
 // Faults on one WAN link.
@@ -40,7 +32,6 @@ struct LinkFaults {
   // out after proxy-side retries). 0 = lossless, and guarantees no RNG
   // draw, so a lossless schedule does not perturb latency sampling.
   double loss_probability = 0.0;
-  std::vector<FaultWindow> windows;
 };
 
 struct FaultScheduleConfig {
@@ -51,54 +42,13 @@ struct FaultScheduleConfig {
   // Origin-server outage windows (the E11/E14 "origin down" scenario).
   std::vector<FaultWindow> origin;
 
-  // Per-edge outage windows; index = edge number. Entries beyond the
-  // CDN's edge count are ignored.
+  // Per-edge outage windows; index = physical edge number. Entries beyond
+  // the CDN's edge count are ignored.
   std::vector<std::vector<FaultWindow>> edges;
 
-  // Invalidation-pipeline degradation: each scheduled per-edge purge
-  // delivery is independently dropped with `purge_loss_probability`;
-  // surviving deliveries are stretched by `purge_delay_factor` with
-  // `purge_delay_probability`. Probability 0 means no RNG draw.
+  // Each scheduled per-edge purge delivery is independently dropped with
+  // this probability. 0 means no RNG draw.
   double purge_loss_probability = 0.0;
-  double purge_delay_probability = 0.0;
-  double purge_delay_factor = 10.0;
-
-  bool Empty() const;
-};
-
-// Read-only view over a FaultScheduleConfig answering "is X degraded at
-// time t?" queries. Owned by SpeedKitStack and shared by Network (link
-// faults), InvalidationPipeline (purge faults) and the stack's own outage
-// events (origin/edge windows).
-class FaultSchedule {
- public:
-  FaultSchedule() = default;
-  explicit FaultSchedule(FaultScheduleConfig config);
-
-  const FaultScheduleConfig& config() const { return config_; }
-
-  // Link queries.
-  bool LinkDown(Link link, SimTime now) const;
-  double LatencyMultiplier(Link link, SimTime now) const;
-  double LossProbability(Link link) const;
-
-  // Node queries (the stack additionally mirrors these windows into clock
-  // events so components without a clock reference see the outage too).
-  bool OriginDown(SimTime now) const;
-  bool EdgeDown(int edge, SimTime now) const;
-
-  double purge_loss_probability() const {
-    return config_.purge_loss_probability;
-  }
-  double purge_delay_probability() const {
-    return config_.purge_delay_probability;
-  }
-  double purge_delay_factor() const { return config_.purge_delay_factor; }
-
- private:
-  const LinkFaults& FaultsFor(Link link) const;
-
-  FaultScheduleConfig config_;
 };
 
 }  // namespace speedkit::sim

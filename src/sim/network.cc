@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "sim/fault_schedule.h"
-
 namespace speedkit::sim {
 
 NetworkConfig NetworkConfig::Instant() {
@@ -30,40 +28,28 @@ const LinkSpec& Network::spec(Link link) const {
   return config_.client_origin;
 }
 
-Duration Network::SampleRaw(Link link) {
-  const LinkSpec& s = spec(link);
-  if (s.median_rtt == Duration::Zero()) return Duration::Zero();
-  if (s.log_sigma <= 0.0) return s.median_rtt;
-  // Lognormal with median m: m * exp(N(0, sigma)).
-  double factor = rng_.LogNormal(0.0, s.log_sigma);
-  return Duration::Micros(
-      static_cast<int64_t>(s.median_rtt.micros() * factor));
-}
-
 Duration Network::SampleRtt(Link link) {
-  Duration rtt = SampleRaw(link);
-  RecordRtt(link, rtt);
-  return rtt;
-}
-
-Duration Network::SampleRtt(Link link, SimTime now) {
-  Duration rtt = SampleRaw(link);
-  if (faults_ != nullptr) {
-    double factor = faults_->LatencyMultiplier(link, now);
-    if (factor != 1.0) rtt = rtt * factor;
+  const LinkSpec& s = spec(link);
+  Duration rtt = s.median_rtt;
+  // Lognormal with median m: m * exp(N(0, sigma)).
+  if (rtt != Duration::Zero() && s.log_sigma > 0.0) {
+    double factor = rng_.LogNormal(0.0, s.log_sigma);
+    rtt = Duration::Micros(static_cast<int64_t>(rtt.micros() * factor));
   }
-  RecordRtt(link, rtt);
+  Histogram* h = rtt_hist_[static_cast<size_t>(link)];
+  if (h != nullptr) h->Add(rtt.micros());
   return rtt;
 }
 
-bool Network::Delivered(Link link, SimTime now) {
+bool Network::Delivered(Link link) {
   if (faults_ == nullptr) return true;
-  if (faults_->LinkDown(link, now)) return false;
-  double loss = faults_->LossProbability(link);
+  const LinkFaults& f = link == Link::kClientEdge     ? faults_->client_edge
+                        : link == Link::kClientOrigin ? faults_->client_origin
+                                                      : faults_->edge_origin;
   // No draw on lossless links: an attached-but-quiet schedule must not
   // change any downstream latency sample.
-  if (loss <= 0.0) return true;
-  return !rng_.WithProbability(loss);
+  if (f.loss_probability <= 0.0) return true;
+  return !rng_.WithProbability(f.loss_probability);
 }
 
 Duration Network::TransferTime(Link link, size_t bytes) const {
@@ -75,10 +61,6 @@ Duration Network::TransferTime(Link link, size_t bytes) const {
 
 Duration Network::RequestTime(Link link, size_t response_bytes) {
   return SampleRtt(link) + TransferTime(link, response_bytes);
-}
-
-Duration Network::RequestTime(Link link, size_t response_bytes, SimTime now) {
-  return SampleRtt(link, now) + TransferTime(link, response_bytes);
 }
 
 }  // namespace speedkit::sim

@@ -17,6 +17,7 @@
 #include "common/histogram.h"
 #include "common/random.h"
 #include "common/sim_time.h"
+#include "sim/fault_schedule.h"
 
 namespace speedkit::sim {
 
@@ -43,21 +44,20 @@ struct NetworkConfig {
   static NetworkConfig Instant();
 };
 
-class FaultSchedule;
-
 class Network {
  public:
   Network(const NetworkConfig& config, Pcg32 rng);
 
-  // Attaches a fault schedule (not owned; may be nullptr). Without one —
-  // or with an all-zero schedule — every API below behaves exactly as
-  // before faults existed, including the RNG draw sequence.
-  void SetFaultSchedule(const FaultSchedule* faults) { faults_ = faults; }
+  // Attaches the stack's fault schedule (not owned; may be nullptr), whose
+  // per-link loss probabilities Delivered() draws against. Without one, or
+  // with all-zero link losses, every API below draws exactly as before
+  // faults existed.
+  void SetFaults(const FaultScheduleConfig* faults) { faults_ = faults; }
 
   // Live observability hook: when set, every RTT this network hands out on
-  // a link is recorded (us, after any fault stretch) into that link's
-  // histogram — the `network.rtt_us` metric. Not owned; null disables.
-  // Recording draws no randomness and cannot affect simulation results.
+  // a link is recorded (us) into that link's histogram — the
+  // `network.rtt_us` metric. Not owned; null disables. Recording draws no
+  // randomness and cannot affect simulation results.
   void SetRttHistograms(Histogram* client_edge, Histogram* client_origin,
                         Histogram* edge_origin) {
     rtt_hist_[0] = client_edge;
@@ -68,36 +68,24 @@ class Network {
   // Samples one round trip on `link`.
   Duration SampleRtt(Link link);
 
-  // Fault-aware variant: the sample is stretched by any latency-spike
-  // window covering `now`.
-  Duration SampleRtt(Link link, SimTime now);
-
-  // Whether a request sent over `link` at `now` gets through. False when
-  // a down window covers `now` or a per-request loss draw fires; the
-  // caller (the proxy) turns false into timeout + retry + fallback. Draws
-  // the RNG only when the link is actually lossy, so lossless runs keep
-  // their latency sample sequence.
-  bool Delivered(Link link, SimTime now);
+  // Whether a request sent over `link` gets through. False when the
+  // link's per-request loss draw fires; the caller (the proxy) turns false
+  // into timeout + retry + fallback. Draws the RNG only when the link is
+  // actually lossy, so lossless runs keep their latency sample sequence.
+  bool Delivered(Link link);
 
   // Time to move `bytes` across `link` once the connection exists.
   Duration TransferTime(Link link, size_t bytes) const;
 
   // Full request cost: one RTT plus response transfer.
   Duration RequestTime(Link link, size_t response_bytes);
-  Duration RequestTime(Link link, size_t response_bytes, SimTime now);
 
   const LinkSpec& spec(Link link) const;
 
  private:
-  Duration SampleRaw(Link link);
-  void RecordRtt(Link link, Duration rtt) {
-    Histogram* h = rtt_hist_[static_cast<size_t>(link)];
-    if (h != nullptr) h->Add(rtt.micros());
-  }
-
   NetworkConfig config_;
   Pcg32 rng_;
-  const FaultSchedule* faults_ = nullptr;
+  const FaultScheduleConfig* faults_ = nullptr;
   Histogram* rtt_hist_[3] = {nullptr, nullptr, nullptr};
 };
 

@@ -15,7 +15,9 @@ Catalog::Catalog(const CatalogConfig& config, Pcg32 rng) : config_(config) {
 }
 
 std::string Catalog::ProductId(size_t rank) const {
-  return "p" + std::to_string(rank);
+  std::string id = "p";
+  id += std::to_string(rank);
+  return id;
 }
 
 std::string Catalog::ProductUrl(size_t rank) const {

@@ -151,7 +151,10 @@ std::string Trace::Serialize() const {
       out += StrFormat("W\t%lld\t", static_cast<long long>(ev.at.micros()));
       out += EscapeString(ev.record_id);
       for (const auto& [name, value] : ev.fields) {
-        out += "\t" + EscapeString(name) + "=" + EncodeValue(value);
+        out += '\t';
+        out += EscapeString(name);
+        out += '=';
+        out += EncodeValue(value);
       }
     }
     out += "\n";

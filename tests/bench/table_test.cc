@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/harness.h"
@@ -145,6 +146,43 @@ TEST(HarnessTest, BareJsonAndTheThreadBudget) {
   std::vector<RunSpec> two = {DefaultRunSpec(), DefaultRunSpec()};
   EXPECT_EQ(h.Apply(&two, /*num_seeds=*/1), 4);
   EXPECT_EQ(two[1].run_threads, 1);
+}
+
+// A harness built from `args` (after the program name). Flags copies what
+// it parses, so `args` may go once the harness is built.
+Harness HarnessWith(std::vector<std::string> args) {
+  args.insert(args.begin(), "fig_x");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return Harness(static_cast<int>(argv.size()), argv.data(), "x");
+}
+
+// Every harness checks its flags before its first run: a flag nothing
+// reads exits 2, whether misspelled or of no use to that harness, and the
+// shared flags the harness reads later pass.
+TEST(HarnessDeathTest, RejectUnreadFlagsExitsTwoOnAFlagNothingReads) {
+  Harness sweep = HarnessWith({"--json=x.json", "--seeds=3", "--threads=2",
+                               "--shards=1", "--coherence=serializable",
+                               "--trace"});
+  sweep.RejectUnreadFlags(SharedFlags::kSweep);  // returns: all were read
+
+  auto check = [](std::string arg, SharedFlags later) {
+    HarnessWith({std::move(arg)}).RejectUnreadFlags(later);
+  };
+  EXPECT_EXIT(check("--sedes=3", SharedFlags::kSweep),
+              ::testing::ExitedWithCode(2), "x: unused flag --sedes");
+  // --seeds is a sweep's flag; a RunSpec-driven harness has no use for it.
+  EXPECT_EXIT(check("--seeds=3", SharedFlags::kSpec),
+              ::testing::ExitedWithCode(2), "unused flag --seeds");
+  EXPECT_EXIT(check("--jsn=x.json", SharedFlags::kNone),
+              ::testing::ExitedWithCode(2), "unused flag --jsn");
+  EXPECT_EXIT(check("--trace", SharedFlags::kNone),
+              ::testing::ExitedWithCode(2), "unused flag --trace");
+
+  // A harness's own flag passes once the harness has read it.
+  Harness own = HarnessWith({"--num-clients=8"});
+  EXPECT_EQ(own.flags().GetInt("num-clients", 256), 8);
+  own.RejectUnreadFlags(SharedFlags::kNone);
 }
 
 TEST(JsonWriterTest, JsonPathFromFlagResolution) {

@@ -23,9 +23,8 @@ http::HttpResponse CacheableResponse() {
 }
 
 TEST(OriginFlightModeTest, NamesRoundTripThroughParse) {
-  for (OriginFlightMode mode : {OriginFlightMode::kInstant,
-                                OriginFlightMode::kHerd,
-                                OriginFlightMode::kCoalesce}) {
+  for (OriginFlightMode mode :
+       {OriginFlightMode::kInstant, OriginFlightMode::kCoalesce}) {
     OriginFlightMode parsed = OriginFlightMode::kInstant;
     ASSERT_TRUE(
         ParseOriginFlightMode(OriginFlightModeName(mode), &parsed).ok());
@@ -34,12 +33,14 @@ TEST(OriginFlightModeTest, NamesRoundTripThroughParse) {
 }
 
 TEST(OriginFlightModeTest, UnknownNameIsInvalidArgument) {
-  OriginFlightMode mode = OriginFlightMode::kHerd;
-  // A misspelling used to run coalesce silently.
-  Status s = ParseOriginFlightMode("hrd", &mode);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.ToString().find("coalesce"), std::string::npos);
-  EXPECT_EQ(mode, OriginFlightMode::kHerd);  // not written on failure
+  OriginFlightMode mode = OriginFlightMode::kCoalesce;
+  // A misspelling used to run coalesce silently; "herd" is not a mode.
+  for (const char* name : {"coalese", "herd"}) {
+    Status s = ParseOriginFlightMode(name, &mode);
+    EXPECT_TRUE(s.IsInvalidArgument()) << name;
+    EXPECT_NE(s.ToString().find("coalesce"), std::string::npos);
+    EXPECT_EQ(mode, OriginFlightMode::kCoalesce);  // not written on failure
+  }
 }
 
 TEST(CdnTest, RoutingIsStablePerClient) {
@@ -203,7 +204,6 @@ uint64_t FaultStatsFingerprint(const EdgeFaultStats& s) {
   };
   mix(s.down_rejects);
   mix(s.purges_dropped);
-  mix(s.purges_delayed);
   mix(s.purge_delay_us.Fingerprint());
   return h;
 }
@@ -213,12 +213,10 @@ TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
   // TotalFaultStats must equal — bit for bit, histogram fingerprints
   // included — a one-shard Cdn fed the identical per-physical-edge event
   // sequence.
-  auto note_events = [](auto&& reject, auto&& dropped, auto&& delayed,
-                        auto&& scheduled) {
+  auto note_events = [](auto&& reject, auto&& dropped, auto&& scheduled) {
     // A fixed script over PHYSICAL edges 0..3.
     reject(0); reject(0); reject(3);
     dropped(1); dropped(2);
-    delayed(2); delayed(2); delayed(3);
     scheduled(0, Duration::Millis(5));
     scheduled(1, Duration::Millis(70));
     scheduled(2, Duration::Millis(70));
@@ -229,7 +227,6 @@ TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
   Cdn full(4);
   note_events([&](int e) { full.NoteEdgeReject(e); },
               [&](int e) { full.NotePurgeDropped(e); },
-              [&](int e) { full.NotePurgeDelayed(e); },
               [&](int e, Duration d) { full.NotePurgeScheduled(e, d); });
 
   // Two shards; each receives only its owned edges' events, translated to
@@ -244,7 +241,6 @@ TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
   note_events(
       [&](int e) { auto [c, l] = route(e); c->NoteEdgeReject(l); },
       [&](int e) { auto [c, l] = route(e); c->NotePurgeDropped(l); },
-      [&](int e) { auto [c, l] = route(e); c->NotePurgeDelayed(l); },
       [&](int e, Duration d) {
         auto [c, l] = route(e);
         c->NotePurgeScheduled(l, d);
@@ -255,7 +251,6 @@ TEST(CdnTest, ShardLocalAccumulatorsMergeLikeAFullView) {
   EdgeFaultStats legacy = full.TotalFaultStats();
   EXPECT_EQ(merged.down_rejects, legacy.down_rejects);
   EXPECT_EQ(merged.purges_dropped, legacy.purges_dropped);
-  EXPECT_EQ(merged.purges_delayed, legacy.purges_delayed);
   EXPECT_EQ(FaultStatsFingerprint(merged), FaultStatsFingerprint(legacy));
 }
 

@@ -10,6 +10,8 @@
 #include <string>
 #include <string_view>
 
+#include "common/strings.h"
+
 namespace speedkit::cache {
 namespace {
 
@@ -73,7 +75,7 @@ TEST(LruCacheTest, OversizedReplacementErasesOld) {
 TEST(LruCacheTest, UnboundedNeverEvicts) {
   LruCache<std::string> cache(0, BySize());
   for (int i = 0; i < 1000; ++i) {
-    cache.Put("k" + std::to_string(i), std::string(100, 'x'));
+    cache.Put(StrFormat("k%d", i), std::string(100, 'x'));
   }
   EXPECT_EQ(cache.size(), 1000u);
   EXPECT_EQ(cache.evictions(), 0u);

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
+
 namespace speedkit::coherence {
 namespace {
 
@@ -63,7 +65,7 @@ TEST(SketchPublicationTest, InstallMatchesTheSerializedBytes) {
   sketch::CacheSketch sketch;
   SketchPublication publication(&sketch);
   for (int i = 0; i < 300; ++i) {
-    sketch.ReportInvalidation("k" + std::to_string(i), At(60), At(0));
+    sketch.ReportInvalidation(StrFormat("k%d", i), At(60), At(0));
   }
   sketch::ClientSketch client(Duration::Seconds(30));
   size_t wire_bytes = publication.InstallInto(&client, At(1));

@@ -45,6 +45,45 @@ TEST(StackConfigValidateTest, RejectsNonPositiveDelta) {
   EXPECT_TRUE(config.Validate().IsInvalidArgument());
 }
 
+sim::FaultWindow Window(double start_s, double end_s) {
+  return {SimTime::Origin() + Duration::Seconds(start_s),
+          SimTime::Origin() + Duration::Seconds(end_s)};
+}
+
+// The stack mirrors a window into a down event at start and an up event at
+// end, so a backwards window would leave its node down for good.
+TEST(StackConfigValidateTest, RejectsOutageWindowsThatDoNotRunForward) {
+  StackConfig config;
+  config.faults.origin = {Window(30, 10)};
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+  config.faults.origin = {Window(10, 10)};
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+  config.faults.origin = {Window(10, 30)};
+  EXPECT_TRUE(config.Validate().ok());
+  config.faults.edges = {{}, {Window(40, 20)}};
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+}
+
+// Overlapping windows of one node would bring it back up at the first
+// window's end, inside the second.
+TEST(StackConfigValidateTest, RejectsOverlappingOutageWindowsOfOneNode) {
+  StackConfig config;
+  config.faults.origin = {Window(10, 30), Window(20, 40)};
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+  // Touching windows tie at the shared instant; one window [10, 40) says
+  // the same.
+  config.faults.origin = {Window(20, 40), Window(10, 20)};
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+  config.faults.origin = {Window(30, 40), Window(10, 20)};
+  EXPECT_TRUE(config.Validate().ok());
+
+  config.faults.edges = {{Window(15, 35)}, {Window(10, 30), Window(5, 12)}};
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+  // Windows of different nodes may overlap.
+  config.faults.edges = {{Window(15, 35)}, {Window(10, 30)}};
+  EXPECT_TRUE(config.Validate().ok());
+}
+
 http::HttpResponse CacheableResponse() {
   http::HttpResponse resp;
   resp.status_code = 200;

@@ -1,9 +1,9 @@
 // Concurrent-miss semantics at the edge (StackConfig::origin_flight).
-// kInstant is the legacy instantaneous-store model; kHerd models the
-// in-flight window honestly (a second miss stampedes to the origin);
-// kCoalesce adds single-flight collapsing — the second client joins the
-// leader's flight and the origin sees ONE request. This is the simulator
-// adopting the exact mechanism speedkit_edged runs over real sockets.
+// kInstant is the legacy instantaneous-store model; kCoalesce models the
+// in-flight window with single-flight collapsing — the second client joins
+// the leader's flight and the origin sees ONE request. This is the
+// simulator adopting the exact mechanism speedkit_edged runs over real
+// sockets.
 #include <string>
 
 #include <gtest/gtest.h>
@@ -70,19 +70,6 @@ TEST(OriginFlightTest, CoalesceCollapsesTheSecondMissIntoTheFlight) {
   EXPECT_EQ(w.stack->cdn().flight_joins(), 1u);  // no window, no join
 }
 
-TEST(OriginFlightTest, HerdModeStampedesToTheOrigin) {
-  FlightWorld w(cache::OriginFlightMode::kHerd);
-
-  ASSERT_EQ(w.a->Fetch(w.url).source, proxy::ServedFrom::kOrigin);
-  // The honest no-collapsing baseline: B's miss during the window goes to
-  // the origin too — the thundering herd kCoalesce exists to remove.
-  proxy::FetchResult second = w.b->Fetch(w.url);
-  EXPECT_EQ(second.source, proxy::ServedFrom::kOrigin);
-  EXPECT_EQ(w.stack->origin().stats().requests, 2u);
-  EXPECT_EQ(w.stack->cdn().herd_fetches(), 1u);
-  EXPECT_EQ(w.stack->cdn().flight_joins(), 0u);
-}
-
 TEST(OriginFlightTest, InstantModeKeepsTheLegacyInstantaneousStore) {
   FlightWorld w(cache::OriginFlightMode::kInstant);
 
@@ -93,22 +80,17 @@ TEST(OriginFlightTest, InstantModeKeepsTheLegacyInstantaneousStore) {
   EXPECT_EQ(w.stack->origin().stats().requests, 1u);
   EXPECT_EQ(w.stack->cdn().flights_started(), 0u);
   EXPECT_EQ(w.stack->cdn().flight_joins(), 0u);
-  EXPECT_EQ(w.stack->cdn().herd_fetches(), 0u);
 }
 
-TEST(OriginFlightTest, CoalesceAndHerdAgreeOnceTheWindowPasses) {
-  // The modes only differ DURING a flight window. Sequential traffic —
-  // each request after the previous one's window — behaves identically.
-  for (cache::OriginFlightMode mode :
-       {cache::OriginFlightMode::kCoalesce, cache::OriginFlightMode::kHerd}) {
-    FlightWorld w(mode);
-    ASSERT_EQ(w.a->Fetch(w.url).source, proxy::ServedFrom::kOrigin);
-    w.stack->Advance(Duration::Seconds(2));
-    EXPECT_EQ(w.b->Fetch(w.url).source, proxy::ServedFrom::kEdgeCache)
-        << cache::OriginFlightModeName(mode);
-    EXPECT_EQ(w.stack->origin().stats().requests, 1u)
-        << cache::OriginFlightModeName(mode);
-  }
+TEST(OriginFlightTest, CoalesceServesAnEdgeHitOnceTheWindowPasses) {
+  // Coalescing only acts DURING a flight window. A request after the
+  // leader's window is a plain edge hit, with no join.
+  FlightWorld w(cache::OriginFlightMode::kCoalesce);
+  ASSERT_EQ(w.a->Fetch(w.url).source, proxy::ServedFrom::kOrigin);
+  w.stack->Advance(Duration::Seconds(2));
+  EXPECT_EQ(w.b->Fetch(w.url).source, proxy::ServedFrom::kEdgeCache);
+  EXPECT_EQ(w.stack->origin().stats().requests, 1u);
+  EXPECT_EQ(w.stack->cdn().flight_joins(), 0u);
 }
 
 }  // namespace

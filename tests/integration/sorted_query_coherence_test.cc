@@ -4,6 +4,7 @@
 // proxy), while writes that don't touch the visible slice cost nothing.
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "core/stack.h"
 #include "invalidation/pipeline.h"
 
@@ -14,7 +15,7 @@ class SortedQueryCoherenceTest : public ::testing::Test {
  protected:
   SortedQueryCoherenceTest() : stack_(MakeConfig()) {
     for (int i = 0; i < 6; ++i) {
-      stack_.store().Put("p" + std::to_string(i),
+      stack_.store().Put(StrFormat("p%d", i),
                          {{"category", static_cast<int64_t>(1)},
                           {"price", 10.0 * (i + 1)}},
                          stack_.clock().Now());

@@ -153,8 +153,7 @@ TEST_F(PipelineTest, PropagationLatencyRecorded) {
 TEST_F(PipelineTest, TotalPurgeLossDropsDeliveriesButKeepsSketchCoverage) {
   sim::FaultScheduleConfig fc;
   fc.purge_loss_probability = 1.0;
-  sim::FaultSchedule faults(fc);
-  pipeline_.SetFaultSchedule(&faults);
+  pipeline_.SetFaults(&fc);
 
   std::string key = RecordCacheKey("p1");
   for (int i = 0; i < 3; ++i) {
@@ -182,35 +181,9 @@ TEST_F(PipelineTest, TotalPurgeLossDropsDeliveriesButKeepsSketchCoverage) {
   EXPECT_TRUE(FlaggedAt(SimTime::Origin() + Duration::Seconds(199), key));
 }
 
-TEST_F(PipelineTest, DelayedPurgesLandOnTheSlowPath) {
-  sim::FaultScheduleConfig fc;
-  fc.purge_delay_probability = 1.0;
-  fc.purge_delay_factor = 10.0;  // median 80ms -> 800ms
-  sim::FaultSchedule faults(fc);
-  pipeline_.SetFaultSchedule(&faults);
-
-  std::string key = RecordCacheKey("p1");
-  for (int i = 0; i < 3; ++i) {
-    cdn_.edge(i).Store(key, CacheableResponse(clock_.Now()), clock_.Now());
-  }
-  WriteProduct("p1", 1, 10.0);
-  EXPECT_EQ(pipeline_.stats().purges_delayed, 3u);
-  EXPECT_EQ(cdn_.TotalFaultStats().purges_delayed, 3u);
-  // At the normal landing time the keys are still cached...
-  events_.RunUntil(clock_.Now() + Duration::Millis(100));
-  EXPECT_EQ(pipeline_.stats().purges_effective, 0u);
-  // ...and the slow path lands at 10x the median delay.
-  events_.RunUntil(clock_.Now() + Duration::Millis(800));
-  EXPECT_EQ(pipeline_.stats().purges_effective, 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(cdn_.edge(i).Lookup(key, clock_.Now()).outcome,
-              cache::LookupOutcome::kMiss);
-  }
-}
-
 TEST_F(PipelineTest, ZeroProbabilityScheduleChangesNothing) {
-  sim::FaultSchedule faults((sim::FaultScheduleConfig()));
-  pipeline_.SetFaultSchedule(&faults);
+  sim::FaultScheduleConfig faults;
+  pipeline_.SetFaults(&faults);
   std::string key = RecordCacheKey("p1");
   for (int i = 0; i < 3; ++i) {
     cdn_.edge(i).Store(key, CacheableResponse(clock_.Now()), clock_.Now());
@@ -218,7 +191,6 @@ TEST_F(PipelineTest, ZeroProbabilityScheduleChangesNothing) {
   WriteProduct("p1", 1, 10.0);
   events_.RunUntil(clock_.Now() + Duration::Millis(100));
   EXPECT_EQ(pipeline_.stats().purges_dropped, 0u);
-  EXPECT_EQ(pipeline_.stats().purges_delayed, 0u);
   EXPECT_EQ(pipeline_.stats().purges_effective, 3u);
   // Same landing time as the no-schedule runs (zero probabilities draw no
   // RNG, so timing draws stay aligned).

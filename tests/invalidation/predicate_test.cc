@@ -8,7 +8,7 @@ namespace {
 storage::Record Product(int64_t category, double price,
                         std::string title = "Widget") {
   storage::Record r;
-  r.id = "p";
+  r.id = 'p';  // assigning "p" trips a false g++ 12 -Wrestrict at -O3
   r.version = 1;
   r.fields["category"] = category;
   r.fields["price"] = price;

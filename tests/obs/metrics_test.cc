@@ -103,27 +103,18 @@ TEST(MetricsExportTest, MetricsToJsonCarriesEverySeries) {
   EXPECT_NE(dump.find("\"p50\""), std::string::npos);
 }
 
-TEST(MetricsExportTest, WriteMetricsJsonAndCsv) {
+TEST(MetricsExportTest, WriteMetricsJson) {
   MetricsRegistry reg;
   *reg.Counter(kProxyRequests) = 1;
   reg.Histo(kRequestLatencyUs, "tier=origin")->Add(120000);
   const std::string json_path = testing::TempDir() + "metrics_test.json";
-  const std::string csv_path = testing::TempDir() + "metrics_test.csv";
   ASSERT_TRUE(WriteMetricsJson(json_path, reg, {{"seed", "42"}}));
-  ASSERT_TRUE(WriteMetricsCsv(csv_path, reg));
 
   std::stringstream json;
   json << std::ifstream(json_path).rdbuf();
   EXPECT_NE(json.str().find("\"seed\": \"42\""), std::string::npos);
   EXPECT_NE(json.str().find("proxy.requests"), std::string::npos);
-
-  std::stringstream csv;
-  csv << std::ifstream(csv_path).rdbuf();
-  EXPECT_NE(csv.str().find("name,labels,kind"), std::string::npos);
-  EXPECT_NE(csv.str().find("request.latency_us,tier=origin,histogram"),
-            std::string::npos);
   std::remove(json_path.c_str());
-  std::remove(csv_path.c_str());
 }
 
 TEST(MetricsExportTest, TraceCsvQuotesAndMeta) {

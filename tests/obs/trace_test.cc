@@ -208,19 +208,16 @@ TEST(StatsMergeTest, ProxyStatsMergesHistogramsAndDegradedCounters) {
 TEST(StatsMergeTest, EdgeFaultStatsMergesPurgeDelayHistogram) {
   cache::EdgeFaultStats a;
   a.down_rejects = 2;
-  a.purges_delayed = 1;
   a.purge_delay_us.Add(500);
 
   cache::EdgeFaultStats b;
   b.purges_dropped = 3;
-  b.purges_delayed = 2;
   b.purge_delay_us.Add(1500);
   b.purge_delay_us.Add(2500);
 
   a += b;
   EXPECT_EQ(a.down_rejects, 2u);
   EXPECT_EQ(a.purges_dropped, 3u);
-  EXPECT_EQ(a.purges_delayed, 3u);
   EXPECT_EQ(a.purge_delay_us.count(), 3u);
   EXPECT_EQ(a.purge_delay_us.max(), 2500);
 }

@@ -3,6 +3,7 @@
 // bumping precisely when the visible slice changes.
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "origin/origin_server.h"
 
 namespace speedkit::origin {
@@ -19,7 +20,7 @@ class SortedQueryTest : public ::testing::Test {
         server_(OriginConfig{}, &clock_, &store_, &ttl_policy_, nullptr) {
     // Five products in category 1 with distinct prices.
     for (int i = 0; i < 5; ++i) {
-      store_.Put("p" + std::to_string(i),
+      store_.Put(StrFormat("p%d", i),
                  {{"category", static_cast<int64_t>(1)},
                   {"price", 10.0 * (i + 1)}},  // p0=10 ... p4=50
                  clock_.Now());

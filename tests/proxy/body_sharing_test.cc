@@ -12,6 +12,7 @@
 
 #include "cache/cdn.h"
 #include "coherence/protocol.h"
+#include "common/strings.h"
 #include "invalidation/predicate.h"
 #include "origin/origin_server.h"
 #include "proxy/client_pool.h"
@@ -138,7 +139,7 @@ TEST(BodySharingTest, SpilledCacheThawsOntoTheSameBuffer) {
 TEST(BodySharingTest, FrozenBlobHoldsNoSlack) {
   World w;
   for (int i = 2; i <= 13; ++i) {
-    w.store.Put("p" + std::to_string(i), {{"price", 10.0}}, w.clock.Now());
+    w.store.Put(StrFormat("p%d", i), {{"price", 10.0}}, w.clock.Now());
   }
   ClientProxy client(ProxyConfig(), 1, w.Deps());
   for (int i = 1; i <= 13; ++i) {

@@ -4,8 +4,6 @@
 // last resort — with the stats reconciliation invariant intact throughout.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "coherence/protocol.h"
 #include "invalidation/pipeline.h"
 #include "proxy/client_proxy.h"
@@ -68,15 +66,8 @@ class DegradedModeTest : public ::testing::Test {
   }
 
   void AttachFaults(const sim::FaultScheduleConfig& config) {
-    faults_ = std::make_unique<sim::FaultSchedule>(config);
-    network_.SetFaultSchedule(faults_.get());
-  }
-
-  static sim::FaultWindow Window(double start_s, double end_s) {
-    sim::FaultWindow w;
-    w.start = SimTime::Origin() + Duration::Seconds(start_s);
-    w.end = SimTime::Origin() + Duration::Seconds(end_s);
-    return w;
+    faults_ = config;
+    network_.SetFaults(&faults_);
   }
 
   void Advance(Duration d) { events_.RunUntil(clock_.Now() + d); }
@@ -90,12 +81,12 @@ class DegradedModeTest : public ::testing::Test {
   ttl::FixedTtlPolicy ttl_policy_;
   origin::OriginServer origin_;
   invalidation::InvalidationPipeline pipeline_;
-  std::unique_ptr<sim::FaultSchedule> faults_;
+  sim::FaultScheduleConfig faults_;
 };
 
 TEST_F(DegradedModeTest, ClientEdgeLinkDownFallsBackToPassThrough) {
   sim::FaultScheduleConfig fc;
-  fc.client_edge.windows.push_back(Window(0, 1000));
+  fc.client_edge.loss_probability = 1.0;
   AttachFaults(fc);
 
   // No sketch: keep sketch-refresh traffic out of the counters.
@@ -139,8 +130,8 @@ TEST_F(DegradedModeTest, TotalOutageServesOfflineCopy) {
   proxy.Fetch(kRecordUrl);  // t=1s: browser copy, TTL 60s
 
   sim::FaultScheduleConfig fc;
-  fc.client_edge.windows.push_back(Window(50, 10000));
-  fc.client_origin.windows.push_back(Window(50, 10000));
+  fc.client_edge.loss_probability = 1.0;
+  fc.client_origin.loss_probability = 1.0;
   AttachFaults(fc);
   Advance(Duration::Seconds(61));  // copy expired, both links dead
 
@@ -160,7 +151,7 @@ TEST_F(DegradedModeTest, UpstreamFailureServesStaleEdgeCopy) {
   ClientProxy a = MakeProxy(SpeedKitConfig(), 1);
   a.Fetch(kRecordUrl);  // t=1s: the edge now holds a copy, TTL 60s
   sim::FaultScheduleConfig fc;
-  fc.edge_origin.windows.push_back(Window(50, 10000));
+  fc.edge_origin.loss_probability = 1.0;
   AttachFaults(fc);
   Advance(Duration::Seconds(61));  // edge copy stale, upstream link dead
 

@@ -1,99 +1,55 @@
-// Network behaviour under an attached FaultSchedule — and, just as
+// Network behaviour under an attached fault schedule — and, just as
 // important, the guarantee that an attached-but-empty schedule changes
 // nothing, including the RNG draw sequence.
 #include <gtest/gtest.h>
 
-#include "sim/fault_schedule.h"
 #include "sim/network.h"
 
 namespace speedkit::sim {
 namespace {
 
-SimTime At(double seconds) {
-  return SimTime::Origin() + Duration::Seconds(seconds);
-}
-
-FaultWindow Window(double start_s, double end_s, bool down = true,
-                   double multiplier = 1.0) {
-  FaultWindow w;
-  w.start = At(start_s);
-  w.end = At(end_s);
-  w.down = down;
-  w.latency_multiplier = multiplier;
-  return w;
-}
-
 TEST(NetworkFaultTest, DeliveredWithoutScheduleNeverFails) {
   Network net(NetworkConfig::Instant(), Pcg32(1));
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(net.Delivered(Link::kClientEdge, At(i)));
+    EXPECT_TRUE(net.Delivered(Link::kClientEdge));
   }
-}
-
-TEST(NetworkFaultTest, DownWindowBlocksDelivery) {
-  FaultScheduleConfig config;
-  config.client_edge.windows.push_back(Window(10, 20));
-  FaultSchedule faults(config);
-  Network net(NetworkConfig::Instant(), Pcg32(1));
-  net.SetFaultSchedule(&faults);
-  EXPECT_TRUE(net.Delivered(Link::kClientEdge, At(5)));
-  EXPECT_FALSE(net.Delivered(Link::kClientEdge, At(15)));
-  EXPECT_TRUE(net.Delivered(Link::kClientEdge, At(20)));
-  // The other links are unaffected by this window.
-  EXPECT_TRUE(net.Delivered(Link::kClientOrigin, At(15)));
 }
 
 TEST(NetworkFaultTest, CertainLossAlwaysFails) {
   FaultScheduleConfig config;
   config.edge_origin.loss_probability = 1.0;
-  FaultSchedule faults(config);
   Network net(NetworkConfig::Instant(), Pcg32(3));
-  net.SetFaultSchedule(&faults);
+  net.SetFaults(&config);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE(net.Delivered(Link::kEdgeOrigin, At(i)));
+    EXPECT_FALSE(net.Delivered(Link::kEdgeOrigin));
   }
 }
 
 TEST(NetworkFaultTest, PartialLossFailsSometimes) {
   FaultScheduleConfig config;
   config.client_edge.loss_probability = 0.5;
-  FaultSchedule faults(config);
   Network net(NetworkConfig::Instant(), Pcg32(5));
-  net.SetFaultSchedule(&faults);
+  net.SetFaults(&config);
   int lost = 0;
   for (int i = 0; i < 1000; ++i) {
-    if (!net.Delivered(Link::kClientEdge, At(i))) ++lost;
+    if (!net.Delivered(Link::kClientEdge)) ++lost;
   }
   EXPECT_GT(lost, 400);
   EXPECT_LT(lost, 600);
-}
-
-TEST(NetworkFaultTest, LatencySpikeStretchesSampledRtt) {
-  NetworkConfig nc;
-  nc.client_origin = LinkSpec{Duration::Millis(100), 0.0, 4.0e6};
-  FaultScheduleConfig config;
-  config.client_origin.windows.push_back(
-      Window(10, 20, /*down=*/false, /*multiplier=*/3.0));
-  FaultSchedule faults(config);
-  Network net(nc, Pcg32(7));
-  net.SetFaultSchedule(&faults);
-  EXPECT_EQ(net.SampleRtt(Link::kClientOrigin, At(5)), Duration::Millis(100));
-  EXPECT_EQ(net.SampleRtt(Link::kClientOrigin, At(15)), Duration::Millis(300));
-  EXPECT_EQ(net.SampleRtt(Link::kClientOrigin, At(25)), Duration::Millis(100));
 }
 
 TEST(NetworkFaultTest, EmptyScheduleKeepsRngSequenceBitIdentical) {
   NetworkConfig nc;  // default lossy-free jittery links
   Network plain(nc, Pcg32(42));
   Network scheduled(nc, Pcg32(42));
-  FaultSchedule empty((FaultScheduleConfig()));
-  scheduled.SetFaultSchedule(&empty);
+  FaultScheduleConfig empty;
+  scheduled.SetFaults(&empty);
   for (int i = 0; i < 200; ++i) {
     // Delivered must not consume a draw on a lossless link, so the RTT
     // sample streams stay aligned.
-    ASSERT_TRUE(scheduled.Delivered(Link::kClientEdge, At(i)));
-    EXPECT_EQ(plain.SampleRtt(Link::kClientEdge, At(i)),
-              scheduled.SampleRtt(Link::kClientEdge, At(i)))
+    ASSERT_TRUE(scheduled.Delivered(Link::kClientEdge));
+    EXPECT_EQ(plain.SampleRtt(Link::kClientEdge),
+              scheduled.SampleRtt(Link::kClientEdge))
         << i;
   }
 }

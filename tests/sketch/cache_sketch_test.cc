@@ -5,6 +5,7 @@
 #include <string>
 
 #include "coherence/sketch_publication.h"
+#include "common/strings.h"
 
 namespace speedkit::sketch {
 namespace {
@@ -65,7 +66,7 @@ TEST(CacheSketchTest, ShorterReReportDoesNotShrinkHorizon) {
 TEST(CacheSketchTest, ManyKeysExpireIndependently) {
   CacheSketch sketch;
   for (int i = 0; i < 100; ++i) {
-    sketch.ReportInvalidation("k" + std::to_string(i), At(10 + i), At(0));
+    sketch.ReportInvalidation(StrFormat("k%d", i), At(10 + i), At(0));
   }
   sketch.ExpireUntil(At(60));
   // Keys with horizon <= 60s (i <= 50) are gone; later ones remain.
@@ -97,22 +98,22 @@ TEST(CacheSketchTest, ExpirationRemovesFromFilterToo) {
 TEST(CacheSketchTest, PublicationContainsAllTrackedKeys) {
   CacheSketch sketch;
   for (int i = 0; i < 500; ++i) {
-    sketch.ReportInvalidation("k" + std::to_string(i), At(100), At(0));
+    sketch.ReportInvalidation(StrFormat("k%d", i), At(100), At(0));
   }
   BloomFilter published = Published(sketch, At(1));
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(published.MightContain("k" + std::to_string(i))) << i;
+    ASSERT_TRUE(published.MightContain(StrFormat("k%d", i))) << i;
   }
 }
 
 TEST(CacheSketchTest, PublicationSizeScalesWithEntries) {
   CacheSketch sketch;
   for (int i = 0; i < 100; ++i) {
-    sketch.ReportInvalidation("k" + std::to_string(i), At(100), At(0));
+    sketch.ReportInvalidation(StrFormat("k%d", i), At(100), At(0));
   }
   BloomFilter small = Published(sketch, At(1));
   for (int i = 100; i < 10000; ++i) {
-    sketch.ReportInvalidation("k" + std::to_string(i), At(100), At(0));
+    sketch.ReportInvalidation(StrFormat("k%d", i), At(100), At(0));
   }
   BloomFilter large = Published(sketch, At(1));
   EXPECT_LT(small.SizeBytes() * 50, large.SizeBytes());
@@ -145,11 +146,11 @@ TEST(CacheSketchTest, FullLifecycleNeverUnderflowsTheFilter) {
   // key is tracked and the publication is empty.
   CacheSketch sketch;
   for (int i = 0; i < 200; ++i) {
-    sketch.ReportInvalidation("k" + std::to_string(i), At(10 + i % 50), At(0));
+    sketch.ReportInvalidation(StrFormat("k%d", i), At(10 + i % 50), At(0));
   }
   // Extend some horizons (re-reports of tracked keys).
   for (int i = 0; i < 100; ++i) {
-    sketch.ReportInvalidation("k" + std::to_string(i), At(200), At(5));
+    sketch.ReportInvalidation(StrFormat("k%d", i), At(200), At(5));
   }
   // Shorter re-reports (dropped) and expired reports (dropped) mixed in.
   sketch.ReportInvalidation("k0", At(20), At(6));

@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
         "  --ring=a,b,c             full ring member list (default: solo)\n"
         "  --ring-replicas=200      vnodes per ring member\n"
         "  --reject-misrouted       421 for keys owned by another member\n"
-        "  --flight=coalesce        origin flights: instant|herd|coalesce\n"
+        "  --flight=coalesce        origin flights: instant|coalesce\n"
         "  --seed=42                stack RNG seed\n"
         "  --coherence=delta_atomic coherence protocol: delta_atomic|\n"
         "                           serializable|fixed_ttl\n"
