@@ -40,7 +40,7 @@ void AblationTtlEstimator(const bench::Harness& h, bench::JsonValue* rows) {
     spec.traffic.writes_per_sec = 4.0;
     if (policy == "estimator") {
       spec.stack.ttl_mode = core::TtlMode::kEstimator;
-      spec.stack.estimator.max_ttl = Duration::Seconds(3600);
+      spec.stack.max_estimated_ttl = Duration::Seconds(3600);
     } else {
       spec.stack.ttl_mode = core::TtlMode::kFixed;
       spec.stack.fixed_ttl = Duration::Seconds(120);
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
   bench::RunSpec trace_spec = bench::DefaultRunSpec();
   trace_spec.traffic.write_skew = 1.2;
   trace_spec.traffic.writes_per_sec = 4.0;
-  trace_spec.stack.estimator.max_ttl = Duration::Seconds(3600);
+  trace_spec.stack.max_estimated_ttl = Duration::Seconds(3600);
   h.Trace(trace_spec);
   return 0;
 }

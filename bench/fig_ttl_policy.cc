@@ -52,7 +52,7 @@ bench::RunSpec SpecFor(const WorkloadPoint& workload,
   } else {
     spec.stack.ttl_mode = policy.mode;
     spec.stack.fixed_ttl = policy.fixed_ttl;
-    spec.stack.estimator.max_ttl = Duration::Seconds(3600);
+    spec.stack.max_estimated_ttl = Duration::Seconds(3600);
   }
   return spec;
 }

@@ -4,18 +4,16 @@
 #include <string>
 
 namespace speedkit::core {
+namespace {
 
-void CartTrafficResult::Merge(const CartTrafficResult& other) {
-  txns_attempted += other.txns_attempted;
-  txns_committed += other.txns_committed;
-  txns_aborted += other.txns_aborted;
-  txn_retries += other.txn_retries;
-  anomalies += other.anomalies;
-  anomaly_checks_clamped += other.anomaly_checks_clamped;
-  writes_applied += other.writes_applied;
-  txn_latency_us.Merge(other.txn_latency_us);
-  proxies += other.proxies;
-}
+// Mean think time between one client's checkouts (exponential).
+constexpr Duration kMeanTxnGap = Duration::Seconds(20);
+// Zipf exponents of cart picks and of catalog writes: the browsing
+// workload's defaults (SessionConfig, TrafficConfig).
+constexpr double kProductSkew = 0.9;
+constexpr double kWriteSkew = 0.8;
+
+}  // namespace
 
 CartTrafficSimulation::CartTrafficSimulation(SpeedKitStack* stack,
                                              const workload::Catalog* catalog,
@@ -24,14 +22,12 @@ CartTrafficSimulation::CartTrafficSimulation(SpeedKitStack* stack,
       catalog_(catalog),
       config_(config),
       end_(stack->clock().Now() + config.duration),
-      popularity_(catalog->num_products(), config.product_skew),
-      pool_(stack->MakeClientPool(config.pool)),
-      writes_(catalog->num_products(), config.writes_per_sec,
-              config.write_skew, stack->ForkRng(1000 + config.seed_salt)),
-      rng_(stack->ForkRng(2000 + config.seed_salt)) {
-  proxy::ProxyConfig pc = config_.proxy_config != nullptr
-                              ? *config_.proxy_config
-                              : stack_->DefaultProxyConfig();
+      popularity_(catalog->num_products(), kProductSkew),
+      pool_(stack->MakeClientPool(proxy::ClientPoolConfig{})),
+      writes_(catalog->num_products(), config.writes_per_sec, kWriteSkew,
+              stack->ForkRng(1000)),
+      rng_(stack->ForkRng(2000)) {
+  const proxy::ProxyConfig pc = stack_->DefaultProxyConfig();
   clients_.reserve(config_.num_clients);
   txn_rngs_.reserve(config_.num_clients);
   for (size_t i = 0; i < config_.num_clients; ++i) {
@@ -50,8 +46,8 @@ CartTrafficResult CartTrafficSimulation::Run() {
   // Stagger first checkouts across the first gap so clients don't thunder
   // in lock-step.
   for (size_t i = 0; i < clients_.size(); ++i) {
-    ScheduleTxn(i, start + Duration::Seconds(rng_.Uniform(
-                              0.0, config_.mean_txn_gap.seconds())));
+    ScheduleTxn(i, start + Duration::Seconds(
+                              rng_.Uniform(0.0, kMeanTxnGap.seconds())));
   }
   ScheduleNextWrite(start);
   stack_->AdvanceTo(end_);
@@ -64,7 +60,7 @@ void CartTrafficSimulation::ScheduleTxn(size_t client_index, SimTime at) {
   stack_->events().At(at, [this, client_index]() {
     ExecuteTxn(client_index);
     Duration gap = Duration::Seconds(
-        rng_.Exponential(1.0 / config_.mean_txn_gap.seconds()));
+        rng_.Exponential(1.0 / kMeanTxnGap.seconds()));
     ScheduleTxn(client_index, stack_->clock().Now() + gap);
   });
 }

@@ -32,20 +32,14 @@
 
 namespace speedkit::core {
 
+// What E18 varies: fleet size, run length, transaction width and write
+// rate. The shape of the workload is fixed in cart_traffic.cc.
 struct CartTrafficConfig {
   size_t num_clients = 20;
   Duration duration = Duration::Minutes(10);
   // Distinct products per checkout transaction.
   size_t keys_per_txn = 4;
-  // Mean think time between a client's transactions (exponential).
-  Duration mean_txn_gap = Duration::Seconds(20);
-  double product_skew = 0.9;
   double writes_per_sec = 2.0;
-  double write_skew = 0.8;
-  uint64_t seed_salt = 0;
-  // Overrides the stack's variant-derived proxy settings when set.
-  const proxy::ProxyConfig* proxy_config = nullptr;
-  proxy::ClientPoolConfig pool;
 };
 
 struct CartTrafficResult {
@@ -72,10 +66,6 @@ struct CartTrafficResult {
                                : static_cast<double>(txns_aborted) /
                                      static_cast<double>(txns_attempted);
   }
-
-  // Accumulates another run's results (counters summed, histograms
-  // merged); merge order must be fixed for determinism.
-  void Merge(const CartTrafficResult& other);
 };
 
 class CartTrafficSimulation {

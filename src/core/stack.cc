@@ -79,6 +79,10 @@ Status StackConfig::Validate() const {
         "shards must divide cdn_edges (every shard owns the same number of "
         "edges)");
   }
+  if (faults.edges.size() > static_cast<size_t>(cdn_edges)) {
+    return Status::InvalidArgument(
+        "faults.edges lists outage windows for edges the CDN does not have");
+  }
   if (Status s = ValidateOutageWindows(faults.origin, "origin"); !s.ok()) {
     return s;
   }
@@ -132,8 +136,8 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
       if (config_.ttl_mode == TtlMode::kFixed) {
         ttl_policy_ = std::make_unique<ttl::FixedTtlPolicy>(config_.fixed_ttl);
       } else {
-        ttl_policy_ =
-            std::make_unique<ttl::EstimatedTtlPolicy>(config_.estimator);
+        ttl_policy_ = std::make_unique<ttl::EstimatedTtlPolicy>(
+            config_.max_estimated_ttl);
       }
       break;
   }
@@ -173,7 +177,7 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
         metrics_->Histo(obs::kNetworkRttUs, "link=edge_origin"));
   }
   if (config_.obs.tracing) {
-    trace_sink_ = std::make_shared<obs::InMemoryTraceSink>(config_.obs.max_traces);
+    trace_sink_ = std::make_shared<obs::InMemoryTraceSink>();
     tracer_ = std::make_unique<obs::Tracer>(trace_sink_.get());
     if (pipeline_ != nullptr) pipeline_->SetTracer(tracer_.get());
   }
@@ -191,7 +195,7 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
   // local index space.
   for (size_t e = 0; e < config_.faults.edges.size(); ++e) {
     int local = cdn_->LocalIndexOf(static_cast<int>(e));
-    if (local < 0) continue;  // out of range, or another shard's edge
+    if (local < 0) continue;  // another shard's edge
     for (const sim::FaultWindow& w : config_.faults.edges[e]) {
       events_.At(w.start, [this, local] { cdn_->SetEdgeDown(local, true); });
       events_.At(w.end, [this, local] { cdn_->SetEdgeDown(local, false); });

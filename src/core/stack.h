@@ -92,7 +92,8 @@ struct StackConfig {
   // TTLs (only consulted for variants that cache).
   TtlMode ttl_mode = TtlMode::kEstimator;
   Duration fixed_ttl = Duration::Seconds(60);
-  ttl::EstimatorConfig estimator;
+  // Cap on the estimator's TTLs (ttl_mode kEstimator).
+  Duration max_estimated_ttl = ttl::EstimatedTtlPolicy::kDefaultMaxTtl;
 
   // Fault injection (E11, E14). Link loss and purge loss are drawn from
   // the components' own RNG streams; origin and edge outage windows become
@@ -107,10 +108,11 @@ struct StackConfig {
   // Structural sanity of the configuration. The stack constructor calls
   // this and refuses to build on error — a bad value is a real error at
   // the call site, not something to silently clamp into range. Checks:
-  // cdn_edges >= 1, shards >= 1, shards divides cdn_edges, every outage
-  // window runs forward (end > start) and no two windows of one node (the
-  // origin, or one edge) overlap, plus CoherenceConfig::Validate
-  // (delta > 0, max_txn_retries >= 0).
+  // cdn_edges >= 1, shards >= 1, shards divides cdn_edges, faults.edges
+  // lists no more edges than cdn_edges, every outage window runs forward
+  // (end > start) and no two windows of one node (the origin, or one edge)
+  // overlap, plus CoherenceConfig::Validate (delta > 0,
+  // max_txn_retries >= 0).
   Status Validate() const;
 };
 

@@ -139,7 +139,6 @@ void SpeedKitStack::CollectMetrics(const proxy::ProxyStats* merged_proxies,
 
   if (trace_sink_ != nullptr) {
     *reg->Counter(obs::kTraceEmitted) = trace_sink_->emitted();
-    *reg->Counter(obs::kTraceDropped) = trace_sink_->dropped();
   }
 }
 

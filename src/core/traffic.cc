@@ -4,6 +4,16 @@
 #include <string>
 
 namespace speedkit::core {
+namespace {
+
+// Mean of the exponential idle gap between one client's sessions.
+constexpr Duration kMeanSessionGap = Duration::Seconds(45);
+// Cadence of the ClientPool::SpillIdle sweeps: half the pool's idle
+// threshold, so a client is frozen at most 30 s after it becomes a spill
+// candidate.
+constexpr Duration kSpillSweepInterval = Duration::Seconds(30);
+
+}  // namespace
 
 void TrafficResult::Merge(const TrafficResult& other) {
   api_latency_us.Merge(other.api_latency_us);
@@ -81,7 +91,7 @@ TrafficResult TrafficSimulation::Run() {
   // this fleet size). Scheduled last so the relative order of all real
   // traffic events is untouched.
   if (pool_->spill_enabled()) {
-    ScheduleSpillSweep(start + config_.pool.spill_sweep_interval);
+    ScheduleSpillSweep(start + kSpillSweepInterval);
   }
   stack_->AdvanceTo(end_);
 
@@ -108,7 +118,7 @@ void TrafficSimulation::ScheduleSession(size_t client_index, SimTime at) {
     }
     // Next session after the last page view plus an idle gap.
     Duration gap = Duration::Seconds(
-        rng_.Exponential(1.0 / config_.mean_session_gap.seconds()));
+        rng_.Exponential(1.0 / kMeanSessionGap.seconds()));
     ScheduleSession(client_index, t + gap);
   });
 }
@@ -117,7 +127,7 @@ void TrafficSimulation::ScheduleSpillSweep(SimTime at) {
   if (at >= end_) return;
   stack_->events().At(at, [this, at]() {
     pool_->SpillIdle(stack_->clock().Now());
-    ScheduleSpillSweep(at + config_.pool.spill_sweep_interval);
+    ScheduleSpillSweep(at + kSpillSweepInterval);
   });
 }
 

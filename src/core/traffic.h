@@ -28,7 +28,6 @@ struct TrafficConfig {
   size_t num_clients = 50;
   Duration duration = Duration::Minutes(30);
   workload::SessionConfig session;
-  Duration mean_session_gap = Duration::Seconds(45);
   double writes_per_sec = 2.0;
   double write_skew = 0.8;
   uint64_t seed_salt = 0;

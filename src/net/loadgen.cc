@@ -20,14 +20,20 @@ namespace speedkit::net {
 
 namespace {
 
+// How long a worker waits for a connection to a node, and then for each
+// response, before it counts a transport error. Both are far above what a
+// loopback node takes, so only a hung or dead node trips them.
+constexpr int kConnectTimeoutMs = 2000;
+constexpr int kResponseTimeoutMs = 5000;
+
 // Blocking socket with a receive deadline: the loadgen's closed loop has
 // nothing useful to do while a response is in flight.
-void MakeBlocking(int fd, int recv_timeout_ms) {
+void MakeBlocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK);
   struct timeval tv;
-  tv.tv_sec = recv_timeout_ms / 1000;
-  tv.tv_usec = (recv_timeout_ms % 1000) * 1000;
+  tv.tv_sec = kResponseTimeoutMs / 1000;
+  tv.tv_usec = (kResponseTimeoutMs % 1000) * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
 }
 
@@ -127,13 +133,13 @@ Result<LoadGenReport> RunLoadGen(const LoadGenConfig& config,
         int& fd = state.fds[plan.target_index];
         if (fd < 0) {
           const LoadGenTarget& t = config.targets[plan.target_index];
-          fd = TcpConnect(t.host, t.port, config.connect_timeout_ms);
+          fd = TcpConnect(t.host, t.port, kConnectTimeoutMs);
           if (fd < 0) {
             rep.requests++;
             rep.transport_errors++;
             continue;
           }
-          MakeBlocking(fd, config.response_timeout_ms);
+          MakeBlocking(fd);
         }
 
         http::HeaderMap headers;

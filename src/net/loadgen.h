@@ -39,8 +39,6 @@ struct LoadGenConfig {
   std::vector<LoadGenTarget> targets;  // the edge ring, one entry per node
   int ring_replicas = 200;             // must match the edged instances
   int workers = 4;                     // closed-loop threads
-  int connect_timeout_ms = 2000;
-  int response_timeout_ms = 5000;
 };
 
 struct LoadGenReport {

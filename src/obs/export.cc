@@ -82,18 +82,18 @@ bool WriteTraceCsv(const std::string& path,
   for (const auto& [key, value] : meta) {
     out << "# " << key << "=" << value << "\n";
   }
-  out << "row,trace_id,kind,span,parent,name,tier,start_us,duration_us,"
+  out << "row,trace_id,kind,span,name,tier,start_us,duration_us,"
          "url,status,degraded\n";
   for (const RequestTrace& t : traces) {
-    out << "trace," << t.id << ',' << CsvField(t.kind) << ",-1,-1,"
+    out << "trace," << t.id << ',' << CsvField(t.kind) << ",-1,"
         << CsvField(t.kind) << ',' << CsvField(t.tier) << ',' << t.start_us
         << ',' << t.latency_us << ',' << CsvField(t.url) << ',' << t.status
         << ',' << (t.degraded ? 1 : 0) << "\n";
     for (size_t i = 0; i < t.spans.size(); ++i) {
       const Span& s = t.spans[i];
       out << "span," << t.id << ',' << CsvField(t.kind) << ',' << i << ','
-          << s.parent << ',' << CsvField(s.name) << ',' << CsvField(s.tier)
-          << ',' << s.start_us << ',' << s.duration_us << ",,,\n";
+          << CsvField(s.name) << ',' << CsvField(s.tier) << ',' << s.start_us
+          << ',' << s.duration_us << ",,,\n";
     }
   }
   return out.good();

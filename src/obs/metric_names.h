@@ -89,7 +89,6 @@ inline constexpr std::string_view kNetworkRttUs = "network.rtt_us";
 
 // -- the tracing layer itself ----------------------------------------------
 inline constexpr std::string_view kTraceEmitted = "trace.emitted";
-inline constexpr std::string_view kTraceDropped = "trace.dropped";
 
 }  // namespace speedkit::obs
 

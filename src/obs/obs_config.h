@@ -7,18 +7,14 @@
 #ifndef SPEEDKIT_OBS_OBS_CONFIG_H_
 #define SPEEDKIT_OBS_OBS_CONFIG_H_
 
-#include <cstddef>
-
 namespace speedkit::obs {
 
 struct ObsConfig {
   // Snapshot component stats into a MetricsRegistry at collection points
   // (SpeedKitStack::CollectMetrics) and record live network RTT histograms.
   bool metrics = false;
-  // Record per-request span trees into an in-memory sink.
+  // Record each request's spans into an in-memory sink.
   bool tracing = false;
-  // Cap on retained traces (0 = unbounded); overflow counts as dropped.
-  size_t max_traces = 0;
 };
 
 }  // namespace speedkit::obs

@@ -43,7 +43,6 @@ inline constexpr std::string_view kTierError = "error";
 inline constexpr std::string_view kTierPurge = "purge";
 
 struct Span {
-  int parent = -1;     // index of the parent span in the trace, -1 = root
   std::string name;    // what happened: "net.client_edge", "origin.render"
   std::string tier;    // which layer paid for it: proxy|browser|edge|network|origin|purge
   int64_t start_us = 0;     // offset from the trace start
@@ -66,31 +65,16 @@ struct RequestTrace {
   friend bool operator==(const RequestTrace&, const RequestTrace&) = default;
 };
 
-// Where finished traces go: up to `max_traces` traces kept in memory
-// (0 = unbounded); overflow is counted, never silently lost.
+// Where finished traces go: every one is kept in memory.
 class InMemoryTraceSink {
  public:
-  explicit InMemoryTraceSink(size_t max_traces = 0)
-      : max_traces_(max_traces) {}
+  void Emit(RequestTrace&& trace) { traces_.push_back(std::move(trace)); }
 
-  void Emit(RequestTrace&& trace) {
-    ++emitted_;
-    if (max_traces_ != 0 && traces_.size() >= max_traces_) {
-      ++dropped_;
-      return;
-    }
-    traces_.push_back(std::move(trace));
-  }
-
-  uint64_t emitted() const { return emitted_; }
-  uint64_t dropped() const { return dropped_; }
+  uint64_t emitted() const { return traces_.size(); }
   const std::vector<RequestTrace>& traces() const { return traces_; }
 
  private:
-  size_t max_traces_;
   std::vector<RequestTrace> traces_;
-  uint64_t emitted_ = 0;
-  uint64_t dropped_ = 0;
 };
 
 // Hands out trace ids and forwards finished traces. Default-constructed =
@@ -137,30 +121,25 @@ class TraceBuilder {
   bool active() const { return tracer_ != nullptr; }
 
   // Appends a span covering [cursor, cursor + duration) and advances the
-  // cursor — legs on the critical path are laid end to end. Returns the
-  // span's index (-1 when inactive) for use as a later span's parent.
-  int AddSpan(std::string_view name, std::string_view tier,
-              Duration duration, int parent = -1) {
-    if (!active()) return -1;
-    const int index = AddSpanAt(name, tier, Duration::Micros(cursor_us_),
-                                duration, parent);
+  // cursor — legs on the critical path are laid end to end.
+  void AddSpan(std::string_view name, std::string_view tier,
+               Duration duration) {
+    if (!active()) return;
+    AddSpanAt(name, tier, Duration::Micros(cursor_us_), duration);
     cursor_us_ += duration.micros();
-    return index;
   }
 
   // Appends a span at an explicit offset without moving the cursor (for
   // overlapping work, e.g. purge deliveries fanning out in parallel).
-  int AddSpanAt(std::string_view name, std::string_view tier,
-                Duration start_offset, Duration duration, int parent = -1) {
-    if (!active()) return -1;
+  void AddSpanAt(std::string_view name, std::string_view tier,
+                 Duration start_offset, Duration duration) {
+    if (!active()) return;
     Span span;
-    span.parent = parent;
     span.name = std::string(name);
     span.tier = std::string(tier);
     span.start_us = start_offset.micros();
     span.duration_us = duration.micros();
     trace_.spans.push_back(std::move(span));
-    return static_cast<int>(trace_.spans.size()) - 1;
   }
 
   void Finish(std::string_view tier, int status, bool degraded,

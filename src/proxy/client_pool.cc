@@ -18,7 +18,7 @@ size_t ClientPool::SpillIdle(SimTime now) {
   size_t frozen = 0;
   clients_.ForEach([&](ClientProxy& client) {
     if (client.browser_cache_frozen()) return;
-    if (now - client.last_active() < config_.spill_idle_threshold) return;
+    if (now - client.last_active() < kSpillIdleThreshold) return;
     uint64_t before = client.freeze_count();
     client.FreezeBrowserCache();
     // FreezeBrowserCache declines pristine caches; only count real spills.

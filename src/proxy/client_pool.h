@@ -15,14 +15,14 @@
 //     pointer; the aggregate is bit-identical to summing per-client stats
 //     because counter increments are unchanged and integer-valued
 //     histogram sums are exact;
-//   - SpillIdle() freezes the browser caches of clients idle longer than
-//     the configured threshold into compact blobs; the next request
-//     thaws losslessly (see ClientProxy::FreezeBrowserCache).
+//   - SpillIdle() freezes the browser caches of clients idle for
+//     kSpillIdleThreshold into compact blobs; the next request thaws
+//     losslessly (see ClientProxy::FreezeBrowserCache).
 //
 // Spill is kAuto by default: off for small fleets (below
-// spill_auto_threshold nothing is gained) and on for large ones. The
-// driver decides *when* to sweep (it owns the event loop); the pool only
-// provides the sweep primitive.
+// kSpillAutoThreshold clients nothing is gained) and on for large ones.
+// The traffic simulation decides *when* to sweep (it owns the event
+// loop); the pool only provides the sweep primitive.
 #ifndef SPEEDKIT_PROXY_CLIENT_POOL_H_
 #define SPEEDKIT_PROXY_CLIENT_POOL_H_
 
@@ -37,18 +37,14 @@ namespace speedkit::proxy {
 
 enum class SpillMode {
   kOff,
-  kAuto,  // on once the fleet reaches spill_auto_threshold clients
+  kAuto,  // on once the fleet reaches ClientPool::kSpillAutoThreshold
   kOn,
 };
 
+// The fleet's memory policy. Only the spill mode is a setting: E16 runs
+// the same fleet with spill on and off and checks the results agree.
 struct ClientPoolConfig {
   SpillMode spill = SpillMode::kAuto;
-  size_t spill_auto_threshold = 4096;
-  // A client whose last foreground request is older than this is a spill
-  // candidate.
-  Duration spill_idle_threshold = Duration::Seconds(60);
-  // Suggested cadence for SpillIdle sweeps (the driver schedules them).
-  Duration spill_sweep_interval = Duration::Seconds(30);
 };
 
 // Point-in-time spill accounting, computed over the fleet.
@@ -62,6 +58,14 @@ struct ClientPoolSpillStats {
 
 class ClientPool {
  public:
+  // Fleet size at which kAuto turns spill on; smaller fleets gain too
+  // little from the blobs to pay for freeze and thaw.
+  static constexpr size_t kSpillAutoThreshold = 4096;
+  // A client whose last foreground request is at least this old is a
+  // spill candidate. It is 7.5 mean think times of the session model, so
+  // a client in the middle of a session is almost never frozen.
+  static constexpr Duration kSpillIdleThreshold = Duration::Seconds(60);
+
   // `deps` is the stack-level dependency set; the pool overrides its
   // stats_sink with the pool's own aggregate. Copies of `deps` are taken
   // per client, so the referenced services must outlive the pool.
@@ -86,13 +90,14 @@ class ClientPool {
       case SpillMode::kOff: return false;
       case SpillMode::kOn: return true;
       case SpillMode::kAuto:
-        return clients_.size() >= config_.spill_auto_threshold;
+        return clients_.size() >= kSpillAutoThreshold;
     }
     return false;
   }
 
-  // Freezes the browser cache of every thawed client idle since before
-  // `now - spill_idle_threshold`. Returns how many were newly frozen.
+  // Freezes the browser cache of every thawed client whose last
+  // foreground request is at least kSpillIdleThreshold before `now`.
+  // Returns how many were newly frozen.
   // No-op (returns 0) when spill is disabled. Deterministic: iterates in
   // creation order and draws no randomness.
   size_t SpillIdle(SimTime now);

@@ -234,7 +234,6 @@ Duration ClientProxy::MaybeRefreshSketchLatency(bool txn_begin) {
 }
 
 TxnResult ClientProxy::FetchTxn(const std::vector<std::string>& urls) {
-  stats_->txn_begins++;
   TxnResult txn;
 
   // Δ-atomic: force a snapshot taken at the transaction's own instant so
@@ -258,12 +257,6 @@ TxnResult ClientProxy::FetchTxn(const std::vector<std::string>& urls) {
       coherence_->mode() == coherence::CoherenceMode::kSerializable) {
     if (!ValidateTxn(urls, &txn)) txn.aborted = true;
   }
-  if (txn.aborted) {
-    stats_->txn_aborts++;
-  } else {
-    stats_->txn_commits++;
-  }
-  stats_->latency_txn_us.Add(txn.latency.micros());
   return txn;
 }
 
@@ -304,7 +297,6 @@ bool ClientProxy::ValidateTxn(const std::vector<std::string>& urls,
     std::vector<size_t> stale = coherence_->StaleReadIndexes(reads);
     if (stale.empty()) return true;
     if (round >= coherence_->config().max_txn_retries) return false;
-    stats_->txn_retries++;
     txn->retries++;
 
     // Re-fetch the mismatched members, bypassing every shared cache so a

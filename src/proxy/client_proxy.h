@@ -155,13 +155,10 @@ struct ProxyStats {
   uint64_t background_errors = 0;         // ... failed (origin down etc.)
   uint64_t background_bytes = 0;          // wire bytes of background traffic
 
-  // Multi-key read-only transactions (FetchTxn). Each member read is an
-  // ordinary request and lands in the serve buckets above; these count
-  // whole transactions. Validation rounds are serializable-mode only.
-  uint64_t txn_begins = 0;
-  uint64_t txn_commits = 0;
-  uint64_t txn_aborts = 0;            // retry budget exhausted (or origin down)
-  uint64_t txn_retries = 0;           // rounds that re-fetched stale reads
+  // Validation traffic of multi-key read-only transactions (FetchTxn),
+  // serializable mode only. Each member read is an ordinary request and
+  // lands in the serve buckets above; each transaction's outcome, retries
+  // and latency are in its TxnResult.
   uint64_t txn_validations = 0;       // validation RTTs issued
   uint64_t txn_validation_bytes = 0;  // wire bytes of validation traffic
 
@@ -180,9 +177,6 @@ struct ProxyStats {
   Histogram latency_error_us;
   Histogram latency_ok_us;
   Histogram latency_degraded_us;
-  // End-to-end transaction latency (us): reads + any snapshot refresh,
-  // validation RTTs and retry re-fetches.
-  Histogram latency_txn_us;
 
   // The tier histogram for `source` (see above; never null).
   Histogram* LatencyFor(ServedFrom source) {
@@ -230,10 +224,6 @@ struct ProxyStats {
     background_200s += other.background_200s;
     background_errors += other.background_errors;
     background_bytes += other.background_bytes;
-    txn_begins += other.txn_begins;
-    txn_commits += other.txn_commits;
-    txn_aborts += other.txn_aborts;
-    txn_retries += other.txn_retries;
     txn_validations += other.txn_validations;
     txn_validation_bytes += other.txn_validation_bytes;
     latency_browser_us.Merge(other.latency_browser_us);
@@ -243,7 +233,6 @@ struct ProxyStats {
     latency_error_us.Merge(other.latency_error_us);
     latency_ok_us.Merge(other.latency_ok_us);
     latency_degraded_us.Merge(other.latency_degraded_us);
-    latency_txn_us.Merge(other.latency_txn_us);
     return *this;
   }
 };

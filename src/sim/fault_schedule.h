@@ -10,7 +10,8 @@
 //
 // SpeedKitStack turns each outage window into a pair of clock events (down
 // at `start`, back up at `end`); StackConfig::Validate rejects a window
-// that does not run forward and two overlapping windows on one node.
+// that does not run forward, two overlapping windows on one node, and
+// windows for an edge the CDN does not have.
 #ifndef SPEEDKIT_SIM_FAULT_SCHEDULE_H_
 #define SPEEDKIT_SIM_FAULT_SCHEDULE_H_
 
@@ -42,8 +43,8 @@ struct FaultScheduleConfig {
   // Origin-server outage windows (the E11/E14 "origin down" scenario).
   std::vector<FaultWindow> origin;
 
-  // Per-edge outage windows; index = physical edge number. Entries beyond
-  // the CDN's edge count are ignored.
+  // Per-edge outage windows; index = physical edge number.
+  // StackConfig::Validate rejects a list longer than the CDN's edge count.
   std::vector<std::vector<FaultWindow>> edges;
 
   // Each scheduled per-edge purge delivery is independently dropped with

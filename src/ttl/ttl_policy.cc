@@ -4,11 +4,15 @@
 #include <cmath>
 
 namespace speedkit::ttl {
+namespace {
 
-EstimatedTtlPolicy::EstimatedTtlPolicy(EstimatorConfig config)
-    : config_(config),
-      ttl_factor_(-std::log(1.0 - std::clamp(config.invalidation_budget,
-                                             0.01, 0.99))) {}
+// t* = kTtlFactor * mean inter-write gap (see the header's model).
+const double kTtlFactor =
+    -std::log(1.0 - EstimatedTtlPolicy::kInvalidationBudget);
+
+}  // namespace
+
+EstimatedTtlPolicy::EstimatedTtlPolicy(Duration max_ttl) : max_ttl_(max_ttl) {}
 
 Duration EstimatedTtlPolicy::TtlFor(std::string_view key, SimTime now) {
   (void)now;
@@ -16,11 +20,11 @@ Duration EstimatedTtlPolicy::TtlFor(std::string_view key, SimTime now) {
   auto it = keys_.find(std::string(key));
   if (it == keys_.end() || it->second.ewma_gap_us <= 0) {
     stats_.cold_starts++;
-    return config_.cold_start_ttl;
+    return kColdStartTtl;
   }
-  double ttl_us = ttl_factor_ * it->second.ewma_gap_us;
-  ttl_us = std::clamp(ttl_us, static_cast<double>(config_.min_ttl.micros()),
-                      static_cast<double>(config_.max_ttl.micros()));
+  double ttl_us = kTtlFactor * it->second.ewma_gap_us;
+  ttl_us = std::clamp(ttl_us, static_cast<double>(kMinTtl.micros()),
+                      static_cast<double>(max_ttl_.micros()));
   return Duration::Micros(static_cast<int64_t>(ttl_us));
 }
 
@@ -34,7 +38,7 @@ void EstimatedTtlPolicy::ObserveWrite(std::string_view key, SimTime now) {
         state.ewma_gap_us = gap;
       } else {
         state.ewma_gap_us =
-            config_.alpha * gap + (1.0 - config_.alpha) * state.ewma_gap_us;
+            kEwmaWeight * gap + (1.0 - kEwmaWeight) * state.ewma_gap_us;
       }
     }
   }

@@ -4,8 +4,8 @@
 // but loads the sketch (every write during the TTL adds the key and forces
 // client revalidations); a short TTL keeps the sketch empty but forfeits
 // hits. The estimator aims TTLs at each object's write behaviour so that
-// with probability `invalidation_budget` the object is NOT written before
-// the TTL runs out.
+// the object is written before its TTL runs out with probability
+// `kInvalidationBudget`.
 //
 // Model (companion-paper style): per-key writes are treated as Poisson with
 // rate λ estimated from an EWMA of inter-write gaps. P(write within t) =
@@ -56,20 +56,6 @@ class NoCachePolicy : public TtlPolicy {
   void ObserveWrite(std::string_view, SimTime) override {}
 };
 
-struct EstimatorConfig {
-  // Target probability that the object is written before its TTL expires.
-  // The default is deliberately optimistic: under sketch coherence a
-  // too-long TTL costs a sketch entry and a revalidation, never a stale
-  // read — so TTLs should err long (the paper's architectural argument).
-  double invalidation_budget = 0.5;
-  // EWMA smoothing for inter-write gaps (weight of the newest gap).
-  double alpha = 0.2;
-  // TTL bounds and the cold-start default used before 2 writes are seen.
-  Duration min_ttl = Duration::Seconds(5);
-  Duration max_ttl = Duration::Seconds(86400);
-  Duration cold_start_ttl = Duration::Seconds(600);
-};
-
 struct EstimatorStats {
   uint64_t estimates = 0;
   uint64_t cold_starts = 0;
@@ -78,7 +64,21 @@ struct EstimatorStats {
 
 class EstimatedTtlPolicy : public TtlPolicy {
  public:
-  explicit EstimatedTtlPolicy(EstimatorConfig config = {});
+  // Target probability that the object is written before its TTL expires.
+  // Deliberately optimistic: under sketch coherence a too-long TTL costs a
+  // sketch entry and a revalidation, never a stale read, so TTLs should
+  // err long (the paper's architectural argument).
+  static constexpr double kInvalidationBudget = 0.5;
+  // EWMA smoothing of inter-write gaps: the weight of the newest gap.
+  static constexpr double kEwmaWeight = 0.2;
+  // Floor of an estimated TTL.
+  static constexpr Duration kMinTtl = Duration::Seconds(5);
+  // TTL of a key seen written fewer than twice, which has no gap yet.
+  static constexpr Duration kColdStartTtl = Duration::Seconds(600);
+  static constexpr Duration kDefaultMaxTtl = Duration::Seconds(86400);
+
+  // `max_ttl` caps every estimate.
+  explicit EstimatedTtlPolicy(Duration max_ttl = kDefaultMaxTtl);
 
   Duration TtlFor(std::string_view key, SimTime now) override;
   void ObserveWrite(std::string_view key, SimTime now) override;
@@ -95,8 +95,7 @@ class EstimatedTtlPolicy : public TtlPolicy {
     uint32_t writes = 0;
   };
 
-  EstimatorConfig config_;
-  double ttl_factor_;  // -ln(1 - budget)
+  Duration max_ttl_;
   std::unordered_map<std::string, KeyState> keys_;
   EstimatorStats stats_;
 };

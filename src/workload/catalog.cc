@@ -3,6 +3,14 @@
 #include "invalidation/pipeline.h"
 
 namespace speedkit::workload {
+namespace {
+
+// Launch prices are uniform over this band; PriceUpdate keeps each price
+// within ±20% of its launch price.
+constexpr double kMinPrice = 5.0;
+constexpr double kMaxPrice = 500.0;
+
+}  // namespace
 
 Catalog::Catalog(const CatalogConfig& config, Pcg32 rng) : config_(config) {
   categories_.reserve(config_.num_products);
@@ -10,7 +18,7 @@ Catalog::Catalog(const CatalogConfig& config, Pcg32 rng) : config_(config) {
   for (size_t i = 0; i < config_.num_products; ++i) {
     categories_.push_back(
         static_cast<int>(rng.NextBounded(config_.num_categories)));
-    base_price_.push_back(rng.Uniform(config_.min_price, config_.max_price));
+    base_price_.push_back(rng.Uniform(kMinPrice, kMaxPrice));
   }
 }
 

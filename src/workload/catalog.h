@@ -22,8 +22,6 @@ namespace speedkit::workload {
 struct CatalogConfig {
   size_t num_products = 10000;
   int num_categories = 50;
-  double min_price = 5.0;
-  double max_price = 500.0;
 };
 
 class Catalog {

@@ -16,17 +16,15 @@ std::optional<std::string> PageViewUrl(const Catalog& catalog,
 SessionGenerator::SessionGenerator(const Catalog* catalog,
                                    const SessionConfig& config, Pcg32 rng)
     : catalog_(catalog),
-      config_(config),
       owned_popularity_(std::make_unique<ZipfGenerator>(
           catalog->num_products(), config.product_skew)),
       product_popularity_(owned_popularity_.get()),
       rng_(rng) {}
 
 SessionGenerator::SessionGenerator(const Catalog* catalog,
-                                   const SessionConfig& config,
+                                   const SessionConfig& /*config*/,
                                    const ZipfGenerator* popularity, Pcg32 rng)
     : catalog_(catalog),
-      config_(config),
       product_popularity_(popularity),
       rng_(rng) {}
 
@@ -45,11 +43,11 @@ std::vector<PageView> SessionGenerator::NextSession() {
   current.think_time_before = Duration::Zero();
   pages.push_back(current);
 
-  while (static_cast<int>(pages.size()) < config_.max_pages &&
-         rng_.WithProbability(config_.continue_probability)) {
+  while (static_cast<int>(pages.size()) < kMaxPages &&
+         rng_.WithProbability(kContinueProbability)) {
     PageView next = NextPage(pages.back());
     next.think_time_before = Duration::Seconds(
-        rng_.Exponential(1.0 / config_.mean_think_time.seconds()));
+        rng_.Exponential(1.0 / kMeanThinkTime.seconds()));
     pages.push_back(next);
     if (next.type == PageType::kCart) break;  // checkout ends the session
   }

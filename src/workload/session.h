@@ -35,15 +35,21 @@ struct PageView {
 std::optional<std::string> PageViewUrl(const Catalog& catalog,
                                        const PageView& view);
 
+// Only the skew is a setting: the experiments vary how concentrated
+// product interest is (E3, E4), never the shape of a session.
 struct SessionConfig {
-  double product_skew = 0.9;       // Zipf exponent for product choice
-  Duration mean_think_time = Duration::Seconds(8);
-  int max_pages = 30;              // hard stop against unbounded walks
-  double continue_probability = 0.75;
+  double product_skew = 0.9;  // Zipf exponent for product choice
 };
 
 class SessionGenerator {
  public:
+  // Mean of the exponential think time before each page after the first.
+  static constexpr Duration kMeanThinkTime = Duration::Seconds(8);
+  // Hard stop against unbounded walks.
+  static constexpr int kMaxPages = 30;
+  // Chance that a visitor views one more page.
+  static constexpr double kContinueProbability = 0.75;
+
   // Builds and owns a private popularity CDF — fine for one-off use, but
   // the table is O(catalog) doubles; fleets must not pay it per client.
   SessionGenerator(const Catalog* catalog, const SessionConfig& config,
@@ -64,7 +70,6 @@ class SessionGenerator {
   PageView NextPage(const PageView& current);
 
   const Catalog* catalog_;
-  SessionConfig config_;
   std::unique_ptr<const ZipfGenerator> owned_popularity_;  // null when shared
   const ZipfGenerator* product_popularity_;
   Pcg32 rng_;

@@ -84,6 +84,20 @@ TEST(StackConfigValidateTest, RejectsOverlappingOutageWindowsOfOneNode) {
   EXPECT_TRUE(config.Validate().ok());
 }
 
+// The stack would have no edge to take down, so a mistyped edge index
+// would inject no outage at all.
+TEST(StackConfigValidateTest, RejectsOutageWindowsForMissingEdges) {
+  StackConfig config;
+  config.cdn_edges = 4;
+  config.faults.edges = {{}, {}, {}, {Window(10, 20)}};
+  EXPECT_TRUE(config.Validate().ok());
+  config.faults.edges.push_back({Window(10, 20)});
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+  // An empty list for a fifth edge names an edge the tier lacks too.
+  config.faults.edges.back().clear();
+  EXPECT_TRUE(config.Validate().IsInvalidArgument());
+}
+
 http::HttpResponse CacheableResponse() {
   http::HttpResponse resp;
   resp.status_code = 200;

@@ -137,7 +137,7 @@ TEST(MetricsExportTest, TraceCsvQuotesAndMeta) {
   csv << std::ifstream(path).rdbuf();
   EXPECT_NE(csv.str().find("# served_total=1"), std::string::npos);
   EXPECT_NE(csv.str().find("\"https://x.test/a,b\""), std::string::npos);
-  EXPECT_NE(csv.str().find("span,7,request,0,-1,net.client_edge,network"),
+  EXPECT_NE(csv.str().find("span,7,request,0,net.client_edge,network"),
             std::string::npos);
   std::remove(path.c_str());
 }

@@ -13,8 +13,8 @@ TEST(TraceBuilderTest, InactiveWithNullTracer) {
   TraceBuilder b;
   b.Begin(nullptr, kTraceKindRequest, "/p/1", SimTime());
   EXPECT_FALSE(b.active());
-  EXPECT_EQ(b.AddSpan("net.client_edge", kTierNetwork, Duration::Millis(5)),
-            -1);
+  b.AddSpan("net.client_edge", kTierNetwork, Duration::Millis(5));
+  EXPECT_FALSE(b.active());
 }
 
 TEST(TraceBuilderTest, InactiveWithDisabledTracer) {
@@ -31,11 +31,8 @@ TEST(TraceBuilderTest, AddSpanLaysLegsEndToEnd) {
   TraceBuilder b;
   b.Begin(&tracer, kTraceKindRequest, "/p/1", SimTime() + Duration::Seconds(3));
   EXPECT_TRUE(b.active());
-  int first = b.AddSpan("proxy.overhead", kTierProxy, Duration::Millis(1));
-  int second =
-      b.AddSpan("net.client_edge", kTierNetwork, Duration::Millis(20), first);
-  EXPECT_EQ(first, 0);
-  EXPECT_EQ(second, 1);
+  b.AddSpan("proxy.overhead", kTierProxy, Duration::Millis(1));
+  b.AddSpan("net.client_edge", kTierNetwork, Duration::Millis(20));
   b.Finish(kTierEdge, 200, false, Duration::Millis(21));
 
   ASSERT_EQ(sink.traces().size(), 1u);
@@ -48,10 +45,8 @@ TEST(TraceBuilderTest, AddSpanLaysLegsEndToEnd) {
   ASSERT_EQ(t.spans.size(), 2u);
   EXPECT_EQ(t.spans[0].start_us, 0);
   EXPECT_EQ(t.spans[0].duration_us, Duration::Millis(1).micros());
-  // The cursor advanced: the second leg starts where the first ended,
-  // and carries the first as its parent.
+  // The cursor advanced: the second leg starts where the first ended.
   EXPECT_EQ(t.spans[1].start_us, Duration::Millis(1).micros());
-  EXPECT_EQ(t.spans[1].parent, 0);
 }
 
 TEST(TraceBuilderTest, AddSpanAtDoesNotMoveCursor) {
@@ -64,7 +59,7 @@ TEST(TraceBuilderTest, AddSpanAtDoesNotMoveCursor) {
               Duration::Millis(10));
   b.AddSpanAt("purge.deliver", kTierPurge, Duration::Millis(2),
               Duration::Millis(30));
-  int serial = b.AddSpan("after", kTierPurge, Duration::Millis(1));
+  b.AddSpan("after", kTierPurge, Duration::Millis(1));
   b.Finish(kTierPurge, 0, false, Duration::Millis(32));
 
   ASSERT_EQ(sink.traces().size(), 1u);
@@ -72,21 +67,8 @@ TEST(TraceBuilderTest, AddSpanAtDoesNotMoveCursor) {
   ASSERT_EQ(t.spans.size(), 3u);
   EXPECT_EQ(t.spans[0].start_us, t.spans[1].start_us);
   // AddSpanAt left the cursor at 0, so the serial span starts there.
-  EXPECT_EQ(serial, 2);
+  EXPECT_EQ(t.spans[2].name, "after");
   EXPECT_EQ(t.spans[2].start_us, 0);
-}
-
-TEST(InMemoryTraceSinkTest, CapCountsDropsInsteadOfLosingThemSilently) {
-  InMemoryTraceSink sink(/*max_traces=*/2);
-  Tracer tracer(&sink);
-  for (int i = 0; i < 5; ++i) {
-    TraceBuilder b;
-    b.Begin(&tracer, kTraceKindRequest, "/p", SimTime());
-    b.Finish(kTierEdge, 200, false, Duration::Millis(1));
-  }
-  EXPECT_EQ(sink.traces().size(), 2u);
-  EXPECT_EQ(sink.emitted(), 5u);
-  EXPECT_EQ(sink.dropped(), 3u);
 }
 
 // --- end-to-end determinism -----------------------------------------------
@@ -107,7 +89,7 @@ TEST(TraceDeterminismTest, SameSeedSameSpanTree) {
   ASSERT_NE(a.traces, nullptr);
   ASSERT_NE(b.traces, nullptr);
   ASSERT_EQ(a.traces->traces().size(), b.traces->traces().size());
-  // RequestTrace/Span have defaulted operator== — the whole tree must match.
+  // RequestTrace/Span have defaulted operator== — every span must match.
   EXPECT_EQ(a.traces->traces(), b.traces->traces());
 }
 
@@ -116,29 +98,12 @@ TEST(TraceDeterminismTest, TracingOnOffIdenticalResults) {
   bench::RunOutput on = bench::RunWorkload(TracedSpec(true, true));
   EXPECT_EQ(off.traces, nullptr);
   ASSERT_NE(on.traces, nullptr);
-
-  const proxy::ProxyStats& po = off.traffic.proxies;
-  const proxy::ProxyStats& pt = on.traffic.proxies;
-  EXPECT_EQ(po.requests, pt.requests);
-  EXPECT_EQ(po.browser_hits, pt.browser_hits);
-  EXPECT_EQ(po.edge_hits, pt.edge_hits);
-  EXPECT_EQ(po.origin_fetches, pt.origin_fetches);
-  EXPECT_EQ(po.swr_serves, pt.swr_serves);
-  EXPECT_EQ(po.offline_serves, pt.offline_serves);
-  EXPECT_EQ(po.errors, pt.errors);
-  EXPECT_EQ(po.bytes_over_network, pt.bytes_over_network);
-  EXPECT_EQ(po.latency_ok_us.count(), pt.latency_ok_us.count());
-  EXPECT_EQ(po.latency_ok_us.Sum(), pt.latency_ok_us.Sum());
-  EXPECT_EQ(off.staleness.reads, on.staleness.reads);
-  EXPECT_EQ(off.staleness.stale_reads, on.staleness.stale_reads);
-  EXPECT_EQ(off.origin_requests, on.origin_requests);
-  EXPECT_EQ(off.pipeline.purges_effective, on.pipeline.purges_effective);
+  EXPECT_EQ(bench::FingerprintRun(off), bench::FingerprintRun(on));
 }
 
 TEST(TraceDeterminismTest, OneRequestTracePerServedRequest) {
   bench::RunOutput out = bench::RunWorkload(TracedSpec(true, false));
   ASSERT_NE(out.traces, nullptr);
-  EXPECT_EQ(out.traces->dropped(), 0u);
 
   uint64_t request_traces = 0;
   uint64_t purge_traces = 0;

@@ -119,7 +119,6 @@ TEST(ClientPoolTest, SinkAggregationEqualsPerClientSum) {
 TEST(ClientPoolTest, SpillIsBehaviorNeutralAgainstTwinWorld) {
   ClientPoolConfig spilling;
   spilling.spill = SpillMode::kOn;
-  spilling.spill_idle_threshold = Duration::Seconds(60);
   ClientPoolConfig inert;
   inert.spill = SpillMode::kOff;
 
@@ -161,7 +160,6 @@ TEST(ClientPoolTest, SpillFreezesIdleButNotPristineClients) {
   World w;
   ClientPoolConfig config;
   config.spill = SpillMode::kOn;
-  config.spill_idle_threshold = Duration::Seconds(60);
   ClientPool pool(config, w.Deps());
   ClientProxy* active = pool.MakeClient(SpeedKitConfig(), 1);
   ClientProxy* pristine = pool.MakeClient(SpeedKitConfig(), 2);
@@ -184,18 +182,18 @@ TEST(ClientPoolTest, AutoModeEngagesAtThreshold) {
   World w;
   ClientPoolConfig config;
   config.spill = SpillMode::kAuto;
-  config.spill_auto_threshold = 3;
   ClientPool pool(config, w.Deps());
-  pool.MakeClient(SpeedKitConfig(), 1);
-  pool.MakeClient(SpeedKitConfig(), 2);
+  for (uint64_t id = 1; id < 4096; ++id) {
+    pool.MakeClient(SpeedKitConfig(), id);
+  }
   EXPECT_FALSE(pool.spill_enabled());
-  pool.MakeClient(SpeedKitConfig(), 3);
+  pool.MakeClient(SpeedKitConfig(), 4096);
   EXPECT_TRUE(pool.spill_enabled());
 
   ClientPoolConfig off;
   off.spill = SpillMode::kOff;
   ClientPool off_pool(off, w.Deps());
-  off_pool.MakeClient(SpeedKitConfig(), 4);
+  off_pool.MakeClient(SpeedKitConfig(), 4097);
   EXPECT_FALSE(off_pool.spill_enabled());
   EXPECT_EQ(off_pool.SpillIdle(w.clock.Now()), 0u);
 }
@@ -204,13 +202,13 @@ TEST(ClientPoolTest, BrowserCacheAccessorThawsFrozenClient) {
   World w;
   ClientPoolConfig config;
   config.spill = SpillMode::kOn;
-  config.spill_idle_threshold = Duration::Zero();
   ClientPool pool(config, w.Deps());
   ClientProxy* client = pool.MakeClient(SpeedKitConfig(), 1);
   client->Fetch(kRecordUrl);
   size_t live_entries = client->browser_cache().size();
   ASSERT_GT(live_entries, 0u);
 
+  w.Advance(Duration::Seconds(60));  // idle for the whole threshold
   pool.SpillIdle(w.clock.Now());
   ASSERT_TRUE(client->browser_cache_frozen());
   // Any direct cache access rehydrates transparently.

@@ -24,66 +24,40 @@ TEST(NoCachePolicyTest, ZeroTtl) {
 }
 
 TEST(EstimatedTtlPolicyTest, ColdStartUsesDefault) {
-  EstimatorConfig config;
-  config.cold_start_ttl = Duration::Seconds(42);
-  EstimatedTtlPolicy policy(config);
-  EXPECT_EQ(policy.TtlFor("never-written", At(0)), Duration::Seconds(42));
+  EstimatedTtlPolicy policy;
+  EXPECT_EQ(policy.TtlFor("never-written", At(0)), Duration::Seconds(600));
   EXPECT_EQ(policy.stats().cold_starts, 1u);
 }
 
 TEST(EstimatedTtlPolicyTest, OneWriteIsStillColdStart) {
   EstimatedTtlPolicy policy;
   policy.ObserveWrite("k", At(0));
-  EXPECT_EQ(policy.TtlFor("k", At(1)),
-            EstimatorConfig{}.cold_start_ttl);
+  EXPECT_EQ(policy.TtlFor("k", At(1)), EstimatedTtlPolicy::kColdStartTtl);
 }
 
 TEST(EstimatedTtlPolicyTest, TtlTracksInterWriteGap) {
-  EstimatorConfig config;
-  config.invalidation_budget = 0.3;  // factor = -ln(0.7) ~ 0.357
-  config.min_ttl = Duration::Seconds(1);
-  config.max_ttl = Duration::Seconds(100000);
-  EstimatedTtlPolicy policy(config);
+  // Budget 0.5: factor = -ln(0.5) ~ 0.693.
+  EstimatedTtlPolicy policy(Duration::Seconds(100000));
   // Steady 100 s gaps.
   for (int i = 0; i <= 20; ++i) policy.ObserveWrite("k", At(100.0 * i));
   Duration ttl = policy.TtlFor("k", At(2100));
-  double expected = -std::log(0.7) * 100.0;
+  double expected = -std::log(0.5) * 100.0;
   EXPECT_NEAR(ttl.seconds(), expected, 1.0);
   EXPECT_NEAR(policy.EstimatedGap("k").seconds(), 100.0, 0.5);
 }
 
-TEST(EstimatedTtlPolicyTest, HigherBudgetGivesLongerTtl) {
-  EstimatorConfig lo;
-  lo.invalidation_budget = 0.1;
-  EstimatorConfig hi;
-  hi.invalidation_budget = 0.7;
-  EstimatedTtlPolicy lo_policy(lo);
-  EstimatedTtlPolicy hi_policy(hi);
-  for (int i = 0; i <= 10; ++i) {
-    lo_policy.ObserveWrite("k", At(100.0 * i));
-    hi_policy.ObserveWrite("k", At(100.0 * i));
-  }
-  EXPECT_LT(lo_policy.TtlFor("k", At(1100)), hi_policy.TtlFor("k", At(1100)));
-}
-
 TEST(EstimatedTtlPolicyTest, ClampsToBounds) {
-  EstimatorConfig config;
-  config.min_ttl = Duration::Seconds(10);
-  config.max_ttl = Duration::Seconds(60);
-  EstimatedTtlPolicy policy(config);
-  // Very fast writes: raw estimate below min.
+  EstimatedTtlPolicy policy(Duration::Seconds(60));
+  // Very fast writes: raw estimate below the 5 s floor.
   for (int i = 0; i <= 10; ++i) policy.ObserveWrite("fast", At(0.1 * i));
-  EXPECT_EQ(policy.TtlFor("fast", At(2)), Duration::Seconds(10));
+  EXPECT_EQ(policy.TtlFor("fast", At(2)), Duration::Seconds(5));
   // Very slow writes: raw estimate above max.
   for (int i = 0; i <= 3; ++i) policy.ObserveWrite("slow", At(100000.0 * i));
   EXPECT_EQ(policy.TtlFor("slow", At(400000)), Duration::Seconds(60));
 }
 
 TEST(EstimatedTtlPolicyTest, EwmaAdaptsToRateChange) {
-  EstimatorConfig config;
-  config.alpha = 0.5;  // fast adaptation for the test
-  config.max_ttl = Duration::Seconds(100000);
-  EstimatedTtlPolicy policy(config);
+  EstimatedTtlPolicy policy(Duration::Seconds(100000));
   double t = 0;
   for (int i = 0; i < 10; ++i) {
     policy.ObserveWrite("k", At(t));

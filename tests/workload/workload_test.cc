@@ -153,13 +153,11 @@ TEST(SessionTest, SessionsAreNonEmptyAndBounded) {
   CatalogConfig cconfig;
   cconfig.num_products = 100;
   Catalog catalog(cconfig, Pcg32(1));
-  SessionConfig sconfig;
-  sconfig.max_pages = 20;
-  SessionGenerator gen(&catalog, sconfig, Pcg32(5));
+  SessionGenerator gen(&catalog, SessionConfig{}, Pcg32(5));
   for (int i = 0; i < 200; ++i) {
     auto session = gen.NextSession();
     ASSERT_GE(session.size(), 1u);
-    ASSERT_LE(session.size(), 20u);
+    ASSERT_LE(session.size(), 30u);
     EXPECT_EQ(session[0].think_time_before, Duration::Zero());
   }
 }

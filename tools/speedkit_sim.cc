@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
         {"requests", std::to_string(p.requests)},
         {"served_total", std::to_string(p.ServedTotal())},
         {"trace_emitted", std::to_string(stack.trace_sink()->emitted())},
-        {"trace_dropped", std::to_string(stack.trace_sink()->dropped())},
     };
     if (obs::WriteTraceCsv(trace_path, stack.trace_sink()->traces(), meta)) {
       std::printf("traces       wrote %zu to %s (render with "

@@ -10,9 +10,8 @@
 // It also re-checks the accounting invariant the producer stamped into the
 // metadata: one request-kind trace per served request, i.e. the number of
 // request traces equals served_total (ProxyStats::ServedTotal()). A
-// mismatch exits nonzero so CI can gate on it. When the producer capped the
-// sink (trace_dropped > 0) the check is skipped — the file is explicitly
-// incomplete — and the report says so.
+// mismatch, or a file without served_total, exits nonzero so CI can gate
+// on it.
 //
 //   trace_report TRACE_faults.csv [--top=5] [--width=56]
 #include <algorithm>
@@ -30,8 +29,6 @@
 namespace {
 
 struct SpanRow {
-  int index = 0;
-  int parent = -1;
   std::string name;
   std::string tier;
   int64_t start_us = 0;
@@ -154,29 +151,27 @@ int main(int argc, char** argv) {
       continue;
     }
     std::vector<std::string> f = SplitCsv(line);
-    if (f.size() < 12) continue;
+    if (f.size() < 11) continue;
     if (f[0] == "trace") {
       TraceRow t;
       t.id = static_cast<uint64_t>(ToInt(f[1]));
       t.kind = f[2];
-      t.tier = f[6];
-      t.start_us = ToInt(f[7]);
-      t.latency_us = ToInt(f[8]);
-      t.url = f[9];
-      t.status = static_cast<int>(ToInt(f[10]));
-      t.degraded = ToInt(f[11]) != 0;
+      t.tier = f[5];
+      t.start_us = ToInt(f[6]);
+      t.latency_us = ToInt(f[7]);
+      t.url = f[8];
+      t.status = static_cast<int>(ToInt(f[9]));
+      t.degraded = ToInt(f[10]) != 0;
       trace_index[t.id] = traces.size();
       traces.push_back(std::move(t));
     } else if (f[0] == "span") {
       auto it = trace_index.find(static_cast<uint64_t>(ToInt(f[1])));
       if (it == trace_index.end()) continue;
       SpanRow s;
-      s.index = static_cast<int>(ToInt(f[3]));
-      s.parent = static_cast<int>(ToInt(f[4]));
-      s.name = f[5];
-      s.tier = f[6];
-      s.start_us = ToInt(f[7]);
-      s.duration_us = ToInt(f[8]);
+      s.name = f[4];
+      s.tier = f[5];
+      s.start_us = ToInt(f[6]);
+      s.duration_us = ToInt(f[7]);
       traces[it->second].spans.push_back(std::move(s));
     }
   }
@@ -267,26 +262,19 @@ int main(int argc, char** argv) {
 
   // The accounting invariant: one request trace per served request.
   auto served_it = meta.find("served_total");
-  uint64_t dropped = 0;
-  if (auto it = meta.find("trace_dropped"); it != meta.end()) {
-    dropped = static_cast<uint64_t>(ToInt(it->second));
+  if (served_it == meta.end()) {
+    std::fprintf(stderr, "\ncheck FAILED: no served_total in the metadata\n");
+    return 1;
   }
-  if (served_it != meta.end()) {
-    uint64_t served = static_cast<uint64_t>(ToInt(served_it->second));
-    if (dropped > 0) {
-      std::printf("\ncheck skipped: sink dropped %llu traces (capped "
-                  "capture), span accounting is knowingly partial\n",
-                  static_cast<unsigned long long>(dropped));
-    } else if (requests.size() == served) {
-      std::printf("\ncheck ok: %zu request traces == served_total %llu\n",
-                  requests.size(), static_cast<unsigned long long>(served));
-    } else {
-      std::fprintf(stderr,
-                   "\ncheck FAILED: %zu request traces != served_total %llu "
-                   "— a request path is missing its trace\n",
-                   requests.size(), static_cast<unsigned long long>(served));
-      return 1;
-    }
+  uint64_t served = static_cast<uint64_t>(ToInt(served_it->second));
+  if (requests.size() != served) {
+    std::fprintf(stderr,
+                 "\ncheck FAILED: %zu request traces != served_total %llu "
+                 "— a request path is missing its trace\n",
+                 requests.size(), static_cast<unsigned long long>(served));
+    return 1;
   }
+  std::printf("\ncheck ok: %zu request traces == served_total %llu\n",
+              requests.size(), static_cast<unsigned long long>(served));
   return 0;
 }
