@@ -118,7 +118,8 @@ MemPoint Measure(const bench::RunSpec& spec) {
 
 struct GateResult {
   bool ok = true;
-  std::string status;  // "passed" / "failed" / "skipped: ..." / "off"
+  std::string status;  // "passed: ..." / "failed: ..." / "skipped: ..." / "off"
+  std::string measured;  // printed after the status, never written to JSON
 };
 
 GateResult CheckBudget(const MemPoint& largest, double budget) {
@@ -131,16 +132,17 @@ GateResult CheckBudget(const MemPoint& largest, double budget) {
     gate.status = "skipped: heap probe unavailable on this libc";
     return gate;
   }
+  // The JSON verdict names the budget, not the heap probe's figure, so a
+  // change that only moves the heap leaves the key as it was.
+  gate.ok = largest.after_run_bytes_per_client <= budget;
   char buf[112];
-  std::snprintf(buf, sizeof(buf),
-                "%.0f bytes/client after run at %zu clients vs budget %.0f",
-                largest.after_run_bytes_per_client, largest.clients, budget);
-  if (largest.after_run_bytes_per_client <= budget) {
-    gate.status = std::string("passed: ") + buf;
-  } else {
-    gate.ok = false;
-    gate.status = std::string("failed: ") + buf;
-  }
+  std::snprintf(buf, sizeof(buf), "%s: %s %.0f bytes/client at %zu clients",
+                gate.ok ? "passed" : "failed", gate.ok ? "within" : "over",
+                budget, largest.clients);
+  gate.status = buf;
+  std::snprintf(buf, sizeof(buf), " (%.0f bytes/client after run)",
+                largest.after_run_bytes_per_client);
+  gate.measured = buf;
   return gate;
 }
 
@@ -241,9 +243,10 @@ int main(int argc, char** argv) {
   GateResult mem_gate = CheckBudget(points.back(), budget);
   if (mem_gate.status != "off") {
     if (mem_gate.ok) {
-      bench::Note("memory gate " + mem_gate.status);
+      bench::Note("memory gate " + mem_gate.status + mem_gate.measured);
     } else {
-      std::fprintf(stderr, "FATAL: memory gate %s\n", mem_gate.status.c_str());
+      std::fprintf(stderr, "FATAL: memory gate %s%s\n",
+                   mem_gate.status.c_str(), mem_gate.measured.c_str());
     }
   }
 

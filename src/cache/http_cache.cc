@@ -193,7 +193,7 @@ bool HttpCache::Thaw(std::string_view blob, const FrozenHandles* handles) {
         r.Fail();
       }
     } else {
-      e.response.body = std::string(r.Str());
+      e.response.body = http::Body(r.Str());
       uint32_t header_count = r.U32();
       for (uint32_t j = 0; j < header_count && r.ok(); ++j) {
         std::string_view name = r.Str();

@@ -19,7 +19,11 @@ void StalenessTracker::KeyHistory::Push(DatedWrite write, size_t capacity) {
 
 void StalenessTracker::RecordWrite(std::string_view key, uint64_t version,
                                    SimTime now) {
-  KeyHistory& history = keys_[std::string(key)];
+  auto it = keys_.find(key);
+  if (it == keys_.end()) {
+    it = keys_.emplace(std::string(key), KeyHistory{}).first;
+  }
+  KeyHistory& history = it->second;
   if (version <= history.head_version) return;  // out-of-order: ignore
   history.head_version = version;
   history.Push({version, now}, ring_capacity_);
@@ -28,7 +32,7 @@ void StalenessTracker::RecordWrite(std::string_view key, uint64_t version,
 Duration StalenessTracker::RecordRead(std::string_view key, uint64_t version,
                                       SimTime now, bool excused) {
   report_.reads++;
-  auto it = keys_.find(std::string(key));
+  auto it = keys_.find(key);
   if (it == keys_.end()) return Duration::Zero();  // key never written
   const KeyHistory& history = it->second;
   if (version >= history.head_version) return Duration::Zero();
@@ -65,7 +69,7 @@ Duration StalenessTracker::RecordRead(std::string_view key, uint64_t version,
 
 std::optional<uint64_t> StalenessTracker::CurrentVersion(
     std::string_view key) const {
-  auto it = keys_.find(std::string(key));
+  auto it = keys_.find(key);
   if (it == keys_.end()) return std::nullopt;
   return it->second.head_version;
 }

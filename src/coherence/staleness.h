@@ -22,6 +22,7 @@
 #define SPEEDKIT_COHERENCE_STALENESS_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -29,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/histogram.h"
 #include "common/sim_time.h"
 
@@ -157,7 +159,8 @@ class StalenessTracker {
 
   size_t ring_capacity_;
   Duration delta_bound_ = Duration::Max();
-  std::unordered_map<std::string, KeyHistory> keys_;
+  std::unordered_map<std::string, KeyHistory, StringHash, std::equal_to<>>
+      keys_;
   StalenessReport report_;
   Histogram staleness_us_;
 };

@@ -1,64 +1,109 @@
 #include "http/message.h"
 
 #include <algorithm>
+#include <limits>
+#include <memory>
+#include <new>
 #include <ostream>
+#include <stdexcept>
 
 namespace speedkit::http {
 
-Body::Body(std::string bytes) {
+namespace {
+
+// A joined block's length fields are 32 bits wide; a longer length throws
+// rather than truncate.
+uint32_t JoinedField(size_t n) {
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("http::Body::Join: length exceeds 2^32 - 1");
+  }
+  return static_cast<uint32_t>(n);
+}
+
+}  // namespace
+
+Body::Body(std::string_view bytes) {
   if (bytes.empty()) return;
-  bytes.shrink_to_fit();
-  rep_ = std::make_shared<const FlatRep>(std::move(bytes));
+  void* mem = ::operator new(sizeof(Block) + bytes.size());
+  block_ = ::new (mem) Block(Kind::kFlat, bytes.size());
+  std::copy(bytes.begin(), bytes.end(),
+            static_cast<char*>(mem) + sizeof(Block));
 }
 
 Body::Body(std::shared_ptr<const std::string> shared) {
   if (shared == nullptr || shared->empty()) return;
-  rep_ = std::make_shared<const AdoptedRep>(std::move(shared));
+  block_ = ::new (::operator new(sizeof(AdoptedBlock)))
+      AdoptedBlock(std::move(shared));
 }
 
 Body Body::Join(std::string_view head, std::vector<Body> parts,
                 std::string_view separator, std::string_view tail) {
+  // The parts start right after the header, so it must keep them aligned.
+  static_assert(sizeof(Block) == 16 && sizeof(JoinedBlock) == 32);
+  static_assert(sizeof(JoinedBlock) % alignof(Body) == 0);
   size_t size = head.size() + tail.size();
   for (const Body& part : parts) size += part.size();
   if (!parts.empty()) size += separator.size() * (parts.size() - 1);
   if (size == 0) return Body();
-  auto joined = std::make_shared<JoinedRep>();
-  joined->size = size;
-  joined->head = head;
-  parts.shrink_to_fit();
-  joined->parts = std::move(parts);
-  joined->separator = separator;
-  joined->tail = tail;
+  const uint32_t part_count = JoinedField(parts.size());
+  const uint32_t head_size = JoinedField(head.size());
+  const uint32_t separator_size = JoinedField(separator.size());
+  const uint32_t tail_size = JoinedField(tail.size());
+  void* mem = ::operator new(sizeof(JoinedBlock) +
+                             parts.size() * sizeof(Body) + head.size() +
+                             separator.size() + tail.size());
+  auto* joined = ::new (mem)
+      JoinedBlock(size, part_count, head_size, separator_size, tail_size);
+  Body* slots = reinterpret_cast<Body*>(joined + 1);
+  std::uninitialized_move(parts.begin(), parts.end(), slots);
+  char* text = reinterpret_cast<char*>(slots + parts.size());
+  text = std::copy(head.begin(), head.end(), text);
+  text = std::copy(separator.begin(), separator.end(), text);
+  std::copy(tail.begin(), tail.end(), text);
   Body body;
-  body.rep_ = std::move(joined);
+  body.block_ = joined;
   return body;
 }
 
-size_t Body::size() const {
-  if (rep_ == nullptr) return 0;
-  switch (rep_->kind) {
-    case Kind::kFlat:
-      return static_cast<const FlatRep&>(*rep_).bytes.size();
-    case Kind::kAdopted:
-      return static_cast<const AdoptedRep&>(*rep_).bytes->size();
-    case Kind::kJoined:
-      return static_cast<const JoinedRep&>(*rep_).size;
+void Body::Release() noexcept {
+  if (block_ == nullptr) return;
+  // The acq_rel pairs every holder's last reads of the block with the
+  // destruction by whichever holder drops the last reference.
+  if (block_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    switch (block_->kind) {
+      case Kind::kFlat:
+        block_->~Block();
+        break;
+      case Kind::kAdopted:
+        static_cast<AdoptedBlock*>(block_)->~AdoptedBlock();
+        break;
+      case Kind::kJoined: {
+        auto* joined = static_cast<JoinedBlock*>(block_);
+        std::destroy_n(reinterpret_cast<Body*>(joined + 1),
+                       joined->part_count);
+        joined->~JoinedBlock();
+        break;
+      }
+    }
+    ::operator delete(static_cast<void*>(block_));
   }
-  return 0;
+  block_ = nullptr;
 }
 
 size_t Body::capacity() const {
-  if (rep_ == nullptr) return 0;
-  switch (rep_->kind) {
+  if (block_ == nullptr) return 0;
+  switch (block_->kind) {
     case Kind::kFlat:
-      return static_cast<const FlatRep&>(*rep_).bytes.capacity();
+      return block_->size;
     case Kind::kAdopted:
-      return static_cast<const AdoptedRep&>(*rep_).bytes->capacity();
+      return static_cast<const AdoptedBlock*>(block_)->bytes->capacity();
     case Kind::kJoined: {
-      const JoinedRep& joined = static_cast<const JoinedRep&>(*rep_);
-      size_t total = joined.head.capacity() + joined.separator.capacity() +
-                     joined.tail.capacity();
-      for (const Body& part : joined.parts) total += part.capacity();
+      const JoinedBlock& joined = *static_cast<const JoinedBlock*>(block_);
+      size_t total = size_t{joined.head_size} + joined.separator_size +
+                     joined.tail_size;
+      for (uint32_t i = 0; i < joined.part_count; ++i) {
+        total += joined.parts()[i].capacity();
+      }
       return total;
     }
   }
@@ -88,7 +133,7 @@ bool Body::Equals(std::string_view bytes) const {
 }
 
 bool operator==(const Body& a, const Body& b) {
-  if (a.rep_ == b.rep_) return true;
+  if (a.block_ == b.block_) return true;
   if (a.size() != b.size()) return false;
   // Walk a's chunks against b's, neither body flattened.
   std::vector<std::string_view> chunks;

@@ -9,6 +9,7 @@
 #ifndef SPEEDKIT_HTTP_MESSAGE_H_
 #define SPEEDKIT_HTTP_MESSAGE_H_
 
+#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <iosfwd>
@@ -24,42 +25,62 @@
 
 namespace speedkit::http {
 
-// An immutable, reference-counted response payload. Copying a Body shares
-// its rep instead of duplicating the bytes, so one rendered version can
-// sit in the origin's render cache, an edge, every browser cache and every
-// spilled cache's handle list as a single allocation (the serialize-once
-// store of Voras & Žagar's cache daemon). Nothing can modify the bytes once
-// built, and a buffer built from a string is trimmed to exactly its size,
-// so long-lived cache entries never pin growth slack. An empty Body holds
-// no allocation.
+// An immutable, reference-counted response payload: one pointer to one
+// intrusively counted heap block. Copying a Body shares its block instead
+// of duplicating the bytes, so one rendered version can sit in the origin's
+// render cache, an edge, every browser cache and every spilled cache's
+// handle list as a single allocation (the serialize-once store of Voras &
+// Žagar's cache daemon). Nothing can modify the bytes once built, and a
+// flat block holds exactly its bytes, so long-lived cache entries never pin
+// growth slack. An empty Body holds no allocation. The count is atomic, so
+// copies of one body may live and die on different threads.
 //
-// A body is flat (one buffer of its own or one adopted buffer) or joined:
-// a head, shared parts with a separator between each pair, and a tail
-// (see Join). A joined body is never flattened behind the caller's back
-// and keeps no flat copy of itself: its bytes come out chunk by chunk
+// A body is flat (its bytes in its own block, or one adopted buffer) or
+// joined: a head, shared parts with a separator between each pair, and a
+// tail (see Join). A joined body is never flattened behind the caller's
+// back and keeps no flat copy of itself: its bytes come out chunk by chunk
 // (ForEachChunk), and ToString()/AppendTo() copy them where contiguous
 // bytes are needed.
 class Body {
  public:
   Body() = default;
-  Body(std::string bytes);  // NOLINT(google-explicit-constructor)
-  Body(const char* bytes)   // NOLINT(google-explicit-constructor)
-      : Body(std::string(bytes)) {}
+  Body(const std::string& bytes)  // NOLINT(google-explicit-constructor)
+      : Body(std::string_view(bytes)) {}
+  Body(const char* bytes)  // NOLINT(google-explicit-constructor)
+      : Body(std::string_view(bytes)) {}
+  explicit Body(std::string_view bytes);
   // Adopts an already-shared immutable buffer (the memoized sketch
   // snapshot) without copying it.
   explicit Body(std::shared_ptr<const std::string> shared);
 
+  Body(const Body& other) noexcept : block_(other.block_) {
+    if (block_ != nullptr) block_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Body(Body&& other) noexcept : block_(std::exchange(other.block_, nullptr)) {}
+  Body& operator=(const Body& other) noexcept {
+    Body(other).swap(*this);
+    return *this;
+  }
+  Body& operator=(Body&& other) noexcept {
+    Body(std::move(other)).swap(*this);
+    return *this;
+  }
+  ~Body() { Release(); }
+
   // `head`, then `parts` with `separator` between each pair, then `tail`.
-  // The parts are shared, not copied, so bodies built from the same parts
-  // (successive versions of a query result) hold their bytes once. The
-  // total size is computed here.
+  // The parts move into the joined block and stay shared, not copied, so
+  // bodies built from the same parts (successive versions of a query
+  // result) hold their bytes once. The total size is computed here. Throws
+  // std::length_error if the part count or a string's length exceeds
+  // 2^32 - 1.
   static Body Join(std::string_view head, std::vector<Body> parts,
                    std::string_view separator, std::string_view tail);
 
-  size_t size() const;
-  bool empty() const { return rep_ == nullptr; }
-  // Bytes the buffers reserve: size() for anything past std::string's
-  // inline capacity; a joined body counts its parts and its own strings.
+  size_t size() const { return block_ == nullptr ? 0 : block_->size; }
+  bool empty() const { return block_ == nullptr; }
+  // Bytes the blocks hold for the content: size() for a flat body, the
+  // buffer's capacity for an adopted one; a joined body counts its parts
+  // and its own head, separator and tail.
   size_t capacity() const;
 
   // Calls fn(std::string_view) for each non-empty run of bytes, in order.
@@ -70,7 +91,7 @@ class Body {
 
   // Whether both bodies are copies of one body, not merely equal bytes.
   bool SharesBufferWith(const Body& other) const {
-    return rep_ != nullptr && rep_ == other.rep_;
+    return block_ != nullptr && block_ == other.block_;
   }
 
   friend bool operator==(const Body& a, const Body& b);
@@ -83,52 +104,77 @@ class Body {
 
  private:
   enum class Kind : uint8_t { kFlat, kAdopted, kJoined };
-  struct Rep {
+  // Every block starts with this header. A flat block's bytes follow it.
+  struct Block {
+    Block(Kind k, size_t n) : kind(k), size(n) {}
+    std::atomic<uint32_t> refs{1};
     Kind kind;
+    size_t size;  // of the whole body, so size() is O(1) for every kind
   };
-  struct FlatRep : Rep {
-    explicit FlatRep(std::string b) : Rep{Kind::kFlat}, bytes(std::move(b)) {}
-    std::string bytes;
-  };
-  struct AdoptedRep : Rep {
-    explicit AdoptedRep(std::shared_ptr<const std::string> b)
-        : Rep{Kind::kAdopted}, bytes(std::move(b)) {}
+  struct AdoptedBlock : Block {
+    explicit AdoptedBlock(std::shared_ptr<const std::string> b)
+        : Block(Kind::kAdopted, b->size()), bytes(std::move(b)) {}
     std::shared_ptr<const std::string> bytes;
   };
-  struct JoinedRep : Rep {
-    JoinedRep() : Rep{Kind::kJoined} {}
-    size_t size = 0;
-    std::string head;
-    std::vector<Body> parts;
-    std::string separator;
-    std::string tail;
+  // Followed by `part_count` Body values, then the head, separator and
+  // tail bytes.
+  struct JoinedBlock : Block {
+    JoinedBlock(size_t n, uint32_t parts, uint32_t head, uint32_t separator,
+                uint32_t tail)
+        : Block(Kind::kJoined, n),
+          part_count(parts),
+          head_size(head),
+          separator_size(separator),
+          tail_size(tail) {}
+    const Body* parts() const {
+      return reinterpret_cast<const Body*>(this + 1);
+    }
+    const char* text() const {
+      return reinterpret_cast<const char*>(parts() + part_count);
+    }
+    std::string_view head() const { return {text(), head_size}; }
+    std::string_view separator() const {
+      return {text() + head_size, separator_size};
+    }
+    std::string_view tail() const {
+      return {text() + head_size + separator_size, tail_size};
+    }
+
+    uint32_t part_count;
+    uint32_t head_size;
+    uint32_t separator_size;
+    uint32_t tail_size;
   };
+  static const char* FlatBytes(const Block* block) {
+    return reinterpret_cast<const char*>(block + 1);
+  }
 
   bool Equals(std::string_view bytes) const;
+  void Release() noexcept;
+  void swap(Body& other) noexcept { std::swap(block_, other.block_); }
 
-  std::shared_ptr<const Rep> rep_;
+  Block* block_ = nullptr;  // null: no bytes
 };
 
 template <typename Fn>
 void Body::ForEachChunk(Fn&& fn) const {
-  if (rep_ == nullptr) return;
-  switch (rep_->kind) {
+  if (block_ == nullptr) return;
+  switch (block_->kind) {
     case Kind::kFlat:
-      fn(std::string_view(static_cast<const FlatRep&>(*rep_).bytes));
+      fn(std::string_view(FlatBytes(block_), block_->size));
       return;
     case Kind::kAdopted:
-      fn(std::string_view(*static_cast<const AdoptedRep&>(*rep_).bytes));
+      fn(std::string_view(*static_cast<const AdoptedBlock*>(block_)->bytes));
       return;
     case Kind::kJoined: {
-      const JoinedRep& joined = static_cast<const JoinedRep&>(*rep_);
-      if (!joined.head.empty()) fn(std::string_view(joined.head));
-      for (size_t i = 0; i < joined.parts.size(); ++i) {
-        if (i > 0 && !joined.separator.empty()) {
-          fn(std::string_view(joined.separator));
-        }
-        joined.parts[i].ForEachChunk(fn);
+      const JoinedBlock& joined = *static_cast<const JoinedBlock*>(block_);
+      if (joined.head_size != 0) fn(joined.head());
+      const Body* parts = joined.parts();
+      for (uint32_t i = 0; i < joined.part_count; ++i) {
+        if (i > 0 && joined.separator_size != 0) fn(joined.separator());
+        parts[i].ForEachChunk(fn);
       }
-      if (!joined.tail.empty()) fn(std::string_view(joined.tail));
+      if (joined.tail_size != 0) fn(joined.tail());
       return;
     }
   }

@@ -197,7 +197,7 @@ ParseStatus ParseResponse(std::string_view data, WireResponse* out,
   Frame frame;
   st = SplitFrame(data, resp.headers, header_end, &frame);
   if (st != ParseStatus::kOk) return st;
-  resp.body = std::string(frame.body);
+  resp.body = http::Body(frame.body);
   resp.keep_alive = KeepAlive(resp.headers, version_minor);
   *out = std::move(resp);
   *consumed = frame.consumed;

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,8 +105,41 @@ TEST(MessageTest, BodyCopiesShareOneBuffer) {
   EXPECT_FALSE(Body().SharesBufferWith(Body()));
 }
 
-// Every form of Body is one shared pointer.
-static_assert(sizeof(Body) == 16);
+// Every form of Body is one pointer to one intrusively counted block.
+static_assert(sizeof(Body) == 8);
+
+// Copies share one block, a move hands it over, and a moved-from body is
+// empty and shares with nothing; assigning a body to itself keeps it.
+TEST(MessageTest, BodyCopyMoveAndSelfAssignmentKeepSharingTruthful) {
+  const Body original("payload");
+  Body copy = original;
+  EXPECT_TRUE(copy.SharesBufferWith(original));
+  Body moved = std::move(copy);
+  EXPECT_TRUE(moved.SharesBufferWith(original));
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.size(), 0u);
+  EXPECT_FALSE(copy.SharesBufferWith(original));
+  EXPECT_FALSE(original.SharesBufferWith(copy));
+
+  Body& alias = moved;
+  moved = alias;
+  EXPECT_TRUE(moved.SharesBufferWith(original));
+  moved = std::move(alias);
+  EXPECT_TRUE(moved.SharesBufferWith(original));
+  EXPECT_EQ(moved, "payload");
+
+  copy = original;  // a moved-from body takes a new value
+  EXPECT_TRUE(copy.SharesBufferWith(original));
+  Body joined = Body::Join("<", {original}, "", ">");
+  copy = joined;  // over a held block
+  EXPECT_TRUE(copy.SharesBufferWith(joined));
+  EXPECT_FALSE(copy.SharesBufferWith(original));
+  joined = Body();
+  EXPECT_TRUE(joined.empty());
+  EXPECT_FALSE(joined.SharesBufferWith(copy));
+  EXPECT_EQ(copy, "<payload>");
+  EXPECT_EQ(original, "payload");
+}
 
 // An adopted buffer is served as is, not copied.
 TEST(MessageTest, AdoptedBodyServesTheSharedBuffer) {
@@ -161,11 +196,87 @@ TEST(MessageTest, JoinedBodyWalksItsSharedParts) {
   EXPECT_TRUE(Body::Join("", {}, ",", "").empty());
 }
 
+// A joined block holds its parts: with every other holder of them gone, a
+// joined body, and a join of joined bodies, still serves the same bytes.
+TEST(MessageTest, JoinedBodyOutlivesEveryOtherHolderOfItsParts) {
+  const std::string alpha(40, 'a');
+  const std::string beta(40, 'b');
+  Body joined;
+  Body nested;
+  {
+    Body a(alpha);
+    Body b(beta);
+    joined = Body::Join("[", {a, b}, ",", "]");
+    Body inner = Body::Join("<", {b, a}, "|", ">");
+    nested = Body::Join("{", {joined, inner, joined}, ";", "}");
+  }
+  const std::string flat = "[" + alpha + "," + beta + "]";
+  const std::string inner_flat = "<" + beta + "|" + alpha + ">";
+  const std::string nested_flat =
+      "{" + flat + ";" + inner_flat + ";" + flat + "}";
+  EXPECT_EQ(joined.size(), flat.size());
+  EXPECT_EQ(joined.ToString(), flat);
+  EXPECT_EQ(joined, flat);
+  EXPECT_EQ(joined, Body(flat));
+  EXPECT_EQ(nested.size(), nested_flat.size());
+  std::ostringstream printed;
+  printed << nested;
+  EXPECT_EQ(printed.str(), nested_flat);
+  EXPECT_EQ(nested, nested_flat);
+  EXPECT_EQ(Body(nested_flat), nested);
+
+  joined = Body();  // the nested body still holds it twice
+  EXPECT_EQ(nested.ToString(), nested_flat);
+}
+
 TEST(MessageTest, MissingCacheControlParsesAsEmpty) {
   HttpResponse resp;
   CacheControl cc = resp.GetCacheControl();
   EXPECT_FALSE(cc.max_age.has_value());
   EXPECT_FALSE(cc.no_store);
+}
+
+// Copies of one body may live and die on different threads; the function-
+// local static bodies of MakeNotFound are shared by every thread. Each
+// round two threads copy and drop a flat, an adopted and a joined body,
+// and join them into bodies they destroy, while the main thread holds the
+// last copy of each. The two threads also hold the only two copies of one
+// more body, so whichever drops it last frees what the other just read
+// (run under TSan in CI).
+TEST(BodyConcurrencyTest, CopiesDroppedOnTwoThreadsLeaveTheLastHolderIntact) {
+  const std::string flat_bytes(64, 'f');
+  const std::string adopted_bytes(64, 's');
+  const std::string joined_bytes = "[" + flat_bytes + "," + adopted_bytes + "]";
+  for (int round = 0; round < 200; ++round) {
+    Body flat(flat_bytes);
+    Body adopted(std::make_shared<const std::string>(adopted_bytes));
+    Body joined = Body::Join("[", {flat, adopted}, ",", "]");
+    Body theirs[2];
+    theirs[0] = Body::Join("<", {flat}, "", ">");
+    theirs[1] = theirs[0];
+    bool served[2] = {false, false};
+    auto worker = [&](int id) {
+      const Body mine = std::move(theirs[id]);
+      bool ok = mine == "<" + flat_bytes + ">";
+      for (int i = 0; i < 8; ++i) {
+        Body copies[] = {flat, adopted, joined, MakeNotFound().body};
+        Body nested = Body::Join("", {copies[0], copies[2]}, "", "");
+        ok = ok && nested.size() == flat_bytes.size() + joined_bytes.size() &&
+             copies[1] == adopted_bytes && copies[3] == "not found";
+      }
+      served[id] = ok;
+    };
+    std::thread a(worker, 0);
+    std::thread b(worker, 1);
+    a.join();
+    b.join();
+    EXPECT_TRUE(served[0]);
+    EXPECT_TRUE(served[1]);
+    EXPECT_EQ(flat, flat_bytes);
+    EXPECT_EQ(adopted, adopted_bytes);
+    EXPECT_EQ(joined, joined_bytes);
+    EXPECT_EQ(joined.ToString(), joined_bytes);
+  }
 }
 
 }  // namespace
