@@ -61,11 +61,10 @@ int main(int argc, char** argv) {
   const int workers = static_cast<int>(flags.GetInt("workers", 4));
   const uint64_t requests =
       static_cast<uint64_t>(flags.GetInt("requests", 2000));
-  const size_t products =
-      static_cast<size_t>(flags.GetInt("products", 2000));
+  const size_t products = flags.GetCount("products", 2000);
   const size_t hot_products =
       static_cast<size_t>(flags.GetInt("hot-products", 500));
-  const double zipf_s = flags.GetDouble("zipf", 0.95);
+  const double zipf_s = flags.GetSkew("zipf", 0.95);
   h.RejectUnreadFlags(bench::SharedFlags::kNone);
 
   bench::PrintHeader(

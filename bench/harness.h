@@ -53,7 +53,8 @@ class Harness {
 
   // Reads the shared flags `later` names, then prints each flag on the
   // command line that nothing has read (a misspelling, or a flag this
-  // harness has no use for) and exits 2 if there is one.
+  // harness has no use for) or whose value a checked getter refused, and
+  // exits 2 if there is one.
   void RejectUnreadFlags(SharedFlags later) const {
     if (later != SharedFlags::kNone) {
       coherence();  // exits 2 on an unknown mode
@@ -62,7 +63,7 @@ class Harness {
       flags_.Has("trace");
     }
     if (later == SharedFlags::kSweep) flags_.Has("seeds");
-    if (tools::ReportUnread(flags_, name_.c_str())) std::exit(2);
+    if (tools::ReportBadFlags(flags_, name_.c_str())) std::exit(2);
   }
 
   const tools::Flags& flags() const { return flags_; }

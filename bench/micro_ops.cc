@@ -20,6 +20,7 @@
 #include "sketch/cache_sketch.h"
 #include "sketch/client_sketch.h"
 #include "sketch/counting_bloom.h"
+#include "workload/zipf.h"
 
 namespace speedkit {
 namespace {
@@ -157,6 +158,17 @@ void BM_UrlParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UrlParse);
+
+// One Zipf draw (s = 0.9), the step every session page and write target
+// takes; the arg is the catalog size.
+void BM_ZipfSample(benchmark::State& state) {
+  workload::ZipfGenerator zipf(static_cast<size_t>(state.range(0)), 0.9);
+  Pcg32 rng(1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(rng));
+  }
+}
+BENCHMARK(BM_ZipfSample)->Arg(2000)->Arg(100000);
 
 void BM_CacheControlParse(benchmark::State& state) {
   for (auto _ : state) {

@@ -51,15 +51,15 @@ class SessionGenerator {
   static constexpr double kContinueProbability = 0.75;
 
   // Builds and owns a private popularity CDF — fine for one-off use, but
-  // the table is O(catalog) doubles; fleets must not pay it per client.
+  // its tables take 12 B per product; fleets must not pay them per client.
   SessionGenerator(const Catalog* catalog, const SessionConfig& config,
                    Pcg32 rng);
 
   // Shares one immutable CDF across all generators of a run (the fleet
-  // path: a million clients, one 16 KB table). `popularity` must outlive
-  // the generator and be built with config.product_skew — sampling draws
-  // are identical to the owning constructor's, so runs fingerprint the
-  // same either way.
+  // path: a million clients, one 24 KB table at 2,000 products).
+  // `popularity` must outlive the generator and be built with
+  // config.product_skew — sampling draws are identical to the owning
+  // constructor's, so runs fingerprint the same either way.
   SessionGenerator(const Catalog* catalog, const SessionConfig& config,
                    const ZipfGenerator* popularity, Pcg32 rng);
 

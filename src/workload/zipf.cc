@@ -1,12 +1,16 @@
 #include "workload/zipf.h"
 
-#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace speedkit::workload {
 
 ZipfGenerator::ZipfGenerator(size_t n, double s) : s_(s) {
   if (n == 0) n = 1;
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("ZipfGenerator: more ranks than 32-bit guide");
+  }
   cdf_.resize(n);
   double total = 0;
   for (size_t k = 0; k < n; ++k) {
@@ -15,12 +19,24 @@ ZipfGenerator::ZipfGenerator(size_t n, double s) : s_(s) {
   }
   for (double& c : cdf_) c /= total;
   cdf_.back() = 1.0;  // guard against rounding
+  // cdf_.back() * n == n reaches every b, so the walk ends in range.
+  const double scale = static_cast<double>(n);
+  guide_.resize(n + 1);
+  uint32_t k = 0;
+  for (size_t b = 0; b <= n; ++b) {
+    while (cdf_[k] * scale < static_cast<double>(b)) ++k;
+    guide_[b] = k;
+  }
 }
 
-size_t ZipfGenerator::Sample(Pcg32& rng) const {
-  double u = rng.NextDouble();
-  auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<size_t>(it - cdf_.begin());
+size_t ZipfGenerator::RankOf(double u) const {
+  // u < 1 makes the bucket b = floor(u * n) at most n. u * n rounds as the
+  // guide's c * n did, so every rank before the start has c * n < b <=
+  // u * n, hence c < u: the start is at or before the answer.
+  // cdf_.back() == 1 > u ends the walk.
+  size_t k = guide_[static_cast<size_t>(u * static_cast<double>(n()))];
+  while (cdf_[k] < u) ++k;
+  return k;
 }
 
 double ZipfGenerator::Pmf(size_t rank) const {

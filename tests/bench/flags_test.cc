@@ -38,18 +38,62 @@ TEST(FlagsTest, UnreadNamesTheFlagsNoGetterAsked) {
   EXPECT_EQ(flags.positional(), std::vector<std::string>{"input"});
 }
 
-TEST(FlagsTest, ReportUnreadIsFalseOnceEveryFlagWasRead) {
+TEST(FlagsTest, ReportBadFlagsIsFalseOnceEveryFlagWasRead) {
   Flags flags = Parse({"--seed=3"});
   EXPECT_FALSE(flags.Has("help"));
   EXPECT_EQ(flags.GetInt("clients", 40), 40);
   ::testing::internal::CaptureStderr();
-  EXPECT_TRUE(ReportUnread(flags, "tool"));
+  EXPECT_TRUE(ReportBadFlags(flags, "tool"));
   EXPECT_EQ(::testing::internal::GetCapturedStderr(),
             "tool: unused flag --seed (misspelled, or no effect here)\n");
 
   EXPECT_EQ(flags.GetInt("seed", 42), 3);
   ::testing::internal::CaptureStderr();
-  EXPECT_FALSE(ReportUnread(flags, "tool"));
+  EXPECT_FALSE(ReportBadFlags(flags, "tool"));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
+// A catalog size or category count below 1 (or no number at all) and a
+// skew that is negative or not finite read as the fallback and are named,
+// so a tool exits 2 instead of running on an empty catalog or a NaN CDF.
+TEST(FlagsTest, CheckedGettersRefuseValuesTheModelCannotRun) {
+  Flags flags = Parse({"--products=0", "--categories=-1", "--edges=many",
+                       "--skew=nan", "--zipf=-0.5", "--alpha=inf"});
+  EXPECT_EQ(flags.GetCount("products", 5000), 5000u);
+  EXPECT_EQ(flags.GetCount("categories", 40), 40u);
+  EXPECT_EQ(flags.GetCount("edges", 4), 4u);
+  EXPECT_DOUBLE_EQ(flags.GetSkew("skew", 0.9), 0.9);
+  EXPECT_DOUBLE_EQ(flags.GetSkew("zipf", 0.95), 0.95);
+  EXPECT_DOUBLE_EQ(flags.GetSkew("alpha", 1.0), 1.0);
+  EXPECT_TRUE(flags.Unread().empty());
+  EXPECT_EQ(flags.Refused(),
+            (std::vector<std::string>{
+                "--alpha must be finite and not negative (got inf)",
+                "--categories must be at least 1 (got -1)",
+                "--edges must be at least 1 (got many)",
+                "--products must be at least 1 (got 0)",
+                "--skew must be finite and not negative (got nan)",
+                "--zipf must be finite and not negative (got -0.5)"}));
+  std::string expected;
+  for (const std::string& why : flags.Refused()) {
+    expected += "tool: " + why + "\n";
+  }
+  ::testing::internal::CaptureStderr();
+  EXPECT_TRUE(ReportBadFlags(flags, "tool"));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), expected);
+}
+
+TEST(FlagsTest, CheckedGettersPassValidValuesThrough) {
+  Flags flags = Parse({"--products=1", "--categories=2000", "--skew=0",
+                       "--zipf=400"});
+  EXPECT_EQ(flags.GetCount("products", 5000), 1u);
+  EXPECT_EQ(flags.GetCount("categories", 40), 2000u);
+  EXPECT_DOUBLE_EQ(flags.GetSkew("skew", 0.9), 0.0);
+  EXPECT_DOUBLE_EQ(flags.GetSkew("zipf", 0.95), 400.0);
+  EXPECT_DOUBLE_EQ(flags.GetSkew("absent", 0.95), 0.95);
+  EXPECT_TRUE(flags.Refused().empty());
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(ReportBadFlags(flags, "tool"));
   EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
 }
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
+#include "common/hash.h"
 #include "workload/catalog.h"
 #include "workload/session.h"
 #include "workload/write_process.h"
@@ -13,6 +17,25 @@ namespace {
 
 SimTime At(double seconds) {
   return SimTime::Origin() + Duration::Seconds(seconds);
+}
+
+// Folds one value into an order-sensitive stream digest.
+uint64_t Fold(uint64_t digest, uint64_t value) {
+  return Mix64(digest * 31 + value);
+}
+
+// The CDF exactly as ZipfGenerator builds it, for the binary search that
+// RankOf must agree with.
+std::vector<double> ReferenceCdf(size_t n, double s) {
+  std::vector<double> cdf(n);
+  double total = 0;
+  for (size_t k = 0; k < n; ++k) {
+    total += 1.0 / std::pow(static_cast<double>(k + 1), s);
+    cdf[k] = total;
+  }
+  for (double& c : cdf) c /= total;
+  cdf.back() = 1.0;
+  return cdf;
 }
 
 TEST(ZipfTest, UniformWhenSZero) {
@@ -60,6 +83,45 @@ TEST(ZipfTest, DegenerateSingleItem) {
   EXPECT_DOUBLE_EQ(zipf.Pmf(0), 1.0);
 }
 
+// The guide table only picks where the search starts: for every u it must
+// return the rank std::lower_bound finds, or every seeded run would move.
+// Skews 50 and 400 end the CDF in a plateau of equal values.
+TEST(ZipfTest, RankOfMatchesLowerBound) {
+  for (size_t n : {1, 2, 7, 2000, 100000}) {
+    for (double s : {0.0, 0.8, 0.9, 0.99, 50.0, 400.0}) {
+      ZipfGenerator zipf(n, s);
+      const std::vector<double> cdf = ReferenceCdf(n, s);
+      std::vector<double> probes;
+      auto probe_around = [&probes](double u) {
+        for (double v : {std::nextafter(u, 0.0), u, std::nextafter(u, 2.0)}) {
+          if (v >= 0.0 && v < 1.0) probes.push_back(v);
+        }
+      };
+      for (double c : cdf) probe_around(c);
+      for (size_t b = 0; b <= n; ++b) {
+        probe_around(static_cast<double>(b) / static_cast<double>(n));
+      }
+      probes.push_back(0.0);
+      probes.push_back(std::nextafter(1.0, 0.0));
+      Pcg32 rng(n, static_cast<uint64_t>(s * 100));
+      for (int i = 0; i < 100000; ++i) probes.push_back(rng.NextDouble());
+
+      size_t mismatches = 0;
+      for (double u : probes) {
+        const size_t want = static_cast<size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        const size_t got = zipf.RankOf(u);
+        if (got != want && mismatches++ == 0) {
+          ADD_FAILURE() << "n=" << n << " s=" << s << " u=" << u
+                        << ": RankOf " << got << ", lower_bound " << want;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "n=" << n << " s=" << s << " over "
+                                << probes.size() << " probes";
+    }
+  }
+}
+
 TEST(WriteProcessTest, InterArrivalMatchesRate) {
   WriteProcess writes(100, /*writes_per_sec=*/5.0, 0.8, Pcg32(7));
   SimTime t = SimTime::Origin();
@@ -77,6 +139,21 @@ TEST(WriteProcessTest, InterArrivalMatchesRate) {
 TEST(WriteProcessTest, ZeroRateNeverFires) {
   WriteProcess writes(100, 0.0, 0.8, Pcg32(7));
   EXPECT_EQ(writes.Next(At(0)).at, SimTime::Max());
+}
+
+// Pinned from the binary-search sampler, so any change to which rank a
+// draw maps to, or to how many draws a write takes, moves it.
+TEST(WriteProcessTest, GoldenStreamDigest) {
+  WriteProcess writes(2000, /*writes_per_sec=*/120.0, 0.9, Pcg32(1));
+  uint64_t digest = 0;
+  SimTime t = SimTime::Origin();
+  for (int i = 0; i < 100000; ++i) {
+    WriteEvent ev = writes.Next(t);
+    digest = Fold(digest, static_cast<uint64_t>(ev.at.micros()));
+    digest = Fold(digest, ev.object_rank);
+    t = ev.at;
+  }
+  EXPECT_EQ(digest, 0xb25b02d7497a1eb8u);
 }
 
 TEST(WriteProcessTest, SkewTargetsHotObjects) {
@@ -147,6 +224,27 @@ TEST(CatalogTest, PriceUpdateChangesPriceWithinBand) {
   ASSERT_TRUE(fields.count("on_sale"));
   double price = std::get<double>(fields["price"]);
   EXPECT_GT(price, 0.0);
+}
+
+// Pinned from the binary-search sampler, like the write stream above.
+TEST(SessionTest, GoldenStreamDigest) {
+  CatalogConfig cconfig;
+  cconfig.num_products = 2000;
+  Catalog catalog(cconfig, Pcg32(1));
+  SessionGenerator gen(&catalog, SessionConfig{}, Pcg32(5));
+  uint64_t digest = 0;
+  for (int i = 0; i < 10000; ++i) {
+    std::vector<PageView> session = gen.NextSession();
+    digest = Fold(digest, session.size());
+    for (const PageView& view : session) {
+      digest = Fold(digest, static_cast<uint64_t>(view.type));
+      digest = Fold(digest, view.product_rank);
+      digest = Fold(digest, static_cast<uint64_t>(view.category));
+      digest = Fold(digest,
+                    static_cast<uint64_t>(view.think_time_before.micros()));
+    }
+  }
+  EXPECT_EQ(digest, 0x7429701c8b41f60eu);
 }
 
 TEST(SessionTest, SessionsAreNonEmptyAndBounded) {

@@ -78,9 +78,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--flight: %s\n", s.ToString().c_str());
     return 2;
   }
-  config.catalog.num_products =
-      static_cast<size_t>(flags.GetInt("products", 2000));
-  if (speedkit::tools::ReportUnread(flags, "speedkit-edged")) return 2;
+  config.catalog.num_products = flags.GetCount("products", 2000);
+  if (speedkit::tools::ReportBadFlags(flags, "speedkit-edged")) return 2;
 
   speedkit::net::EdgedServer server(config);
   if (!server.Start()) {

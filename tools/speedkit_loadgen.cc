@@ -72,16 +72,16 @@ int main(int argc, char** argv) {
     const int64_t requests =
         std::max<int64_t>(flags.GetInt("requests", 1000), 0);
     workload::CatalogConfig catalog;
-    catalog.num_products = static_cast<size_t>(flags.GetInt("products", 2000));
+    catalog.num_products = flags.GetCount("products", 2000);
     trace = core::SynthesizeZipfTrace(
         workload::Catalog(catalog, Pcg32(seed)),
         static_cast<size_t>(std::max(config.workers, 0)),
         static_cast<uint64_t>(requests),
         static_cast<size_t>(flags.GetInt("hot-products", 500)),
-        flags.GetDouble("zipf", 0.95), seed, SimTime::Origin(),
+        flags.GetSkew("zipf", 0.95), seed, SimTime::Origin(),
         Duration::Micros(1));
   }
-  if (tools::ReportUnread(flags, "speedkit-loadgen")) return 2;
+  if (tools::ReportBadFlags(flags, "speedkit-loadgen")) return 2;
   Result<net::LoadGenReport> sent =
       trace.ok() ? net::RunLoadGen(config, *trace) : trace.status();
   if (!sent.ok()) {

@@ -77,17 +77,16 @@ int main(int argc, char** argv) {
   if (metrics_path == "true") metrics_path = "METRICS_sim.json";
 
   workload::CatalogConfig catalog_config;
-  catalog_config.num_products =
-      static_cast<size_t>(flags.GetInt("products", 5000));
+  catalog_config.num_products = flags.GetCount("products", 5000);
   catalog_config.num_categories =
-      static_cast<int>(flags.GetInt("categories", 40));
+      static_cast<int>(flags.GetCount("categories", 40));
 
   core::TrafficConfig traffic;
   traffic.num_clients = static_cast<size_t>(flags.GetInt("clients", 40));
   traffic.duration = Duration::Minutes(flags.GetDouble("minutes", 30));
   traffic.writes_per_sec = flags.GetDouble("writes-per-sec", 3.0);
-  traffic.session.product_skew = flags.GetDouble("skew", 0.9);
-  if (tools::ReportUnread(flags, "speedkit-sim")) return 2;
+  traffic.session.product_skew = flags.GetSkew("skew", 0.9);
+  if (tools::ReportBadFlags(flags, "speedkit-sim")) return 2;
 
   core::SpeedKitStack stack(config);
   workload::Catalog catalog(catalog_config, Pcg32(config.seed + 1));

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   const int top_n = static_cast<int>(flags.GetInt("top", 5));
   const int width = std::clamp<int>(
       static_cast<int>(flags.GetInt("width", 56)), 16, 112);
-  if (speedkit::tools::ReportUnread(flags, "trace_report")) return 2;
+  if (speedkit::tools::ReportBadFlags(flags, "trace_report")) return 2;
 
   std::ifstream in(path);
   if (!in) {

@@ -31,8 +31,7 @@ int Usage() {
 
 workload::Catalog MakeCatalog(const tools::Flags& flags) {
   workload::CatalogConfig config;
-  config.num_products =
-      static_cast<size_t>(flags.GetInt("products", 5000));
+  config.num_products = flags.GetCount("products", 5000);
   return workload::Catalog(config,
                            Pcg32(static_cast<uint64_t>(flags.GetInt("seed", 7)) + 1));
 }
@@ -44,7 +43,7 @@ int Generate(const tools::Flags& flags) {
   const size_t clients = static_cast<size_t>(flags.GetInt("clients", 20));
   const Duration duration = Duration::Minutes(flags.GetDouble("minutes", 30));
   const double writes_per_sec = flags.GetDouble("writes-per-sec", 2.0);
-  if (tools::ReportUnread(flags, "trace_tool")) return 2;
+  if (tools::ReportBadFlags(flags, "trace_tool")) return 2;
   workload::Trace trace = core::SynthesizeTrace(
       catalog, clients, duration, writes_per_sec,
       static_cast<uint64_t>(flags.GetInt("seed", 7)));
@@ -60,7 +59,7 @@ int Generate(const tools::Flags& flags) {
 
 int Info(const tools::Flags& flags) {
   if (flags.positional().size() < 2) return Usage();
-  if (tools::ReportUnread(flags, "trace_tool")) return 2;
+  if (tools::ReportBadFlags(flags, "trace_tool")) return 2;
   auto trace = workload::LoadTrace(flags.positional()[1]);
   if (!trace.ok()) {
     std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
@@ -103,7 +102,7 @@ int Replay(const tools::Flags& flags) {
   }
   config.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
   workload::Catalog catalog = MakeCatalog(flags);
-  if (tools::ReportUnread(flags, "trace_tool")) return 2;
+  if (tools::ReportBadFlags(flags, "trace_tool")) return 2;
   auto trace = workload::LoadTrace(flags.positional()[1]);
   if (!trace.ok()) {
     std::fprintf(stderr, "%s\n", trace.status().ToString().c_str());
