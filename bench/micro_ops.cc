@@ -7,13 +7,16 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "cache/http_cache.h"
 #include "cache/lru_cache.h"
 #include "coherence/sketch_publication.h"
 #include "common/flat_map.h"
 #include "common/hash.h"
 #include "http/cache_control.h"
+#include "http/message.h"
 #include "http/url.h"
 #include "invalidation/query_matcher.h"
 #include "sketch/bloom_filter.h"
@@ -177,6 +180,37 @@ void BM_CacheControlParse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheControlParse);
+
+// The origin's 200 head as OriginServer::Finish builds it: a fractional TTL
+// with half of it as the stale-while-revalidate window, then the ETag.
+http::HttpResponse OriginOk(http::Body body) {
+  http::CacheControl cc;
+  cc.is_public = true;
+  cc.max_age = Duration::Seconds(87.4);
+  cc.stale_while_revalidate = Duration::Seconds(87.4 * 0.5);
+  http::HttpResponse resp =
+      http::MakeOkResponse(std::move(body), cc, 12, SimTime::Origin());
+  resp.SetETag("\"v12\"");
+  return resp;
+}
+
+void BM_OriginHead(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(OriginOk({}));
+  }
+}
+BENCHMARK(BM_OriginHead);
+
+// An origin 200 stored in a browser cache, over the entry it replaces.
+void BM_HttpCacheStore(benchmark::State& state) {
+  const http::HttpResponse resp = OriginOk(http::Body(std::string(2048, 'x')));
+  const std::string key = Key(1);
+  cache::HttpCache browser(/*shared=*/false, /*capacity_bytes=*/0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(browser.Store(key, resp));
+  }
+}
+BENCHMARK(BM_HttpCacheStore);
 
 // The expiry-book container race: open-addressing FlatStringMap vs the
 // node-based std::unordered_map it replaced. Upsert = the write path

@@ -68,11 +68,9 @@ int main() {
   std::string query_key = invalidation::QueryCacheKey("on-sale");
   for (int e = 0; e < stack.cdn().num_edges(); ++e) {
     auto req = http::HttpRequest::Get(*http::Url::Parse(product_key));
-    stack.cdn().edge(e).Store(product_key, stack.origin().Handle(req),
-                              stack.clock().Now());
+    stack.cdn().edge(e).Store(product_key, stack.origin().Handle(req));
     auto qreq = http::HttpRequest::Get(*http::Url::Parse(query_key));
-    stack.cdn().edge(e).Store(query_key, stack.origin().Handle(qreq),
-                              stack.clock().Now());
+    stack.cdn().edge(e).Store(query_key, stack.origin().Handle(qreq));
   }
   std::printf("\nseeded all edges with the product page and the 'on-sale' "
               "listing\n");

@@ -7,6 +7,8 @@
 
 namespace speedkit::cache {
 
+static_assert(sizeof(CacheEntry) == 72);
+
 HttpCache::HttpCache(bool shared, size_t capacity_bytes)
     : shared_(shared),
       entries_(capacity_bytes, [](const CacheEntry& e) {
@@ -27,8 +29,8 @@ LookupResult HttpCache::Lookup(std::string_view key, SimTime now) {
   return LookupResult{LookupOutcome::kStaleHit, entry};
 }
 
-bool HttpCache::Store(std::string_view key, const http::HttpResponse& response,
-                      SimTime now) {
+bool HttpCache::Store(std::string_view key,
+                      const http::HttpResponse& response) {
   if (!response.ok() || response.body.empty()) return false;
   http::CacheControl cc = response.GetCacheControl();
   // A varying response is keyed on request headers as well as the URL;
@@ -41,7 +43,6 @@ bool HttpCache::Store(std::string_view key, const http::HttpResponse& response,
 
   CacheEntry entry;
   entry.response = response;
-  entry.stored_at = now;
   auto freshness =
       shared_ ? cc.FreshnessForSharedCache() : cc.FreshnessForPrivateCache();
   entry.ttl = freshness.value_or(Duration::Zero());
@@ -59,7 +60,7 @@ bool HttpCache::Store(std::string_view key, const http::HttpResponse& response,
 }
 
 void HttpCache::Refresh(std::string_view key,
-                        const http::HttpResponse& not_modified, SimTime now) {
+                        const http::HttpResponse& not_modified) {
   CacheEntry* entry = entries_.Get(key);
   if (entry == nullptr) return;
   http::CacheControl cc = not_modified.GetCacheControl();
@@ -74,7 +75,6 @@ void HttpCache::Refresh(std::string_view key,
   // propagates Age correctly instead of silently extending freshness.
   entry->response.generated_at = not_modified.generated_at;
   entry->response.object_version = not_modified.object_version;
-  entry->stored_at = now;
   entry->requires_revalidation = false;
   stats_.refreshes++;
 }
@@ -93,6 +93,28 @@ constexpr uint32_t kFreezeMagic = 0x534b4643;  // "SKFC": SpeedKit FreezeCache
 // bytes and header fields: a handle blob can never be mistaken for a
 // self-contained one.
 constexpr uint32_t kFreezeHandlesMagic = 0x534b4648;  // "SKFH"
+
+// Reads a self-contained blob's header count and fields as one block: a
+// first pass over a copy of the reader sizes it, the second fills it.
+http::HeaderMap ReadHead(ByteReader* r) {
+  uint32_t count = r->U32();
+  ByteReader sizing = *r;
+  size_t text_bytes = 0;
+  for (uint32_t i = 0; i < count && sizing.ok(); ++i) {
+    text_bytes += sizing.Str().size();
+    text_bytes += sizing.Str().size();
+  }
+  if (!sizing.ok()) {
+    r->Fail();
+    return {};
+  }
+  http::HeaderMap::Builder head(count, text_bytes);
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string_view name = r->Str();
+    head.Append(name, r->Str());
+  }
+  return head.Finish();
+}
 }  // namespace
 
 std::string HttpCache::Freeze(FrozenHandles* handles) const {
@@ -119,7 +141,6 @@ std::string HttpCache::Freeze(FrozenHandles* handles) const {
   entries_.ForEachLruToMru([&w, handles](std::string_view key,
                                          const CacheEntry& e) {
     w.Str(key);
-    w.I64(e.stored_at.micros());
     w.I64(e.ttl.micros());
     w.I64(e.swr.micros());
     w.U8(e.requires_revalidation ? 1 : 0);
@@ -174,7 +195,6 @@ bool HttpCache::Thaw(std::string_view blob, const FrozenHandles* handles) {
   for (uint32_t i = 0; i < entry_count && r.ok(); ++i) {
     std::string_view key = r.Str();
     CacheEntry e;
-    e.stored_at = SimTime::FromMicros(r.I64());
     e.ttl = Duration::Micros(r.I64());
     e.swr = Duration::Micros(r.I64());
     e.requires_revalidation = r.U8() != 0;
@@ -194,12 +214,7 @@ bool HttpCache::Thaw(std::string_view blob, const FrozenHandles* handles) {
       }
     } else {
       e.response.body = http::Body(r.Str());
-      uint32_t header_count = r.U32();
-      for (uint32_t j = 0; j < header_count && r.ok(); ++j) {
-        std::string_view name = r.Str();
-        std::string_view value = r.Str();
-        e.response.headers.Add(name, value);
-      }
+      e.response.headers = ReadHead(&r);
     }
     if (r.ok()) entries_.Put(key, std::move(e));
   }

@@ -20,9 +20,11 @@
 
 namespace speedkit::cache {
 
+// One cached response version: the response (its head and body blocks
+// shared with every other tier that holds the version) and the freshness
+// this cache class derived from the head's memoized Cache-Control. 72 B.
 struct CacheEntry {
   http::HttpResponse response;
-  SimTime stored_at;
   Duration ttl = Duration::Zero();  // freshness lifetime from generated_at
   Duration swr = Duration::Zero();  // stale-while-revalidate window
   bool requires_revalidation = false;  // no-cache: usable only after 304
@@ -88,14 +90,13 @@ class HttpCache {
   // freshness get TTL zero (stored for revalidation only). The key is the
   // URL alone, so a response that varies on request headers the key does
   // not hold is refused and counted as a store reject; no route of the
-  // origin sends one.
-  bool Store(std::string_view key, const http::HttpResponse& response,
-             SimTime now);
+  // origin sends one. Freshness comes from the head's memo, not a parse,
+  // and runs from the response's render time, so no clock is needed.
+  bool Store(std::string_view key, const http::HttpResponse& response);
 
   // Applies a 304: extends the stored entry's freshness using the new
   // Cache-Control and render time. No-op if the entry vanished.
-  void Refresh(std::string_view key, const http::HttpResponse& not_modified,
-               SimTime now);
+  void Refresh(std::string_view key, const http::HttpResponse& not_modified);
 
   // Invalidation-based removal (CDN purge API).
   bool Purge(std::string_view key);

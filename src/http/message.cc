@@ -182,8 +182,7 @@ bool IsCacheableMethod(Method m) {
 }
 
 CacheControl HttpResponse::GetCacheControl() const {
-  auto value = headers.Get("Cache-Control");
-  return value.has_value() ? CacheControl::Parse(*value) : CacheControl{};
+  return headers.GetCacheControl();
 }
 
 void HttpResponse::SetCacheControl(const CacheControl& cc) {

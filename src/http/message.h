@@ -219,6 +219,9 @@ struct HttpResponse {
   bool ok() const { return status_code >= 200 && status_code < 300; }
   bool IsNotModified() const { return status_code == 304; }
 
+  // Read from the header block's memo (HeaderMap::GetCacheControl), so
+  // every cache that stores this version shares one parse. Set stores
+  // cc.ToString(), and the memo is the parse of that text: whole seconds.
   CacheControl GetCacheControl() const;
   void SetCacheControl(const CacheControl& cc);
 

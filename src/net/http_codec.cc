@@ -21,9 +21,11 @@ std::optional<http::Method> ParseMethod(std::string_view token) {
   return std::nullopt;
 }
 
-// Parses the header block (everything between the start line and the blank
-// line) into `headers`. Returns false on a malformed field line.
-bool ParseHeaderLines(std::string_view block, http::HeaderMap* headers) {
+// Calls field(name, value) for each field line of the header block
+// (everything between the start line and the blank line). Returns false on
+// a malformed field line.
+template <typename FieldFn>
+bool ForEachField(std::string_view block, FieldFn&& field) {
   while (!block.empty()) {
     size_t eol = block.find(kCrlf);
     if (eol == std::string_view::npos) return false;
@@ -38,8 +40,28 @@ bool ParseHeaderLines(std::string_view block, http::HeaderMap* headers) {
     if (TrimWhitespace(name) != name) {
       return false;  // "Name :" — whitespace around the name is invalid
     }
-    headers->Add(name, TrimWhitespace(line.substr(colon + 1)));
+    field(name, TrimWhitespace(line.substr(colon + 1)));
   }
+  return true;
+}
+
+// Parses the field lines into `headers` with one allocation: the first pass
+// checks every line and sizes the map's block, the second fills it.
+// Returns false on a malformed field line.
+bool ParseHeaderLines(std::string_view block, http::HeaderMap* headers) {
+  size_t count = 0;
+  size_t text_bytes = 0;
+  if (!ForEachField(block, [&](std::string_view name, std::string_view value) {
+        ++count;
+        text_bytes += name.size() + value.size();
+      })) {
+    return false;
+  }
+  http::HeaderMap::Builder head(count, text_bytes);
+  ForEachField(block, [&head](std::string_view name, std::string_view value) {
+    head.Append(name, value);
+  });
+  *headers = head.Finish();
   return true;
 }
 

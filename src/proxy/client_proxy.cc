@@ -501,7 +501,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
         return OfflineFallback(key, burned + rtt_ce + rtt_eo);
       }
       if (oresp.IsNotModified()) {
-        edge.Refresh(key, oresp, now);
+        edge.Refresh(key, oresp);
         cache::LookupResult refreshed = edge.Lookup(key, now);
         if (refreshed.entry != nullptr) {
           Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
@@ -534,7 +534,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
         }
         // Entry evicted under us; fall through to a plain origin fetch.
       } else {
-        edge.Store(key, oresp, now);
+        edge.Store(key, oresp);
         // Draw order matters: the compiled pre-obs code evaluated the
         // edge->origin leg's RTT first, so the hoisted draws keep that
         // order to leave the RNG stream byte-identical.
@@ -588,7 +588,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   Duration lat =
       burned + rtt_ce + rtt_eo + xfer_eo + xfer_ce + oresp.server_time;
   if (oresp.IsNotModified()) {
-    edge.Refresh(key, oresp, now);
+    edge.Refresh(key, oresp);
   } else {
     if (coalesce) {
       // This fetch leads a flight: the stored response becomes visible to
@@ -597,7 +597,7 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
       cdn_->BeginFlight(edge_index, key, now,
                         now + rtt_eo + xfer_eo + oresp.server_time);
     }
-    edge.Store(key, oresp, now);
+    edge.Store(key, oresp);
   }
   return FinishClientResponse(request, key, oresp, ServedFrom::kOrigin, lat);
 }
@@ -618,13 +618,13 @@ FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
     if (resp.IsNotModified()) {
       stats_->background_304s++;
       stats_->background_bytes += kNotModifiedWireBytes;
-      browser_cache_.Refresh(key, resp, now);
+      browser_cache_.Refresh(key, resp);
       result.source = source;
       result.revalidated = true;
     } else if (resp.ok()) {
       stats_->background_200s++;
       stats_->background_bytes += resp.WireSize();
-      browser_cache_.Store(key, resp, now);
+      browser_cache_.Store(key, resp);
       result.source = source;
     } else {
       stats_->background_errors++;
@@ -634,7 +634,7 @@ FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
   if (resp.IsNotModified()) {
     stats_->revalidations_304++;
     stats_->bytes_over_network += kNotModifiedWireBytes;
-    browser_cache_.Refresh(key, resp, now);
+    browser_cache_.Refresh(key, resp);
     cache::LookupResult refreshed = browser_cache_.Lookup(key, now);
     if (refreshed.entry != nullptr) {
       // The 304 round trip is what served this request: attribute it to
@@ -671,7 +671,7 @@ FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
     stats_->origin_fetches++;
   }
   stats_->bytes_over_network += resp.WireSize();
-  browser_cache_.Store(key, resp, now);
+  browser_cache_.Store(key, resp);
   FetchResult result;
   result.response = resp;
   result.latency = latency;

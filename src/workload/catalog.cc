@@ -1,5 +1,7 @@
 #include "workload/catalog.h"
 
+#include <stdexcept>
+
 #include "invalidation/pipeline.h"
 
 namespace speedkit::workload {
@@ -13,6 +15,14 @@ constexpr double kMaxPrice = 500.0;
 }  // namespace
 
 Catalog::Catalog(const CatalogConfig& config, Pcg32 rng) : config_(config) {
+  if (config_.num_products == 0) {
+    throw std::invalid_argument(
+        "workload::Catalog: num_products must be at least 1");
+  }
+  if (config_.num_categories < 1) {
+    throw std::invalid_argument(
+        "workload::Catalog: num_categories must be at least 1");
+  }
   categories_.reserve(config_.num_products);
   base_price_.reserve(config_.num_products);
   for (size_t i = 0; i < config_.num_products; ++i) {

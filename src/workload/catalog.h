@@ -26,6 +26,9 @@ struct CatalogConfig {
 
 class Catalog {
  public:
+  // Every product lookup wraps its rank modulo the catalog size, and every
+  // product draws its category below num_categories, so both must be
+  // positive: throws std::invalid_argument naming the field otherwise.
   Catalog(const CatalogConfig& config, Pcg32 rng);
 
   size_t num_products() const { return config_.num_products; }

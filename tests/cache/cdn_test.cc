@@ -82,7 +82,7 @@ TEST(CdnTest, ShardViewsPartitionThePhysicalTier) {
 
   // Each shard holds only its own edges: a store at one shard's edge is
   // visible there and at no edge of the other shard.
-  shard0.edge(1).Store("k", CacheableResponse(), At(0));  // physical edge 2
+  shard0.edge(1).Store("k", CacheableResponse());  // physical edge 2
   EXPECT_EQ(shard0.edge(1).Lookup("k", At(1)).outcome,
             LookupOutcome::kFreshHit);
   for (int i = 0; i < shard1.num_edges(); ++i) {
@@ -113,7 +113,7 @@ TEST(CdnTest, FullViewOwnsEveryClient) {
 TEST(CdnTest, ShardFaultAccountingStaysLocal) {
   Cdn shard0(2, 0, 2);
   Cdn shard1(2, 1, 2);
-  shard0.edge(0).Store("k", CacheableResponse(), At(0));
+  shard0.edge(0).Store("k", CacheableResponse());
   shard0.SetEdgeDown(0, true);
   EXPECT_FALSE(shard0.EdgeAvailable(0));
   EXPECT_TRUE(shard1.EdgeAvailable(0));  // shard1's edge 0 = physical 1
@@ -133,7 +133,7 @@ TEST(CdnTest, RemotePurgeToDownEdgeIsCountedDropped) {
   // owns the edge; once the edge is back, the next purge applies.
   Cdn shard0(2, 0, 2);
   Cdn shard1(2, 1, 2);
-  shard1.edge(0).Store("k", CacheableResponse(), At(0));  // physical 1
+  shard1.edge(0).Store("k", CacheableResponse());  // physical 1
   shard1.SetEdgeDown(0, true);
   EXPECT_FALSE(shard1.PurgeEdge(0, "k"));
   EXPECT_EQ(shard1.TotalFaultStats().purges_dropped, 1u);
@@ -148,23 +148,23 @@ TEST(CdnTest, RemotePurgeToDownEdgeIsCountedDropped) {
 
 TEST(CdnTest, EdgesAreIndependentCaches) {
   Cdn cdn(2);
-  cdn.edge(0).Store("k", CacheableResponse(), At(0));
+  cdn.edge(0).Store("k", CacheableResponse());
   EXPECT_EQ(cdn.edge(0).Lookup("k", At(1)).outcome, LookupOutcome::kFreshHit);
   EXPECT_EQ(cdn.edge(1).Lookup("k", At(1)).outcome, LookupOutcome::kMiss);
 }
 
 TEST(CdnTest, PurgeEdgeIsLocal) {
   Cdn cdn(2);
-  cdn.edge(0).Store("k", CacheableResponse(), At(0));
-  cdn.edge(1).Store("k", CacheableResponse(), At(0));
+  cdn.edge(0).Store("k", CacheableResponse());
+  cdn.edge(1).Store("k", CacheableResponse());
   EXPECT_TRUE(cdn.PurgeEdge(0, "k"));
   EXPECT_EQ(cdn.edge(1).Lookup("k", At(1)).outcome, LookupOutcome::kFreshHit);
 }
 
 TEST(CdnTest, TotalStatsAggregates) {
   Cdn cdn(2);
-  cdn.edge(0).Store("a", CacheableResponse(), At(0));
-  cdn.edge(1).Store("b", CacheableResponse(), At(0));
+  cdn.edge(0).Store("a", CacheableResponse());
+  cdn.edge(1).Store("b", CacheableResponse());
   cdn.edge(0).Lookup("a", At(1));
   cdn.edge(1).Lookup("missing", At(1));
   HttpCacheStats total = cdn.TotalStats();
@@ -177,7 +177,7 @@ TEST(CdnTest, EdgesAreSharedCaches) {
   Cdn cdn(1);
   http::HttpResponse priv = CacheableResponse();
   priv.headers.Set("Cache-Control", "private, max-age=60");
-  EXPECT_FALSE(cdn.edge(0).Store("k", priv, At(0)));
+  EXPECT_FALSE(cdn.edge(0).Store("k", priv));
 }
 
 TEST(CdnTest, EdgeSlotsAreCacheLineAligned) {

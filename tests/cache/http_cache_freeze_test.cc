@@ -34,9 +34,9 @@ http::HttpResponse Response(std::string cc_value, double generated_s = 0,
 
 TEST(HttpCacheFreezeTest, RoundTripPreservesContentsAndStats) {
   HttpCache cache(false, 0);
-  cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
-  cache.Store("b", Response("max-age=5", 0, 2, "body-b"), At(0));
-  cache.Store("c", Response("no-cache, max-age=60", 0, 3, "body-c"), At(0));
+  cache.Store("a", Response("max-age=60", 0, 1, "body-a"));
+  cache.Store("b", Response("max-age=5", 0, 2, "body-b"));
+  cache.Store("c", Response("no-cache, max-age=60", 0, 3, "body-c"));
   cache.Lookup("a", At(1));          // fresh hit
   cache.Lookup("b", At(10));         // stale hit
   cache.Lookup("missing", At(1));    // miss
@@ -71,23 +71,23 @@ TEST(HttpCacheFreezeTest, RecencyOrderSurvivesSoEvictionsMatchTwin) {
   // rather than hardcoded so the test tracks the entry-size accounting.
   size_t capacity = [] {
     HttpCache probe(false, 0);
-    probe.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
-    probe.Store("b", Response("max-age=60", 0, 2, "body-b"), At(0));
-    probe.Store("c", Response("max-age=60", 0, 3, "body-c"), At(0));
+    probe.Store("a", Response("max-age=60", 0, 1, "body-a"));
+    probe.Store("b", Response("max-age=60", 0, 2, "body-b"));
+    probe.Store("c", Response("max-age=60", 0, 3, "body-c"));
     return probe.used_bytes();
   }();
   auto run = [capacity](bool freeze_midway) {
     HttpCache cache(false, capacity);
-    cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
-    cache.Store("b", Response("max-age=60", 0, 2, "body-b"), At(0));
-    cache.Store("c", Response("max-age=60", 0, 3, "body-c"), At(0));
+    cache.Store("a", Response("max-age=60", 0, 1, "body-a"));
+    cache.Store("b", Response("max-age=60", 0, 2, "body-b"));
+    cache.Store("c", Response("max-age=60", 0, 3, "body-c"));
     cache.Lookup("a", At(1));  // a is now MRU; b is LRU
     if (freeze_midway) {
       std::string blob = cache.Freeze();
       cache.Clear();
       EXPECT_TRUE(cache.Thaw(blob));
     }
-    cache.Store("d", Response("max-age=60", 0, 4, "body-d"), At(2));
+    cache.Store("d", Response("max-age=60", 0, 4, "body-d"));
     std::string surviving;
     for (const char* key : {"a", "b", "c", "d"}) {
       if (cache.Lookup(key, At(3)).outcome == LookupOutcome::kFreshHit) {
@@ -111,7 +111,7 @@ TEST(HttpCacheFreezeTest, EmptyVarySectionIsOmittedFromBlob) {
 
   // And the lean blob still round-trips losslessly.
   HttpCache cache(false, 0);
-  cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
+  cache.Store("a", Response("max-age=60", 0, 1, "body-a"));
   HttpCache thawed(false, 0);
   ASSERT_TRUE(thawed.Thaw(cache.Freeze()));
   LookupResult a = thawed.Lookup("a", At(1));
@@ -121,11 +121,11 @@ TEST(HttpCacheFreezeTest, EmptyVarySectionIsOmittedFromBlob) {
 
 TEST(HttpCacheFreezeTest, CorruptBlobFailsClosedToEmpty) {
   HttpCache cache(false, 0);
-  cache.Store("a", Response("max-age=60"), At(0));
+  cache.Store("a", Response("max-age=60"));
   std::string blob = cache.Freeze();
 
   HttpCache victim(false, 0);
-  victim.Store("keep", Response("max-age=60"), At(0));
+  victim.Store("keep", Response("max-age=60"));
   EXPECT_FALSE(victim.Thaw(blob.substr(0, blob.size() / 2)));  // truncated
   EXPECT_EQ(victim.size(), 0u);  // cleared, not half-restored
 
@@ -141,8 +141,8 @@ TEST(HttpCacheFreezeTest, CorruptBlobFailsClosedToEmpty) {
 // frozen one held.
 TEST(HttpCacheFreezeTest, HandleBlobKeepsBodiesShared) {
   HttpCache cache(false, 0);
-  cache.Store("a", Response("max-age=60", 0, 1, std::string(500, 'a')), At(0));
-  cache.Store("b", Response("max-age=60", 0, 2, std::string(500, 'b')), At(0));
+  cache.Store("a", Response("max-age=60", 0, 1, std::string(500, 'a')));
+  cache.Store("b", Response("max-age=60", 0, 2, std::string(500, 'b')));
   cache.Lookup("a", At(1));
   const http::HttpResponse held_a = cache.Lookup("a", At(1)).entry->response;
 
@@ -194,9 +194,9 @@ TEST(HttpCacheFreezeTest, JoinedBodyFreezesLikeItsFlatTwin) {
     return resp;
   };
   HttpCache joined_cache(false, 0);
-  joined_cache.Store("q", stored(joined), At(0));
+  joined_cache.Store("q", stored(joined));
   HttpCache flat_cache(false, 0);
-  flat_cache.Store("q", stored(http::Body(joined.ToString())), At(0));
+  flat_cache.Store("q", stored(http::Body(joined.ToString())));
 
   std::string blob = joined_cache.Freeze();
   EXPECT_EQ(blob, flat_cache.Freeze());
@@ -217,14 +217,14 @@ TEST(HttpCacheFreezeTest, JoinedBodyFreezesLikeItsFlatTwin) {
 
 TEST(HttpCacheFreezeTest, OutOfRangeBodyIndexFailsClosedToEmpty) {
   HttpCache cache(false, 0);
-  cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
-  cache.Store("b", Response("max-age=60", 0, 2, "body-b"), At(0));
+  cache.Store("a", Response("max-age=60", 0, 1, "body-a"));
+  cache.Store("b", Response("max-age=60", 0, 2, "body-b"));
   FrozenHandles handles;
   std::string blob = cache.Freeze(&handles);
   handles.bodies.pop_back();  // the blob's last index now points past it
 
   HttpCache victim(false, 0);
-  victim.Store("keep", Response("max-age=60"), At(0));
+  victim.Store("keep", Response("max-age=60"));
   EXPECT_FALSE(victim.Thaw(blob, &handles));
   EXPECT_EQ(victim.size(), 0u);
   EXPECT_EQ(victim.Lookup("a", At(1)).outcome, LookupOutcome::kMiss);
@@ -232,14 +232,14 @@ TEST(HttpCacheFreezeTest, OutOfRangeBodyIndexFailsClosedToEmpty) {
 
 TEST(HttpCacheFreezeTest, OutOfRangeHeaderIndexFailsClosedToEmpty) {
   HttpCache cache(false, 0);
-  cache.Store("a", Response("max-age=60", 0, 1, "body-a"), At(0));
-  cache.Store("b", Response("max-age=60", 0, 2, "body-b"), At(0));
+  cache.Store("a", Response("max-age=60", 0, 1, "body-a"));
+  cache.Store("b", Response("max-age=60", 0, 2, "body-b"));
   FrozenHandles handles;
   std::string blob = cache.Freeze(&handles);
   handles.headers.pop_back();  // the last header index now points past it
 
   HttpCache victim(false, 0);
-  victim.Store("keep", Response("max-age=60"), At(0));
+  victim.Store("keep", Response("max-age=60"));
   EXPECT_FALSE(victim.Thaw(blob, &handles));
   EXPECT_EQ(victim.size(), 0u);
   EXPECT_EQ(victim.Lookup("a", At(1)).outcome, LookupOutcome::kMiss);
@@ -247,7 +247,7 @@ TEST(HttpCacheFreezeTest, OutOfRangeHeaderIndexFailsClosedToEmpty) {
 
 TEST(HttpCacheFreezeTest, SharedFlagAndCapacityMismatchRejected) {
   HttpCache private_cache(false, 1024);
-  private_cache.Store("a", Response("max-age=60"), At(0));
+  private_cache.Store("a", Response("max-age=60"));
   std::string blob = private_cache.Freeze();
   HttpCache shared_cache(true, 1024);
   EXPECT_FALSE(shared_cache.Thaw(blob));

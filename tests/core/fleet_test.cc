@@ -119,7 +119,7 @@ TEST(ShardedFleetTest, EveryShardPurgesTheEdgesItOwns) {
   for (int s = 0; s < fleet.shards(); ++s) {
     SpeedKitStack& shard = fleet.shard(s);
     for (int i = 0; i < shard.cdn().num_edges(); ++i) {
-      shard.cdn().edge(i).Store(key, CacheableResponse(), shard.clock().Now());
+      shard.cdn().edge(i).Store(key, CacheableResponse());
     }
     shard.store().Put("p1", {}, shard.clock().Now());
     shard.Advance(Duration::Seconds(5));

@@ -170,7 +170,7 @@ TEST(StackTest, AdvanceRunsScheduledPurges) {
   // Seed an edge with the response.
   http::HttpResponse resp =
       stack.origin().Handle(http::HttpRequest::Get(*http::Url::Parse(key)));
-  stack.cdn().edge(0).Store(key, resp, stack.clock().Now());
+  stack.cdn().edge(0).Store(key, resp);
   stack.store().Update("p1", {{"price", 11.0}}, stack.clock().Now());
   stack.Advance(Duration::Seconds(5));
   EXPECT_EQ(stack.cdn().edge(0).Lookup(key, stack.clock().Now()).outcome,

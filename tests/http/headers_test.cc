@@ -54,7 +54,7 @@ TEST(HeaderMapTest, IterationPreservesInsertionOrder) {
   h.Add("B", "2");
   h.Add("A", "1");
   std::vector<std::string> names;
-  for (const auto& [name, value] : h) names.push_back(name);
+  for (const auto& [name, value] : h) names.emplace_back(name);
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "B");
   EXPECT_EQ(names[1], "A");
@@ -187,6 +187,40 @@ TEST(HeaderMapConcurrencyTest, CopiesMutatedOnTwoThreadsStayIndependent) {
       EXPECT_FALSE(copies[id].Has("ETag"));
     }
     EXPECT_FALSE(copies[0].SharesStorageWith(copies[1]));
+  }
+}
+
+// The memo is built with the block, never lazily, so threads holding
+// copies of one block read it with no synchronization while others split
+// off and drop their copies (run under TSan in CI).
+TEST(HeaderMapConcurrencyTest, CacheControlMemoIsReadOnTwoThreads) {
+  for (int round = 0; round < 200; ++round) {
+    HeaderMap copies[2];
+    {
+      HeaderMap first;
+      first.Set("Cache-Control", "public, max-age=60, stale-while-revalidate=6");
+      first.Set("ETag", "\"v1\"");
+      copies[0] = first;
+      copies[1] = first;
+    }
+    CacheControl seen[2][2];
+    auto worker = [&copies, &seen](int id) {
+      HeaderMap& mine = copies[id];
+      seen[id][0] = mine.GetCacheControl();
+      mine.Set("X-Worker", std::to_string(id));  // keeps the memo
+      seen[id][1] = mine.GetCacheControl();
+    };
+    std::thread a(worker, 0);
+    std::thread b(worker, 1);
+    a.join();
+    b.join();
+    for (int id = 0; id < 2; ++id) {
+      for (const CacheControl& cc : seen[id]) {
+        EXPECT_TRUE(cc.is_public);
+        EXPECT_EQ(cc.max_age, Duration::Seconds(60));
+        EXPECT_EQ(cc.stale_while_revalidate, Duration::Seconds(6));
+      }
+    }
   }
 }
 

@@ -74,7 +74,7 @@ class PipelineTest : public ::testing::Test {
 TEST_F(PipelineTest, WriteSchedulesPurgeOnEveryEdge) {
   std::string key = RecordCacheKey("p1");
   for (int i = 0; i < 3; ++i) {
-    cdn_.edge(i).Store(key, CacheableResponse(clock_.Now()), clock_.Now());
+    cdn_.edge(i).Store(key, CacheableResponse(clock_.Now()));
   }
   WriteProduct("p1", 1, 10.0);
   EXPECT_EQ(pipeline_.stats().purges_scheduled, 3u);
@@ -119,7 +119,7 @@ TEST_F(PipelineTest, AffectedQueryResultsAreInvalidated) {
   q.conditions.push_back({"category", Op::kEq, static_cast<int64_t>(1)});
   std::string qkey = QueryCacheKey("cat1");
   ASSERT_TRUE(origin_.RegisterQuery(q).ok());
-  cdn_.edge(0).Store(qkey, CacheableResponse(clock_.Now()), clock_.Now());
+  cdn_.edge(0).Store(qkey, CacheableResponse(clock_.Now()));
   origin_.expiry_book().RecordServed(
       qkey, SimTime::Origin() + Duration::Seconds(100));
 
@@ -157,7 +157,7 @@ TEST_F(PipelineTest, TotalPurgeLossDropsDeliveriesButKeepsSketchCoverage) {
 
   std::string key = RecordCacheKey("p1");
   for (int i = 0; i < 3; ++i) {
-    cdn_.edge(i).Store(key, CacheableResponse(clock_.Now()), clock_.Now());
+    cdn_.edge(i).Store(key, CacheableResponse(clock_.Now()));
   }
   // A client copy is outstanding until t=200s — the ExpiryBook, not purge
   // acknowledgements, is what sizes the sketch horizon.
@@ -186,7 +186,7 @@ TEST_F(PipelineTest, ZeroProbabilityScheduleChangesNothing) {
   pipeline_.SetFaults(&faults);
   std::string key = RecordCacheKey("p1");
   for (int i = 0; i < 3; ++i) {
-    cdn_.edge(i).Store(key, CacheableResponse(clock_.Now()), clock_.Now());
+    cdn_.edge(i).Store(key, CacheableResponse(clock_.Now()));
   }
   WriteProduct("p1", 1, 10.0);
   events_.RunUntil(clock_.Now() + Duration::Millis(100));

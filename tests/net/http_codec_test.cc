@@ -3,6 +3,7 @@
 // connection dies. Framing (incremental parse, pipelining, Content-Length)
 // and the serialize->parse round trip are pinned here.
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -185,6 +186,104 @@ TEST(HttpCodecTest, JoinedBodySerializesLikeItsFlatTwin) {
   EXPECT_EQ(consumed, wire.size());
   EXPECT_EQ(resp.body, "{\"results\":[{\"id\":\"p1\"},{\"id\":\"p1\"},"
                        "{\"id\":\"p2\"}]}");
+}
+
+bool SameRequest(const WireRequest& a, const WireRequest& b) {
+  return a.method == b.method && a.target == b.target &&
+         a.headers == b.headers && a.body == b.body &&
+         a.keep_alive == b.keep_alive;
+}
+
+bool SameResponse(const WireResponse& a, const WireResponse& b) {
+  return a.status_code == b.status_code && a.headers == b.headers &&
+         a.body == b.body && a.keep_alive == b.keep_alive;
+}
+
+// Two pipelined messages in `wire`, fed as a connection's buffer holds
+// them after a read that ends at each offset: the first parse reads
+// kNeedMore until the first message is whole and then parses it as the
+// whole buffer does; the bytes after it do the same for the second.
+template <typename Message>
+void ExpectEverySplitParsesLikeTheWhole(
+    std::string_view wire,
+    ParseStatus (*parse)(std::string_view, Message*, size_t*),
+    bool (*same)(const Message&, const Message&)) {
+  Message first;
+  Message second;
+  size_t first_size = 0;
+  size_t second_size = 0;
+  ASSERT_EQ(parse(wire, &first, &first_size), ParseStatus::kOk);
+  ASSERT_EQ(parse(wire.substr(first_size), &second, &second_size),
+            ParseStatus::kOk);
+  ASSERT_EQ(first_size + second_size, wire.size());
+  for (size_t split = 0; split <= wire.size(); ++split) {
+    std::string_view fed = wire.substr(0, split);
+    Message got;
+    size_t consumed = 0;
+    if (split < first_size) {
+      EXPECT_EQ(parse(fed, &got, &consumed), ParseStatus::kNeedMore) << split;
+      continue;
+    }
+    ASSERT_EQ(parse(fed, &got, &consumed), ParseStatus::kOk) << split;
+    EXPECT_EQ(consumed, first_size) << split;
+    EXPECT_TRUE(same(got, first)) << split;
+    fed.remove_prefix(consumed);
+    if (split < wire.size()) {
+      EXPECT_EQ(parse(fed, &got, &consumed), ParseStatus::kNeedMore) << split;
+      continue;
+    }
+    ASSERT_EQ(parse(fed, &got, &consumed), ParseStatus::kOk) << split;
+    EXPECT_EQ(consumed, second_size) << split;
+    EXPECT_TRUE(same(got, second)) << split;
+  }
+}
+
+TEST(HttpCodecTest, PipelinedRequestsSplitAtEveryOffsetParseAsAWhole) {
+  const std::string wire =
+      "GET /api/records/1 HTTP/1.1\r\nHost: shop.example.com\r\n"
+      "If-None-Match: \"v1\"\r\nX-SpeedKit-Client: 7\r\n\r\n"
+      "POST /api/records/2 HTTP/1.0\r\nHost: shop.example.com\r\n"
+      "Cache-Control: no-cache\r\nContent-Length: 5\r\n\r\nhello";
+  ExpectEverySplitParsesLikeTheWhole<WireRequest>(wire, &ParseRequest,
+                                                  &SameRequest);
+}
+
+TEST(HttpCodecTest, PipelinedResponsesSplitAtEveryOffsetParseAsAWhole) {
+  const std::string wire =
+      "HTTP/1.1 200 OK\r\n"
+      "Cache-Control: public, max-age=60, stale-while-revalidate=6\r\n"
+      "ETag: \"v1\"\r\nContent-Length: 5\r\n\r\nhello"
+      "HTTP/1.1 304 Not Modified\r\nETag: \"v1\"\r\n"
+      "Cache-Control: max-age=30\r\nConnection: close\r\n\r\n";
+  ExpectEverySplitParsesLikeTheWhole<WireResponse>(wire, &ParseResponse,
+                                                   &SameResponse);
+  WireResponse resp;
+  size_t consumed = 0;
+  ASSERT_EQ(ParseResponse(wire, &resp, &consumed), ParseStatus::kOk);
+  EXPECT_EQ(resp.headers.GetCacheControl().max_age, Duration::Seconds(60));
+}
+
+// As many one-byte fields as fit the header cap: the head is one block,
+// built without a pass per field, with every field in order.
+TEST(HttpCodecTest, ManyOneByteFieldsParseInOrder) {
+  constexpr size_t kFields = 3268;
+  std::string wire = "GET / HTTP/1.1\r\n";
+  for (size_t i = 0; i < kFields; ++i) wire += "a:b\r\n";
+  wire += "\r\n";
+  ASSERT_LE(wire.size(), kMaxHeaderBytes + 4);
+  WireRequest req;
+  size_t consumed = 0;
+  ASSERT_EQ(ParseRequest(wire, &req, &consumed), ParseStatus::kOk);
+  EXPECT_EQ(consumed, wire.size());
+  ASSERT_EQ(req.headers.size(), kFields);
+  size_t seen = 0;
+  for (const auto& [name, value] : req.headers) {
+    EXPECT_EQ(name, "a");
+    EXPECT_EQ(value, "b");
+    ++seen;
+  }
+  EXPECT_EQ(seen, kFields);
+  EXPECT_EQ(req.headers.WireSize(), kFields * 6);  // "a: b\r\n"
 }
 
 TEST(HttpCodecTest, StatusTextCoversTheCodesTheTierEmits) {

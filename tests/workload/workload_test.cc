@@ -4,6 +4,8 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -224,6 +226,40 @@ TEST(CatalogTest, PriceUpdateChangesPriceWithinBand) {
   ASSERT_TRUE(fields.count("on_sale"));
   double price = std::get<double>(fields["price"]);
   EXPECT_GT(price, 0.0);
+}
+
+// An empty catalog would divide by zero at its first lookup.
+TEST(CatalogTest, EmptyCatalogIsRejected) {
+  CatalogConfig config;
+  config.num_products = 0;
+  try {
+    Catalog catalog(config, Pcg32(1));
+    FAIL() << "an empty catalog was built";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("num_products"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A negative count would reach Pcg32::NextBounded as a huge bound.
+TEST(CatalogTest, NonPositiveCategoryCountIsRejected) {
+  for (int categories : {0, -1, -50}) {
+    CatalogConfig config;
+    config.num_products = 10;
+    config.num_categories = categories;
+    try {
+      Catalog catalog(config, Pcg32(1));
+      FAIL() << "a catalog with " << categories << " categories was built";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("num_categories"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  CatalogConfig one;
+  one.num_products = 10;
+  one.num_categories = 1;
+  EXPECT_EQ(Catalog(one, Pcg32(1)).CategoryOf(7), 0);
 }
 
 // Pinned from the binary-search sampler, like the write stream above.
