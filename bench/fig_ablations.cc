@@ -122,8 +122,7 @@ void AblationSegmentCaching(bench::JsonValue* rows) {
       tpl.blocks.push_back({"blk" + std::to_string(i),
                             segment_caching
                                 ? personalization::BlockScope::kSegment
-                                : personalization::BlockScope::kUser,
-                            2048});
+                                : personalization::BlockScope::kUser});
     }
     personalization::Segmenter segmenter(32);
     uint64_t hits = 0;

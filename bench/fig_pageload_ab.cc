@@ -113,11 +113,11 @@ ArmResult RunArm(const Profile& profile, bool speed_kit_on, bool mobile) {
   tpl.url = "https://shop.example.com/pages/product";
   for (int i = 0; i < profile.segment_blocks; ++i) {
     tpl.blocks.push_back({"recs-" + std::to_string(i),
-                          personalization::BlockScope::kSegment, 2048});
+                          personalization::BlockScope::kSegment});
   }
   for (int i = 0; i < profile.user_blocks; ++i) {
     tpl.blocks.push_back({"user-" + std::to_string(i),
-                          personalization::BlockScope::kUser, 1024});
+                          personalization::BlockScope::kUser});
   }
   personalization::Segmenter segmenter(32);
 

@@ -40,8 +40,7 @@ BlockRunResult RunBlocks(double user_share, int segments, bool gdpr_mode,
     personalization::BlockScope scope =
         i < user_blocks ? personalization::BlockScope::kUser
                         : personalization::BlockScope::kSegment;
-    tpl.blocks.push_back(
-        {StrFormat("b%d", i), scope, 2048});
+    tpl.blocks.push_back({StrFormat("b%d", i), scope});
   }
   personalization::Segmenter segmenter(segments);
 

@@ -35,10 +35,10 @@ void RenderPage(core::SpeedKitStack& stack, bool gdpr_mode) {
   personalization::PageTemplate page;
   page.url = "https://shop.example.com/pages/home";
   page.blocks = {
-      {"hero-banner", personalization::BlockScope::kStatic, 4096},
-      {"recommendations", personalization::BlockScope::kSegment, 2048},
-      {"greeting", personalization::BlockScope::kUser, 512},
-      {"cart-preview", personalization::BlockScope::kUser, 1024},
+      {"hero-banner", personalization::BlockScope::kStatic},
+      {"recommendations", personalization::BlockScope::kSegment},
+      {"greeting", personalization::BlockScope::kUser},
+      {"cart-preview", personalization::BlockScope::kUser},
   };
   personalization::Segmenter segmenter(32);
   std::printf("segment for this user: %s (reveals %.0f identity bits)\n",

@@ -121,7 +121,7 @@ SpeedKitStack::SpeedKitStack(const StackConfig& config, int shard)
   // TTL policy by variant/mode.
   switch (config_.variant) {
     case SystemVariant::kNoCaching:
-      ttl_policy_ = std::make_unique<ttl::NoCachePolicy>();
+      ttl_policy_ = std::make_unique<ttl::FixedTtlPolicy>(Duration::Zero());
       break;
     case SystemVariant::kPureInvalidation:
       // Purge-only coherence wants TTLs long enough to never expire within

@@ -50,8 +50,11 @@ void EventLoop::Wake() {
   (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "Stop() is called from a signal handler");
+
 void EventLoop::Stop() {
-  stop_ = true;  // benign race: worst case the loop runs one extra batch
+  stop_ = true;
   Wake();
 }
 

@@ -9,6 +9,7 @@
 #ifndef SPEEDKIT_NET_EVENT_LOOP_H_
 #define SPEEDKIT_NET_EVENT_LOOP_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -83,7 +84,9 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   bool running_ = false;
-  bool stop_ = false;
+  // Written by Stop() from any thread and by a signal handler: lock-free,
+  // so the handler's store stays async-signal-safe.
+  std::atomic<bool> stop_{false};
 
   std::unordered_map<int, FdCallback> fds_;
 

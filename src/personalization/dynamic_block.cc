@@ -1,7 +1,5 @@
 #include "personalization/dynamic_block.h"
 
-#include <cassert>
-
 namespace speedkit::personalization {
 
 std::string_view BlockScopeName(BlockScope scope) {
@@ -14,41 +12,6 @@ std::string_view BlockScopeName(BlockScope scope) {
       return "user";
   }
   return "static";
-}
-
-size_t PageTemplate::CacheableBytes() const {
-  size_t bytes = shell_bytes;
-  for (const DynamicBlock& b : blocks) {
-    if (b.scope != BlockScope::kUser) bytes += b.approx_bytes;
-  }
-  return bytes;
-}
-
-size_t PageTemplate::UserScopedBytes() const {
-  size_t bytes = 0;
-  for (const DynamicBlock& b : blocks) {
-    if (b.scope == BlockScope::kUser) bytes += b.approx_bytes;
-  }
-  return bytes;
-}
-
-size_t PageTemplate::TotalBytes() const {
-  return CacheableBytes() + UserScopedBytes();
-}
-
-std::string FragmentCacheKey(std::string_view page_url,
-                             std::string_view block_id, BlockScope scope,
-                             std::string_view segment_id) {
-  assert(scope != BlockScope::kUser &&
-         "user-scoped blocks must never get a shared cache key");
-  std::string key(page_url);
-  key += "#block=";
-  key += block_id;
-  if (scope == BlockScope::kSegment) {
-    key += "&seg=";
-    key += segment_id;
-  }
-  return key;
 }
 
 }  // namespace speedkit::personalization

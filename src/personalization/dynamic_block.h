@@ -7,14 +7,15 @@
 //   kUser     specific to one person        -> never cached outside the
 //             device; in GDPR mode rendered on-device from the PII vault
 //
-// This split is what lets Speed Kit cache "personalized" pages at all: the
-// cacheable share of the page's bytes is the shell plus the static and
-// segment blocks, and E7 measures exactly that as the user-scope share and
-// segment count vary.
+// This split is what lets Speed Kit cache "personalized" pages at all:
+// static and segment blocks are shared through the edges, and in GDPR mode
+// so is a user block's anonymous template. E7 measures the share of block
+// fetches that a cache serves as the user-scope share and segment count
+// vary. ClientProxy::FetchBlock turns a block into one fragment URL, which
+// is also its cache key in every tier.
 #ifndef SPEEDKIT_PERSONALIZATION_DYNAMIC_BLOCK_H_
 #define SPEEDKIT_PERSONALIZATION_DYNAMIC_BLOCK_H_
 
-#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,25 +29,12 @@ std::string_view BlockScopeName(BlockScope scope);
 struct DynamicBlock {
   std::string id;
   BlockScope scope = BlockScope::kStatic;
-  size_t approx_bytes = 2048;  // rendered size, drives transfer time
 };
 
 struct PageTemplate {
   std::string url;  // absolute URL of the page shell
-  size_t shell_bytes = 30 * 1024;
   std::vector<DynamicBlock> blocks;
-
-  size_t CacheableBytes() const;  // shell + static + segment blocks
-  size_t UserScopedBytes() const;
-  size_t TotalBytes() const;
 };
-
-// Cache key for a block fetch. Static blocks key on (page, block); segment
-// blocks additionally on the segment id. User-scoped blocks have no shared
-// cache key by construction — callers must not ask for one.
-std::string FragmentCacheKey(std::string_view page_url,
-                             std::string_view block_id, BlockScope scope,
-                             std::string_view segment_id = {});
 
 }  // namespace speedkit::personalization
 

@@ -98,12 +98,10 @@ FetchResult ClientProxy::Fetch(const http::Url& url) {
     std::string rewritten = url.CacheKey();
     rewritten += url.query().empty() ? "?skopt=1" : "&skopt=1";
     auto optimized = http::Url::Parse(rewritten);
-    if (optimized.ok()) return FetchResolved(*optimized);
+    if (optimized.ok()) return Fetch(*optimized);
   }
-  return FetchResolved(url);
-}
-
-FetchResult ClientProxy::FetchResolved(const http::Url& url) {
+  // One foreground request: begin the trace, reset the degraded flag, run
+  // the decision flow, then record the outcome exactly once.
   Touch();
   // Only a trace needs the key here; FetchDecide builds its own.
   if (trace_ != nullptr) BeginTrace(url.CacheKey());
@@ -160,6 +158,14 @@ FetchResult ClientProxy::FetchDecide(const http::Url& url) {
                           overhead + refresh_latency);
   }
 
+  // Attach our validator when we hold any copy (fresh-but-flagged or
+  // stale): the origin can then answer with a cheap 304.
+  http::HttpRequest request = http::HttpRequest::Get(url);
+  if (lookup.entry != nullptr) {
+    std::string etag = lookup.entry->response.ETag();
+    if (!etag.empty()) request.headers.Set("If-None-Match", etag);
+  }
+
   if (lookup.outcome == cache::LookupOutcome::kStaleHit && !flagged &&
       config_.enabled && config_.stale_while_revalidate &&
       lookup.entry->WithinSwrWindow(now)) {
@@ -172,22 +178,11 @@ FetchResult ClientProxy::FetchDecide(const http::Url& url) {
     FetchResult served = ServeFromEntry(*lookup.entry,
                                         ServedFrom::kBrowserCache,
                                         overhead + refresh_latency);
-    http::HttpRequest reval = http::HttpRequest::Get(url);
-    std::string etag = lookup.entry->response.ETag();
-    if (!etag.empty()) reval.headers.Set("If-None-Match", etag);
     stats_->background_revalidations++;
     background_fetch_ = true;
-    (void)FetchOverNetwork(reval, key, /*bypass_shared=*/false);
+    (void)FetchOverNetwork(request, key, /*bypass_shared=*/false);
     background_fetch_ = false;
     return served;
-  }
-
-  // Attach our validator when we hold any copy (fresh-but-flagged or
-  // stale): the origin can then answer with a cheap 304.
-  http::HttpRequest request = http::HttpRequest::Get(url);
-  if (lookup.entry != nullptr) {
-    std::string etag = lookup.entry->response.ETag();
-    if (!etag.empty()) request.headers.Set("If-None-Match", etag);
   }
 
   FetchResult result = FetchOverNetwork(request, key, flagged);
@@ -267,6 +262,7 @@ bool ClientProxy::ValidateTxn(const std::vector<std::string>& urls,
   // consistency either.
   std::vector<coherence::ReadVersion> reads;
   std::vector<size_t> read_index;  // reads[s] came from txn->reads[read_index[s]]
+  std::vector<http::Url> read_urls;  // urls[read_index[s]], parsed once
   for (size_t i = 0; i < urls.size(); ++i) {
     const FetchResult& r = txn->reads[i];
     if (!r.response.ok()) continue;
@@ -274,6 +270,7 @@ bool ClientProxy::ValidateTxn(const std::vector<std::string>& urls,
     if (!url.ok()) continue;
     reads.push_back({url->CacheKey(), r.response.object_version});
     read_index.push_back(i);
+    read_urls.push_back(std::move(*url));
   }
   if (reads.empty()) return true;
 
@@ -305,9 +302,7 @@ bool ClientProxy::ValidateTxn(const std::vector<std::string>& urls,
     Duration refetch_span = Duration::Zero();
     for (size_t s : stale) {
       size_t i = read_index[s];
-      auto url = http::Url::Parse(urls[i]);
-      if (!url.ok()) continue;
-      FetchResult r = TxnRefetch(*url, reads[s].key);
+      FetchResult r = TxnRefetch(read_urls[s], reads[s].key);
       refetch_span = std::max(refetch_span, r.latency);
       if (r.response.ok()) reads[s].version = r.response.object_version;
       txn->reads[i] = std::move(r);
@@ -428,12 +423,15 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   const bool coalesce =
       !bypass_shared &&
       cdn_->flight_mode() == cache::OriginFlightMode::kCoalesce;
-  Duration flight_wait = Duration::Zero();
-  if (coalesce) {
-    std::optional<SimTime> ready = cdn_->OpenFlightReadyAt(edge_index, key, now);
-    if (ready.has_value()) flight_wait = *ready - now;
-  }
+  // A stale edge copy, revalidated upstream with the edge's own validator.
+  const cache::CacheEntry* stale = nullptr;
   if (!bypass_shared) {
+    Duration flight_wait = Duration::Zero();
+    if (coalesce) {
+      std::optional<SimTime> ready =
+          cdn_->OpenFlightReadyAt(edge_index, key, now);
+      if (ready.has_value()) flight_wait = *ready - now;
+    }
     cache::LookupResult el = edge.Lookup(key, now);
     if (el.outcome == cache::LookupOutcome::kFreshHit) {
       if (flight_wait > Duration::Zero()) {
@@ -446,130 +444,63 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
       // A matching client validator gets a cache-minted 304. Its
       // generated_at is the entry's original render time so the browser
       // inherits the remaining freshness, never more.
+      const http::HttpResponse& copy = el.entry->response;
       auto inm = request.headers.Get("If-None-Match");
-      if (inm.has_value() && *inm == el.entry->response.ETag()) {
-        http::HttpResponse edge_304 = http::MakeNotModified(
-            *inm, el.entry->response.GetCacheControl(),
-            el.entry->response.object_version,
-            el.entry->response.generated_at);
-        Duration rt = network_->RequestTime(sim::Link::kClientEdge,
-                                            kNotModifiedWireBytes);
-        TraceSpan("edge.hit_304", obs::kTierEdge, Duration::Zero());
-        TraceSpan("net.client_edge", obs::kTierNetwork, rt);
-        return FinishClientResponse(request, key, edge_304,
-                                    ServedFrom::kEdgeCache, burned + rt);
+      if (inm.has_value() && *inm == copy.ETag()) {
+        return ServeEdgeCopy(
+            request, key,
+            http::MakeNotModified(*inm, copy.GetCacheControl(),
+                                  copy.object_version, copy.generated_at),
+            "edge.hit_304", burned);
       }
-      Duration rt = network_->RequestTime(sim::Link::kClientEdge,
-                                          el.entry->response.WireSize());
-      TraceSpan("edge.hit", obs::kTierEdge, Duration::Zero());
-      TraceSpan("net.client_edge", obs::kTierNetwork, rt);
-      return FinishClientResponse(request, key, el.entry->response,
-                                  ServedFrom::kEdgeCache, burned + rt);
+      return ServeEdgeCopy(request, key, copy, "edge.hit", burned);
     }
-    if (el.outcome == cache::LookupOutcome::kStaleHit) {
-      // The edge revalidates with ITS validator; the client still gets a
-      // full body from the edge either way.
-      http::HttpRequest forwarded = request;
-      std::string edge_etag = el.entry->response.ETag();
-      if (!edge_etag.empty()) {
-        forwarded.headers.Set("If-None-Match", edge_etag);
-      }
-      if (!DeliverWithRetries(sim::Link::kEdgeOrigin, &burned)) {
-        // Degraded mode, step 2: the upstream is unreachable but the edge
-        // still holds a copy — serve it stale (stale-if-error) rather than
-        // fail. Safe for sketch-clean keys: they are merely TTL-expired;
-        // a genuinely invalidated key is flagged and never takes this
-        // branch (it bypasses the edge entirely).
-        stats_->fallback_serves++;
-        NoteFaultOnRequest();
-        Duration rt = network_->RequestTime(sim::Link::kClientEdge,
-                                            el.entry->response.WireSize());
-        TraceSpan("edge.stale_if_error", obs::kTierEdge, Duration::Zero());
-        TraceSpan("net.client_edge", obs::kTierNetwork, rt);
-        return FinishClientResponse(request, key, el.entry->response,
-                                    ServedFrom::kEdgeCache, burned + rt);
-      }
-      http::HttpResponse oresp = origin_->Handle(forwarded);
-      if (oresp.status_code == 503) {
-        // Draw order matters: the compiled pre-obs code evaluated the
-        // edge->origin leg's RTT first, so the hoisted draws keep that
-        // order to leave the RNG stream byte-identical.
-        Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
-        Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
-        TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
-        TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo);
-        return OfflineFallback(key, burned + rtt_ce + rtt_eo);
-      }
-      if (oresp.IsNotModified()) {
-        edge.Refresh(key, oresp);
-        cache::LookupResult refreshed = edge.Lookup(key, now);
-        if (refreshed.entry != nullptr) {
-          Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
-          Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
-          Duration xfer_eo = network_->TransferTime(sim::Link::kEdgeOrigin,
-                                                    kNotModifiedWireBytes);
-          Duration upstream = burned + rtt_ce + rtt_eo + xfer_eo +
-                              oresp.server_time;
-          TraceSpan("edge.revalidate", obs::kTierEdge, Duration::Zero());
-          TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo + xfer_eo);
-          TraceSpan("origin.render", obs::kTierOrigin, oresp.server_time);
-          // If the client's validator also matches, forward the origin's
-          // 304 instead of re-sending the body.
-          auto inm = request.headers.Get("If-None-Match");
-          if (inm.has_value() && *inm == oresp.ETag()) {
-            Duration xfer_ce = network_->TransferTime(
-                sim::Link::kClientEdge, kNotModifiedWireBytes);
-            TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce + xfer_ce);
-            return FinishClientResponse(request, key, oresp,
-                                        ServedFrom::kEdgeCache,
-                                        upstream + xfer_ce);
-          }
-          Duration xfer_ce = network_->TransferTime(
-              sim::Link::kClientEdge, refreshed.entry->response.WireSize());
-          TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce + xfer_ce);
-          return FinishClientResponse(request, key,
-                                      refreshed.entry->response,
-                                      ServedFrom::kEdgeCache,
-                                      upstream + xfer_ce);
-        }
-        // Entry evicted under us; fall through to a plain origin fetch.
-      } else {
-        edge.Store(key, oresp);
-        // Draw order matters: the compiled pre-obs code evaluated the
-        // edge->origin leg's RTT first, so the hoisted draws keep that
-        // order to leave the RNG stream byte-identical.
-        Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
-        Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
-        Duration xfer_eo =
-            network_->TransferTime(sim::Link::kEdgeOrigin, oresp.WireSize());
-        Duration xfer_ce =
-            network_->TransferTime(sim::Link::kClientEdge, oresp.WireSize());
-        TraceSpan("edge.revalidate", obs::kTierEdge, Duration::Zero());
-        TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo + xfer_eo);
-        TraceSpan("origin.render", obs::kTierOrigin, oresp.server_time);
-        TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce + xfer_ce);
-        Duration lat =
-            burned + rtt_ce + rtt_eo + xfer_eo + xfer_ce + oresp.server_time;
-        return FinishClientResponse(request, key, oresp, ServedFrom::kOrigin,
-                                    lat);
-      }
-    }
+    if (el.outcome == cache::LookupOutcome::kStaleHit) stale = el.entry;
   }
 
-  // Pass-through: edge miss, or a sketch-flagged request that must reach
-  // the origin. The client's own validator travels with the request; the
-  // edge is refreshed on the way back so later clients benefit.
+  // The upstream leg. A stale copy is revalidated with the edge's
+  // validator, and the client still gets a full body from the edge unless
+  // its own validator matches too. A miss, or a sketch-flagged request that
+  // must reach the origin, passes through with the client's own validator.
+  // Either way the edge is updated on the way back so later clients
+  // benefit.
+  std::optional<http::HttpRequest> revalidation;
+  if (stale != nullptr) {
+    revalidation.emplace(request);
+    std::string edge_etag = stale->response.ETag();
+    if (!edge_etag.empty()) {
+      revalidation->headers.Set("If-None-Match", edge_etag);
+    }
+  }
   if (!DeliverWithRetries(sim::Link::kEdgeOrigin, &burned)) {
+    if (stale != nullptr) {
+      // Degraded mode, step 2: the upstream is unreachable but the edge
+      // still holds a copy — serve it stale (stale-if-error) rather than
+      // fail. Safe for sketch-clean keys: they are merely TTL-expired; a
+      // genuinely invalidated key is flagged and never gets here (it
+      // bypasses the edge entirely).
+      stats_->fallback_serves++;
+      NoteFaultOnRequest();
+      return ServeEdgeCopy(request, key, stale->response,
+                           "edge.stale_if_error", burned);
+    }
     // Nothing servable at the edge (miss, or a flagged key that must not
     // be served from a shared cache): last resort is the offline cache.
     Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
     TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
     return OfflineFallback(key, burned + rtt_ce);
   }
-  http::HttpResponse oresp = origin_->Handle(request);
+  http::HttpResponse oresp =
+      origin_->Handle(revalidation ? *revalidation : request);
   if (oresp.status_code == 503) {
+    // Draw order matters: the RNG stream must stay byte-identical, and a
+    // revalidation draws the edge->origin leg first while a pass-through
+    // draws the client<->edge leg first.
+    Duration rtt_eo = revalidation
+                          ? network_->SampleRtt(sim::Link::kEdgeOrigin)
+                          : Duration::Zero();
     Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
-    Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
+    if (!revalidation) rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
     TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce);
     TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo);
     return OfflineFallback(key, burned + rtt_ce + rtt_eo);
@@ -579,19 +510,31 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
   Duration rtt_eo = network_->SampleRtt(sim::Link::kEdgeOrigin);
   Duration rtt_ce = network_->SampleRtt(sim::Link::kClientEdge);
   Duration xfer_eo = network_->TransferTime(sim::Link::kEdgeOrigin, down);
-  Duration xfer_ce = network_->TransferTime(sim::Link::kClientEdge, down);
-  TraceSpan(bypass_shared ? "edge.bypass" : "edge.miss", obs::kTierEdge,
-            Duration::Zero());
+  TraceSpan(revalidation    ? "edge.revalidate"
+            : bypass_shared ? "edge.bypass"
+                            : "edge.miss",
+            obs::kTierEdge, Duration::Zero());
   TraceSpan("net.edge_origin", obs::kTierNetwork, rtt_eo + xfer_eo);
   TraceSpan("origin.render", obs::kTierOrigin, oresp.server_time);
-  TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce + xfer_ce);
-  Duration lat =
-      burned + rtt_ce + rtt_eo + xfer_eo + xfer_ce + oresp.server_time;
+  const http::HttpResponse* served = &oresp;
+  ServedFrom source = ServedFrom::kOrigin;
   if (oresp.IsNotModified()) {
     edge.Refresh(key, oresp);
+    if (revalidation) {
+      // The edge's copy is confirmed and the edge answers. Edges are
+      // unbounded, so the copy is still there; the lookup counts in the
+      // edge's hit counters. If the client's validator also matches, the
+      // origin's 304 is forwarded instead of the body.
+      cache::LookupResult refreshed = edge.Lookup(key, now);
+      source = ServedFrom::kEdgeCache;
+      auto inm = request.headers.Get("If-None-Match");
+      if (!inm.has_value() || *inm != oresp.ETag()) {
+        served = &refreshed.entry->response;
+      }
+    }
   } else {
-    if (coalesce) {
-      // This fetch leads a flight: the stored response becomes visible to
+    if (coalesce && !revalidation) {
+      // This miss leads a flight: the stored response becomes visible to
       // other clients only once the origin round trip completes. A no-op
       // for a miss inside an already-open window.
       cdn_->BeginFlight(edge_index, key, now,
@@ -599,7 +542,27 @@ FetchResult ClientProxy::FetchViaEdge(const http::HttpRequest& request,
     }
     edge.Store(key, oresp);
   }
-  return FinishClientResponse(request, key, oresp, ServedFrom::kOrigin, lat);
+  size_t to_client =
+      served->IsNotModified() ? kNotModifiedWireBytes : served->WireSize();
+  Duration xfer_ce = network_->TransferTime(sim::Link::kClientEdge, to_client);
+  TraceSpan("net.client_edge", obs::kTierNetwork, rtt_ce + xfer_ce);
+  return FinishClientResponse(
+      request, key, *served, source,
+      burned + rtt_ce + rtt_eo + xfer_eo + xfer_ce + oresp.server_time);
+}
+
+FetchResult ClientProxy::ServeEdgeCopy(const http::HttpRequest& request,
+                                       const std::string& key,
+                                       const http::HttpResponse& resp,
+                                       std::string_view span,
+                                       Duration latency) {
+  Duration rt = network_->RequestTime(
+      sim::Link::kClientEdge,
+      resp.IsNotModified() ? kNotModifiedWireBytes : resp.WireSize());
+  TraceSpan(span, obs::kTierEdge, Duration::Zero());
+  TraceSpan("net.client_edge", obs::kTierNetwork, rt);
+  return FinishClientResponse(request, key, resp, ServedFrom::kEdgeCache,
+                              latency + rt);
 }
 
 FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
@@ -607,93 +570,74 @@ FetchResult ClientProxy::FinishClientResponse(const http::HttpRequest& request,
                                               const http::HttpResponse& resp,
                                               ServedFrom source,
                                               Duration latency) {
-  SimTime now = clock_->Now();
-  if (background_fetch_) {
-    // Background revalidation: update caches exactly as a foreground
-    // response would, but keep the traffic out of the per-request serve
-    // buckets — there is no `requests` increment to reconcile against.
-    FetchResult result;
-    result.latency = latency;
-    result.response = resp;
-    if (resp.IsNotModified()) {
-      stats_->background_304s++;
-      stats_->background_bytes += kNotModifiedWireBytes;
-      browser_cache_.Refresh(key, resp);
-      result.source = source;
-      result.revalidated = true;
-    } else if (resp.ok()) {
-      stats_->background_200s++;
-      stats_->background_bytes += resp.WireSize();
-      browser_cache_.Store(key, resp);
-      result.source = source;
-    } else {
+  FetchResult result;
+  result.latency = latency;
+  const bool not_modified = resp.IsNotModified();
+  if (!not_modified && !resp.ok()) {
+    if (background_fetch_) {
       stats_->background_errors++;
+    } else {
+      stats_->errors++;
+      result.response = resp;
     }
     return result;
   }
-  if (resp.IsNotModified()) {
-    stats_->revalidations_304++;
-    stats_->bytes_over_network += kNotModifiedWireBytes;
+  // One browser-cache update for foreground and background responses: a
+  // 304 confirms the stored copy, a 2xx replaces it.
+  if (not_modified) {
     browser_cache_.Refresh(key, resp);
-    cache::LookupResult refreshed = browser_cache_.Lookup(key, now);
-    if (refreshed.entry != nullptr) {
-      // The 304 round trip is what served this request: attribute it to
-      // the tier that answered so serve counts reconcile with `requests`.
-      if (source == ServedFrom::kEdgeCache) {
-        stats_->edge_hits++;
-      } else {
-        stats_->origin_fetches++;
-      }
-      FetchResult result = ServeFromEntry(*refreshed.entry, source, latency);
-      result.revalidated = true;
+  } else {
+    browser_cache_.Store(key, resp);
+  }
+  const size_t wire = not_modified ? kNotModifiedWireBytes : resp.WireSize();
+  if (background_fetch_) {
+    // Background revalidation: keep the traffic out of the per-request
+    // serve buckets — there is no `requests` increment to reconcile
+    // against. Only the source is read (FetchOverNetwork counts a
+    // rerouted revalidation as a fallback serve).
+    (not_modified ? stats_->background_304s : stats_->background_200s)++;
+    stats_->background_bytes += wire;
+    result.source = source;
+    return result;
+  }
+  stats_->bytes_over_network += wire;
+  if (not_modified) {
+    stats_->revalidations_304++;
+    cache::LookupResult refreshed = browser_cache_.Lookup(key, clock_->Now());
+    if (refreshed.entry == nullptr) {
+      // The entry vanished (eviction) between validation and serve; a real
+      // SW would re-issue unconditionally. Model that as an error: it is
+      // rare enough not to warrant a second hop here.
+      stats_->errors++;
+      result.response.status_code = 504;
       return result;
     }
-    // The entry vanished (eviction) between validation and serve; a real
-    // SW would re-issue unconditionally. Model that as an error: it is
-    // rare enough not to warrant a second hop here.
-    stats_->errors++;
-    FetchResult result;
-    result.response.status_code = 504;
-    result.latency = latency;
-    return result;
-  }
-  if (!resp.ok()) {
-    stats_->errors++;
-    FetchResult result;
-    result.response = resp;
-    result.latency = latency;
-    return result;
-  }
-  if (request.IsConditional()) stats_->revalidations_200++;
-  if (source == ServedFrom::kEdgeCache) {
-    stats_->edge_hits++;
+    result = ServeFromEntry(*refreshed.entry, source, latency);
+    result.revalidated = true;
   } else {
-    stats_->origin_fetches++;
+    if (request.IsConditional()) stats_->revalidations_200++;
+    result.response = resp;
+    result.source = source;
   }
-  stats_->bytes_over_network += resp.WireSize();
-  browser_cache_.Store(key, resp);
-  FetchResult result;
-  result.response = resp;
-  result.latency = latency;
-  result.source = source;
+  // The round trip that served this request is attributed to the tier
+  // that answered, so serve counts reconcile with `requests`.
+  (source == ServedFrom::kEdgeCache ? stats_->edge_hits
+                                    : stats_->origin_fetches)++;
   return result;
 }
 
 FetchResult ClientProxy::OfflineFallback(const std::string& key,
                                          Duration attempt_latency) {
-  SimTime now = clock_->Now();
   if (background_fetch_) {
     // A failed background revalidation: the foreground request was already
     // served from the stale copy, so there is nothing to fall back to.
+    // Only the result's kError source is read.
     stats_->background_errors++;
-    FetchResult result;
-    result.response = http::MakeServiceUnavailable();
-    result.latency = attempt_latency;
-    return result;
+    return FetchResult();
   }
   NoteFaultOnRequest();
   if (config_.enabled && config_.offline_mode) {
-    cache::LookupResult lookup = browser_cache_.Lookup(key, now);
+    cache::LookupResult lookup = browser_cache_.Lookup(key, clock_->Now());
     if (lookup.entry != nullptr) {
       stats_->offline_serves++;
       TraceSpan("offline.serve", obs::kTierOffline, Duration::Zero());
@@ -722,48 +666,37 @@ BlockResult ClientProxy::FetchBlock(
     const personalization::PageTemplate& page,
     const personalization::DynamicBlock& block,
     const personalization::Segmenter& segmenter) {
-  std::string base = "https://" + std::string("shop.example.com") +
-                     "/api/fragments/" + block.id +
-                     "?page=" + StrFormat("%016llx",
-                                          static_cast<unsigned long long>(
-                                              Fnv1a_64(page.url)));
+  // The block's URL is also its cache key in every tier: the page and the
+  // block name it, and a segment block adds its cohort.
+  std::string url = "https://shop.example.com/api/fragments/" + block.id +
+                    "?page=" +
+                    StrFormat("%016llx", static_cast<unsigned long long>(
+                                             Fnv1a_64(page.url)));
   uint64_t user_id = vault_ != nullptr ? vault_->user_id() : client_id_;
-
-  BlockResult out;
+  // GDPR path: a user block is fetched as a cacheable anonymous template
+  // and joined on-device. Legacy path: identity crosses the boundary, and
+  // nothing is cacheable.
+  const bool on_device = block.scope == personalization::BlockScope::kUser &&
+                         config_.enabled && config_.gdpr_mode;
   switch (block.scope) {
-    case personalization::BlockScope::kStatic: {
-      FetchResult r = Fetch(base);
-      out.content = r.response.body.ToString();
-      out.latency = r.latency;
-      out.source = r.source;
-      return out;
-    }
-    case personalization::BlockScope::kSegment: {
-      FetchResult r = Fetch(base + "&seg=" + segmenter.SegmentFor(user_id));
-      out.content = r.response.body.ToString();
-      out.latency = r.latency;
-      out.source = r.source;
-      return out;
-    }
-    case personalization::BlockScope::kUser: {
-      if (config_.enabled && config_.gdpr_mode) {
-        // GDPR path: cacheable anonymous template + on-device join.
-        FetchResult r = Fetch(base + "&tpl=1");
-        std::string tpl = r.response.body.ToString();
-        out.content = vault_ != nullptr ? vault_->RenderLocally(tpl)
-                                        : std::move(tpl);
-        out.latency = r.latency + kRenderOverhead;
-        out.source = r.source;
-        out.rendered_on_device = true;
-        return out;
-      }
-      // Legacy path: identity crosses the boundary, nothing cacheable.
-      FetchResult r = Fetch(base + "&user=" + std::to_string(user_id));
-      out.content = r.response.body.ToString();
-      out.latency = r.latency;
-      out.source = r.source;
-      return out;
-    }
+    case personalization::BlockScope::kStatic:
+      break;
+    case personalization::BlockScope::kSegment:
+      url += "&seg=" + segmenter.SegmentFor(user_id);
+      break;
+    case personalization::BlockScope::kUser:
+      url += on_device ? "&tpl=1" : "&user=" + std::to_string(user_id);
+      break;
+  }
+  FetchResult r = Fetch(url);
+  BlockResult out;
+  out.content = r.response.body.ToString();
+  out.latency = r.latency;
+  out.source = r.source;
+  if (on_device) {
+    if (vault_ != nullptr) out.content = vault_->RenderLocally(out.content);
+    out.latency += kRenderOverhead;
+    out.rendered_on_device = true;
   }
   return out;
 }

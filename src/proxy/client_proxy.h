@@ -272,7 +272,8 @@ class ClientProxy {
               const ProxyDeps& deps);
 
   // Fetches one resource through the full decision flow (including the
-  // asset-optimization rewrite).
+  // asset-optimization rewrite). Each call is one foreground request:
+  // traced, and recorded in exactly one serve bucket.
   FetchResult Fetch(const http::Url& url);
   FetchResult Fetch(std::string_view url_text);
 
@@ -334,11 +335,6 @@ class ClientProxy {
   uint64_t thaw_count() const { return thaws_; }
 
  private:
-  // Observability wrapper around one foreground request: begins the trace,
-  // resets the degraded flag, runs the decision flow, then records the
-  // outcome (tier/fault histograms + trace finish) exactly once.
-  FetchResult FetchResolved(const http::Url& url);
-
   // The decision flow proper, after any URL rewriting.
   FetchResult FetchDecide(const http::Url& url);
 
@@ -377,10 +373,21 @@ class ClientProxy {
                                const std::string& key, bool bypass_shared);
 
   // The accelerated path through the client's CDN edge. `burned` carries
-  // latency already spent on failed attempts (timeouts, backoff).
+  // latency already spent on failed attempts (timeouts, backoff). The edge
+  // answers a fresh hit from its copy; a stale copy, a miss and a
+  // sketch-flagged request share one upstream round trip to the origin.
   FetchResult FetchViaEdge(const http::HttpRequest& request,
                            const std::string& key, bool bypass_shared,
                            int edge_index, Duration burned);
+
+  // Serves a response the edge answers from its own copy (a fresh hit, a
+  // cache-minted 304, or a stale copy under stale-if-error): charges the
+  // client<->edge leg for what the client gets, adds `span` and the leg's
+  // span, and finishes the request.
+  FetchResult ServeEdgeCopy(const http::HttpRequest& request,
+                            const std::string& key,
+                            const http::HttpResponse& resp,
+                            std::string_view span, Duration latency);
 
   // Pass-through against the original site (no CDN).
   FetchResult FetchDirect(const http::HttpRequest& request,
@@ -393,8 +400,9 @@ class ClientProxy {
   // when all attempts fail.
   bool DeliverWithRetries(sim::Link link, Duration* latency);
 
-  // Handles the client-side outcome of a network response: 304 -> refresh
-  // and serve the stored body; 200 -> store and serve; else error.
+  // Handles the client-side outcome of a network response, foreground or
+  // background: 304 -> refresh and serve the stored body; 2xx -> store
+  // and serve; else error.
   FetchResult FinishClientResponse(const http::HttpRequest& request,
                                    const std::string& key,
                                    const http::HttpResponse& resp,

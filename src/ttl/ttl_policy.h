@@ -36,7 +36,8 @@ class TtlPolicy {
   virtual void ObserveWrite(std::string_view key, SimTime now) = 0;
 };
 
-// Always the same TTL; the traditional-CDN baseline.
+// Always the same TTL; the traditional-CDN baseline. With a TTL of zero
+// nothing is cacheable: the no-caching baseline.
 class FixedTtlPolicy : public TtlPolicy {
  public:
   explicit FixedTtlPolicy(Duration ttl) : ttl_(ttl) {}
@@ -45,15 +46,6 @@ class FixedTtlPolicy : public TtlPolicy {
 
  private:
   Duration ttl_;
-};
-
-// TTL zero: nothing is cacheable; the no-caching baseline.
-class NoCachePolicy : public TtlPolicy {
- public:
-  Duration TtlFor(std::string_view, SimTime) override {
-    return Duration::Zero();
-  }
-  void ObserveWrite(std::string_view, SimTime) override {}
 };
 
 struct EstimatorStats {

@@ -103,8 +103,8 @@ TEST_F(PageLoadTest, PersonalizedBlocksAreCountedAsResources) {
   personalization::PageTemplate tpl;
   tpl.url = "https://shop.example.com/pages/home";
   tpl.blocks = {
-      {"banner", personalization::BlockScope::kStatic, 1024},
-      {"recs", personalization::BlockScope::kSegment, 2048},
+      {"banner", personalization::BlockScope::kStatic},
+      {"recs", personalization::BlockScope::kSegment},
   };
   personalization::Segmenter segmenter(4);
   PageSpec page = MakeHomePage(2);

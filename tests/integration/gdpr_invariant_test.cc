@@ -37,10 +37,10 @@ personalization::PageTemplate PersonalizedPage() {
   personalization::PageTemplate page;
   page.url = "https://shop.example.com/pages/home";
   page.blocks = {
-      {"hero", personalization::BlockScope::kStatic, 4096},
-      {"recs", personalization::BlockScope::kSegment, 2048},
-      {"greeting", personalization::BlockScope::kUser, 512},
-      {"cart-preview", personalization::BlockScope::kUser, 1024},
+      {"hero", personalization::BlockScope::kStatic},
+      {"recs", personalization::BlockScope::kSegment},
+      {"greeting", personalization::BlockScope::kUser},
+      {"cart-preview", personalization::BlockScope::kUser},
   };
   return page;
 }

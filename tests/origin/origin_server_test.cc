@@ -148,8 +148,8 @@ TEST_F(OriginServerTest, ShellTtlCapsLongPolicies) {
   EXPECT_EQ(resp.GetCacheControl().max_age.value(), kShellTtl);
 }
 
-TEST_F(OriginServerTest, NoCachePolicyMakesShellsUncacheable) {
-  ttl::NoCachePolicy no_cache;
+TEST_F(OriginServerTest, ZeroTtlPolicyMakesShellsUncacheable) {
+  ttl::FixedTtlPolicy no_cache(Duration::Zero());
   OriginServer server(OriginConfig{}, &clock_, &store_, &no_cache, nullptr);
   http::HttpResponse resp =
       server.Handle(Get("https://shop.example.com/pages/home"));

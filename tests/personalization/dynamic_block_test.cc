@@ -7,46 +7,10 @@
 namespace speedkit::personalization {
 namespace {
 
-PageTemplate MakePage() {
-  PageTemplate page;
-  page.url = "https://shop.example.com/pages/product";
-  page.shell_bytes = 1000;
-  page.blocks = {
-      {"header", BlockScope::kStatic, 100},
-      {"recs", BlockScope::kSegment, 200},
-      {"cart", BlockScope::kUser, 300},
-  };
-  return page;
-}
-
 TEST(DynamicBlockTest, ScopeNames) {
   EXPECT_EQ(BlockScopeName(BlockScope::kStatic), "static");
   EXPECT_EQ(BlockScopeName(BlockScope::kSegment), "segment");
   EXPECT_EQ(BlockScopeName(BlockScope::kUser), "user");
-}
-
-TEST(DynamicBlockTest, ByteAccounting) {
-  PageTemplate page = MakePage();
-  EXPECT_EQ(page.CacheableBytes(), 1000u + 100 + 200);
-  EXPECT_EQ(page.UserScopedBytes(), 300u);
-  EXPECT_EQ(page.TotalBytes(), 1600u);
-}
-
-TEST(DynamicBlockTest, FragmentKeysDistinguishBlocks) {
-  PageTemplate page = MakePage();
-  std::string a = FragmentCacheKey(page.url, "header", BlockScope::kStatic);
-  std::string b = FragmentCacheKey(page.url, "footer", BlockScope::kStatic);
-  EXPECT_NE(a, b);
-}
-
-TEST(DynamicBlockTest, SegmentKeysIncludeSegmentId) {
-  PageTemplate page = MakePage();
-  std::string s1 =
-      FragmentCacheKey(page.url, "recs", BlockScope::kSegment, "seg-1");
-  std::string s2 =
-      FragmentCacheKey(page.url, "recs", BlockScope::kSegment, "seg-2");
-  EXPECT_NE(s1, s2);
-  EXPECT_NE(s1.find("seg-1"), std::string::npos);
 }
 
 TEST(SegmenterTest, AssignmentIsStable) {

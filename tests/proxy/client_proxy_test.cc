@@ -55,13 +55,15 @@ class ClientProxyTest : public ::testing::Test {
 
   // Without the coherence tier in its deps the proxy keeps no sketch.
   ClientProxy MakeProxy(const ProxyConfig& pc, uint64_t id = 1,
-                        bool with_sketch = true) {
+                        bool with_sketch = true,
+                        obs::Tracer* tracer = nullptr) {
     ProxyDeps deps;
     deps.clock = &clock_;
     deps.network = &network_;
     deps.cdn = &cdn_;
     deps.origin = &origin_;
     deps.coherence = with_sketch ? &protocol_ : nullptr;
+    deps.tracer = tracer;
     return ClientProxy(pc, id, deps);
   }
 
@@ -312,8 +314,8 @@ TEST_F(ClientProxyTest, GdprBlockRendersOnDevice) {
 
   personalization::PageTemplate page;
   page.url = "https://shop.example.com/pages/product";
-  personalization::DynamicBlock block{"cart", personalization::BlockScope::kUser,
-                                      2048};
+  personalization::DynamicBlock block{"cart",
+                                      personalization::BlockScope::kUser};
   personalization::Segmenter segmenter(10);
   BlockResult r = proxy.FetchBlock(page, block, segmenter);
   EXPECT_TRUE(r.rendered_on_device);
@@ -340,8 +342,8 @@ TEST_F(ClientProxyTest, LegacyBlockLeaksIdentity) {
 
   personalization::PageTemplate page;
   page.url = "https://shop.example.com/pages/product";
-  personalization::DynamicBlock block{"cart", personalization::BlockScope::kUser,
-                                      2048};
+  personalization::DynamicBlock block{"cart",
+                                      personalization::BlockScope::kUser};
   personalization::Segmenter segmenter(10);
   BlockResult r = proxy.FetchBlock(page, block, segmenter);
   EXPECT_FALSE(r.rendered_on_device);
@@ -353,8 +355,7 @@ TEST_F(ClientProxyTest, SegmentBlocksShareCacheAcrossSameSegmentUsers) {
   personalization::PageTemplate page;
   page.url = "https://shop.example.com/pages/home";
   personalization::DynamicBlock block{"recs",
-                                      personalization::BlockScope::kSegment,
-                                      2048};
+                                      personalization::BlockScope::kSegment};
   ClientProxy a = MakeProxy(SpeedKitConfig(), 1);
   a.FetchBlock(page, block, segmenter);
   uint64_t same_edge_id = 2;
@@ -437,13 +438,46 @@ TEST_F(ClientProxyTest, StaticBlockFetchesLikeAsset) {
   personalization::PageTemplate page;
   page.url = "https://shop.example.com/pages/home";
   personalization::DynamicBlock block{"banner",
-                                      personalization::BlockScope::kStatic,
-                                      1024};
+                                      personalization::BlockScope::kStatic};
   ClientProxy proxy = MakeProxy(SpeedKitConfig());
   BlockResult first = proxy.FetchBlock(page, block, segmenter);
   EXPECT_EQ(first.source, ServedFrom::kOrigin);
   BlockResult second = proxy.FetchBlock(page, block, segmenter);
   EXPECT_EQ(second.source, ServedFrom::kBrowserCache);
+}
+
+// A block's fragment URL is its cache key in every tier; a trace records
+// the key of each fetch.
+TEST_F(ClientProxyTest, BlockFragmentKeysDistinguishBlocks) {
+  obs::InMemoryTraceSink sink;
+  obs::Tracer tracer(&sink);
+  ClientProxy proxy = MakeProxy(SpeedKitConfig(), 1, true, &tracer);
+  personalization::Segmenter segmenter(4);
+  personalization::PageTemplate page;
+  page.url = "https://shop.example.com/pages/home";
+  proxy.FetchBlock(page, {"header", personalization::BlockScope::kStatic},
+                   segmenter);
+  proxy.FetchBlock(page, {"footer", personalization::BlockScope::kStatic},
+                   segmenter);
+  ASSERT_EQ(sink.traces().size(), 2u);
+  EXPECT_NE(sink.traces()[0].url, sink.traces()[1].url);
+}
+
+TEST_F(ClientProxyTest, BlockFragmentKeysIncludeSegmentId) {
+  obs::InMemoryTraceSink sink;
+  obs::Tracer tracer(&sink);
+  ClientProxy proxy = MakeProxy(SpeedKitConfig(), 1, true, &tracer);
+  personalization::Segmenter first(1, [](uint64_t) { return "seg-1"; });
+  personalization::Segmenter second(1, [](uint64_t) { return "seg-2"; });
+  personalization::PageTemplate page;
+  page.url = "https://shop.example.com/pages/home";
+  personalization::DynamicBlock block{"recs",
+                                      personalization::BlockScope::kSegment};
+  proxy.FetchBlock(page, block, first);
+  proxy.FetchBlock(page, block, second);
+  ASSERT_EQ(sink.traces().size(), 2u);
+  EXPECT_NE(sink.traces()[0].url, sink.traces()[1].url);
+  EXPECT_NE(sink.traces()[0].url.find("seg-1"), std::string::npos);
 }
 
 }  // namespace

@@ -18,11 +18,6 @@ TEST(FixedTtlPolicyTest, AlwaysReturnsConfiguredTtl) {
   EXPECT_EQ(policy.TtlFor("a", At(2)), Duration::Seconds(60));
 }
 
-TEST(NoCachePolicyTest, ZeroTtl) {
-  NoCachePolicy policy;
-  EXPECT_EQ(policy.TtlFor("a", At(0)), Duration::Zero());
-}
-
 TEST(EstimatedTtlPolicyTest, ColdStartUsesDefault) {
   EstimatedTtlPolicy policy;
   EXPECT_EQ(policy.TtlFor("never-written", At(0)), Duration::Seconds(600));
